@@ -6,6 +6,10 @@ Every coefficient in the library is a `fractions.Fraction`; there is no
 floating point anywhere.  Polynomials are stored sparsely as a map from
 dense exponent vectors to nonzero coefficients, over a fixed ordered
 variable tuple.
+
+The module also holds the two shared building blocks of the other
+layers: `add_into`, the one in-place accumulation for sparse maps, and
+the `dense_*` functions on coefficient lists in one variable.
 """
 
 from __future__ import annotations
@@ -36,6 +40,44 @@ class ConsistencyError(RuntimeError):
 def scal(x) -> Fraction:
     """Coerce an int/str/Fraction into an exact scalar."""
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def add_into(out, terms, c=1):
+    """out += c * terms, in place; returns `out`.
+
+    Both arguments are sparse maps: every key maps to a nonzero exact
+    scalar, and a key that is absent has coefficient zero.  A key whose
+    coefficient cancels is deleted at once, so `out` keeps that contract
+    after every step.  `terms` is not modified.  `SymPoly`, `UEAElement`,
+    `WeylOperator`, `FExpr` and the dict algebras of `tensor` all add
+    through this one kernel; only the product loops that compute each
+    key on the fly repeat its body inline.
+    """
+    if c == 1:  # the common case; no product, so no new Fraction per term
+        for k, v in terms.items():
+            s = out.get(k, 0) + v
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    else:
+        for k, v in terms.items():
+            s = out.get(k, 0) + c * v
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+    return out
+
+
+def perm_sign(perm):
+    """Sign of a permutation given as a sequence of distinct integers."""
+    s = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                s = -s
+    return s
 
 
 def _exact_quot(a, b):
@@ -190,14 +232,7 @@ class SymPoly:
 
     def __add__(self, other):
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for ev, c in other.terms.items():
-            s = terms.get(ev, 0) + c
-            if s == 0:
-                terms.pop(ev, None)
-            else:
-                terms[ev] = s
-        return SymPoly(self.vars, terms)
+        return SymPoly(self.vars, add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
@@ -223,10 +258,10 @@ class SymPoly:
             for e2, c2 in other.terms.items():
                 ev = tuple(a + b for a, b in zip(e1, e2))
                 s = out.get(ev, 0) + c1 * c2
-                if s == 0:
-                    out.pop(ev, None)
-                else:
+                if s:
                     out[ev] = s
+                else:
+                    out.pop(ev, None)
         return SymPoly(self.vars, out)
 
     __rmul__ = __mul__
@@ -311,12 +346,7 @@ class SymPoly:
                 if v in values and ev[i]:
                     c = c * (scal(values[v]) ** ev[i])
                     nev[i] = 0
-            key = tuple(nev)
-            s = out.get(key, 0) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            add_into(out, {tuple(nev): c})
         return SymPoly(self.vars, out)
 
     def _lead(self):
@@ -344,7 +374,7 @@ class SymPoly:
             if any(e < 0 for e in qev):
                 raise ExactDivisionError("inexact polynomial division")
             qc = rc / dc
-            q[qev] = q.get(qev, 0) + qc
+            q[qev] = qc  # the leading exponent strictly drops, so qev is new
             rem = rem - SymPoly(self.vars, {qev: qc}) * divisor
         return SymPoly(self.vars, q)
 
@@ -366,7 +396,80 @@ class SymPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-# -- univariate helpers and rational functions ---------------------------
+# -- dense coefficient lists ------------------------------------------------
+#
+# A polynomial in one variable u is also kept densely, as the list of its
+# coefficients from the constant term up.  The coefficients may be of any
+# type with + and * that compares equal to 0 when zero: Fraction,
+# UEAElement, WeylOperator, mixed with scalars where a product needs it.
+# Products keep the left factor's coefficients on the left, which matters
+# for noncommuting coefficients.
+
+
+def dense_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + list(a[len(b):])
+
+
+def dense_mul(a, b):
+    if not a or not b:
+        return []
+    out = [None] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = x * y if out[i + j] is None else out[i + j] + x * y
+    return out
+
+
+def dense_prod(factors):
+    """Product of a sequence of coefficient lists; [1] when empty."""
+    out = [Fraction(1)]
+    for f in factors:
+        out = dense_mul(out, f)
+    return out
+
+
+def dense_eval(a, x):
+    """Value at the scalar x of a nonempty coefficient list (Horner)."""
+    acc = a[-1]
+    for c in reversed(a[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def dense_shift(a, c):
+    """Coefficients of a(u + c)."""
+    out = []
+    for x in reversed(a):
+        out = dense_add(dense_mul(out, [c, 1]), [x])
+    return out
+
+
+def dense_div_linear(a, root):
+    """Exact quotient of a by (u - root); raises ConsistencyError when
+    the remainder a(root) is not zero."""
+    if not a:
+        return []
+    q = [None] * (len(a) - 1)
+    carry = a[-1]
+    for d in range(len(a) - 2, -1, -1):
+        q[d] = carry
+        carry = a[d] + carry * root
+    if carry != 0:
+        raise ConsistencyError("division by (u - root) leaves a nonzero remainder")
+    return q
+
+
+def dense_trim(a):
+    """The list without its trailing zero coefficients."""
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+# -- rational functions of one variable ----------------------------------------
 
 
 def _to_dense(p: SymPoly):
@@ -393,9 +496,7 @@ def _dense_divmod(a, b):
         if f:
             for j in range(db + 1):
                 a[i - db + j] -= f * b[j]
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
+    return q, dense_trim(a)
 
 
 def _dense_gcd(a, b):

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import SymPoly
+from .core import SymPoly, add_into, dense_add, dense_mul, dense_prod, dense_trim
 from .symfun import (
     Partition,
     ShiftSequence,
@@ -55,7 +55,9 @@ from .tensor import (
     fusion_capelli,
     generating_functions,
     guard_cells,
+    linear_ladder,
     quantum_det_gl,
+    series_as_fraction,
     theorem_62_check,
     verify_relations,
     verify_vanishing,
@@ -111,6 +113,17 @@ def _grid(params, key, default):
     if value not in default:
         raise UsageError(f"{key}={value} is outside the supported set {default}")
     return [value]
+
+
+def _order(params, key, default):
+    """A series order or truncation: None means `default`, and a value
+    below 1 is a usage error."""
+    value = params.get(key)
+    if value is None:
+        return default
+    if value < 1:
+        raise UsageError(f"{key}={value} must be at least 1")
+    return value
 
 
 # -- gl_N: the two classical identities ---------------------------------------
@@ -181,7 +194,7 @@ def suite_thm_41(params, rng):
                     lhs = pfaffian_phi_expr(I).evaluate(gamma_ring(ctx, m))
                     rhs = WeylOperator.zero(WeylContext(m, N))
                     for A in itertools.combinations(range(1, m + 1), k):
-                        rhs = rhs + omega_AI(A, I, m, N)
+                        add_into(rhs.terms, omega_AI(A, I, m, N).terms)
                     witness = _weyl_witness(lhs, rhs)
                     if witness is not None:
                         witness = f"I={I}: {witness}"
@@ -222,7 +235,7 @@ def suite_thm_51(params, rng):
                             cnt = sum(1 for _ in grp)
                             for t in range(2, cnt + 1):
                                 dfact *= t
-                        rhs = rhs + theta_AI(A, I, m, N) * Fraction(1, dfact)
+                        add_into(rhs.terms, theta_AI(A, I, m, N).terms, Fraction(1, dfact))
                     witness = _weyl_witness(lhs, rhs)
                     if witness is not None:
                         witness = f"I={I}: {witness}"
@@ -278,9 +291,9 @@ def _relation_suite(selector):
         for N in _grid(params, "N", [2, 3]):
             for family in (("so", "sp") if N % 2 == 0 else ("so",)):
                 ctx = LieContext(family, N)
+                t0 = time.monotonic()
                 for cid, ok, witness in verify_relations(ctx, m_max=3):
                     if selector(cid):
-                        t0 = time.monotonic()
                         _push(results, cid, None if ok else witness, t0)
         return results
 
@@ -302,9 +315,9 @@ def _vanishing_suite(prefixes):
             for family in ("so", "sp"):
                 for m in _grid(params, "m", [1, 2]):
                     for l in range(0, 3):
+                        t0 = time.monotonic()
                         for cid, ok, witness in verify_vanishing(m, l, N, family):
                             if any(cid.startswith(p) for p in prefixes):
-                                t0 = time.monotonic()
                                 _push(results, cid, None if ok else witness, t0)
         return results
 
@@ -349,57 +362,6 @@ def suite_prop_61(params, rng):
 # -- dual pair transfer ------------------------------------------------------------
 
 
-def _weyl_series_fraction(coeffs, roots, upto, zero):
-    """1 + sum_k coeffs[k]/prod_{j<=k}(t - roots[j]) over a common ladder
-    denominator, with operator coefficients; returns (dense numerator
-    list in t, dense scalar denominator list)."""
-    den = [Fraction(1)]
-    for r in roots[:upto]:
-        den = _dense_lin_mul(den, -r)
-    num = [zero + c for c in den]
-    for k in range(1, upto + 1):
-        tail = [Fraction(1)]
-        for r in roots[k:upto]:
-            tail = _dense_lin_mul(tail, -r)
-        num = _dense_add(num, [coeffs[k] * c for c in tail], zero)
-    return num, den
-
-
-def _dense_lin_mul(coeffs, const):
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for d, c in enumerate(coeffs):
-        out[d] += c * const
-        out[d + 1] += c
-    return out
-
-
-def _dense_add(a, b, zero):
-    out = [zero for _ in range(max(len(a), len(b)))]
-    for d, c in enumerate(a):
-        out[d] = out[d] + c
-    for d, c in enumerate(b):
-        out[d] = out[d] + c
-    return out
-
-
-def _dense_mul(a, b, zero):
-    if not a or not b:
-        return []
-    out = [zero for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _dense_scalar_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1 if a and b else 0)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def suite_thm_44(params, rng):
     results = []
     for N in _grid(params, "N", [2, 3, 4]):
@@ -422,7 +384,7 @@ def suite_thm_44(params, rng):
                         continue
                     cl = (series_so[l].gamma(m) if l
                           else WeylOperator.scalar(wctx, 1))
-                    rhs = rhs + cl * f
+                    add_into(rhs.terms, cl.terms, f)
                 _push(results, f"transfer-C[N={N},m={m},k={k}]",
                       _weyl_witness(lhs, rhs), t0)
     return results
@@ -473,21 +435,15 @@ def suite_prop_43(params, rng):
             c_gamma[0] = one
             cp_gamma = {k: series_sp[k].gamma_prime(m, N) for k in range(1, m + 1)}
             cp_gamma[0] = one
-            lhs_num, lhs_den = _weyl_series_fraction(
-                c_gamma, c_ladder_roots(ctx_so, n), n, zero)
-            rhs_num, rhs_den = _weyl_series_fraction(
-                cp_gamma, c_ladder_roots(ctx_sp, m), m, zero)
-            alpha_num = [Fraction(1)]
-            alpha_den = [Fraction(1)]
-            for a in range(1, m + 1):
-                alpha_num = _dense_lin_mul(alpha_num, -(Fraction(N, 2) - a) ** 2)
-                alpha_den = _dense_lin_mul(alpha_den, -Fraction(a) ** 2)
-            left = _dense_mul(lhs_num,
-                              [one * c for c in _dense_scalar_mul(alpha_num, rhs_den)],
-                              zero)
-            right = _dense_mul(rhs_num,
-                               [one * c for c in _dense_scalar_mul(alpha_den, lhs_den)],
-                               zero)
+            lhs_num, lhs_den = series_as_fraction(
+                c_gamma, linear_ladder(c_ladder_roots(ctx_so, n)))
+            rhs_num, rhs_den = series_as_fraction(
+                cp_gamma, linear_ladder(c_ladder_roots(ctx_sp, m)))
+            alpha_num = dense_prod(linear_ladder((Fraction(N, 2) - a) ** 2
+                                                 for a in range(1, m + 1)))
+            alpha_den = dense_prod(linear_ladder(Fraction(a) ** 2 for a in range(1, m + 1)))
+            left = dense_mul(lhs_num, dense_mul(alpha_num, rhs_den))
+            right = dense_mul(rhs_num, dense_mul(alpha_den, lhs_den))
             witness = None
             for d in range(max(len(left), len(right))):
                 x = left[d] if d < len(left) else zero
@@ -501,7 +457,7 @@ def suite_prop_43(params, rng):
 
 def suite_thm_53(params, rng):
     results = []
-    K = params.get("k") or 2
+    K = _order(params, "k", 2)
     for N in _grid(params, "N", [2, 4]):
         for m in _grid(params, "m", [1, 2]):
             guard_cells(N, m)
@@ -520,7 +476,7 @@ def suite_thm_53(params, rng):
                         continue
                     dl = (series_sp[l].gamma(m) if l
                           else WeylOperator.scalar(wctx, 1))
-                    rhs = rhs + dl * g
+                    add_into(rhs.terms, dl.terms, g)
                 _push(results, f"transfer-D[N={N},m={m},k={k}]",
                       _weyl_witness(lhs, rhs), t0)
     return results
@@ -545,7 +501,7 @@ def suite_cor_54(params, rng):
 
 def suite_prop_52(params, rng):
     results = []
-    K = params.get("K") or 2
+    K = _order(params, "K", 2)
     for N in _grid(params, "N", [2, 4]):
         for m in _grid(params, "m", [1, 2]):
             guard_cells(N, m)
@@ -553,32 +509,24 @@ def suite_prop_52(params, rng):
             ctx_sp = LieContext("sp", N)
             ctx_so = LieContext("so", 2 * m)
             n = ctx_sp.n
-            wctx = WeylContext(m, N)
-            zero = WeylOperator.zero(wctx)
-            one = WeylOperator.scalar(wctx, 1)
+            one = WeylOperator.scalar(WeylContext(m, N), 1)
             series_sp = central_series(ctx_sp, "D", K)
             series_so = central_series(ctx_so, "D", K)
             d_gamma = {l: series_sp[l].gamma(m) for l in range(1, K + 1)}
             dp_gamma = {k: series_so[k].gamma_prime(m, N) for k in range(1, K + 1)}
             d_gamma[0] = one
             dp_gamma[0] = one
-            lhs_num, lhs_den = _weyl_series_fraction(
-                d_gamma, d_ladder_roots(ctx_sp, K), K, zero)
-            rhs_num, rhs_den = _weyl_series_fraction(
-                dp_gamma, d_ladder_roots(ctx_so, K), K, zero)
-            beta_num = [Fraction(1)]
-            beta_den = [Fraction(1)]
-            for a in range(1, m + 1):
-                beta_num = _dense_lin_mul(beta_num, -Fraction(a - 1) ** 2)
-                beta_den = _dense_lin_mul(beta_den, -Fraction(n - a + 1) ** 2)
-            left = _dense_mul(lhs_num,
-                              [one * c for c in _dense_scalar_mul(beta_num, rhs_den)],
-                              zero)
-            right = _dense_mul(rhs_num,
-                               [one * c for c in _dense_scalar_mul(beta_den, lhs_den)],
-                               zero)
-            diff = _dense_add(left, [x * -1 for x in right], zero)
-            deg = max((d for d, c in enumerate(diff) if not c.is_zero()), default=-1)
+            lhs_num, lhs_den = series_as_fraction(
+                d_gamma, linear_ladder(d_ladder_roots(ctx_sp, K)))
+            rhs_num, rhs_den = series_as_fraction(
+                dp_gamma, linear_ladder(d_ladder_roots(ctx_so, K)))
+            beta_num = dense_prod(linear_ladder(Fraction(a - 1) ** 2 for a in range(1, m + 1)))
+            beta_den = dense_prod(linear_ladder(Fraction(n - a + 1) ** 2
+                                                for a in range(1, m + 1)))
+            left = dense_mul(lhs_num, dense_mul(beta_num, rhs_den))
+            right = dense_mul(rhs_num, dense_mul(beta_den, lhs_den))
+            diff = dense_add(left, [x * -1 for x in right])
+            deg = len(dense_trim(diff)) - 1
             den_deg = len(beta_den) - 1 + len(lhs_den) - 1 + len(rhs_den) - 1
             bound = den_deg - (K + 1)
             witness = (None if deg <= bound else
@@ -607,7 +555,7 @@ def suite_cor_42(params, rng):
 
 def suite_series_inversion(params, rng):
     results = []
-    K = params.get("K") or 3
+    K = _order(params, "K", 3)
     for family, N in (("so", 3), ("sp", 2)):
         if params.get("N") is not None and N != params["N"]:
             continue
@@ -660,7 +608,7 @@ def suite_prop_22(params, rng):
 
 def suite_prop_23(params, rng):
     results = []
-    K = params.get("K") or 4
+    K = _order(params, "K", 4)
     for trial in range(3):
         for n in (1, 2):
             a = _random_sequence(rng, n + K + 4)
@@ -759,4 +707,8 @@ def run_suite(name, params=None, seed=0):
     params = dict(params or {})
     rng = random.Random(params.pop("seed", seed))
     _desc, fn = SUITES[name]
-    return fn(params, rng)
+    results = fn(params, rng)
+    if not results:
+        given = {k: v for k, v in params.items() if v is not None}
+        raise UsageError(f"no check of {name!r} matches the parameters {given}")
+    return results

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .core import DimensionError, RatFun, SymPoly, det, scal
+from .core import DimensionError, RatFun, SymPoly, add_into, det, scal
 
 
 class Partition:
@@ -186,7 +186,7 @@ def e_factorial(k: int, n: int, a: ShiftSequence) -> SymPoly:
         term = SymPoly.const(vs, 1)
         for t, p in enumerate(ps, start=1):
             term = term * (gens[p - 1] - a[p - t + 1])
-        total = total + term
+        add_into(total.terms, term.terms)
     return total
 
 
@@ -202,7 +202,7 @@ def h_factorial(k: int, n: int, a: ShiftSequence) -> SymPoly:
         term = SymPoly.const(vs, 1)
         for t, p in enumerate(ps, start=1):
             term = term * (gens[p - 1] - a[p + t - 1])
-        total = total + term
+        add_into(total.terms, term.terms)
     return total
 
 

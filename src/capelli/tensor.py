@@ -9,6 +9,12 @@ division of every numerator coefficient by the linear factor.
 
 The module also houses the plain scalar matrices (exchange and twist
 operators, symmetrizers) used by the operator-identity suites.
+
+Matrices, scalar polynomials and entries are sparse maps (key to nonzero
+scalar) and add through `core.add_into`.  Polynomials in the single
+spectral variable of the fusion and generating-function identities are
+dense coefficient lists, handled by the `core.dense_*` functions for
+scalar and U(gl_N) coefficients alike.
 """
 
 from __future__ import annotations
@@ -17,7 +23,20 @@ import itertools
 import math
 from fractions import Fraction
 
-from .core import ConsistencyError, DimensionError, scal
+from .core import (
+    ConsistencyError,
+    DimensionError,
+    add_into,
+    dense_add,
+    dense_div_linear,
+    dense_eval,
+    dense_mul,
+    dense_prod,
+    dense_shift,
+    dense_trim,
+    perm_sign,
+    scal,
+)
 from .symfun import Partition
 from .uea import CentralSeries, LieContext, UEAElement, _normal_form, uea_first_difference
 from .weyl import sgn
@@ -30,18 +49,8 @@ def smat_identity(size):
     return {(r, r): Fraction(1) for r in range(size)}
 
 
-def smat_add(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, 0) + c
-        if s == 0:
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
 def smat_scale(a, c):
+    """c * a for any sparse map a (a matrix, a polynomial or an entry)."""
     c = scal(c)
     if c == 0:
         return {}
@@ -49,27 +58,18 @@ def smat_scale(a, c):
 
 
 def smat_mul(a, b):
+    brows = {}
+    for (t, q), c in b.items():
+        brows.setdefault(t, {})[q] = c
     rows = {}
     for (r, t), c in a.items():
-        rows.setdefault(r, []).append((t, c))
-    cols = {}
-    for (t, q), c in b.items():
-        cols.setdefault(t, []).append((q, c))
-    out = {}
-    for r, row in rows.items():
-        for t, c1 in row:
-            for q, c2 in cols.get(t, ()):
-                k = (r, q)
-                s = out.get(k, 0) + c1 * c2
-                if s == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-    return out
+        if t in brows:
+            add_into(rows.setdefault(r, {}), brows[t], c)
+    return {(r, q): c for r, row in rows.items() for q, c in row.items()}
 
 
 def smat_eq(a, b):
-    return smat_add(a, smat_scale(b, -1)) == {}
+    return not add_into(dict(a), b, -1)
 
 
 def smat_trace(a):
@@ -107,28 +107,14 @@ class TensorSpace:
         return tuple(out)
 
 
-def _perm_sign(perm):
-    s = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                s = -s
-    return s
-
-
 def symmetrizer(space: TensorSpace, signed: bool):
     """Idempotent (anti)symmetrizer of (C^N)^{(x)m}."""
     out = {}
     norm = Fraction(1, math.factorial(space.m))
     for sigma in itertools.permutations(range(space.m)):
-        c = norm * (_perm_sign(sigma) if signed else 1)
-        for t in space.tuples:
-            k = (space.code[space.apply_perm(t, sigma)], space.code[t])
-            s = out.get(k, 0) + c
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
+        perm = {(space.code[space.apply_perm(t, sigma)], space.code[t]): Fraction(1)
+                for t in space.tuples}
+        add_into(out, perm, norm * (perm_sign(sigma) if signed else 1))
     return out
 
 
@@ -154,12 +140,8 @@ def twist_Q(space: TensorSpace, p, q, family):
             s = list(t)
             s[p - 1], s[q - 1] = i, -i
             eps = sgn(i) * sgn(a) if family == "sp" else 1
-            k = (space.code[tuple(s)], space.code[t])
-            v = out.get(k, 0) + eps
-            if v == 0:
-                out.pop(k, None)
-            else:
-                out[k] = v
+            # distinct i give distinct rows, so every cell is written once
+            out[(space.code[tuple(s)], space.code[t])] = eps
     return out
 
 
@@ -182,10 +164,8 @@ def smat_id_tensor(left_size, b, right_size):
 
 
 # -- scalar polynomials over several central variables ------------------------
-
-
-def sp_zero():
-    return {}
+#
+# A scalar polynomial maps an exponent vector to a nonzero scalar.
 
 
 def sp_const(vars, c):
@@ -198,66 +178,31 @@ def lin(vars, const=0, **coeffs):
     out = sp_const(vars, const)
     for v, c in coeffs.items():
         c = scal(c)
-        if c == 0:
-            continue
-        ev = [0] * len(vars)
-        ev[vars.index(v)] = 1
-        out[tuple(ev)] = out.get(tuple(ev), 0) + c
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def sp_add(a, b):
-    out = dict(a)
-    for ev, c in b.items():
-        s = out.get(ev, 0) + c
-        if s == 0:
-            out.pop(ev, None)
-        else:
-            out[ev] = s
+        if c:
+            ev = [0] * len(vars)
+            ev[vars.index(v)] = 1
+            out[tuple(ev)] = c
     return out
 
 
 def sp_mul(a, b):
     out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            ev = tuple(x + y for x, y in zip(e1, e2))
-            s = out.get(ev, 0) + c1 * c2
-            if s == 0:
-                out.pop(ev, None)
-            else:
-                out[ev] = s
+    for e2, c2 in b.items():
+        add_into(out, {tuple(x + y for x, y in zip(e1, e2)): c1 for e1, c1 in a.items()}, c2)
     return out
 
 
-def sp_eval(a, point):
-    total = Fraction(0)
-    for ev, c in a.items():
-        for x, e in zip(point, ev):
-            c = c * x ** e
-        total += c
-    return total
+def sp_to_dense(p):
+    """A scalar polynomial in one variable as a dense coefficient list."""
+    out = [Fraction(0)] * (max((ev[0] for ev in p), default=-1) + 1)
+    for (d,), c in p.items():
+        out[d] = c
+    return out
 
 
 # -- entries: polynomials with enveloping-algebra coefficients -----------------
-
-
-def ent_scale(e, c):
-    c = scal(c)
-    if c == 0:
-        return {}
-    return {k: c * v for k, v in e.items()}
-
-
-def ent_add(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, 0) + c
-        if s == 0:
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
+#
+# An entry maps (exponent vector, PBW word) to a nonzero scalar.
 
 
 def ent_mul(ctx, a, b):
@@ -269,23 +214,18 @@ def ent_mul(ctx, a, b):
             for w, c in _normal_form(ctx, w1 + w2).items():
                 k = (ev, w)
                 s = out.get(k, 0) + c12 * c
-                if s == 0:
-                    out.pop(k, None)
-                else:
+                if s:
                     out[k] = s
+                else:
+                    out.pop(k, None)
     return out
 
 
 def ent_scalar_poly_mul(e, p):
     out = {}
-    for (ev, w), c in e.items():
-        for pe, pc in p.items():
-            k = (tuple(x + y for x, y in zip(ev, pe)), w)
-            s = out.get(k, 0) + c * pc
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
+    for pe, pc in p.items():
+        add_into(out, {(tuple(x + y for x, y in zip(ev, pe)), w): c
+                       for (ev, w), c in e.items()}, pc)
     return out
 
 
@@ -297,39 +237,9 @@ def ent_to_ucoeffs(ctx, e):
     """Entry over a single variable as a dense list of elements."""
     deg = max((ev[0] for (ev, _w) in e), default=-1)
     out = [UEAElement.zero(ctx) for _ in range(deg + 1)]
-    for (ev, w), c in e.items():
-        out[ev[0]] = out[ev[0]] + UEAElement(ctx, {w: c})
+    for ((d,), w), c in e.items():
+        out[d].terms[w] = c  # each (degree, word) key occurs once
     return out
-
-
-def ucoeffs_eval(coeffs, u0):
-    acc = None
-    power = Fraction(1)
-    for c in coeffs:
-        term = c * power
-        acc = term if acc is None else acc + term
-        power *= u0
-    return acc
-
-
-def ucoeffs_div_linear(coeffs, root):
-    """Exact division of a coefficient list by (u - root)."""
-    if not coeffs:
-        return []
-    q = [None] * (len(coeffs) - 1)
-    carry = coeffs[-1]
-    for d in range(len(coeffs) - 2, -1, -1):
-        q[d] = carry
-        carry = coeffs[d] + carry * root
-    if not _is_zero_coeff(carry):
-        raise ConsistencyError("pole does not cancel: residual remainder")
-    return q
-
-
-def _is_zero_coeff(c):
-    if isinstance(c, UEAElement):
-        return c.is_zero()
-    return c == 0
 
 
 # -- the matrix class ----------------------------------------------------------
@@ -375,9 +285,10 @@ class TMat:
                     continue
                 for q, e2 in brow.items():
                     prod = ent_mul(self.ctx, e1, e2)
-                    if not prod:
-                        continue
-                    acc[q] = ent_add(acc[q], prod) if q in acc else prod
+                    if q in acc:
+                        add_into(acc[q], prod)
+                    elif prod:
+                        acc[q] = prod
             acc = {q: e for q, e in acc.items() if e}
             if acc:
                 rows[r] = acc
@@ -397,7 +308,7 @@ class TMat:
         acc = {}
         for r, row in self.rows.items():
             if r in row:
-                acc = ent_add(acc, row[r])
+                add_into(acc, row[r])
         return acc, self.den
 
 
@@ -421,7 +332,7 @@ def cross_equal(a: TMat, b: TMat):
 
 def tm_R(ctx, space, vars, p, q, arg_u, arg_v):
     """Yang R-matrix 1 - P_pq/(arg_u - arg_v) as a one-denominator matrix."""
-    diff = sp_add(arg_u, smat_neg_poly(arg_v))
+    diff = add_into(dict(arg_u), arg_v, -1)
     num = smat_scale_to_tm(ctx, space, vars, exchange_P(space, p, q), Fraction(-1))
     ident = TMat.identity(ctx, space, vars).scale_scalar_poly(diff)
     return tm_add_num(ident, num, diff)
@@ -429,14 +340,10 @@ def tm_R(ctx, space, vars, p, q, arg_u, arg_v):
 
 def tm_Rt(ctx, space, vars, p, q, arg_u, arg_v):
     """Twisted counterpart 1 + Q_pq/(arg_u + arg_v)."""
-    ssum = sp_add(arg_u, arg_v)
+    ssum = add_into(dict(arg_u), arg_v)
     num = smat_scale_to_tm(ctx, space, vars, twist_Q(space, p, q, ctx.family), Fraction(1))
     ident = TMat.identity(ctx, space, vars).scale_scalar_poly(ssum)
     return tm_add_num(ident, num, ssum)
-
-
-def smat_neg_poly(p):
-    return {ev: -c for ev, c in p.items()}
 
 
 def smat_scale_to_tm(ctx, space, vars, smat, c):
@@ -452,7 +359,7 @@ def tm_add_num(a: TMat, b: TMat, den):
     cells = {(r, c) for r, row in a.rows.items() for c in row}
     cells |= {(r, c) for r, row in b.rows.items() for c in row}
     for r, c in cells:
-        e = ent_add(a.entry(r, c), b.entry(r, c))
+        e = add_into(dict(a.entry(r, c)), b.entry(r, c))
         if e:
             rows.setdefault(r, {})[c] = e
     return TMat(a.ctx, a.space, a.vars, rows, den)
@@ -471,9 +378,8 @@ def tm_F(ctx, space, vars, q, arg):
             elem = UEAElement.F(ctx, j, t[q - 1])
             entry = {((0,) * len(vars), w): cf for w, cf in elem.terms.items()}
             if j == t[q - 1]:
-                shift = sp_add(lin(vars, const=eta), arg)
-                entry = ent_add(entry, ent_from_scalar_poly(
-                    {ev: -cf for ev, cf in shift.items()}))
+                shift = add_into(lin(vars, const=eta), arg)
+                add_into(entry, ent_from_scalar_poly(shift), -1)
             if entry:
                 row[space.code[tuple(s)]] = entry
         if row:
@@ -500,8 +406,7 @@ def tm_E(ctx, space, vars, q, arg, twisted=False):
                 elem = UEAElement.E(ctx, j, i_row)
             entry = {((0,) * len(vars), w): cf for w, cf in elem.terms.items()}
             if j == i_row:
-                entry = ent_add(entry, ent_from_scalar_poly(
-                    {ev: -cf for ev, cf in arg.items()}))
+                add_into(entry, ent_from_scalar_poly(arg), -1)
             if entry:
                 row[col] = entry
         if row:
@@ -513,7 +418,7 @@ def tm_q_correction(ctx, space, vars, q, denom):
     """Factor 1 + (Q_{1q} + ... + Q_{q-1,q}) / denom."""
     total = {}
     for p in range(1, q):
-        total = smat_add(total, twist_Q(space, p, q, ctx.family))
+        add_into(total, twist_Q(space, p, q, ctx.family))
     num = smat_scale_to_tm(ctx, space, vars, total, Fraction(1))
     ident = TMat.identity(ctx, space, vars).scale_scalar_poly(denom)
     return tm_add_num(ident, num, denom)
@@ -620,29 +525,14 @@ def fused_F(ctx: LieContext, m: int, shape: str, check_alternative=None,
     return mat
 
 
-def _cancel_and_eval(ctx, num_coeffs, den_poly, u0):
-    """Evaluate num/den at u0 after exact cancellation of the pole."""
-    den = [Fraction(0)] * (max((ev[0] for ev in den_poly), default=0) + 1)
-    for ev, c in den_poly.items():
-        den[ev[0]] = c
-    while sum(c * u0 ** d for d, c in enumerate(den)) == 0:
-        den = _scalar_div_linear(den, u0)
-        num_coeffs = ucoeffs_div_linear(num_coeffs, u0)
-    value = ucoeffs_eval(num_coeffs, u0)
-    if value is None:
-        value = UEAElement.zero(ctx)
-    return value * (1 / sum(c * u0 ** d for d, c in enumerate(den)))
-
-
-def _scalar_div_linear(coeffs, root):
-    q = [Fraction(0)] * (len(coeffs) - 1)
-    carry = coeffs[-1]
-    for d in range(len(coeffs) - 2, -1, -1):
-        q[d] = carry
-        carry = coeffs[d] + carry * root
-    if carry != 0:
-        raise ConsistencyError("denominator not divisible by the linear factor")
-    return q
+def _cancel_and_eval(ctx, num, den, u0):
+    """Evaluate num/den (coefficient lists) at u0 after exact
+    cancellation of the pole."""
+    while dense_eval(den, u0) == 0:
+        den = dense_div_linear(den, u0)
+        num = dense_div_linear(num, u0)
+    value = dense_eval(num, u0) if num else UEAElement.zero(ctx)
+    return value * (1 / dense_eval(den, u0))
 
 
 def fusion_capelli(ctx: LieContext, k: int, shape: str, max_cells=None) -> UEAElement:
@@ -656,7 +546,7 @@ def fusion_capelli(ctx: LieContext, k: int, shape: str, max_cells=None) -> UEAEl
     num = ent_scalar_poly_mul(tr, phi_num)
     den = sp_mul(den, phi_den)
     u0 = classical_point(ctx, shape, m)
-    return _cancel_and_eval(ctx, ent_to_ucoeffs(ctx, num), den, u0)
+    return _cancel_and_eval(ctx, ent_to_ucoeffs(ctx, num), sp_to_dense(den), u0)
 
 
 # -- quantum determinants --------------------------------------------------------
@@ -668,12 +558,12 @@ def _extract_proportional(space, mat: TMat, proj):
     ref = next(iter(sorted(proj)))
     for r in range(space.size):
         for c in range(space.size):
-            lhs = ent_scale(mat.entry(r, c), proj[ref])
-            rhs = ent_scale(mat.entry(*ref), proj.get((r, c), Fraction(0)))
+            lhs = smat_scale(mat.entry(r, c), proj[ref])
+            rhs = smat_scale(mat.entry(*ref), proj.get((r, c), Fraction(0)))
             if lhs != rhs:
                 raise ConsistencyError(
                     f"matrix is not proportional to the projector at ({r},{c})")
-    return ent_scale(mat.entry(*ref), 1 / proj[ref])
+    return smat_scale(mat.entry(*ref), 1 / proj[ref])
 
 
 def quantum_det_gl(N: int, eps_family="so"):
@@ -699,7 +589,7 @@ def quantum_det_gl(N: int, eps_family="so"):
     twisted_entry = _extract_proportional(space, twisted, proj)
     # re-read the twisted product over the plain gl context
     h2 = [UEAElement(ctx, c.terms) for c in ent_to_ucoeffs(ctx_eps, twisted_entry)]
-    if len(h) != len(h2) or any(not (a - b).is_zero() for a, b in zip(h, h2)):
+    if h != h2:
         raise ConsistencyError("twisted and plain determinant forms disagree")
     return h
 
@@ -721,93 +611,17 @@ def sklyanin_det(ctx: LieContext, max_cells=None):
     proj = symmetrizer(space, signed=True)
     entry = _extract_proportional(space, mat, proj)
     num = ent_to_ucoeffs(ctx, entry)
-    den = [Fraction(0)] * (max((ev[0] for ev in mat.den), default=0) + 1)
-    for ev, c in mat.den.items():
-        den[ev[0]] = c
+    den = sp_to_dense(mat.den)
     if ctx.family == "sp":
         # divide by eps(u) = (2u+1)/(2u-N+1)
-        num = [c * Fraction(1, 2) for c in _ucoeffs_mul_linear(num, Fraction(1 - N), 2)]
-        den = [c / 2 for c in _scalar_mul_linear(den, Fraction(1), 2)]
+        num = dense_mul(num, [Fraction(1 - N, 2), Fraction(1)])
+        den = dense_mul(den, [Fraction(1, 2), Fraction(1)])
     scalar = [c.scalar_part() for c in num]
-    expected = [Fraction(1)]
-    for q in range(1, N + 1):
-        expected = _scalar_mul_linear(expected, N - q - ctx.eta, -1)
-    if _trim(scalar) != _trim(_scalar_poly_mul_dense(expected, den)):
+    expected = dense_prod([N - q - ctx.eta, -1] for q in range(1, N + 1))
+    if dense_trim(scalar) != dense_trim(dense_mul(expected, den)):
         raise ConsistencyError("scalar part of the quantum determinant is off: "
                                "normalizing factor mismatch")
     return num, den
-
-
-def _trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _scalar_mul_linear(coeffs, const, slope):
-    """Multiply a dense scalar list by (const + slope*u)."""
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for d, c in enumerate(coeffs):
-        out[d] += c * const
-        out[d + 1] += c * slope
-    return out
-
-
-def _ucoeffs_mul_linear(coeffs, const, slope):
-    ctx = coeffs[0].ctx if coeffs else None
-    out = [UEAElement.zero(ctx) for _ in range(len(coeffs) + 1)]
-    for d, c in enumerate(coeffs):
-        out[d] = out[d] + c * const
-        out[d + 1] = out[d + 1] + c * slope
-    return out
-
-
-def _scalar_poly_mul_dense(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1 if a and b else 0)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def ucoeffs_mul(a, b, ctx):
-    if not a or not b:
-        return []
-    out = [UEAElement.zero(ctx) for _ in range(len(a) + len(b) - 1)]
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def ucoeffs_from_scalar(coeffs, ctx):
-    return [UEAElement.scalar(ctx, c) for c in coeffs]
-
-
-def ucoeffs_shift(coeffs, c, ctx):
-    """Substitute u -> u + c."""
-    out = [UEAElement.zero(ctx) for _ in coeffs]
-    for d, coeff in enumerate(coeffs):
-        for t in range(d + 1):
-            out[t] = out[t] + coeff * (math.comb(d, t) * c ** (d - t))
-    return out
-
-
-def ucoeffs_eq(a, b):
-    la, lb = len(a), len(b)
-    for d in range(max(la, lb)):
-        x = a[d] if d < la else None
-        y = b[d] if d < lb else None
-        if x is None:
-            if not y.is_zero():
-                return False
-        elif y is None:
-            if not x.is_zero():
-                return False
-        elif not (x - y).is_zero():
-            return False
-    return True
 
 
 # -- generating functions --------------------------------------------------------
@@ -827,33 +641,21 @@ def d_ladder_roots(ctx: LieContext, K: int):
     return [Fraction(ctx.n + j) ** 2 for j in range(1, K + 1)]
 
 
-def _ladder_poly(roots):
-    """prod (t - r) as a dense scalar list in t."""
-    out = [Fraction(1)]
-    for r in roots:
-        out = _scalar_mul_linear(out, -r, 1)
-    return out
+def series_as_fraction(elements, ladder):
+    """sum_k elements[k] / (ladder[0] * ... * ladder[k-1]) for k = 0 ..
+    len(ladder), over the common denominator, the product of the whole
+    ladder.  `elements` are ring elements (elements[0] is the ring's one)
+    and the ladder factors are scalar coefficient lists.  Returns the
+    numerator and the denominator as coefficient lists."""
+    num = []
+    for k in range(len(ladder) + 1):
+        num = dense_add(num, [elements[k] * c for c in dense_prod(ladder[k:])])
+    return num, dense_prod(ladder)
 
 
-def series_as_fraction(ctx, elements, roots, upto):
-    """1 + sum_k elements[k]/prod_{j<=k}(t - roots[j]) as (numerator
-    coefficient list over the UEA, scalar denominator list) in t."""
-    den = _ladder_poly(roots[:upto])
-    num = ucoeffs_from_scalar(den, ctx)
-    for k in range(1, upto + 1):
-        tail = _ladder_poly(roots[k:upto])
-        ek = elements[k] if not hasattr(elements[k], "uea") else elements[k].uea()
-        num = _ucoeffs_add(num, [ek * c for c in tail], ctx)
-    return num, den
-
-
-def _ucoeffs_add(a, b, ctx):
-    out = [UEAElement.zero(ctx) for _ in range(max(len(a), len(b)))]
-    for d, c in enumerate(a):
-        out[d] = out[d] + c
-    for d, c in enumerate(b):
-        out[d] = out[d] + c
-    return out
+def linear_ladder(roots):
+    """The ladder factors (t - r) for the given roots."""
+    return [[-r, Fraction(1)] for r in roots]
 
 
 def generating_functions(ctx: LieContext, K: int, series_c: CentralSeries,
@@ -864,18 +666,15 @@ def generating_functions(ctx: LieContext, K: int, series_c: CentralSeries,
     deg(denominator) - (K+1))."""
     n = ctx.n
     kc = min(K, n)
-    c_elems = {k: series_c[k] for k in range(0, kc + 1)}
-    d_elems = {k: series_d[k] for k in range(0, K + 1)}
-    c_num, c_den = series_as_fraction(ctx, c_elems, c_ladder_roots(ctx, kc), kc)
-    d_num, d_den = series_as_fraction(ctx, d_elems, d_ladder_roots(ctx, K), K)
-    prod_num = ucoeffs_mul(c_num, d_num, ctx)
-    prod_den = _scalar_poly_mul_dense(c_den, d_den)
+    c_elems = [series_c[k].uea() for k in range(0, kc + 1)]
+    d_elems = [series_d[k].uea() for k in range(0, K + 1)]
+    c_num, c_den = series_as_fraction(c_elems, linear_ladder(c_ladder_roots(ctx, kc)))
+    d_num, d_den = series_as_fraction(d_elems, linear_ladder(d_ladder_roots(ctx, K)))
+    prod_den = dense_mul(c_den, d_den)
     # product - 1, over the common denominator
-    diff = _ucoeffs_add(prod_num,
-                        [UEAElement.zero(ctx) - c
-                         for c in ucoeffs_from_scalar(prod_den, ctx)], ctx)
-    deg = max((d for d, c in enumerate(diff) if not c.is_zero()), default=-1)
-    bound = (len(_trim(prod_den)) - 1) - (K + 1)
+    diff = dense_add(dense_mul(c_num, d_num), [-c for c in prod_den])
+    deg = len(dense_trim(diff)) - 1
+    bound = (len(dense_trim(prod_den)) - 1) - (K + 1)
     ok = deg <= bound
     return {
         "C": (c_num, c_den),
@@ -896,29 +695,16 @@ def theorem_62_check(ctx: LieContext, series_c: CentralSeries, max_cells=None):
     N, n = ctx.N, ctx.n
     cbar_num, cbar_den = sklyanin_det(ctx, max_cells=max_cells)
     shift = Fraction(N, 2) - Fraction(1, 2)
-    cbar_num_s = ucoeffs_shift(cbar_num, shift, ctx)
-    cbar_den_s = [c.scalar_part() for c in ucoeffs_shift(
-        ucoeffs_from_scalar(cbar_den, ctx), shift, ctx)]
+    cbar_num_s = dense_shift(cbar_num, shift)
+    cbar_den_s = dense_shift(cbar_den, shift)
     # C(u) in the variable u (ladder roots are squares, expand in u)
-    roots = c_ladder_roots(ctx, n)
-    cden = [Fraction(1)]
-    for r in roots:
-        cden = _scalar_poly_mul_dense(cden, [-r, Fraction(0), Fraction(1)])
-    cnum = ucoeffs_from_scalar(cden, ctx)
-    for k in range(1, n + 1):
-        tail = [Fraction(1)]
-        for r in roots[k:]:
-            tail = _scalar_poly_mul_dense(tail, [-r, Fraction(0), Fraction(1)])
-        ck = series_c[k].uea()
-        cnum = _ucoeffs_add(cnum, [ck * c for c in tail], ctx)
-    # prod_q (N/2 + 1/2 - q - u - eta)
-    prodq = [Fraction(1)]
-    for q in range(1, N + 1):
-        prodq = _scalar_mul_linear(prodq, Fraction(N, 2) + Fraction(1, 2) - q - ctx.eta, -1)
-    lhs = ucoeffs_mul(cnum, ucoeffs_from_scalar(
-        _scalar_poly_mul_dense(prodq, cbar_den_s), ctx), ctx)
-    rhs = ucoeffs_mul(cbar_num_s, ucoeffs_from_scalar(cden, ctx), ctx)
-    if not ucoeffs_eq(lhs, rhs):
+    ladder = [[-r, Fraction(0), Fraction(1)] for r in c_ladder_roots(ctx, n)]
+    cnum, cden = series_as_fraction([series_c[k].uea() for k in range(n + 1)], ladder)
+    prodq = dense_prod([Fraction(N, 2) + Fraction(1, 2) - q - ctx.eta, -1]
+                       for q in range(1, N + 1))
+    lhs = dense_mul(cnum, dense_mul(prodq, cbar_den_s))
+    rhs = dense_mul(cbar_num_s, cden)
+    if dense_trim(lhs) != dense_trim(rhs):
         for d in range(max(len(lhs), len(rhs))):
             x = lhs[d] if d < len(lhs) else UEAElement.zero(ctx)
             y = rhs[d] if d < len(rhs) else UEAElement.zero(ctx)
@@ -949,8 +735,7 @@ def eigenvalue_check_gl(N: int, nu, h_coeffs):
                         if t[slot] == j:
                             w = list(t)
                             w[slot] = i
-                            k = (space.code[tuple(w)], r)
-                            gen[k] = gen.get(k, 0) + Fraction(1)
+                            add_into(gen, {(space.code[tuple(w)], r): Fraction(1)})
             acc = smat_mul(acc, gen)
         return acc
 
@@ -966,14 +751,12 @@ def eigenvalue_check_gl(N: int, nu, h_coeffs):
     else:
         raise DimensionError("only weights up to two boxes are wired up")
 
-    expected = [Fraction(1)]
-    for q in range(1, N + 1):
-        expected = _scalar_mul_linear(expected, nu[q] + N - q, -1)
+    expected = dense_prod([nu[q] + N - q, -1] for q in range(1, N + 1))
     for d in range(max(len(h_coeffs), len(expected))):
         himg = {}
         if d < len(h_coeffs):
             for w, c in h_coeffs[d].terms.items():
-                himg = smat_add(himg, smat_scale(pi_word(w), c))
+                add_into(himg, pi_word(w), c)
         lhs = smat_mul(himg, proj)
         rhs = smat_scale(proj, expected[d] if d < len(expected) else 0)
         if not smat_eq(lhs, rhs):
@@ -996,16 +779,9 @@ def ent_subst_var(e, vars, var, const, slope):
         # (const + slope*u)^deg, binomially
         for t in range(deg + 1):
             coeff = c * math.comb(deg, t) * const ** (deg - t) * slope ** t
-            if coeff == 0:
-                continue
             nev = list(base)
             nev[0] += t
-            k = (tuple(nev), w)
-            s = out.get(k, 0) + coeff
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
+            add_into(out, {(tuple(nev), w): coeff})
     return out, out_vars
 
 
@@ -1060,11 +836,9 @@ def check_boundary_regularity(ctx: LieContext):
                 if sub:
                     return f"entry ({r},{c}) does not vanish on the polar line (v=u{pm:+d})"
         # collapsed form
-        psum = smat_add(smat_scale(smat_identity(space.size), 1),
-                        smat_scale(exchange_P(space, 1, 2), pm))
-        qsum = smat_add(twist_Q(space, 1, 3, ctx.family),
-                        twist_Q(space, 2, 3, ctx.family))
-        upw = sp_add(u, w)
+        psum = add_into(smat_identity(space.size), exchange_P(space, 1, 2), pm)
+        qsum = add_into(twist_Q(space, 1, 3, ctx.family), twist_Q(space, 2, 3, ctx.family))
+        upw = add_into(dict(u), w)
         collapsed = tm_add_num(
             smat_scale_to_tm(ctx, space, vars, psum, Fraction(1)).scale_scalar_poly(upw),
             smat_scale_to_tm(ctx, space, vars, smat_mul(psum, qsum), Fraction(1)),
@@ -1116,8 +890,8 @@ def check_symmetrizer_decompositions(N: int, m: int):
         return "projector traces are off"
 
     def numeric_R(p, q, a, b):
-        return smat_add(smat_identity(space.size),
-                        smat_scale(exchange_P(space, p, q), Fraction(-1, a - b)))
+        return add_into(smat_identity(space.size), exchange_P(space, p, q),
+                        Fraction(-1, a - b))
 
     # both loops must ascend: descending the inner loop composes the
     # transposed chain and misses the projector for m >= 3
@@ -1196,9 +970,9 @@ def _image_factor(space_big, m, l, q, const, family=None):
     total = smat_scale(smat_identity(size), const)
     for r in range(1, l + 1):
         if family is None:
-            total = smat_add(total, exchange_P(space_big, q, m + r))
+            add_into(total, exchange_P(space_big, q, m + r))
         else:
-            total = smat_add(total, twist_Q(space_big, q, m + r, family))
+            add_into(total, twist_Q(space_big, q, m + r, family))
     return total
 
 
@@ -1254,7 +1028,7 @@ def verify_vanishing(m: int, l: int, N: int, family="so"):
             term = A_big
             for q, r in enumerate(rs, start=1):
                 term = smat_mul(term, exchange_P(space, q, m + r))
-            distinct = smat_add(distinct, term)
+            add_into(distinct, term)
         record(f"antisym-distinct-sum[{tag}]", smat_eq(plainA, distinct),
                "antisymmetrized product differs from the distinct-index sum")
         if m >= 2 and l:
@@ -1272,7 +1046,7 @@ def verify_vanishing(m: int, l: int, N: int, family="so"):
         base = _image_factor(space, 1, l, 1, Fraction(0), None)
         expect = {}
         for r in range(1, l + 1):
-            expect = smat_add(expect, exchange_P(space, 1, 1 + r))
+            add_into(expect, exchange_P(space, 1, 1 + r))
         record(f"antisym-single-factor-base[{tag}]", smat_eq(base, expect),
                "single-factor image is not the exchange sum")
     return out

@@ -17,7 +17,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .core import ConsistencyError, DimensionError, SymPoly, scal
+from .core import ConsistencyError, DimensionError, SymPoly, add_into, perm_sign, scal
 from .symfun import Partition, ShiftSequence, e_factorial, h_factorial, partitions_with, zvars
 from .weyl import (
     WeylContext,
@@ -112,10 +112,9 @@ def _gl_bracket_ids(ctx: LieContext, g1, g2):
     k, l = ctx.gen_pair(g2)
     out = {}
     if j == k:
-        out[ctx.gen_id(i, l)] = out.get(ctx.gen_id(i, l), 0) + 1
+        add_into(out, {ctx.gen_id(i, l): 1})
     if l == i:
-        out[ctx.gen_id(k, j)] = out.get(ctx.gen_id(k, j), 0) - 1
-    out = {g: c for g, c in out.items() if c}
+        add_into(out, {ctx.gen_id(k, j): 1}, -1)
     ctx._bracket[key] = out
     return out
 
@@ -137,12 +136,7 @@ def _normal_form(ctx: LieContext, word):
     swapped = word[:t] + (g2, g1) + word[t + 2:]
     out = dict(_normal_form(ctx, swapped))
     for g, c in _gl_bracket_ids(ctx, g1, g2).items():
-        for ww, cc in _normal_form(ctx, word[:t] + (g,) + word[t + 2:]).items():
-            s = out.get(ww, 0) + c * cc
-            if s == 0:
-                out.pop(ww, None)
-            else:
-                out[ww] = s
+        add_into(out, _normal_form(ctx, word[:t] + (g,) + word[t + 2:]), c)
     ctx._nf[word] = out
     return out
 
@@ -182,9 +176,7 @@ class UEAElement:
         if ctx.family == "gl":
             return cls.E(ctx, i, j)
         terms = {(ctx.gen_id(i, j),): Fraction(1)}
-        key = (ctx.gen_id(-j, -i),)
-        terms[key] = terms.get(key, 0) - ctx.eps_ij(i, j)
-        return cls(ctx, terms)
+        return cls(ctx, add_into(terms, {(ctx.gen_id(-j, -i),): 1}, -ctx.eps_ij(i, j)))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -197,14 +189,7 @@ class UEAElement:
 
     def __add__(self, other):
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w, 0) + c
-            if s == 0:
-                terms.pop(w, None)
-            else:
-                terms[w] = s
-        return UEAElement(self.ctx, terms)
+        return UEAElement(self.ctx, add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
@@ -229,13 +214,7 @@ class UEAElement:
         ctx = self.ctx
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                c12 = c1 * c2
-                for w, c in _normal_form(ctx, w1 + w2).items():
-                    s = out.get(w, 0) + c12 * c
-                    if s == 0:
-                        out.pop(w, None)
-                    else:
-                        out[w] = s
+                add_into(out, _normal_form(ctx, w1 + w2), c1 * c2)
         return UEAElement(self.ctx, out)
 
     __rmul__ = __mul__
@@ -316,27 +295,18 @@ def as_f_combination(elem: UEAElement):
     ctx = elem.ctx
     if elem.filtration_degree() > 1 or elem.scalar_part() != 0:
         raise ConsistencyError("not a Lie-algebra element")
-    coeffs = {}
-    for w, c in elem.terms.items():
-        coeffs[ctx.gen_pair(w[0])] = c
     combo = {}
-    residue = dict(coeffs)
+    residue = dict(elem.terms)
     for (i, j) in ctx.f_pairs():
+        c = residue.get((ctx.gen_id(i, j),), Fraction(0))
         if j == -i and ctx.family == "sp":
-            c = residue.get((i, j), Fraction(0)) / 2
-        else:
-            c = residue.get((i, j), Fraction(0))
+            c = c / 2
         if c == 0:
             continue
         combo[(i, j)] = c
-        # subtract c * (E_ij - eps E_{-j,-i})
-        for pair, dc in (((i, j), c), ((-j, -i), -c * ctx.eps_ij(i, j))):
-            r = residue.get(pair, Fraction(0)) - dc
-            if r == 0:
-                residue.pop(pair, None)
-            else:
-                residue[pair] = r
+        add_into(residue, UEAElement.F(ctx, i, j).terms, -c)
     if residue:
+        residue = {ctx.gen_pair(w[0]): c for w, c in residue.items()}
         raise ConsistencyError(f"element is not in the F-span: residue {residue}")
     return combo
 
@@ -480,14 +450,7 @@ class FExpr:
         return cls({((i, j),): scal(coeff)})
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w, 0) + c
-            if s == 0:
-                terms.pop(w, None)
-            else:
-                terms[w] = s
-        return FExpr(terms)
+        return FExpr(add_into(dict(self.terms), other.terms))
 
     def __neg__(self):
         return FExpr({w: -c for w, c in self.terms.items()})
@@ -501,13 +464,7 @@ class FExpr:
             return FExpr({w: c * v for w, v in self.terms.items()})
         out = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = out.get(w, 0) + c1 * c2
-                if s == 0:
-                    out.pop(w, None)
-                else:
-                    out[w] = s
+            add_into(out, {w1 + w2: c2 for w2, c2 in other.terms.items()}, c1)
         return FExpr(out)
 
     __rmul__ = __mul__
@@ -519,26 +476,16 @@ class FExpr:
         return out
 
     def evaluate(self, ring):
-        acc = None
+        out = ring.scalar(0)
         for w, c in self.terms.items():
-            term = ring.word_image(w) * c
-            acc = term if acc is None else acc + term
-        return ring.scalar(0) if acc is None else acc
+            add_into(out.terms, ring.word_image(w).terms, c)
+        return out
 
     def __repr__(self):
         return f"FExpr({len(self.terms)} words)"
 
 
 # -- Capelli elements of U(gl_N) ----------------------------------------------
-
-
-def _perm_sign(perm):
-    s = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                s = -s
-    return s
 
 
 def capelli_element_e(k: int, N: int) -> UEAElement:
@@ -558,7 +505,7 @@ def _capelli_sum(k, N, shift_sign, signed):
     total = UEAElement.zero(ctx)
     inv_kfact = Fraction(1, math.factorial(k))
     for sigma in itertools.permutations(range(k)):
-        base = inv_kfact * (_perm_sign(sigma) if signed else 1)
+        base = inv_kfact * (perm_sign(sigma) if signed else 1)
         for ivec in itertools.product(ctx.indices, repeat=k):
             prod = UEAElement.scalar(ctx, base)
             for s in range(k):
@@ -566,7 +513,7 @@ def _capelli_sum(k, N, shift_sign, signed):
                 factor = UEAElement.E(ctx, i, j) + UEAElement.scalar(
                     ctx, shift_sign * s * (1 if i == j else 0))
                 prod = prod * factor
-            total = total + prod
+            add_into(total.terms, prod.terms)
     return total
 
 
@@ -586,12 +533,7 @@ def pfaffian_phi_expr(I) -> FExpr:
     terms = {}
     for sigma in itertools.permutations(range(2 * k)):
         word = tuple((I[sigma[2 * t]], -I[sigma[2 * t + 1]]) for t in range(k))
-        c = norm * _perm_sign(sigma)
-        s = terms.get(word, 0) + c
-        if s == 0:
-            terms.pop(word, None)
-        else:
-            terms[word] = s
+        add_into(terms, {word: norm * perm_sign(sigma)})
     return FExpr(terms)
 
 
@@ -609,11 +551,7 @@ def hafnian_psi_expr(I) -> FExpr:
         c = norm
         for t in range(k):
             c *= sgn(I[sigma[2 * t]])
-        s = terms.get(word, 0) + c
-        if s == 0:
-            terms.pop(word, None)
-        else:
-            terms[word] = s
+        add_into(terms, {word: c})
     return FExpr(terms)
 
 
@@ -638,7 +576,7 @@ def c_k_expr(ctx: LieContext, k: int) -> FExpr:
     total = FExpr()
     for I in itertools.combinations(ctx.indices, 2 * k):
         Istar = tuple(sorted(-i for i in I))
-        total = total + pfaffian_phi_expr(I) * pfaffian_phi_expr(Istar)
+        add_into(total.terms, (pfaffian_phi_expr(I) * pfaffian_phi_expr(Istar)).terms)
     return total * Fraction((-1) ** k)
 
 
@@ -656,8 +594,8 @@ def d_k_expr(ctx: LieContext, k: int) -> FExpr:
         denom = 1
         for _, grp in itertools.groupby(I):
             denom *= math.factorial(sum(1 for _ in grp))
-        total = total + Fraction(sign, denom) * (
-            hafnian_psi_expr(I) * hafnian_psi_expr(Istar))
+        add_into(total.terms, (hafnian_psi_expr(I) * hafnian_psi_expr(Istar)).terms,
+                 Fraction(sign, denom))
     return total * Fraction((-1) ** k)
 
 
@@ -692,11 +630,10 @@ def gamma(x: UEAElement, m: int) -> WeylOperator:
     """Natural action on the polynomial ring, extended from the generator
     images over the PBW words."""
     ring = gamma_ring(LieContext("gl", x.ctx.N), m)
-    acc = WeylOperator.zero(ring.wctx)
+    out = WeylOperator.zero(ring.wctx)
     for w, c in x.terms.items():
-        word = tuple(x.ctx.gen_pair(g) for g in w)
-        acc = acc + ring.word_image(word) * c
-    return acc
+        add_into(out.terms, ring.word_image(tuple(x.ctx.gen_pair(g) for g in w)).terms, c)
+    return out
 
 
 def gamma_prime(expr, dual_ctx: LieContext, m: int, N: int) -> WeylOperator:
@@ -718,7 +655,7 @@ def check_dual_bracket_compatibility(dual_ctx: LieContext, m: int, N: int):
             _, combo = generator_bracket(dual_ctx, p1, p2)
             rhs = WeylOperator.zero(ring.wctx)
             for pair, c in combo.items():
-                rhs = rhs + ring.f_gen(*pair) * c
+                add_into(rhs.terms, ring.f_gen(*pair).terms, c)
             if not lhs == rhs:
                 raise ConsistencyError(f"dual bracket mismatch on {p1}, {p2}")
     return True
@@ -825,7 +762,7 @@ def hc_polynomial(z, degree_bound: int, ctx: LieContext = None,
     coeffs = _solve_exact(rows, rhs, len(basis))
     result = SymPoly.zero(yvars)
     for c, bp in zip(coeffs, basis_polys):
-        result = result + bp * c
+        add_into(result.terms, bp.terms, c)
     if in_l_squared:
         return result
     lamvars = tuple(f"lam{p}" for p in range(1, n + 1))
@@ -932,11 +869,11 @@ def central_series(ctx: LieContext, kind: str, K: int) -> CentralSeries:
         combo = express_in_family(target, gen_imgs, list(range(1, n + 1)), n)
         expr = FExpr()
         for alpha, c in combo.items():
-            prod = FExpr.one() * c
+            prod = FExpr.one()
             for g, e in zip(gens, alpha):
                 for _ in range(e):
                     prod = prod * g
-            expr = expr + prod
+            add_into(expr.terms, prod.terms, c)
         out.append(CentralElement(ctx, expr, f"{kind}_{k}"))
     return CentralSeries(ctx, kind, out)
 

@@ -14,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .core import ConsistencyError, DimensionError, SymPoly, det, per, scal
+from .core import ConsistencyError, DimensionError, SymPoly, add_into, det, per, perm_sign, scal
 
 
 def index_set(N):
@@ -124,14 +124,7 @@ class WeylOperator:
 
     def __add__(self, other):
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k, 0) + c
-            if s == 0:
-                terms.pop(k, None)
-            else:
-                terms[k] = s
-        return WeylOperator(self.ctx, terms)
+        return WeylOperator(self.ctx, add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
@@ -175,10 +168,10 @@ class WeylOperator:
                         bb[t] -= k
                     key = (tuple(aa), tuple(bb))
                     s = out.get(key, 0) + coeff
-                    if s == 0:
-                        out.pop(key, None)
-                    else:
+                    if s:
                         out[key] = s
+                    else:
+                        out.pop(key, None)
         return WeylOperator(self.ctx, out)
 
     __rmul__ = __mul__
@@ -220,10 +213,10 @@ class WeylOperator:
                         coeff *= _falling(e, b)
                 key = tuple(e - b + a for e, b, a in zip(ev, beta, alpha))
                 s = out.get(key, 0) + coeff
-                if s == 0:
-                    out.pop(key, None)
-                else:
+                if s:
                     out[key] = s
+                else:
+                    out.pop(key, None)
         return SymPoly(self.ctx.var_names, out)
 
     # -- display -----------------------------------------------------------
@@ -341,21 +334,12 @@ def dual_gamma_gen(dual_family: str, A: int, B: int, m: int, N: int) -> WeylOper
 # -- Cayley operators --------------------------------------------------------
 
 
-def _sym_sign(perm):
-    s = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                s = -s
-    return s
-
-
 def _cayley_sum(k, m, N, signed):
     ctx = WeylContext(m, N)
     terms = {}
     inv_kfact = Fraction(1, math.factorial(k))
     for sigma in itertools.permutations(range(k)):
-        c0 = inv_kfact * (_sym_sign(sigma) if signed else 1)
+        c0 = inv_kfact * (perm_sign(sigma) if signed else 1)
         for avec in itertools.product(range(1, m + 1), repeat=k):
             for ivec in itertools.product(ctx.indices, repeat=k):
                 alpha = [0] * ctx.nvars
@@ -363,12 +347,7 @@ def _cayley_sum(k, m, N, signed):
                 for t in range(k):
                     alpha[ctx.slot(avec[t], ivec[t])] += 1
                     beta[ctx.slot(avec[t], ivec[sigma[t]])] += 1
-                key = (tuple(alpha), tuple(beta))
-                s = terms.get(key, 0) + c0
-                if s == 0:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = s
+                add_into(terms, {(tuple(alpha), tuple(beta)): c0})
     return WeylOperator(ctx, terms)
 
 
@@ -383,7 +362,7 @@ def cayley_omega(k: int, m: int, N: int) -> WeylOperator:
         for ivec in itertools.combinations(ctx.indices, k):
             xdet = det([[WeylOperator.x(ctx, a, i) for i in ivec] for a in avec])
             ddet = det([[WeylOperator.d(ctx, a, i) for i in ivec] for a in avec])
-            alt = alt + xdet * ddet
+            add_into(alt.terms, alt._coerce(xdet * ddet).terms)
     if not op == alt:
         raise ConsistencyError("symmetrized and determinantal forms disagree")
     return op
@@ -400,7 +379,7 @@ def cayley_theta(k: int, m: int, N: int) -> WeylOperator:
             xper = per([[WeylOperator.x(ctx, a, i) for i in ivec] for a in avec])
             dper = per([[WeylOperator.d(ctx, a, i) for i in ivec] for a in avec])
             weight = Fraction(1, _multiplicity_factorial(avec) * _multiplicity_factorial(ivec))
-            alt = alt + weight * (xper * dper)
+            add_into(alt.terms, alt._coerce(xper * dper).terms, weight)
     if not op == alt:
         raise ConsistencyError("symmetrized and permanental forms disagree")
     return op
@@ -434,10 +413,10 @@ def omega_AI(A, I, m: int, N: int) -> WeylOperator:
         J = [I[p] for p in positions]
         Jp = [I[p] for p in range(2 * k) if p not in positions]
         interleaved = [v for pair in zip(J, Jp) for v in pair]
-        sign = _sym_sign([I.index(v) for v in interleaved])
+        sign = perm_sign([I.index(v) for v in interleaved])
         xdet = det([[WeylOperator.x(ctx, a, j) for j in J] for a in A])
         ddet = det([[WeylOperator.d(ctx, a, -jp) for jp in Jp] for a in A])
-        total = total + sign * (xdet * ddet)
+        add_into(total.terms, total._coerce(xdet * ddet).terms, sign)
     return total
 
 
@@ -468,7 +447,7 @@ def theta_AI(A, I, m: int, N: int) -> WeylOperator:
             sign *= sgn(j)
         xper = per([[WeylOperator.x(ctx, a, j) for j in J] for a in A])
         dper = per([[WeylOperator.d(ctx, a, -jp) for jp in Jp] for a in A])
-        total = total + sign * (xper * dper)
+        add_into(total.terms, total._coerce(xper * dper).terms, sign)
     return total
 
 

@@ -102,3 +102,17 @@ def test_max_cells_guard(monkeypatch):
 def test_run_suite_rejects_unknown():
     with pytest.raises(UsageError):
         run_suite("nope", {}, seed=0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["series-inversion", "--K", "0"],
+    ["series-inversion", "--K", "-1"],
+    ["prop-2.3", "--K", "-2"],
+    ["thm-5.3", "--k", "0"],
+    ["prop-5.2", "--K", "0"],
+    ["thm-6.2", "--N", "7"],
+    ["capelli-gl", "--k", "7"],
+])
+def test_bad_order_or_empty_run_is_usage_error(argv, capsys):
+    assert main(["verify", *argv]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -5,12 +5,19 @@ import random
 import pytest
 
 from capelli.core import (
+    ConsistencyError,
     DimensionError,
     PoleError,
     RatFun,
     SymPoly,
+    add_into,
+    dense_div_linear,
+    dense_eval,
+    dense_mul,
+    dense_shift,
     det,
     per,
+    perm_sign,
     scal,
 )
 
@@ -148,6 +155,66 @@ def test_scalar_field_axioms_randomized():
         if a != 0:
             assert a * (1 / a) == 1
     assert scal("3/4") == Fraction(3, 4)
+
+
+# -- the sparse accumulation kernel ----------------------------------------
+
+
+def test_add_into_deletes_cancelled_key_in_place():
+    out = {"a": Fraction(1), "b": Fraction(2)}
+    terms = {"a": Fraction(-1), "c": Fraction(5)}
+    result = add_into(out, terms)
+    assert result is out
+    assert out == {"b": 2, "c": 5}
+    assert "a" not in out
+    assert terms == {"a": -1, "c": 5}
+
+
+def test_add_into_scaled_and_operand_unchanged():
+    out = {"a": Fraction(1, 2), "b": Fraction(1)}
+    terms = {"a": Fraction(1, 4), "b": Fraction(1, 3), "c": Fraction(2)}
+    add_into(out, terms, Fraction(-3))
+    assert out == {"a": Fraction(-1, 4), "c": Fraction(-6)}
+    assert terms == {"a": Fraction(1, 4), "b": Fraction(1, 3), "c": Fraction(2)}
+    add_into(out, terms, 0)
+    assert out == {"a": Fraction(-1, 4), "c": Fraction(-6)}
+
+
+def test_perm_sign():
+    assert perm_sign((0, 1, 2)) == 1
+    assert perm_sign((1, 0, 2)) == -1
+    assert perm_sign((1, 2, 0)) == 1
+    assert perm_sign(()) == 1
+
+
+# -- dense coefficient lists -------------------------------------------------
+
+
+def test_dense_div_linear_exact_and_remainder_fraction():
+    # (u - 2)(u + 3) = u^2 + u - 6
+    p = [Fraction(-6), Fraction(1), Fraction(1)]
+    assert dense_div_linear(p, Fraction(2)) == [3, 1]
+    with pytest.raises(ConsistencyError):
+        dense_div_linear(p, Fraction(1))
+
+
+def test_dense_div_linear_exact_and_remainder_uea():
+    from capelli.uea import LieContext, UEAElement
+
+    ctx = LieContext("gl", 2)
+    e = UEAElement.E(ctx, -1, 1)
+    # e * (u - 1/2)(u + 1) = e*u^2 + (e/2)*u - e/2
+    p = dense_mul([e], [Fraction(-1, 2), Fraction(1, 2), Fraction(1)])
+    assert dense_div_linear(p, Fraction(1, 2)) == [e, e]
+    with pytest.raises(ConsistencyError):
+        dense_div_linear(p, Fraction(3))
+
+
+def test_dense_shift_and_eval():
+    p = [Fraction(1), Fraction(-2), Fraction(0), Fraction(3)]
+    q = dense_shift(p, Fraction(5, 2))
+    for x in (Fraction(0), Fraction(1), Fraction(-7, 3)):
+        assert dense_eval(q, x) == dense_eval(p, x + Fraction(5, 2))
 
 
 # -- polynomials ----------------------------------------------------------
