@@ -115,6 +115,14 @@ def _grid(params, key, default):
     return [value]
 
 
+def _no_params(params, *keys):
+    """Raise UsageError if one of `keys` is given: the suite has no such
+    parameter and must not pass while ignoring it."""
+    given = [key for key in keys if params.get(key) is not None]
+    if given:
+        raise UsageError(f"this suite takes no {'/'.join(given)} parameter")
+
+
 def _order(params, key, default):
     """A series order or truncation: None means `default`, and a value
     below 1 is a usage error."""
@@ -292,9 +300,8 @@ def _relation_suite(selector):
             for family in (("so", "sp") if N % 2 == 0 else ("so",)):
                 ctx = LieContext(family, N)
                 t0 = time.monotonic()
-                for cid, ok, witness in verify_relations(ctx, m_max=3):
-                    if selector(cid):
-                        _push(results, cid, None if ok else witness, t0)
+                for cid, ok, witness in verify_relations(ctx, m_max=3, select=selector):
+                    _push(results, cid, None if ok else witness, t0)
         return results
 
     return run
@@ -393,12 +400,13 @@ def suite_thm_44(params, rng):
 def suite_cor_45(params, rng):
     # N = 2n with m > n: the higher dual elements die under the action
     results = []
-    N, m = 2, 2
+    _no_params(params, "K")
+    [N], [m], [k] = _grid(params, "N", [2]), _grid(params, "m", [2]), _grid(params, "k", [2])
     ctx_sp = LieContext("sp", 2 * m)
     series_sp = central_series(ctx_sp, "C", m)
     t0 = time.monotonic()
-    img = series_sp[2].gamma_prime(m, N)
-    _push(results, f"dual-image-vanishes[N={N},m={m},k=2]",
+    img = series_sp[k].gamma_prime(m, N)
+    _push(results, f"dual-image-vanishes[N={N},m={m},k={k}]",
           None if img.is_zero() else "image is nonzero", t0)
     return results
 
@@ -406,13 +414,14 @@ def suite_cor_45(params, rng):
 def suite_cor_46(params, rng):
     # N = 2n, m = n-1: the transfer is the identity map
     results = []
-    N, m = 4, 1
+    _no_params(params, "K")
+    [N], [m], [k] = _grid(params, "N", [4]), _grid(params, "m", [1]), _grid(params, "k", [1])
     ctx_so = LieContext("so", N)
     ctx_sp = LieContext("sp", 2 * m)
     t0 = time.monotonic()
-    lhs = central_series(ctx_sp, "C", m)[1].gamma_prime(m, N)
-    rhs = central_series(ctx_so, "C", 1)[1].gamma(m)
-    _push(results, f"transfer-identity-C[N={N},m={m},k=1]",
+    lhs = central_series(ctx_sp, "C", m)[k].gamma_prime(m, N)
+    rhs = central_series(ctx_so, "C", k)[k].gamma(m)
+    _push(results, f"transfer-identity-C[N={N},m={m},k={k}]",
           _weyl_witness(lhs, rhs), t0)
     return results
 
@@ -485,12 +494,13 @@ def suite_thm_53(params, rng):
 def suite_cor_54(params, rng):
     # n = m - 1: the unsigned transfer is the identity map
     results = []
-    N, m = 2, 2
+    _no_params(params, "K")
+    [N], [m] = _grid(params, "N", [2]), _grid(params, "m", [2])
     ctx_sp = LieContext("sp", N)
     ctx_so = LieContext("so", 2 * m)
     series_sp = central_series(ctx_sp, "D", 2)
     series_so = central_series(ctx_so, "D", 2)
-    for k in (1, 2):
+    for k in _grid(params, "k", [1, 2]):
         t0 = time.monotonic()
         lhs = series_so[k].gamma_prime(m, N)
         rhs = series_sp[k].gamma(m)
@@ -583,6 +593,7 @@ def _random_sequence(rng, count):
 
 def suite_prop_22(params, rng):
     results = []
+    _no_params(params, "N", "m", "k", "K")
     for trial in range(5):
         a = _random_sequence(rng, 10)
         witness = None
@@ -622,6 +633,7 @@ def suite_prop_23(params, rng):
 
 def suite_thm_21(params, rng):
     results = []
+    _no_params(params, "N", "m", "k", "K")
     n = 2
     a = _random_sequence(rng, 12)
     witness = None

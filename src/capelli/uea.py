@@ -9,6 +9,11 @@ generators.  Noncommutative polynomials in the F symbols are kept as
 product of central elements) can be evaluated inside U(gl_N), through
 the natural action on polynomials, or through the dual (oscillator)
 action, by swapping the target ring.
+
+Since F_{-j,-i} = -eps_ij F_ij, the formulas keep one canonical spelling
+of each symbol (`canonical_symbol`).  A target ring is valid only if its
+generator images satisfy the same relation; each ring checks this when
+it is built and raises ConsistencyError otherwise.
 """
 
 from __future__ import annotations
@@ -85,18 +90,23 @@ class LieContext:
     def f_pairs(self):
         """Canonical representatives (i,j) of the nonzero generators F_ij
         under F_{-j,-i} = -eps_ij F_ij."""
-        out = []
-        for i in self.indices:
-            for j in self.indices:
-                if self.family == "so" and j == -i:
-                    continue  # F_{i,-i} vanishes identically
-                partner = (self.gen_id(-j, -i) if -j in self._pos else None)
-                if partner is None or self.gen_id(i, j) <= partner:
-                    out.append((i, j))
-        return out
+        return [(i, j) for i in self.indices for j in self.indices
+                if canonical_symbol(self.family, i, j) == (1, (i, j))]
 
     def __repr__(self):
         return f"LieContext({self.family}_{self.N})"
+
+
+def canonical_symbol(family, i, j):
+    """(c, pair) with F_ij = c * F_pair in so/sp: `pair` is the smaller of
+    (i, j) and (-j, -i), the two spellings related by
+    F_{-j,-i} = -eps_ij F_ij, and c is 0 for the vanishing F_{i,-i} of
+    so."""
+    if family == "so" and j == -i:
+        return 0, (i, j)
+    if (i, j) <= (-j, -i):
+        return 1, (i, j)
+    return -(sgn(i) * sgn(j) if family == "sp" else 1), (-j, -i)
 
 
 # -- straightening engine ----------------------------------------------------
@@ -314,97 +324,91 @@ def as_f_combination(elem: UEAElement):
 # -- evaluation rings ---------------------------------------------------------
 
 
-class UEARing:
-    """Target ring U(gl_N), with generator symbols read as E (gl) or
-    F (so/sp) elements."""
+def check_symbol_symmetry(ring):
+    """Raise ConsistencyError unless the generator images of `ring`
+    satisfy F_{-j,-i} = -eps_ij F_ij (and F_{i,-i} = 0 for so), the
+    relation that lets an FExpr keep one spelling of each symbol."""
+    ctx = ring.ctx
+    if ctx.family == "gl":
+        return
+    for i in ctx.indices:
+        for j in ctx.indices:
+            c, pair = canonical_symbol(ctx.family, i, j)
+            if (c, pair) != (1, (i, j)) and not ring.f_gen(i, j) == ring.f_gen(*pair) * c:
+                raise ConsistencyError(
+                    f"{type(ring).__name__} of {ctx}: the image of F[{i},{j}] "
+                    f"is not {c} times the image of F{list(pair)}")
+
+
+class _TargetRing:
+    """A ring an FExpr is evaluated in: the generator images
+    f_gen(i, j), each built once, and the images of words, cached by
+    prefix.  Subclasses supply `scalar` and `_gen_image`.  Construction
+    checks the symbol symmetry the canonical words rely on."""
 
     def __init__(self, ctx: LieContext):
         self.ctx = ctx
         self._gens = {}
-        self._words = {(): UEAElement.one(ctx)}
+        self._words = {(): self.scalar(1)}
+        check_symbol_symmetry(self)
 
-    def one(self):
-        return UEAElement.one(self.ctx)
+    def f_gen(self, i, j):
+        key = (i, j)
+        if key not in self._gens:
+            self._gens[key] = self._gen_image(i, j)
+        return self._gens[key]
+
+    def word_image(self, word):
+        cached = self._words.get(word)
+        if cached is None:
+            cached = self.word_image(word[:-1]) * self.f_gen(*word[-1])
+            self._words[word] = cached
+        return cached
+
+
+class UEARing(_TargetRing):
+    """Target ring U(gl_N), with generator symbols read as E (gl) or
+    F (so/sp) elements."""
 
     def scalar(self, c):
         return UEAElement.scalar(self.ctx, c)
 
-    def f_gen(self, i, j):
-        key = (i, j)
-        if key not in self._gens:
-            self._gens[key] = UEAElement.F(self.ctx, i, j)
-        return self._gens[key]
-
-    def word_image(self, word):
-        cached = self._words.get(word)
-        if cached is None:
-            cached = self.word_image(word[:-1]) * self.f_gen(*word[-1])
-            self._words[word] = cached
-        return cached
+    def _gen_image(self, i, j):
+        return UEAElement.F(self.ctx, i, j)
 
 
-class GammaRing:
+class GammaRing(_TargetRing):
     """Target ring PD on the m x N grid under the natural action."""
 
     def __init__(self, ctx: LieContext, m: int):
-        self.ctx = ctx
         self.m = m
         self.wctx = WeylContext(m, ctx.N)
-        self._gens = {}
-        self._words = {(): WeylOperator.scalar(self.wctx, 1)}
-
-    def one(self):
-        return WeylOperator.scalar(self.wctx, 1)
+        super().__init__(ctx)
 
     def scalar(self, c):
         return WeylOperator.scalar(self.wctx, c)
 
-    def f_gen(self, i, j):
-        key = (i, j)
-        if key not in self._gens:
-            self._gens[key] = gamma_gen(self.ctx.family, i, j, self.m, self.ctx.N)
-        return self._gens[key]
-
-    def word_image(self, word):
-        cached = self._words.get(word)
-        if cached is None:
-            cached = self.word_image(word[:-1]) * self.f_gen(*word[-1])
-            self._words[word] = cached
-        return cached
+    def _gen_image(self, i, j):
+        return gamma_gen(self.ctx.family, i, j, self.m, self.ctx.N)
 
 
-class DualRing:
+class DualRing(_TargetRing):
     """Target ring PD on the m x N grid under the dual (oscillator)
     action of the commutant algebra of rank m."""
 
     def __init__(self, dual_ctx: LieContext, m: int, N: int):
         if dual_ctx.N != 2 * m:
             raise DimensionError("dual algebra rank must match the row count")
-        self.ctx = dual_ctx
         self.m = m
         self.N = N
         self.wctx = WeylContext(m, N)
-        self._gens = {}
-        self._words = {(): WeylOperator.scalar(self.wctx, 1)}
-
-    def one(self):
-        return WeylOperator.scalar(self.wctx, 1)
+        super().__init__(dual_ctx)
 
     def scalar(self, c):
         return WeylOperator.scalar(self.wctx, c)
 
-    def f_gen(self, a, b):
-        key = (a, b)
-        if key not in self._gens:
-            self._gens[key] = dual_gamma_gen(self.ctx.family, a, b, self.m, self.N)
-        return self._gens[key]
-
-    def word_image(self, word):
-        cached = self._words.get(word)
-        if cached is None:
-            cached = self.word_image(word[:-1]) * self.f_gen(*word[-1])
-            self._words[word] = cached
-        return cached
+    def _gen_image(self, a, b):
+        return dual_gamma_gen(self.ctx.family, a, b, self.m, self.N)
 
 
 _RINGS = {}
@@ -434,7 +438,13 @@ def dual_ring(dual_ctx, m, N) -> DualRing:
 class FExpr:
     """Noncommutative polynomial in the generator symbols (i, j): a map
     from words of pairs to scalars.  Evaluating in a ring sends the
-    symbol (i, j) to ring.f_gen(i, j) and extends multiplicatively."""
+    symbol (i, j) to ring.f_gen(i, j) and extends multiplicatively.
+
+    The so/sp builders spell every symbol by its `canonical_symbol`
+    representative, one of (i, j) and (-j, -i), so each word appears
+    once.  That is valid only in a ring whose generator images satisfy
+    F_{-j,-i} = -eps_ij F_ij (and F_{i,-i} = 0 for so), which every
+    target ring checks when it is built."""
 
     __slots__ = ("terms",)
 
@@ -520,39 +530,60 @@ def _capelli_sum(k, N, shift_sign, signed):
 # -- Pfaffians, Hafnians and the central families -----------------------------
 
 
+def _ordered_matchings(k):
+    """The (2k)!/2^k sequences of k disjoint pairs (p, q), p < q, that
+    cover range(2k)."""
+    def grow(free):
+        if not free:
+            yield ()
+            return
+        for p, q in itertools.combinations(free, 2):
+            rest = tuple(x for x in free if x != p and x != q)
+            for tail in grow(rest):
+                yield ((p, q),) + tail
+
+    return grow(tuple(range(2 * k)))
+
+
+def _matching_expr(family, I, weight) -> FExpr:
+    """Sum over the ordered matchings of the positions of I of
+    weight(pairs) / k! times the word of symbols (I_p, -I_q), spelled
+    canonically.  The 2^k orders inside the pairs of a permutation give
+    one canonical word with one coefficient, so this is the average over
+    all (2k)! permutations."""
+    k = len(I) // 2
+    norm = Fraction(1, math.factorial(k))
+    terms = {}
+    for pairs in _ordered_matchings(k):
+        c = norm * weight(pairs)
+        word = []
+        for p, q in pairs:
+            s, symbol = canonical_symbol(family, I[p], -I[q])
+            c *= s
+            word.append(symbol)
+        add_into(terms, {tuple(word): c})
+    return FExpr(terms)
+
+
 def pfaffian_phi_expr(I) -> FExpr:
     """Pfaffian of [F_{i_p, -i_q}] over a sorted set of 2k distinct
-    indices, as a noncommutative polynomial in the F symbols."""
+    indices, as a noncommutative polynomial in the so symbols."""
     I = tuple(sorted(I))
     if len(set(I)) != len(I):
         raise DimensionError("Pfaffian index set must not repeat entries")
     if len(I) % 2:
         raise DimensionError("Pfaffian needs an even number of indices")
-    k = len(I) // 2
-    norm = Fraction(1, 2 ** k * math.factorial(k))
-    terms = {}
-    for sigma in itertools.permutations(range(2 * k)):
-        word = tuple((I[sigma[2 * t]], -I[sigma[2 * t + 1]]) for t in range(k))
-        add_into(terms, {word: norm * perm_sign(sigma)})
-    return FExpr(terms)
+    return _matching_expr("so", I, lambda pairs: perm_sign([p for pair in pairs for p in pair]))
 
 
 def hafnian_psi_expr(I) -> FExpr:
     """Hafnian of [sgn(i_p) F_{i_p, -i_q}] over a weakly increasing index
-    sequence of even length."""
+    sequence of even length, as a noncommutative polynomial in the sp
+    symbols."""
     I = tuple(sorted(I))
     if len(I) % 2:
         raise DimensionError("Hafnian needs an even number of indices")
-    k = len(I) // 2
-    norm = Fraction(1, 2 ** k * math.factorial(k))
-    terms = {}
-    for sigma in itertools.permutations(range(2 * k)):
-        word = tuple((I[sigma[2 * t]], -I[sigma[2 * t + 1]]) for t in range(k))
-        c = norm
-        for t in range(k):
-            c *= sgn(I[sigma[2 * t]])
-        add_into(terms, {word: c})
-    return FExpr(terms)
+    return _matching_expr("sp", I, lambda pairs: math.prod(sgn(I[p]) for p, _ in pairs))
 
 
 def pfaffian_phi(ctx: LieContext, I) -> UEAElement:

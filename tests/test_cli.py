@@ -112,7 +112,18 @@ def test_run_suite_rejects_unknown():
     ["prop-5.2", "--K", "0"],
     ["thm-6.2", "--N", "7"],
     ["capelli-gl", "--k", "7"],
+    ["cor-4.6", "--N", "3"],
+    ["cor-4.5", "--N", "3", "--m", "1"],
+    ["cor-4.5", "--K", "2"],
+    ["cor-5.4", "--k", "3"],
+    ["prop-2.2", "--N", "9"],
+    ["thm-2.1", "--m", "1"],
 ])
 def test_bad_order_or_empty_run_is_usage_error(argv, capsys):
     assert main(["verify", *argv]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_fixed_parameters_at_their_values_pass(capsys):
+    assert main(["verify", "cor-4.5", "--N", "2", "--m", "2"]) == 0
+    assert "1/1 checks passed" in capsys.readouterr().out

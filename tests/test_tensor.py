@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from capelli import tensor
 from capelli.core import ConsistencyError, dense_div_linear, dense_mul, dense_trim
 from capelli.uea import LieContext, UEAElement, c_k_pfaffian, central_series, d_k_hafnian, is_central
 from capelli.tensor import (
@@ -135,6 +136,16 @@ def test_verify_relations_all_pass():
     for ctx in (SO2, SP2):
         for cid, ok, witness in verify_relations(ctx, m_max=3):
             assert ok, (cid, witness)
+
+
+def test_verify_relations_computes_only_selected_checks(monkeypatch):
+    full = verify_relations(SP2, m_max=3)
+    for name in ("check_exchange_relation", "check_rrr_relation", "check_boundary_regularity",
+                 "check_symmetrizer_decompositions", "check_gl_exchange_relations"):
+        monkeypatch.setattr(tensor, name, lambda *args: pytest.fail("an unselected check ran"))
+    picked = verify_relations(SP2, m_max=3, select=lambda cid: cid.startswith("projected"))
+    assert picked == [r for r in full if r[0].startswith("projected")]
+    assert len(picked) == 2
 
 
 def test_verify_vanishing_all_pass():

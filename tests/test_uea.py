@@ -1,17 +1,23 @@
 from fractions import Fraction
 import itertools
+import math
 import random
 
 import pytest
 
-from capelli.core import ConsistencyError, DimensionError, SymPoly
+from capelli import uea
+from capelli.core import ConsistencyError, DimensionError, SymPoly, add_into, perm_sign
 from capelli.symfun import Partition, e_factorial, h_factorial
 from capelli.uea import (
     CentralElement,
+    DualRing,
     FExpr,
+    GammaRing,
     LieContext,
     UEAElement,
+    UEARing,
     as_f_combination,
+    canonical_symbol,
     c_k_pfaffian,
     capelli_element_e,
     capelli_element_h,
@@ -19,16 +25,21 @@ from capelli.uea import (
     check_dual_bracket_compatibility,
     d_k_hafnian,
     dual_pair_coeffs,
+    dual_ring,
     eigenvalue_on_hwv,
     express_in_family,
     gamma,
+    gamma_ring,
     generator_bracket,
     hafnian_psi,
+    hafnian_psi_expr,
     hc_polynomial,
     is_central,
     pbw_normal_form,
     pfaffian_phi,
+    pfaffian_phi_expr,
     uea_first_difference,
+    uea_ring,
 )
 from capelli.weyl import WeylContext, WeylOperator, sgn
 
@@ -184,6 +195,103 @@ def test_hafnian_k2_matching_expansion():
         + t[(1, 3)] * t[(2, 4)] + t[(2, 4)] * t[(1, 3)]
         + t[(1, 4)] * t[(2, 3)] + t[(2, 3)] * t[(1, 4)])
     assert hafnian_psi(SP4, I) == sym
+
+
+# -- canonical symbols against the expanded words ---------------------------
+
+
+def _expanded_matching_expr(I, signed):
+    """Oracle: the Pfaffian (signed) or Hafnian of [F_{i_p,-i_q}] as the
+    average over all (2k)! permutations, with both spellings of every
+    symbol kept."""
+    I = tuple(sorted(I))
+    k = len(I) // 2
+    norm = Fraction(1, 2 ** k * math.factorial(k))
+    terms = {}
+    for sigma in itertools.permutations(range(2 * k)):
+        word = tuple((I[sigma[2 * t]], -I[sigma[2 * t + 1]]) for t in range(k))
+        weight = (perm_sign(sigma) if signed
+                  else math.prod(sgn(I[sigma[2 * t]]) for t in range(k)))
+        add_into(terms, {word: norm * weight})
+    return FExpr(terms)
+
+
+def _oracle_rings(ctx):
+    rings = [uea_ring(ctx), gamma_ring(ctx, 1), gamma_ring(ctx, 2)]
+    if ctx.N % 2 == 0:
+        rings.append(dual_ring(ctx, ctx.N // 2, 2))
+    return rings
+
+
+@pytest.mark.parametrize("ctx", [SO3, SO4, SP2, SP4], ids=repr)
+def test_canonical_words_match_expanded_oracle(ctx):
+    signed = ctx.family == "so"
+    build = pfaffian_phi_expr if signed else hafnian_psi_expr
+    subsets = itertools.combinations if signed else itertools.combinations_with_replacement
+    exprs = [(build(I), _expanded_matching_expr(I, signed))
+             for k in (1, 2) for I in subsets(ctx.indices, 2 * k)]
+    for ring in _oracle_rings(ctx):
+        for got, oracle in exprs:
+            assert len(got.terms) <= len(oracle.terms)
+            assert got.evaluate(ring) == oracle.evaluate(ring), (ring, oracle)
+
+
+@pytest.mark.parametrize("ctx", [SO3, SO4, SP2, SP4], ids=repr)
+def test_central_families_match_expanded_oracle(ctx, monkeypatch):
+    # both families, the complementary one through the Harish-Chandra
+    # route, rebuilt from the expanded Pfaffian/Hafnian words
+    got = {kind: central_series(ctx, kind, 2) for kind in "CD"}
+    monkeypatch.setattr(uea, "pfaffian_phi_expr", lambda I: _expanded_matching_expr(I, True))
+    monkeypatch.setattr(uea, "hafnian_psi_expr", lambda I: _expanded_matching_expr(I, False))
+    oracle = {kind: central_series(ctx, kind, 2) for kind in "CD"}
+    ring = uea_ring(ctx)
+    for kind in "CD":
+        for k in (1, 2):
+            assert got[kind][k].expr.evaluate(ring) == oracle[kind][k].expr.evaluate(ring)
+
+
+def test_canonical_word_counts():
+    assert len(central_series(SO4, "C", 2)[2].expr.terms) == 36
+    assert len(central_series(SP4, "D", 2)[2].expr.terms) == 334
+    assert len(central_series(SP4, "C", 2)[2].expr.terms) == 408
+
+
+def test_canonical_symbol():
+    assert canonical_symbol("so", 1, -2) == (1, (1, -2))
+    assert canonical_symbol("so", 2, -1) == (-1, (1, -2))
+    assert canonical_symbol("so", 1, -1) == (0, (1, -1))
+    assert canonical_symbol("so", 0, 0) == (0, (0, 0))
+    assert canonical_symbol("sp", 2, -1) == (1, (1, -2))
+    assert canonical_symbol("sp", 2, 1) == (-1, (-1, -2))
+    assert canonical_symbol("sp", 1, -1) == (1, (1, -1))
+
+
+def _ring_kinds(ctx):
+    kinds = [lambda: UEARing(ctx), lambda: GammaRing(ctx, 2)]
+    if ctx.N % 2 == 0:
+        kinds.append(lambda: DualRing(ctx, ctx.N // 2, 3 if ctx.family == "sp" else 4))
+    return kinds
+
+
+@pytest.mark.parametrize("ctx", [SO3, SO4, SP2, SP4], ids=repr)
+def test_rings_pass_symbol_symmetry_check(ctx):
+    for make in _ring_kinds(ctx):
+        make()
+
+
+def test_ring_breaking_symbol_symmetry_is_rejected(monkeypatch):
+    # an image that ignores F_{-j,-i} = -eps_ij F_ij for one symbol
+    original = uea._TargetRing.f_gen
+
+    def broken(self, i, j):
+        image = original(self, i, j)
+        return image * 2 if (i, j) == (1, 1) else image
+
+    monkeypatch.setattr(uea._TargetRing, "f_gen", broken)
+    for ctx in (SO4, SP4):
+        for make in _ring_kinds(ctx):
+            with pytest.raises(ConsistencyError):
+                make()
 
 
 # -- central families --------------------------------------------------------
