@@ -3,9 +3,11 @@
 `capelli verify <suite> [--N ...] [--m ...] [--k ...] [--K ...]
 [--seed ...] [--format json|md|text] [--out path]` runs one named suite
 and emits a machine- or human-readable report; `capelli list-suites`
-prints the registry.  Exit codes: 0 all checks pass, 1 at least one
-check failed, 2 usage error.  The environment variable VERIFY_MAX_CELLS
-adjusts the tensor-space size guard.
+prints the registry with each suite's parameter domains.  Exit codes:
+0 all checks pass, 1 at least one check failed, 2 usage error, 3 internal
+fault (a consistency, division or pole error or any other unexpected
+exception, reported on stderr without a traceback).  The environment
+variable VERIFY_MAX_CELLS adjusts the tensor-space size guard.
 """
 
 from __future__ import annotations
@@ -92,6 +94,12 @@ def _check_json(c: CheckResult):
     return out
 
 
+def _domain_text(domains):
+    """`N∈{2,3}` for a grid parameter, `K≥1 (default 3)` for a series order."""
+    return " ".join(f"{key}∈{{{','.join(map(str, d))}}}" if isinstance(d, tuple)
+                    else f"{key}≥1 (default {d})" for key, d in domains.items())
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="capelli",
@@ -120,8 +128,11 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     if args.command == "list-suites":
         width = max(len(n) for n in SUITES)
+        desc_width = max(len(desc) for desc, _d, _f in SUITES.values())
         for name in sorted(SUITES):
-            print(f"{name:<{width}}  {SUITES[name][0]}")
+            desc, domains, _fn = SUITES[name]
+            print(f"{name:<{width}}  {desc:<{desc_width}}  "
+                  f"{_domain_text(domains)}".rstrip())
         return 0
     if args.command != "verify":
         parser.print_usage()
@@ -138,6 +149,9 @@ def main(argv=None) -> int:
     except (UsageError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     blob = report_emit(report, config.fmt)
     if config.out:
         with open(config.out, "wb") as fh:

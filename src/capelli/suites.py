@@ -7,8 +7,10 @@ operator-identity battery for the exchange matrices, the quantum
 determinant formula, the dual-pair transfer, the symmetric-function
 groundwork, and the generating-series inversion.
 
-Suites are data: a registry mapping the suite name to a description and
-a callable; adding a statement means adding an entry.
+Suites are data: a registry mapping the suite name to a description, its
+parameter domains and a callable; adding a statement means adding an
+entry.  `run_suite` resolves the given N/m/k/K against the declared
+domains before the callable runs, so no suite reads raw parameters.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .uea import (
     is_central,
     pfaffian_phi_expr,
     uea_first_difference,
+    uea_ring,
 )
 from .tensor import (
     c_ladder_roots,
@@ -106,78 +109,45 @@ def _uea_witness(lhs, rhs):
     return uea_first_difference(lhs, rhs)
 
 
-def _grid(params, key, default):
-    value = params.get(key)
-    if value is None:
-        return default
-    if value not in default:
-        raise UsageError(f"{key}={value} is outside the supported set {default}")
-    return [value]
-
-
-def _no_params(params, *keys):
-    """Raise UsageError if one of `keys` is given: the suite has no such
-    parameter and must not pass while ignoring it."""
-    given = [key for key in keys if params.get(key) is not None]
-    if given:
-        raise UsageError(f"this suite takes no {'/'.join(given)} parameter")
-
-
-def _order(params, key, default):
-    """A series order or truncation: None means `default`, and a value
-    below 1 is a usage error."""
-    value = params.get(key)
-    if value is None:
-        return default
-    if value < 1:
-        raise UsageError(f"{key}={value} must be at least 1")
-    return value
+def _families(N):
+    return ("so", "sp") if N % 2 == 0 else ("so",)
 
 
 # -- gl_N: the two classical identities ---------------------------------------
 
 
-def suite_capelli_gl(params, rng):
-    results = []
-    for N in _grid(params, "N", [2, 3]):
-        for m in _grid(params, "m", [2, 3]):
-            guard_cells(N, m)
-            for k in range(1, min(m, N) + 1):
-                if params.get("k") is not None and k != params["k"]:
-                    continue
-                t0 = time.monotonic()
-                lhs = gamma(capelli_element_e(k, N), m)
-                rhs = cayley_omega(k, m, N)
-                _push(results, f"det-capelli[N={N},m={m},k={k}]",
-                      _weyl_witness(lhs, rhs), t0)
-    return results
+def _capelli_suite(element, cayley, prefix):
+    def run(p, rng):
+        results = []
+        for N in p["N"]:
+            for m in p["m"]:
+                guard_cells(N, m)
+                for k in p["k"]:
+                    if k > min(m, N):
+                        continue
+                    t0 = time.monotonic()
+                    lhs = gamma(element(k, N), m)
+                    rhs = cayley(k, m, N)
+                    _push(results, f"{prefix}-capelli[N={N},m={m},k={k}]",
+                          _weyl_witness(lhs, rhs), t0)
+        return results
+
+    return run
 
 
-def suite_capelli_gl_perm(params, rng):
-    results = []
-    for N in _grid(params, "N", [2, 3]):
-        for m in _grid(params, "m", [2, 3]):
-            guard_cells(N, m)
-            for k in range(1, min(m, N) + 1):
-                if params.get("k") is not None and k != params["k"]:
-                    continue
-                t0 = time.monotonic()
-                lhs = gamma(capelli_element_h(k, N), m)
-                rhs = cayley_theta(k, m, N)
-                _push(results, f"per-capelli[N={N},m={m},k={k}]",
-                      _weyl_witness(lhs, rhs), t0)
-    return results
+suite_capelli_gl = _capelli_suite(capelli_element_e, cayley_omega, "det")
+suite_capelli_gl_perm = _capelli_suite(capelli_element_h, cayley_theta, "per")
 
 
 # -- so_N: Pfaffian formula ----------------------------------------------------
 
 
-def suite_thm_41(params, rng):
+def suite_thm_41(p, rng):
     results = []
-    for N in _grid(params, "N", [2, 3, 4]):
+    for N in p["N"]:
         ctx = LieContext("so", N)
         n = ctx.n
-        for k in _grid(params, "k", [1, 2]):
+        for k in p["k"]:
             t0 = time.monotonic()
             ck = c_k_pfaffian(ctx, k)
             if k > n:
@@ -192,8 +162,8 @@ def suite_thm_41(params, rng):
             w = None if hc == SymPoly(hc.vars, target.terms) else \
                 f"harish-chandra image is {hc!r}"
             _push(results, f"pfaffian-hc-image[N={N},k={k}]", w, t0)
-        for m in _grid(params, "m", [1, 2, 3]):
-            for k in _grid(params, "k", [1, 2]):
+        for m in p["m"]:
+            for k in p["k"]:
                 if 2 * k > N:
                     continue
                 t0 = time.monotonic()
@@ -214,11 +184,11 @@ def suite_thm_41(params, rng):
 # -- sp_N: Hafnian formula -----------------------------------------------------
 
 
-def suite_thm_51(params, rng):
+def suite_thm_51(p, rng):
     results = []
-    for N in _grid(params, "N", [2, 4]):
+    for N in p["N"]:
         ctx = LieContext("sp", N)
-        for k in _grid(params, "k", [1, 2]):
+        for k in p["k"]:
             t0 = time.monotonic()
             dk = d_k_hafnian(ctx, k)
             w = None if is_central(dk, ctx) else "element is not central"
@@ -229,8 +199,8 @@ def suite_thm_51(params, rng):
             w = None if hc == SymPoly(hc.vars, target.terms) else \
                 f"harish-chandra image is {hc!r}"
             _push(results, f"hafnian-hc-image[N={N},k={k}]", w, t0)
-        for m in _grid(params, "m", [1, 2]):
-            for k in _grid(params, "k", [1, 2]):
+        for m in p["m"]:
+            for k in p["k"]:
                 t0 = time.monotonic()
                 witness = None
                 for I in itertools.combinations_with_replacement(ctx.indices, 2 * k):
@@ -255,49 +225,35 @@ def suite_thm_51(params, rng):
 # -- fusion --------------------------------------------------------------------
 
 
-def _fusion_targets(family, N, kind, K):
-    ctx = LieContext(family, N)
-    return ctx, central_series(ctx, kind, K)
+def _fusion_suite(kind, shape, rank):
+    def run(p, rng):
+        results = []
+        for N in p["N"]:
+            for family in _families(N):
+                for k in p["k"]:
+                    ctx = LieContext(family, N)
+                    series = central_series(ctx, kind, rank(k, N))
+                    t0 = time.monotonic()
+                    value = fusion_capelli(ctx, k, shape)
+                    _push(results, f"fusion-{shape}[{family}{N},k={k}]",
+                          _uea_witness(value, series[k].uea()), t0)
+        return results
+
+    return run
 
 
-def suite_thm_32(params, rng):
-    results = []
-    for N in _grid(params, "N", [2, 3]):
-        for family in (("so", "sp") if N % 2 == 0 else ("so",)):
-            for k in _grid(params, "k", [1, 2]):
-                if N ** (2 * k) > 256:
-                    continue
-                ctx, series = _fusion_targets(family, N, "C", min(k, N // 2))
-                t0 = time.monotonic()
-                value = fusion_capelli(ctx, k, "column")
-                _push(results, f"fusion-column[{family}{N},k={k}]",
-                      _uea_witness(value, series[k].uea()), t0)
-    return results
-
-
-def suite_thm_33(params, rng):
-    results = []
-    for N in _grid(params, "N", [2, 3]):
-        for family in (("so", "sp") if N % 2 == 0 else ("so",)):
-            for k in _grid(params, "k", [1, 2]):
-                if N ** (2 * k) > 256:
-                    continue
-                ctx, series = _fusion_targets(family, N, "D", k)
-                t0 = time.monotonic()
-                value = fusion_capelli(ctx, k, "row")
-                _push(results, f"fusion-row[{family}{N},k={k}]",
-                      _uea_witness(value, series[k].uea()), t0)
-    return results
+suite_thm_32 = _fusion_suite("C", "column", lambda k, N: min(k, N // 2))
+suite_thm_33 = _fusion_suite("D", "row", lambda k, N: k)
 
 
 # -- exchange-matrix identities --------------------------------------------------
 
 
 def _relation_suite(selector):
-    def run(params, rng):
+    def run(p, rng):
         results = []
-        for N in _grid(params, "N", [2, 3]):
-            for family in (("so", "sp") if N % 2 == 0 else ("so",)):
+        for N in p["N"]:
+            for family in _families(N):
                 ctx = LieContext(family, N)
                 t0 = time.monotonic()
                 for cid, ok, witness in verify_relations(ctx, m_max=3, select=selector):
@@ -316,15 +272,15 @@ suite_prop_39 = _relation_suite(lambda cid: cid.startswith("gl-exchange"))
 
 
 def _vanishing_suite(prefixes):
-    def run(params, rng):
+    def run(p, rng):
         results = []
-        for N in _grid(params, "N", [2]):
+        for N in p["N"]:
             for family in ("so", "sp"):
-                for m in _grid(params, "m", [1, 2]):
+                for m in p["m"]:
                     for l in range(0, 3):
                         t0 = time.monotonic()
                         for cid, ok, witness in verify_vanishing(m, l, N, family):
-                            if any(cid.startswith(p) for p in prefixes):
+                            if cid.startswith(prefixes):
                                 _push(results, cid, None if ok else witness, t0)
         return results
 
@@ -338,22 +294,21 @@ suite_prop_311 = _vanishing_suite(("sym-",))
 # -- quantum determinant ----------------------------------------------------------
 
 
-def suite_thm_62(params, rng):
+def suite_thm_62(p, rng):
     results = []
-    for family, N in (("so", 2), ("so", 3), ("sp", 2)):
-        if params.get("N") is not None and N != params["N"]:
-            continue
-        ctx = LieContext(family, N)
-        t0 = time.monotonic()
-        series = central_series(ctx, "C", ctx.n)
-        _push(results, f"sklyanin-det[{family}{N}]",
-              theorem_62_check(ctx, series), t0)
+    for N in p["N"]:
+        for family in _families(N):
+            ctx = LieContext(family, N)
+            t0 = time.monotonic()
+            series = central_series(ctx, "C", ctx.n)
+            _push(results, f"sklyanin-det[{family}{N}]",
+                  theorem_62_check(ctx, series), t0)
     return results
 
 
-def suite_prop_61(params, rng):
+def suite_prop_61(p, rng):
     results = []
-    for N in _grid(params, "N", [2]):
+    for N in p["N"]:
         for eps_family in ("so", "sp"):
             t0 = time.monotonic()
             h = quantum_det_gl(N, eps_family)
@@ -369,18 +324,18 @@ def suite_prop_61(params, rng):
 # -- dual pair transfer ------------------------------------------------------------
 
 
-def suite_thm_44(params, rng):
+def suite_thm_44(p, rng):
     results = []
-    for N in _grid(params, "N", [2, 3, 4]):
-        for m in _grid(params, "m", [1, 2]):
+    for N in p["N"]:
+        for m in p["m"]:
             guard_cells(N, m)
             ctx_so = LieContext("so", N)
             ctx_sp = LieContext("sp", 2 * m)
             series_so = central_series(ctx_so, "C", min(m, ctx_so.n))
             series_sp = central_series(ctx_sp, "C", m)
             wctx = WeylContext(m, N)
-            for k in range(1, m + 1):
-                if params.get("k") is not None and k != params["k"]:
+            for k in p["k"]:
+                if k > m:
                     continue
                 t0 = time.monotonic()
                 lhs = series_sp[k].gamma_prime(m, N)
@@ -397,11 +352,10 @@ def suite_thm_44(params, rng):
     return results
 
 
-def suite_cor_45(params, rng):
+def suite_cor_45(p, rng):
     # N = 2n with m > n: the higher dual elements die under the action
     results = []
-    _no_params(params, "K")
-    [N], [m], [k] = _grid(params, "N", [2]), _grid(params, "m", [2]), _grid(params, "k", [2])
+    [N], [m], [k] = p["N"], p["m"], p["k"]
     ctx_sp = LieContext("sp", 2 * m)
     series_sp = central_series(ctx_sp, "C", m)
     t0 = time.monotonic()
@@ -411,11 +365,10 @@ def suite_cor_45(params, rng):
     return results
 
 
-def suite_cor_46(params, rng):
+def suite_cor_46(p, rng):
     # N = 2n, m = n-1: the transfer is the identity map
     results = []
-    _no_params(params, "K")
-    [N], [m], [k] = _grid(params, "N", [4]), _grid(params, "m", [1]), _grid(params, "k", [1])
+    [N], [m], [k] = p["N"], p["m"], p["k"]
     ctx_so = LieContext("so", N)
     ctx_sp = LieContext("sp", 2 * m)
     t0 = time.monotonic()
@@ -426,10 +379,10 @@ def suite_cor_46(params, rng):
     return results
 
 
-def suite_prop_43(params, rng):
+def suite_prop_43(p, rng):
     results = []
-    for N in _grid(params, "N", [2, 3, 4]):
-        for m in _grid(params, "m", [1, 2]):
+    for N in p["N"]:
+        for m in p["m"]:
             guard_cells(N, m)
             t0 = time.monotonic()
             ctx_so = LieContext("so", N)
@@ -464,11 +417,11 @@ def suite_prop_43(params, rng):
     return results
 
 
-def suite_thm_53(params, rng):
+def suite_thm_53(p, rng):
     results = []
-    K = _order(params, "k", 2)
-    for N in _grid(params, "N", [2, 4]):
-        for m in _grid(params, "m", [1, 2]):
+    K = p["k"]
+    for N in p["N"]:
+        for m in p["m"]:
             guard_cells(N, m)
             ctx_sp = LieContext("sp", N)
             ctx_so = LieContext("so", 2 * m)
@@ -491,16 +444,15 @@ def suite_thm_53(params, rng):
     return results
 
 
-def suite_cor_54(params, rng):
+def suite_cor_54(p, rng):
     # n = m - 1: the unsigned transfer is the identity map
     results = []
-    _no_params(params, "K")
-    [N], [m] = _grid(params, "N", [2]), _grid(params, "m", [2])
+    [N], [m] = p["N"], p["m"]
     ctx_sp = LieContext("sp", N)
     ctx_so = LieContext("so", 2 * m)
     series_sp = central_series(ctx_sp, "D", 2)
     series_so = central_series(ctx_so, "D", 2)
-    for k in _grid(params, "k", [1, 2]):
+    for k in p["k"]:
         t0 = time.monotonic()
         lhs = series_so[k].gamma_prime(m, N)
         rhs = series_sp[k].gamma(m)
@@ -509,11 +461,11 @@ def suite_cor_54(params, rng):
     return results
 
 
-def suite_prop_52(params, rng):
+def suite_prop_52(p, rng):
     results = []
-    K = _order(params, "K", 2)
-    for N in _grid(params, "N", [2, 4]):
-        for m in _grid(params, "m", [1, 2]):
+    K = p["K"]
+    for N in p["N"]:
+        for m in p["m"]:
             guard_cells(N, m)
             t0 = time.monotonic()
             ctx_sp = LieContext("sp", N)
@@ -548,11 +500,9 @@ def suite_prop_52(params, rng):
 # -- corollary 4.2 and the series inversion ----------------------------------------
 
 
-def suite_cor_42(params, rng):
+def suite_cor_42(p, rng):
     results = []
-    from .uea import uea_ring
-
-    for N in _grid(params, "N", [2, 4]):
+    for N in p["N"]:
         n = N // 2
         ctx = LieContext("so", N)
         t0 = time.monotonic()
@@ -563,11 +513,11 @@ def suite_cor_42(params, rng):
     return results
 
 
-def suite_series_inversion(params, rng):
+def suite_series_inversion(p, rng):
     results = []
-    K = _order(params, "K", 3)
+    K = p["K"]
     for family, N in (("so", 3), ("sp", 2)):
-        if params.get("N") is not None and N != params["N"]:
+        if N not in p["N"]:
             continue
         ctx = LieContext(family, N)
         t0 = time.monotonic()
@@ -591,9 +541,8 @@ def _random_sequence(rng, count):
     return ShiftSequence.from_values(sorted(vals))
 
 
-def suite_prop_22(params, rng):
+def suite_prop_22(p, rng):
     results = []
-    _no_params(params, "N", "m", "k", "K")
     for trial in range(5):
         a = _random_sequence(rng, 10)
         witness = None
@@ -617,9 +566,9 @@ def suite_prop_22(params, rng):
     return results
 
 
-def suite_prop_23(params, rng):
+def suite_prop_23(p, rng):
     results = []
-    K = _order(params, "K", 4)
+    K = p["K"]
     for trial in range(3):
         for n in (1, 2):
             a = _random_sequence(rng, n + K + 4)
@@ -631,9 +580,8 @@ def suite_prop_23(params, rng):
     return results
 
 
-def suite_thm_21(params, rng):
+def suite_thm_21(p, rng):
     results = []
-    _no_params(params, "N", "m", "k", "K")
     n = 2
     a = _random_sequence(rng, 12)
     witness = None
@@ -659,58 +607,86 @@ def suite_thm_21(params, rng):
 
 # -- registry ------------------------------------------------------------------------
 
+# Each entry is (description, domains, callable).  A domain is a tuple of
+# the values a grid parameter may take (all of them by default), or an
+# int: the default of a series order, which may be set to any value >= 1.
+# The callable gets the resolved domains: a tuple of values per grid
+# parameter and an int per order.
 
 SUITES = {
     "capelli-gl": ("classical determinant-type identity over gl_N",
-                   suite_capelli_gl),
+                   {"N": (2, 3), "m": (2, 3), "k": (1, 2, 3)}, suite_capelli_gl),
     "capelli-gl-perm": ("permanent-type identity over gl_N",
-                        suite_capelli_gl_perm),
+                        {"N": (2, 3), "m": (2, 3), "k": (1, 2, 3)}, suite_capelli_gl_perm),
     "thm-4.1": ("Pfaffian formula for the signed family over so_N",
-                suite_thm_41),
+                {"N": (2, 3, 4), "m": (1, 2, 3), "k": (1, 2)}, suite_thm_41),
     "thm-5.1": ("Hafnian formula for the unsigned family over sp_N",
-                suite_thm_51),
+                {"N": (2, 4), "m": (1, 2), "k": (1, 2)}, suite_thm_51),
     "thm-3.2": ("fused column evaluates to the signed family",
-                suite_thm_32),
+                {"N": (2, 3), "k": (1, 2)}, suite_thm_32),
     "thm-3.3": ("fused row evaluates to the unsigned family",
-                suite_thm_33),
+                {"N": (2, 3), "k": (1, 2)}, suite_thm_33),
     "prop-3.1": ("exchange relation for the generator matrix",
-                 suite_prop_31),
-    "prop-3.6": ("projected twisted-factor collapse",
-                 suite_prop_36),
+                 {"N": (2, 3)}, suite_prop_31),
+    "prop-3.6": ("projected twisted-factor collapse", {"N": (2, 3)}, suite_prop_36),
     "prop-3.9": ("exchange relations for the gl_N generator matrices",
-                 suite_prop_39),
-    "rel-3.03": ("mixed triple product relation", suite_rel_303),
-    "lem-3.5": ("boundary regularity on the shifted lines", suite_lem_35),
+                 {"N": (2, 3)}, suite_prop_39),
+    "rel-3.03": ("mixed triple product relation", {"N": (2, 3)}, suite_rel_303),
+    "lem-3.5": ("boundary regularity on the shifted lines", {"N": (2, 3)}, suite_lem_35),
     "dec-3.04": ("product decompositions of the (anti)symmetrizers",
-                 suite_dec_304),
+                 {"N": (2, 3)}, suite_dec_304),
     "prop-3.10": ("annihilation by the antisymmetrized spectral product",
-                  suite_prop_310),
+                  {"N": (2,), "m": (1, 2)}, suite_prop_310),
     "prop-3.11": ("annihilation by the symmetrized spectral product",
-                  suite_prop_311),
+                  {"N": (2,), "m": (1, 2)}, suite_prop_311),
     "thm-6.2": ("quantum determinant formula for the generating function",
-                suite_thm_62),
-    "prop-6.1": ("eigenvalue of the gl_N quantum determinant",
-                 suite_prop_61),
-    "thm-4.4": ("dual-pair transfer of the signed family", suite_thm_44),
+                {"N": (2, 3)}, suite_thm_62),
+    "prop-6.1": ("eigenvalue of the gl_N quantum determinant", {"N": (2,)}, suite_prop_61),
+    "thm-4.4": ("dual-pair transfer of the signed family",
+                {"N": (2, 3, 4), "m": (1, 2), "k": (1, 2)}, suite_thm_44),
     "prop-4.3": ("generating-function transfer, orthogonal inner action",
-                 suite_prop_43),
-    "cor-4.5": ("vanishing of high dual elements", suite_cor_45),
-    "cor-4.6": ("identity transfer at the balanced rank", suite_cor_46),
-    "thm-5.3": ("dual-pair transfer of the unsigned family", suite_thm_53),
+                 {"N": (2, 3, 4), "m": (1, 2)}, suite_prop_43),
+    "cor-4.5": ("vanishing of high dual elements",
+                {"N": (2,), "m": (2,), "k": (2,)}, suite_cor_45),
+    "cor-4.6": ("identity transfer at the balanced rank",
+                {"N": (4,), "m": (1,), "k": (1,)}, suite_cor_46),
+    "thm-5.3": ("dual-pair transfer of the unsigned family",
+                {"N": (2, 4), "m": (1, 2), "k": 2}, suite_thm_53),
     "prop-5.2": ("generating-function transfer, symplectic inner action",
-                 suite_prop_52),
+                 {"N": (2, 4), "m": (1, 2), "K": 2}, suite_prop_52),
     "cor-5.4": ("identity transfer at the balanced unsigned rank",
-                suite_cor_54),
+                {"N": (2,), "m": (2,), "k": (1, 2)}, suite_cor_54),
     "cor-4.2": ("top element as the square of the full Pfaffian",
-                suite_cor_42),
+                {"N": (2, 4)}, suite_cor_42),
     "prop-2.2": ("explicit sums for the factorial e and h polynomials",
-                 suite_prop_22),
-    "prop-2.3": ("generating series of the factorial families",
-                 suite_prop_23),
-    "thm-2.1": ("interpolation characterization grid", suite_thm_21),
+                 {}, suite_prop_22),
+    "prop-2.3": ("generating series of the factorial families", {"K": 4}, suite_prop_23),
+    "thm-2.1": ("interpolation characterization grid", {}, suite_thm_21),
     "series-inversion": ("the two generating functions are inverse series",
-                         suite_series_inversion),
+                         {"N": (2, 3), "K": 3}, suite_series_inversion),
 }
+
+
+def _resolve(domains, given):
+    """Resolve the `given` parameters against `domains`, or raise
+    UsageError: a suite must not pass while ignoring a parameter."""
+    undeclared = [key for key in given if key not in domains]
+    if undeclared:
+        reads = "/".join(domains) or "none"
+        raise UsageError(f"this suite takes no {'/'.join(undeclared)} parameter "
+                         f"(it reads {reads})")
+    resolved = dict(domains)
+    for key, value in given.items():
+        domain = domains[key]
+        if isinstance(domain, tuple):
+            if value not in domain:
+                raise UsageError(f"{key}={value} is outside the supported set {domain}")
+            resolved[key] = (value,)
+        else:
+            if value < 1:
+                raise UsageError(f"{key}={value} must be at least 1")
+            resolved[key] = value
+    return resolved
 
 
 def run_suite(name, params=None, seed=0):
@@ -718,9 +694,9 @@ def run_suite(name, params=None, seed=0):
         raise UsageError(f"unknown suite {name!r}")
     params = dict(params or {})
     rng = random.Random(params.pop("seed", seed))
-    _desc, fn = SUITES[name]
-    results = fn(params, rng)
+    given = {key: value for key, value in params.items() if value is not None}
+    _desc, domains, fn = SUITES[name]
+    results = fn(_resolve(domains, given), rng)
     if not results:
-        given = {k: v for k, v in params.items() if v is not None}
         raise UsageError(f"no check of {name!r} matches the parameters {given}")
     return results

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from capelli.cli import SuiteConfig, VerificationReport, main, report_emit, run
+from capelli.core import ConsistencyError
 from capelli.suites import SUITES, CheckResult, UsageError, run_suite
 from capelli.uea import LieContext, UEAElement, uea_first_difference
 
@@ -12,6 +13,10 @@ def test_list_suites_exits_zero(capsys):
     out = capsys.readouterr().out
     for name in ("capelli-gl", "thm-4.1", "thm-6.2", "series-inversion"):
         assert name in out
+    lines = {line.split()[0]: line for line in out.splitlines()}
+    assert "N∈{2,3} m∈{2,3} k∈{1,2,3}" in lines["capelli-gl"]
+    assert lines["series-inversion"].endswith("N∈{2,3} K≥1 (default 3)")
+    assert lines["prop-2.2"].endswith("polynomials")
 
 
 def test_unknown_suite_usage_error(capsys):
@@ -72,7 +77,7 @@ def test_failing_check_carries_pbw_witness(monkeypatch, capsys):
         return [CheckResult(id="injected", status="fail",
                             witness=uea_first_difference(lhs, rhs), ms=0.0)]
 
-    monkeypatch.setitem(SUITES, "injected-failure", ("failure injection", fake_suite))
+    monkeypatch.setitem(SUITES, "injected-failure", ("failure injection", {}, fake_suite))
     assert main(["verify", "injected-failure", "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     check = doc["suites"][0]["checks"][0]
@@ -118,6 +123,13 @@ def test_run_suite_rejects_unknown():
     ["cor-5.4", "--k", "3"],
     ["prop-2.2", "--N", "9"],
     ["thm-2.1", "--m", "1"],
+    ["prop-6.1", "--m", "7"],
+    ["prop-2.3", "--N", "9"],
+    ["thm-6.2", "--m", "9"],
+    ["cor-4.2", "--K", "5"],
+    ["thm-3.2", "--m", "9"],
+    ["thm-4.1", "--K", "3"],
+    ["prop-3.10", "--k", "4"],
 ])
 def test_bad_order_or_empty_run_is_usage_error(argv, capsys):
     assert main(["verify", *argv]) == 2
@@ -127,3 +139,39 @@ def test_bad_order_or_empty_run_is_usage_error(argv, capsys):
 def test_fixed_parameters_at_their_values_pass(capsys):
     assert main(["verify", "cor-4.5", "--N", "2", "--m", "2"]) == 0
     assert "1/1 checks passed" in capsys.readouterr().out
+
+
+def _bad_params(domains):
+    """One parameter dict per way of misusing `domains`."""
+    for key in ("N", "m", "k", "K"):
+        domain = domains.get(key)
+        if domain is None:
+            yield {key: 2}
+        elif isinstance(domain, tuple):
+            yield {key: max(domain) + 1}
+        else:
+            yield {key: 0}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_registry_rejects_bad_params_before_the_body(name, monkeypatch):
+    desc, domains, _fn = SUITES[name]
+
+    def must_not_run(p, rng):
+        raise AssertionError("the suite body ran on invalid parameters")
+
+    monkeypatch.setitem(SUITES, name, (desc, domains, must_not_run))
+    for params in _bad_params(domains):
+        with pytest.raises(UsageError):
+            run_suite(name, params, seed=0)
+
+
+def test_internal_fault_exits_three(monkeypatch, capsys):
+    def broken_suite(p, rng):
+        raise ConsistencyError("generator images break the symmetry")
+
+    monkeypatch.setitem(SUITES, "broken", ("internal fault", {}, broken_suite))
+    assert main(["verify", "broken"]) == 3
+    err = capsys.readouterr().err
+    assert "error: internal: ConsistencyError: generator images" in err
+    assert "Traceback" not in err
