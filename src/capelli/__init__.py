@@ -52,7 +52,6 @@ from .uea import (
 )
 from .tensor import (
     TMat,
-    build_basic,
     fused_F,
     fusion_capelli,
     generating_functions,

@@ -4,10 +4,12 @@
 [--seed ...] [--format json|md|text] [--out path]` runs one named suite
 and emits a machine- or human-readable report; `capelli list-suites`
 prints the registry with each suite's parameter domains.  Exit codes:
-0 all checks pass, 1 at least one check failed, 2 usage error, 3 internal
-fault (a consistency, division or pole error or any other unexpected
-exception, reported on stderr without a traceback).  The environment
-variable VERIFY_MAX_CELLS adjusts the tensor-space size guard.
+0 all checks pass, 1 at least one check failed, 2 usage error (a bad
+argument, an unwritable `--out` path or a VERIFY_MAX_CELLS value that is
+not a positive integer), 3 internal fault (a consistency, division or
+pole error or any other unexpected exception, reported on stderr without
+a traceback).  The environment variable VERIFY_MAX_CELLS adjusts the
+tensor-space size guard.
 """
 
 from __future__ import annotations
@@ -154,8 +156,12 @@ def main(argv=None) -> int:
         return 3
     blob = report_emit(report, config.fmt)
     if config.out:
-        with open(config.out, "wb") as fh:
-            fh.write(blob)
+        try:
+            with open(config.out, "wb") as fh:
+                fh.write(blob)
+        except OSError as exc:
+            print(f"error: cannot write {config.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(blob.decode())
     return 0 if report.passed() else 1

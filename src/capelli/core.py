@@ -49,9 +49,9 @@ def add_into(out, terms, c=1):
     scalar, and a key that is absent has coefficient zero.  A key whose
     coefficient cancels is deleted at once, so `out` keeps that contract
     after every step.  `terms` is not modified.  `SymPoly`, `UEAElement`,
-    `WeylOperator`, `FExpr` and the dict algebras of `tensor` all add
-    through this one kernel; only the product loops that compute each
-    key on the fly repeat its body inline.
+    `WeylOperator`, `FExpr` and the matrices and entry maps of `tensor`
+    all add through this one kernel; only the product loops that compute
+    each key on the fly repeat its body inline.
     """
     if c == 1:  # the common case; no product, so no new Fraction per term
         for k, v in terms.items():
@@ -472,7 +472,9 @@ def dense_trim(a):
 # -- rational functions of one variable ----------------------------------------
 
 
-def _to_dense(p: SymPoly):
+def to_dense(p: SymPoly):
+    """A polynomial in one variable as its dense coefficient list,
+    constant term first (empty for zero)."""
     d = p.degree_in(p.vars[0]) if len(p.vars) == 1 else None
     if d is None:
         raise DimensionError("univariate polynomial expected")
@@ -525,7 +527,7 @@ class RatFun:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         var = num.vars[0]
-        dn, dd = _to_dense(num), _to_dense(den)
+        dn, dd = to_dense(num), to_dense(den)
         g = _dense_gcd(dn, dd) if dn else []
         if len(g) > 1:
             dn, _ = _dense_divmod(dn, g)

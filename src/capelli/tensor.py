@@ -7,25 +7,28 @@ divided by one common scalar polynomial.  Rational identities are decided
 by clearing denominators; pole cancellation at a classical point is exact
 division of every numerator coefficient by the linear factor.
 
-The module also houses the plain scalar matrices (exchange and twist
-operators, symmetrizers) used by the operator-identity suites.
-
-Matrices, scalar polynomials and entries are sparse maps (key to nonzero
-scalar) and add through `core.add_into`.  Polynomials in the single
-spectral variable of the fusion and generating-function identities are
-dense coefficient lists, handled by the `core.dense_*` functions for
-scalar and U(gl_N) coefficients alike.
+Scalar polynomials in the spectral variables (denominators, arguments,
+normalizing factors) are `SymPoly` values.  An entry maps (exponent
+vector, PBW word) to a nonzero scalar; entries and the plain scalar
+matrices (exchange and twist operators, symmetrizers) are sparse maps
+that add through `core.add_into`.  Every factor is built by `tm_one_plus`
+(1 + X/den: the Yang and twisted R-matrices, the twist correction) or by
+`_slot_factor` (a generator matrix in one tensor slot: `tm_F`, `tm_E`).
+Polynomials in one variable are read out as dense coefficient lists for
+the `core.dense_*` functions, with scalar or U(gl_N) coefficients alike.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from fractions import Fraction
 
 from .core import (
     ConsistencyError,
     DimensionError,
+    SymPoly,
     add_into,
     dense_add,
     dense_div_linear,
@@ -36,10 +39,11 @@ from .core import (
     dense_trim,
     perm_sign,
     scal,
+    to_dense,
 )
 from .symfun import Partition
 from .uea import CentralSeries, LieContext, UEAElement, _normal_form, uea_first_difference
-from .weyl import sgn
+from .weyl import index_set, sgn
 
 
 # -- plain scalar sparse matrices (dict[(r, c)] -> Fraction) -----------------
@@ -90,10 +94,7 @@ class TensorSpace:
         self.N = N
         self.m = m
         self.size = N ** m
-        from .weyl import index_set
-
         self.indices = index_set(N)
-        self._pos = {i: p for p, i in enumerate(self.indices)}
         self.tuples = list(itertools.product(self.indices, repeat=m))
         self.code = {t: r for r, t in enumerate(self.tuples)}
         cls._cache[key] = self
@@ -163,43 +164,6 @@ def smat_id_tensor(left_size, b, right_size):
     return out
 
 
-# -- scalar polynomials over several central variables ------------------------
-#
-# A scalar polynomial maps an exponent vector to a nonzero scalar.
-
-
-def sp_const(vars, c):
-    c = scal(c)
-    return {(0,) * len(vars): c} if c else {}
-
-
-def lin(vars, const=0, **coeffs):
-    """Affine scalar polynomial const + sum coeffs[v] * v."""
-    out = sp_const(vars, const)
-    for v, c in coeffs.items():
-        c = scal(c)
-        if c:
-            ev = [0] * len(vars)
-            ev[vars.index(v)] = 1
-            out[tuple(ev)] = c
-    return out
-
-
-def sp_mul(a, b):
-    out = {}
-    for e2, c2 in b.items():
-        add_into(out, {tuple(x + y for x, y in zip(e1, e2)): c1 for e1, c1 in a.items()}, c2)
-    return out
-
-
-def sp_to_dense(p):
-    """A scalar polynomial in one variable as a dense coefficient list."""
-    out = [Fraction(0)] * (max((ev[0] for ev in p), default=-1) + 1)
-    for (d,), c in p.items():
-        out[d] = c
-    return out
-
-
 # -- entries: polynomials with enveloping-algebra coefficients -----------------
 #
 # An entry maps (exponent vector, PBW word) to a nonzero scalar.
@@ -221,16 +185,16 @@ def ent_mul(ctx, a, b):
     return out
 
 
-def ent_scalar_poly_mul(e, p):
+def ent_scalar_poly_mul(e, p: SymPoly):
     out = {}
-    for pe, pc in p.items():
+    for pe, pc in p.terms.items():
         add_into(out, {(tuple(x + y for x, y in zip(ev, pe)), w): c
                        for (ev, w), c in e.items()}, pc)
     return out
 
 
-def ent_from_scalar_poly(p):
-    return {(ev, ()): c for ev, c in p.items()}
+def ent_from_scalar_poly(p: SymPoly):
+    return {(ev, ()): c for ev, c in p.terms.items()}
 
 
 def ent_to_ucoeffs(ctx, e):
@@ -247,7 +211,7 @@ def ent_to_ucoeffs(ctx, e):
 
 class TMat:
     """Sparse N^m x N^m matrix of UEA-coefficient polynomials over a
-    common scalar denominator polynomial."""
+    common scalar denominator polynomial (a `SymPoly`, 1 by default)."""
 
     __slots__ = ("ctx", "space", "vars", "rows", "den")
 
@@ -256,20 +220,15 @@ class TMat:
         self.space = space
         self.vars = tuple(vars)
         self.rows = rows
-        self.den = den if den is not None else sp_const(self.vars, 1)
+        self.den = den if den is not None else SymPoly.const(self.vars, 1)
 
     @classmethod
-    def identity(cls, ctx, space, vars):
-        rows = {r: {r: ent_from_scalar_poly(sp_const(vars, 1))}
-                for r in range(space.size)}
-        return cls(ctx, space, vars, rows)
-
-    @classmethod
-    def from_scalar(cls, ctx, space, vars, smat, den=None):
+    def from_scalar(cls, ctx, space, vars, smat):
+        zero = (0,) * len(vars)
         rows = {}
         for (r, c), v in smat.items():
-            rows.setdefault(r, {})[c] = ent_from_scalar_poly(sp_const(vars, v))
-        return cls(ctx, space, vars, rows, den)
+            rows.setdefault(r, {})[c] = {(zero, ()): v}
+        return cls(ctx, space, vars, rows)
 
     def __mul__(self, other):
         if not isinstance(other, TMat):
@@ -292,16 +251,10 @@ class TMat:
             acc = {q: e for q, e in acc.items() if e}
             if acc:
                 rows[r] = acc
-        return TMat(self.ctx, self.space, self.vars, rows,
-                    sp_mul(self.den, other.den))
+        return TMat(self.ctx, self.space, self.vars, rows, self.den * other.den)
 
     def entry(self, r, c):
         return self.rows.get(r, {}).get(c, {})
-
-    def scale_scalar_poly(self, p):
-        rows = {r: {c: ent_scalar_poly_mul(e, p) for c, e in row.items()}
-                for r, row in self.rows.items()}
-        return TMat(self.ctx, self.space, self.vars, rows, self.den)
 
     def trace_id(self):
         """Partial trace over the tensor factors; returns (entry, den)."""
@@ -330,55 +283,51 @@ def cross_equal(a: TMat, b: TMat):
 # -- factor constructors -------------------------------------------------------
 
 
+def tm_one_plus(ctx, space, vars, smat, den: SymPoly) -> TMat:
+    """The factor 1 + smat/den for a scalar matrix `smat`, over the
+    denominator `den`: den on the diagonal plus smat."""
+    zero = (0,) * len(vars)
+    rows = {r: {r: ent_from_scalar_poly(den)} for r in range(space.size)}
+    for (r, c), v in smat.items():
+        if not add_into(rows[r].setdefault(c, {}), {(zero, ()): v}):
+            del rows[r][c]
+    return TMat(ctx, space, vars, rows, den)
+
+
 def tm_R(ctx, space, vars, p, q, arg_u, arg_v):
-    """Yang R-matrix 1 - P_pq/(arg_u - arg_v) as a one-denominator matrix."""
-    diff = add_into(dict(arg_u), arg_v, -1)
-    num = smat_scale_to_tm(ctx, space, vars, exchange_P(space, p, q), Fraction(-1))
-    ident = TMat.identity(ctx, space, vars).scale_scalar_poly(diff)
-    return tm_add_num(ident, num, diff)
+    """Yang R-matrix 1 - P_pq/(arg_u - arg_v)."""
+    return tm_one_plus(ctx, space, vars, smat_scale(exchange_P(space, p, q), -1),
+                       arg_u - arg_v)
 
 
 def tm_Rt(ctx, space, vars, p, q, arg_u, arg_v):
     """Twisted counterpart 1 + Q_pq/(arg_u + arg_v)."""
-    ssum = add_into(dict(arg_u), arg_v)
-    num = smat_scale_to_tm(ctx, space, vars, twist_Q(space, p, q, ctx.family), Fraction(1))
-    ident = TMat.identity(ctx, space, vars).scale_scalar_poly(ssum)
-    return tm_add_num(ident, num, ssum)
+    return tm_one_plus(ctx, space, vars, twist_Q(space, p, q, ctx.family), arg_u + arg_v)
 
 
-def smat_scale_to_tm(ctx, space, vars, smat, c):
+def tm_q_correction(ctx, space, vars, q, denom):
+    """Factor 1 + (Q_{1q} + ... + Q_{q-1,q}) / denom."""
+    total = {}
+    for p in range(1, q):
+        add_into(total, twist_Q(space, p, q, ctx.family))
+    return tm_one_plus(ctx, space, vars, total, denom)
+
+
+def _slot_factor(ctx, space, vars, q, cell, shift: SymPoly) -> TMat:
+    """The factor -shift + sum_ij e_ij (x) cell(i, j) with e_ij acting in
+    tensor slot q: the matrix cell whose slot-q row and column indices
+    are (i, j) carries the element cell(i, j), minus `shift` on the
+    diagonal."""
+    zero = (0,) * len(vars)
     rows = {}
-    for (r, col), v in smat.items():
-        rows.setdefault(r, {})[col] = ent_from_scalar_poly(sp_const(vars, v * c))
-    return TMat(ctx, space, vars, rows)
-
-
-def tm_add_num(a: TMat, b: TMat, den):
-    """Sum of two matrices sharing an implicit common denominator `den`."""
-    rows = {}
-    cells = {(r, c) for r, row in a.rows.items() for c in row}
-    cells |= {(r, c) for r, row in b.rows.items() for c in row}
-    for r, c in cells:
-        e = add_into(dict(a.entry(r, c)), b.entry(r, c))
-        if e:
-            rows.setdefault(r, {})[c] = e
-    return TMat(a.ctx, a.space, a.vars, rows, den)
-
-
-def tm_F(ctx, space, vars, q, arg):
-    """Factor F_q(arg) = F - arg - eta placed in tensor slot q."""
-    rows = {}
-    eta = ctx.eta
     for r, t in enumerate(space.tuples):
         row = {}
+        i = t[q - 1]
         for j in space.indices:
             s = list(t)
             s[q - 1] = j
-            # the (row, col) = (i, j) cell of sum E_ij (x) F_ji carries F_ji
-            elem = UEAElement.F(ctx, j, t[q - 1])
-            entry = {((0,) * len(vars), w): cf for w, cf in elem.terms.items()}
-            if j == t[q - 1]:
-                shift = add_into(lin(vars, const=eta), arg)
+            entry = {(zero, w): c for w, c in cell(i, j).terms.items()}
+            if j == i:
                 add_into(entry, ent_from_scalar_poly(shift), -1)
             if entry:
                 row[space.code[tuple(s)]] = entry
@@ -387,70 +336,42 @@ def tm_F(ctx, space, vars, q, arg):
     return TMat(ctx, space, vars, rows)
 
 
-def tm_E(ctx, space, vars, q, arg, twisted=False):
-    """Factor E_q(arg) = -arg + sum E_ij (x) E_ji, or its form-transposed
-    version with E_ij (x) eps_ij E_{-i,-j}, in slot q over U(gl_N)."""
-    rows = {}
-    for r, t in enumerate(space.tuples):
-        row = {}
-        i_row = t[q - 1]
-        for j in space.indices:
-            s = list(t)
-            s[q - 1] = j
-            col = space.code[tuple(s)]
-            # note: building by rows, so the slot operator E_{i_row, j}
-            if twisted:
-                eps = sgn(i_row) * sgn(j) if ctx.family == "sp" else 1
-                elem = UEAElement.E(ctx, -i_row, -j) * eps
-            else:
-                elem = UEAElement.E(ctx, j, i_row)
-            entry = {((0,) * len(vars), w): cf for w, cf in elem.terms.items()}
-            if j == i_row:
-                add_into(entry, ent_from_scalar_poly(arg), -1)
-            if entry:
-                row[col] = entry
-        if row:
-            rows[r] = row
-    return TMat(ctx, space, vars, rows)
+def tm_F(ctx, space, vars, q, arg):
+    """Factor F_q(arg) = F - arg - eta in tensor slot q: the (i, j) cell
+    of sum E_ij (x) F_ji carries F_ji."""
+    return _slot_factor(ctx, space, vars, q, lambda i, j: UEAElement.F(ctx, j, i),
+                        arg + ctx.eta)
 
 
-def tm_q_correction(ctx, space, vars, q, denom):
-    """Factor 1 + (Q_{1q} + ... + Q_{q-1,q}) / denom."""
-    total = {}
-    for p in range(1, q):
-        add_into(total, twist_Q(space, p, q, ctx.family))
-    num = smat_scale_to_tm(ctx, space, vars, total, Fraction(1))
-    ident = TMat.identity(ctx, space, vars).scale_scalar_poly(denom)
-    return tm_add_num(ident, num, denom)
+def tm_E(ctx, space, vars, q, arg, eps_family=None):
+    """Factor E_q(arg) = -arg + sum E_ij (x) E_ji in slot q over U(gl_N).
+    With `eps_family` ("so" or "sp") the form-transposed factor, whose
+    (i, j) cell carries eps_ij E_{-i,-j} with the sign table of that
+    family."""
+    if eps_family is None:
+        def cell(i, j):
+            return UEAElement.E(ctx, j, i)
+    else:
+        eps_ij = LieContext(eps_family, ctx.N).eps_ij
 
-
-def build_basic(ctx: LieContext, m: int, max_cells=None):
-    """The standard cast for m tensor factors over the given algebra."""
-    guard_cells(ctx.N, m, max_cells)
-    space = TensorSpace(ctx.N, m)
-    vars = ("u", "v")
-    out = {
-        "space": space,
-        "A": symmetrizer(space, signed=True),
-        "B": symmetrizer(space, signed=False),
-        "P": {(p, q): exchange_P(space, p, q)
-              for p in range(1, m + 1) for q in range(p + 1, m + 1)},
-        "Q": {(p, q): twist_Q(space, p, q, ctx.family)
-              for p in range(1, m + 1) for q in range(p + 1, m + 1)},
-    }
-    if m >= 2:
-        out["R"] = tm_R(ctx, space, vars, 1, 2, lin(vars, u=1), lin(vars, v=1))
-        out["Rt"] = tm_Rt(ctx, space, vars, 1, 2, lin(vars, u=1), lin(vars, v=1))
-        out["F1"] = tm_F(ctx, space, vars, 1, lin(vars, u=1))
-        out["F2"] = tm_F(ctx, space, vars, 2, lin(vars, v=1))
-    return out
+        def cell(i, j):
+            return UEAElement.E(ctx, -i, -j) * eps_ij(i, j)
+    return _slot_factor(ctx, space, vars, q, cell, arg)
 
 
 def guard_cells(N, m, max_cells=None):
-    import os
-
+    """Raise `DimensionError` if the tensor space N^m has more cells than
+    `max_cells`, by default the environment variable VERIFY_MAX_CELLS
+    (256 when unset), which must be a positive integer."""
     if max_cells is None:
-        max_cells = int(os.environ.get("VERIFY_MAX_CELLS", "256"))
+        raw = os.environ.get("VERIFY_MAX_CELLS", "256")
+        try:
+            max_cells = int(raw)
+        except ValueError:
+            max_cells = 0
+        if max_cells < 1:
+            raise DimensionError(
+                f"VERIFY_MAX_CELLS must be a positive integer, got {raw!r}")
     if N ** m > max_cells:
         raise DimensionError(
             f"tensor space {N}^{m} exceeds the {max_cells}-cell guard")
@@ -471,15 +392,28 @@ def classical_point(ctx: LieContext, shape: str, m: int) -> Fraction:
 def phi_normalizer(ctx: LieContext, shape: str, m: int):
     """Normalizing rational factor (numerator, denominator) in u making
     the fused matrix regular at the classical point."""
-    vars = ("u",)
-    one = sp_const(vars, 1)
+    u = SymPoly.variable(("u",), "u")
     if shape == "column" and ctx.family == "so":
-        return (lin(vars, const=Fraction(1 - m, 2), u=1),
-                lin(vars, const=Fraction(1, 2), u=1))
+        return u + Fraction(1 - m, 2), u + Fraction(1, 2)
     if shape == "row" and ctx.family == "sp":
-        return (lin(vars, const=Fraction(m - 1, 2), u=1),
-                lin(vars, const=Fraction(-1, 2), u=1))
+        return u + Fraction(m - 1, 2), u - Fraction(1, 2)
+    one = SymPoly.const(("u",), 1)
     return one, one
+
+
+def _spectral_args(signed):
+    """The argument rule of a chain over the variable u: slot q gets
+    u - (q-1) in an antisymmetrized (signed) chain and u + (q-1) in a
+    symmetrized one."""
+    u = SymPoly.variable(("u",), "u")
+    step = -1 if signed else 1
+    return lambda q: u + step * (q - 1)
+
+
+def _rt_chain(ctx, space, vars, q, arg):
+    """The twisted factors Rt_pq(arg(p), arg(q)) for p = 1 .. q-1, in
+    product order."""
+    return [tm_Rt(ctx, space, vars, p, q, arg(p), arg(q)) for p in range(1, q)]
 
 
 def fused_F(ctx: LieContext, m: int, shape: str, check_alternative=None,
@@ -496,29 +430,21 @@ def fused_F(ctx: LieContext, m: int, shape: str, check_alternative=None,
     space = TensorSpace(ctx.N, m)
     vars = ("u",)
     signed = shape == "column"
+    arg = _spectral_args(signed)
     proj = TMat.from_scalar(ctx, space, vars, symmetrizer(space, signed))
     mat = proj
     for q in range(1, m + 1):
-        arg = lin(vars, const=(1 - q) if signed else (q - 1), u=1)
         if q > 1:
-            denom = lin(vars, const=(1 - q) if signed else (q - 1), u=2)
-            mat = mat * tm_q_correction(ctx, space, vars, q, denom)
-        mat = mat * tm_F(ctx, space, vars, q, arg)
+            mat = mat * tm_q_correction(ctx, space, vars, q, arg(1) + arg(q))
+        mat = mat * tm_F(ctx, space, vars, q, arg(q))
     if check_alternative is None:
         check_alternative = space.size <= 32
     if check_alternative:
         alt = proj
         for q in range(1, m + 1):
-            for p in range(1, q):
-                if signed:
-                    au = lin(vars, const=1 - p, u=1)
-                    av = lin(vars, const=1 - q, u=1)
-                else:
-                    au = lin(vars, const=p - 1, u=1)
-                    av = lin(vars, const=q - 1, u=1)
-                alt = alt * tm_Rt(ctx, space, vars, p, q, au, av)
-            alt = alt * tm_F(ctx, space, vars, q,
-                             lin(vars, const=(1 - q) if signed else (q - 1), u=1))
+            for factor in _rt_chain(ctx, space, vars, q, arg):
+                alt = alt * factor
+            alt = alt * tm_F(ctx, space, vars, q, arg(q))
         witness = cross_equal(mat, alt)
         if witness is not None:
             raise ConsistencyError(f"fused product forms disagree: {witness}")
@@ -544,9 +470,8 @@ def fusion_capelli(ctx: LieContext, k: int, shape: str, max_cells=None) -> UEAEl
     tr, den = mat.trace_id()
     phi_num, phi_den = phi_normalizer(ctx, shape, m)
     num = ent_scalar_poly_mul(tr, phi_num)
-    den = sp_mul(den, phi_den)
     u0 = classical_point(ctx, shape, m)
-    return _cancel_and_eval(ctx, ent_to_ucoeffs(ctx, num), sp_to_dense(den), u0)
+    return _cancel_and_eval(ctx, ent_to_ucoeffs(ctx, num), to_dense(den * phi_den), u0)
 
 
 # -- quantum determinants --------------------------------------------------------
@@ -569,26 +494,20 @@ def _extract_proportional(space, mat: TMat, proj):
 def quantum_det_gl(N: int, eps_family="so"):
     """The central polynomial H(u) carried by the antisymmetrized product
     of E factors; the reversed twisted form is asserted to carry the same
-    polynomial.  Returns a dense coefficient list over U(gl_N)."""
+    polynomial; `eps_family` names the sign table of the transposition.
+    Returns a dense coefficient list over U(gl_N)."""
     ctx = LieContext("gl", N)
-    ctx_eps = LieContext(eps_family, N) if eps_family != "gl" else ctx
     space = TensorSpace(N, N)
     vars = ("u",)
+    arg = _spectral_args(True)
     proj = symmetrizer(space, signed=True)
     mat = TMat.from_scalar(ctx, space, vars, proj)
+    twisted = mat
     for q in range(1, N + 1):
-        mat = mat * tm_E(ctx, space, vars, q, lin(vars, const=1 - q, u=1))
-    h_entry = _extract_proportional(space, mat, proj)
-    h = ent_to_ucoeffs(ctx, h_entry)
-
-    twisted = TMat.from_scalar(ctx, space, vars, proj)
-    twisted.ctx = ctx_eps  # only the sign table eps_ij is read
-    for q in range(1, N + 1):
-        f = tm_E(ctx_eps, space, vars, q, lin(vars, const=q - N, u=1), twisted=True)
-        twisted = twisted * f
-    twisted_entry = _extract_proportional(space, twisted, proj)
-    # re-read the twisted product over the plain gl context
-    h2 = [UEAElement(ctx, c.terms) for c in ent_to_ucoeffs(ctx_eps, twisted_entry)]
+        mat = mat * tm_E(ctx, space, vars, q, arg(q))
+        twisted = twisted * tm_E(ctx, space, vars, q, arg(N + 1 - q), eps_family)
+    h = ent_to_ucoeffs(ctx, _extract_proportional(space, mat, proj))
+    h2 = ent_to_ucoeffs(ctx, _extract_proportional(space, twisted, proj))
     if h != h2:
         raise ConsistencyError("twisted and plain determinant forms disagree")
     return h
@@ -611,7 +530,7 @@ def sklyanin_det(ctx: LieContext, max_cells=None):
     proj = symmetrizer(space, signed=True)
     entry = _extract_proportional(space, mat, proj)
     num = ent_to_ucoeffs(ctx, entry)
-    den = sp_to_dense(mat.den)
+    den = to_dense(mat.den)
     if ctx.family == "sp":
         # divide by eps(u) = (2u+1)/(2u-N+1)
         num = dense_mul(num, [Fraction(1 - N, 2), Fraction(1)])
@@ -790,8 +709,7 @@ def check_exchange_relation(ctx: LieContext):
     the generator matrix, conjugated by the Yang and twisted factors."""
     space = TensorSpace(ctx.N, 2)
     vars = ("u", "v")
-    u = lin(vars, u=1)
-    v = lin(vars, v=1)
+    u, v = SymPoly.gens(vars)
     R = tm_R(ctx, space, vars, 1, 2, u, v)
     Rt = tm_Rt(ctx, space, vars, 1, 2, u, v)
     F1 = tm_F(ctx, space, vars, 1, u)
@@ -806,7 +724,7 @@ def check_rrr_relation(ctx: LieContext):
     R_23 in three spectral variables (scalar matrices)."""
     space = TensorSpace(ctx.N, 3)
     vars = ("u", "v", "w")
-    u, v, w = (lin(vars, **{x: 1}) for x in vars)
+    u, v, w = SymPoly.gens(vars)
     R12 = tm_R(ctx, space, vars, 1, 2, u, v)
     Rt13 = tm_Rt(ctx, space, vars, 1, 3, u, w)
     Rt23 = tm_Rt(ctx, space, vars, 2, 3, v, w)
@@ -821,10 +739,9 @@ def check_boundary_regularity(ctx: LieContext):
     collapses to (1 +- P_12)(1 + (Q_13+Q_23)/(u+w))."""
     space = TensorSpace(ctx.N, 3)
     vars = ("u", "w")
-    u = lin(vars, u=1)
-    w = lin(vars, w=1)
+    u, w = SymPoly.gens(vars)
     for pm in (1, -1):
-        v = lin(vars, const=pm, u=1)
+        v = u + pm
         R12 = tm_R(ctx, space, vars, 1, 2, u, v)
         Rt13 = tm_Rt(ctx, space, vars, 1, 3, u, w)
         Rt23 = tm_Rt(ctx, space, vars, 2, 3, v, w)
@@ -838,11 +755,8 @@ def check_boundary_regularity(ctx: LieContext):
         # collapsed form
         psum = add_into(smat_identity(space.size), exchange_P(space, 1, 2), pm)
         qsum = add_into(twist_Q(space, 1, 3, ctx.family), twist_Q(space, 2, 3, ctx.family))
-        upw = add_into(dict(u), w)
-        collapsed = tm_add_num(
-            smat_scale_to_tm(ctx, space, vars, psum, Fraction(1)).scale_scalar_poly(upw),
-            smat_scale_to_tm(ctx, space, vars, smat_mul(psum, qsum), Fraction(1)),
-            upw)
+        collapsed = (TMat.from_scalar(ctx, space, vars, psum)
+                     * tm_one_plus(ctx, space, vars, qsum, u + w))
         witness = cross_equal(prod, collapsed)
         if witness is not None:
             return f"collapsed form mismatch (v=u{pm:+d}): {witness}"
@@ -854,22 +768,15 @@ def check_projected_products(ctx: LieContext, m: int):
     first m-1 slots collapses to a single twist correction."""
     space = TensorSpace(ctx.N, m)
     vars = ("u",)
-    u1 = lin(vars, u=1)
     for signed in (True, False):
+        arg = _spectral_args(signed)
         sub = TensorSpace(ctx.N, m - 1)
         proj = smat_tensor_id(symmetrizer(sub, signed), ctx.N)
         projm = TMat.from_scalar(ctx, space, vars, proj)
         lhs = projm
-        for p in range(1, m):
-            if signed:
-                au = lin(vars, const=1 - p, u=1)
-                av = lin(vars, const=1 - m, u=1)
-            else:
-                au = lin(vars, const=p - 1, u=1)
-                av = lin(vars, const=m - 1, u=1)
-            lhs = lhs * tm_Rt(ctx, space, vars, p, m, au, av)
-        denom = lin(vars, const=(1 - m) if signed else (m - 1), u=2)
-        rhs = projm * tm_q_correction(ctx, space, vars, m, denom)
+        for factor in _rt_chain(ctx, space, vars, m, arg):
+            lhs = lhs * factor
+        rhs = projm * tm_q_correction(ctx, space, vars, m, arg(1) + arg(m))
         witness = cross_equal(lhs, rhs)
         if witness is not None:
             return f"{'anti' if signed else ''}symmetrized collapse failed: {witness}"
@@ -893,20 +800,16 @@ def check_symmetrizer_decompositions(N: int, m: int):
         return add_into(smat_identity(space.size), exchange_P(space, p, q),
                         Fraction(-1, a - b))
 
-    # both loops must ascend: descending the inner loop composes the
-    # transposed chain and misses the projector for m >= 3
-    prod = smat_identity(space.size)
-    for p in range(1, m):
-        for q in range(p + 1, m + 1):
-            prod = smat_mul(prod, numeric_R(p, q, 1 - p, 1 - q))
-    if not smat_eq(smat_scale(prod, Fraction(1, math.factorial(m))), A):
-        return "signed product decomposition failed"
-    prod = smat_identity(space.size)
-    for p in range(1, m):
-        for q in range(p + 1, m + 1):
-            prod = smat_mul(prod, numeric_R(p, q, p - 1, q - 1))
-    if not smat_eq(smat_scale(prod, Fraction(1, math.factorial(m))), B):
-        return "unsigned product decomposition failed"
+    for signed, proj in ((True, A), (False, B)):
+        step = -1 if signed else 1
+        # both loops must ascend: descending the inner loop composes the
+        # transposed chain and misses the projector for m >= 3
+        prod = smat_identity(space.size)
+        for p in range(1, m):
+            for q in range(p + 1, m + 1):
+                prod = smat_mul(prod, numeric_R(p, q, step * (p - 1), step * (q - 1)))
+        if not smat_eq(smat_scale(prod, Fraction(1, math.factorial(m))), proj):
+            return f"{'' if signed else 'un'}signed product decomposition failed"
     return None
 
 
@@ -916,16 +819,13 @@ def check_gl_exchange_relations(N: int, eps_family: str):
     ctx = LieContext(eps_family, N)
     space = TensorSpace(N, 2)
     vars = ("u", "v")
-    u = lin(vars, u=1)
-    v = lin(vars, v=1)
-    mu = lin(vars, u=-1)
-    mv = lin(vars, v=-1)
+    u, v = SymPoly.gens(vars)
     R = tm_R(ctx, space, vars, 1, 2, u, v)
     Rt = tm_Rt(ctx, space, vars, 1, 2, u, v)
     E1u = tm_E(ctx, space, vars, 1, u)
     E2v = tm_E(ctx, space, vars, 2, v)
-    Et1 = tm_E(ctx, space, vars, 1, mu, twisted=True)
-    Et2 = tm_E(ctx, space, vars, 2, mv, twisted=True)
+    Et1 = tm_E(ctx, space, vars, 1, -u, eps_family)
+    Et2 = tm_E(ctx, space, vars, 2, -v, eps_family)
     w = cross_equal(R * E1u * E2v, E2v * E1u * R)
     if w is not None:
         return f"plain exchange: {w}"
@@ -1059,13 +959,11 @@ def check_trace_invariance(ctx: LieContext, m: int, shape: str):
     """The partial trace of the fused matrix has invariant coefficients:
     it commutes with every subalgebra generator, coefficient by
     coefficient in u."""
-    from .uea import UEAElement as _U
-
     mat = fused_F(ctx, m, shape)
     tr, _den = mat.trace_id()
     coeffs = ent_to_ucoeffs(ctx, tr)
     for c in coeffs:
         for pair in ctx.f_pairs():
-            if not c.bracket(_U.F(ctx, *pair)).is_zero():
+            if not c.bracket(UEAElement.F(ctx, *pair)).is_zero():
                 return f"coefficient fails to commute with F[{pair[0]},{pair[1]}]"
     return None

@@ -99,9 +99,22 @@ def test_out_file_written(tmp_path):
     assert doc["suites"][0]["checks"][0]["status"] == "pass"
 
 
-def test_max_cells_guard(monkeypatch):
+def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "report.json"
+    assert main(["verify", "cor-4.6", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out}: No such file or directory" in err
+    assert "Traceback" not in err
+
+
+def test_max_cells_guard(monkeypatch, capsys):
     monkeypatch.setenv("VERIFY_MAX_CELLS", "4")
     assert main(["verify", "capelli-gl", "--N", "3", "--m", "3"]) == 2
+    for raw in ("abc", "0", "-3", ""):
+        monkeypatch.setenv("VERIFY_MAX_CELLS", raw)
+        assert main(["verify", "thm-3.2", "--N", "2", "--k", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: VERIFY_MAX_CELLS must be a positive integer, got {raw!r}" in err
 
 
 def test_run_suite_rejects_unknown():

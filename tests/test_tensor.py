@@ -3,12 +3,19 @@ from fractions import Fraction
 import pytest
 
 from capelli import tensor
-from capelli.core import ConsistencyError, dense_div_linear, dense_mul, dense_trim
+from capelli.core import (
+    ConsistencyError,
+    DimensionError,
+    SymPoly,
+    dense_div_linear,
+    dense_mul,
+    dense_trim,
+    to_dense,
+)
 from capelli.uea import LieContext, UEAElement, c_k_pfaffian, central_series, d_k_hafnian, is_central
 from capelli.tensor import (
     TMat,
     TensorSpace,
-    build_basic,
     check_trace_invariance,
     classical_point,
     cross_equal,
@@ -18,7 +25,6 @@ from capelli.tensor import (
     fusion_capelli,
     generating_functions,
     guard_cells,
-    lin,
     quantum_det_gl,
     sklyanin_det,
     smat_eq,
@@ -27,11 +33,15 @@ from capelli.tensor import (
     smat_scale,
     symmetrizer,
     theorem_62_check,
+    tm_E,
     tm_F,
+    tm_one_plus,
+    tm_R,
     twist_Q,
     verify_relations,
     verify_vanishing,
 )
+from capelli.weyl import sgn
 
 SO2 = LieContext("so", 2)
 SO3 = LieContext("so", 3)
@@ -77,12 +87,35 @@ def test_projector_invariants():
             assert sum(c for (r, q), c in B.items() if r == q) == math.comb(N + m - 1, m)
 
 
-def test_build_basic_and_guard():
-    out = build_basic(SO2, 2)
-    assert smat_eq(smat_mul(out["P"][(1, 2)], out["P"][(1, 2)]),
-                   smat_identity(out["space"].size))
-    from capelli.core import DimensionError
+@pytest.mark.parametrize("ctx", [SO2, SO3, SP2])
+def test_R_matrix_unitarity(ctx):
+    # (1 - P/(u-v))(1 + P/(u-v)) = 1 - 1/(u-v)^2 since P^2 = 1
+    space = TensorSpace(ctx.N, 2)
+    vars = ("u", "v")
+    u, v = SymPoly.gens(vars)
+    lhs = tm_R(ctx, space, vars, 1, 2, u, v) * tm_R(ctx, space, vars, 1, 2, v, u)
+    minus_one = smat_scale(smat_identity(space.size), -1)
+    assert cross_equal(lhs, tm_one_plus(ctx, space, vars, minus_one, (u - v) ** 2)) is None
 
+
+@pytest.mark.parametrize("family,N", [("sp", 2), ("sp", 4), ("so", 2), ("so", 3)])
+def test_transposed_E_factor_sign_table(family, N):
+    # the (i, j) cell of the transposed factor carries eps_ij E_{-i,-j},
+    # eps_ij = sgn(i) sgn(j) for sp and 1 for so, and -u on the diagonal
+    ctx = LieContext("gl", N)
+    space = TensorSpace(N, 1)
+    vars = ("u",)
+    mat = tm_E(ctx, space, vars, 1, SymPoly.variable(vars, "u"), eps_family=family)
+    for i in space.indices:
+        for j in space.indices:
+            eps = sgn(i) * sgn(j) if family == "sp" else 1
+            expected = {((0,), w): c * eps for w, c in UEAElement.E(ctx, -i, -j).terms.items()}
+            if i == j:
+                expected[((1,), ())] = Fraction(-1)
+            assert mat.entry(space.code[(i,)], space.code[(j,)]) == expected
+
+
+def test_guard_cells():
     with pytest.raises(DimensionError):
         guard_cells(4, 5, max_cells=256)
 
@@ -90,7 +123,7 @@ def test_build_basic_and_guard():
 def test_fused_single_factor_is_generator_matrix():
     mat = fused_F(SO3, 1, "column")
     space = TensorSpace(3, 1)
-    direct = tm_F(SO3, space, ("u",), 1, lin(("u",), u=1))
+    direct = tm_F(SO3, space, ("u",), 1, SymPoly.variable(("u",), "u"))
     assert cross_equal(mat, direct) is None
 
 
@@ -202,12 +235,8 @@ def test_normalized_fused_matrix_is_entrywise_regular():
     mat = fused_F(ctx, 2, "column")
     u0 = classical_point(ctx, "column", 2)
     phi_num, phi_den = phi_normalizer(ctx, "column", 2)
-    den = [Fraction(0)] * 3
-    for ev, c in mat.den.items():
-        den[ev[0]] = c
-    phid = [Fraction(0), Fraction(0)]
-    for ev, c in phi_den.items():
-        phid[ev[0]] = c
+    den = to_dense(mat.den)
+    phid = to_dense(phi_den)
     full_den = dense_trim(dense_mul(dense_trim(den), dense_trim(phid)))
     for r, row in mat.rows.items():
         for cidx, e in row.items():
