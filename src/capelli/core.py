@@ -15,6 +15,7 @@ the `dense_*` functions on coefficient lists in one variable.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -67,6 +68,15 @@ def add_into(out, terms, c=1):
                 out[k] = s
             else:
                 out.pop(k, None)
+    return out
+
+
+def multiplicity_factorial(seq):
+    """Product of the factorials of the run lengths of a sorted sequence:
+    the order of its stabilizer under permutations of the positions."""
+    out = 1
+    for _, grp in itertools.groupby(seq):
+        out *= math.factorial(sum(1 for _ in grp))
     return out
 
 

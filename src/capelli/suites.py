@@ -9,8 +9,11 @@ groundwork, and the generating-series inversion.
 
 Suites are data: a registry mapping the suite name to a description, its
 parameter domains and a callable; adding a statement means adding an
-entry.  `run_suite` resolves the given N/m/k/K against the declared
-domains before the callable runs, so no suite reads raw parameters.
+entry.  The callable is a generator of `(check id, witness)` pairs, where
+the witness is None on a pass.  `run_suite` resolves the given N/m/k/K
+against the declared domains before the body runs, so no suite reads raw
+parameters, and it is the one place that reads the clock and builds the
+`CheckResult`s.
 """
 
 from __future__ import annotations
@@ -21,7 +24,15 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import SymPoly, add_into, dense_add, dense_mul, dense_prod, dense_trim
+from .core import (
+    SymPoly,
+    add_into,
+    dense_add,
+    dense_mul,
+    dense_prod,
+    dense_trim,
+    multiplicity_factorial,
+)
 from .symfun import (
     Partition,
     ShiftSequence,
@@ -88,15 +99,6 @@ class UsageError(ValueError):
     """Out-of-range or unknown parameters; maps to exit code 2."""
 
 
-def _push(results, cid, witness, t0):
-    results.append(CheckResult(
-        id=cid,
-        status="pass" if witness is None else "fail",
-        witness=witness,
-        ms=(time.monotonic() - t0) * 1000.0,
-    ))
-
-
 def _weyl_witness(lhs, rhs):
     if lhs == rhs:
         return None
@@ -109,6 +111,43 @@ def _uea_witness(lhs, rhs):
     return uea_first_difference(lhs, rhs)
 
 
+def _hc_witness(element, k, ctx, target):
+    """None when the Harish-Chandra image of `element` is `target`."""
+    hc = hc_polynomial(element, k, ctx, in_l_squared=True)
+    return None if hc == SymPoly(hc.vars, target.terms) else f"harish-chandra image is {hc!r}"
+
+
+def _image_witness(ctx, m, k, choose, expr, block):
+    """The first I among choose(indices, 2k) at which expr(I) acts on the
+    m-fold grid differently from the sum over A in choose(1..m, k) of
+    block(A, I) / multiplicity_factorial(A), or None."""
+    for I in choose(ctx.indices, 2 * k):
+        lhs = expr(I).evaluate(gamma_ring(ctx, m))
+        rhs = WeylOperator.zero(WeylContext(m, ctx.N))
+        for A in choose(range(1, m + 1), k):
+            add_into(rhs.terms, block(A, I, m, ctx.N).terms,
+                     Fraction(1, multiplicity_factorial(A)))
+        witness = _weyl_witness(lhs, rhs)
+        if witness is not None:
+            return f"I={I}: {witness}"
+    return None
+
+
+def _transfer_witness(kind, k, m, N, series_inner, series_dual):
+    """The dual-pair transfer at order k: the dual action of the k-th dual
+    element against the combination of the inner elements' images."""
+    wctx = WeylContext(m, N)
+    lhs = series_dual[k].gamma_prime(m, N)
+    rhs = WeylOperator.zero(wctx)
+    for l in range(0, k + 1):
+        f = dual_pair_coeffs(kind, k, l, m, N)
+        if f == 0:
+            continue
+        cl = series_inner[l].gamma(m) if l else WeylOperator.scalar(wctx, 1)
+        add_into(rhs.terms, cl.terms, f)
+    return _weyl_witness(lhs, rhs)
+
+
 def _families(N):
     return ("so", "sp") if N % 2 == 0 else ("so",)
 
@@ -118,19 +157,13 @@ def _families(N):
 
 def _capelli_suite(element, cayley, prefix):
     def run(p, rng):
-        results = []
         for N in p["N"]:
             for m in p["m"]:
                 guard_cells(N, m)
                 for k in p["k"]:
-                    if k > min(m, N):
-                        continue
-                    t0 = time.monotonic()
-                    lhs = gamma(element(k, N), m)
-                    rhs = cayley(k, m, N)
-                    _push(results, f"{prefix}-capelli[N={N},m={m},k={k}]",
-                          _weyl_witness(lhs, rhs), t0)
-        return results
+                    if k <= min(m, N):
+                        yield (f"{prefix}-capelli[N={N},m={m},k={k}]",
+                               _weyl_witness(gamma(element(k, N), m), cayley(k, m, N)))
 
     return run
 
@@ -143,83 +176,44 @@ suite_capelli_gl_perm = _capelli_suite(capelli_element_h, cayley_theta, "per")
 
 
 def suite_thm_41(p, rng):
-    results = []
     for N in p["N"]:
         ctx = LieContext("so", N)
         n = ctx.n
         for k in p["k"]:
-            t0 = time.monotonic()
             ck = c_k_pfaffian(ctx, k)
             if k > n:
-                _push(results, f"pfaffian-vanishes[N={N},k={k}]",
-                      None if ck.is_zero() else "nonzero past the rank", t0)
+                yield (f"pfaffian-vanishes[N={N},k={k}]",
+                       None if ck.is_zero() else "nonzero past the rank")
                 continue
-            w = None if is_central(ck, ctx) else "element is not central"
-            _push(results, f"pfaffian-central[N={N},k={k}]", w, t0)
-            t0 = time.monotonic()
-            hc = hc_polynomial(ck, k, ctx, in_l_squared=True)
+            yield (f"pfaffian-central[N={N},k={k}]",
+                   None if is_central(ck, ctx) else "element is not central")
             target = e_factorial(k, n, ctx.shift_sequence) * Fraction((-1) ** k)
-            w = None if hc == SymPoly(hc.vars, target.terms) else \
-                f"harish-chandra image is {hc!r}"
-            _push(results, f"pfaffian-hc-image[N={N},k={k}]", w, t0)
+            yield f"pfaffian-hc-image[N={N},k={k}]", _hc_witness(ck, k, ctx, target)
         for m in p["m"]:
             for k in p["k"]:
-                if 2 * k > N:
-                    continue
-                t0 = time.monotonic()
-                witness = None
-                for I in itertools.combinations(ctx.indices, 2 * k):
-                    lhs = pfaffian_phi_expr(I).evaluate(gamma_ring(ctx, m))
-                    rhs = WeylOperator.zero(WeylContext(m, N))
-                    for A in itertools.combinations(range(1, m + 1), k):
-                        add_into(rhs.terms, omega_AI(A, I, m, N).terms)
-                    witness = _weyl_witness(lhs, rhs)
-                    if witness is not None:
-                        witness = f"I={I}: {witness}"
-                        break
-                _push(results, f"pfaffian-image[N={N},m={m},k={k}]", witness, t0)
-    return results
+                if 2 * k <= N:
+                    yield (f"pfaffian-image[N={N},m={m},k={k}]",
+                           _image_witness(ctx, m, k, itertools.combinations,
+                                          pfaffian_phi_expr, omega_AI))
 
 
 # -- sp_N: Hafnian formula -----------------------------------------------------
 
 
 def suite_thm_51(p, rng):
-    results = []
     for N in p["N"]:
         ctx = LieContext("sp", N)
         for k in p["k"]:
-            t0 = time.monotonic()
             dk = d_k_hafnian(ctx, k)
-            w = None if is_central(dk, ctx) else "element is not central"
-            _push(results, f"hafnian-central[N={N},k={k}]", w, t0)
-            t0 = time.monotonic()
-            hc = hc_polynomial(dk, k, ctx, in_l_squared=True)
+            yield (f"hafnian-central[N={N},k={k}]",
+                   None if is_central(dk, ctx) else "element is not central")
             target = h_factorial(k, ctx.n, ctx.shift_sequence)
-            w = None if hc == SymPoly(hc.vars, target.terms) else \
-                f"harish-chandra image is {hc!r}"
-            _push(results, f"hafnian-hc-image[N={N},k={k}]", w, t0)
+            yield f"hafnian-hc-image[N={N},k={k}]", _hc_witness(dk, k, ctx, target)
         for m in p["m"]:
             for k in p["k"]:
-                t0 = time.monotonic()
-                witness = None
-                for I in itertools.combinations_with_replacement(ctx.indices, 2 * k):
-                    lhs = hafnian_psi_expr(I).evaluate(gamma_ring(ctx, m))
-                    rhs = WeylOperator.zero(WeylContext(m, N))
-                    for A in itertools.combinations_with_replacement(
-                            range(1, m + 1), k):
-                        dfact = 1
-                        for _, grp in itertools.groupby(A):
-                            cnt = sum(1 for _ in grp)
-                            for t in range(2, cnt + 1):
-                                dfact *= t
-                        add_into(rhs.terms, theta_AI(A, I, m, N).terms, Fraction(1, dfact))
-                    witness = _weyl_witness(lhs, rhs)
-                    if witness is not None:
-                        witness = f"I={I}: {witness}"
-                        break
-                _push(results, f"hafnian-image[N={N},m={m},k={k}]", witness, t0)
-    return results
+                yield (f"hafnian-image[N={N},m={m},k={k}]",
+                       _image_witness(ctx, m, k, itertools.combinations_with_replacement,
+                                      hafnian_psi_expr, theta_AI))
 
 
 # -- fusion --------------------------------------------------------------------
@@ -227,17 +221,13 @@ def suite_thm_51(p, rng):
 
 def _fusion_suite(kind, shape, rank):
     def run(p, rng):
-        results = []
         for N in p["N"]:
             for family in _families(N):
                 for k in p["k"]:
                     ctx = LieContext(family, N)
                     series = central_series(ctx, kind, rank(k, N))
-                    t0 = time.monotonic()
-                    value = fusion_capelli(ctx, k, shape)
-                    _push(results, f"fusion-{shape}[{family}{N},k={k}]",
-                          _uea_witness(value, series[k].uea()), t0)
-        return results
+                    yield (f"fusion-{shape}[{family}{N},k={k}]",
+                           _uea_witness(fusion_capelli(ctx, k, shape), series[k].uea()))
 
     return run
 
@@ -247,18 +237,17 @@ suite_thm_33 = _fusion_suite("D", "row", lambda k, N: k)
 
 
 # -- exchange-matrix identities --------------------------------------------------
+# Each battery is computed as a whole, so its first selected check carries
+# the battery's time.
 
 
 def _relation_suite(selector):
     def run(p, rng):
-        results = []
         for N in p["N"]:
             for family in _families(N):
                 ctx = LieContext(family, N)
-                t0 = time.monotonic()
                 for cid, ok, witness in verify_relations(ctx, m_max=3, select=selector):
-                    _push(results, cid, None if ok else witness, t0)
-        return results
+                    yield cid, None if ok else witness
 
     return run
 
@@ -273,16 +262,13 @@ suite_prop_39 = _relation_suite(lambda cid: cid.startswith("gl-exchange"))
 
 def _vanishing_suite(prefixes):
     def run(p, rng):
-        results = []
         for N in p["N"]:
             for family in ("so", "sp"):
                 for m in p["m"]:
                     for l in range(0, 3):
-                        t0 = time.monotonic()
                         for cid, ok, witness in verify_vanishing(m, l, N, family):
                             if cid.startswith(prefixes):
-                                _push(results, cid, None if ok else witness, t0)
-        return results
+                                yield cid, None if ok else witness
 
     return run
 
@@ -295,96 +281,61 @@ suite_prop_311 = _vanishing_suite(("sym-",))
 
 
 def suite_thm_62(p, rng):
-    results = []
     for N in p["N"]:
         for family in _families(N):
             ctx = LieContext(family, N)
-            t0 = time.monotonic()
-            series = central_series(ctx, "C", ctx.n)
-            _push(results, f"sklyanin-det[{family}{N}]",
-                  theorem_62_check(ctx, series), t0)
-    return results
+            yield (f"sklyanin-det[{family}{N}]",
+                   theorem_62_check(ctx, central_series(ctx, "C", ctx.n)))
 
 
 def suite_prop_61(p, rng):
-    results = []
     for N in p["N"]:
         for eps_family in ("so", "sp"):
-            t0 = time.monotonic()
             h = quantum_det_gl(N, eps_family)
             witness = None
             for nu in partitions_with(N, max_weight=2):
                 witness = eigenvalue_check_gl(N, nu, h)
                 if witness is not None:
                     break
-            _push(results, f"gl-det-eigenvalue[N={N},eps={eps_family}]", witness, t0)
-    return results
+            yield f"gl-det-eigenvalue[N={N},eps={eps_family}]", witness
 
 
 # -- dual pair transfer ------------------------------------------------------------
 
 
 def suite_thm_44(p, rng):
-    results = []
     for N in p["N"]:
         for m in p["m"]:
             guard_cells(N, m)
             ctx_so = LieContext("so", N)
-            ctx_sp = LieContext("sp", 2 * m)
             series_so = central_series(ctx_so, "C", min(m, ctx_so.n))
-            series_sp = central_series(ctx_sp, "C", m)
-            wctx = WeylContext(m, N)
+            series_sp = central_series(LieContext("sp", 2 * m), "C", m)
             for k in p["k"]:
-                if k > m:
-                    continue
-                t0 = time.monotonic()
-                lhs = series_sp[k].gamma_prime(m, N)
-                rhs = WeylOperator.zero(wctx)
-                for l in range(0, k + 1):
-                    f = dual_pair_coeffs("C", k, l, m, N)
-                    if f == 0:
-                        continue
-                    cl = (series_so[l].gamma(m) if l
-                          else WeylOperator.scalar(wctx, 1))
-                    add_into(rhs.terms, cl.terms, f)
-                _push(results, f"transfer-C[N={N},m={m},k={k}]",
-                      _weyl_witness(lhs, rhs), t0)
-    return results
+                if k <= m:
+                    yield (f"transfer-C[N={N},m={m},k={k}]",
+                           _transfer_witness("C", k, m, N, series_so, series_sp))
 
 
 def suite_cor_45(p, rng):
     # N = 2n with m > n: the higher dual elements die under the action
-    results = []
     [N], [m], [k] = p["N"], p["m"], p["k"]
-    ctx_sp = LieContext("sp", 2 * m)
-    series_sp = central_series(ctx_sp, "C", m)
-    t0 = time.monotonic()
-    img = series_sp[k].gamma_prime(m, N)
-    _push(results, f"dual-image-vanishes[N={N},m={m},k={k}]",
-          None if img.is_zero() else "image is nonzero", t0)
-    return results
+    img = central_series(LieContext("sp", 2 * m), "C", m)[k].gamma_prime(m, N)
+    yield (f"dual-image-vanishes[N={N},m={m},k={k}]",
+           None if img.is_zero() else "image is nonzero")
 
 
 def suite_cor_46(p, rng):
     # N = 2n, m = n-1: the transfer is the identity map
-    results = []
     [N], [m], [k] = p["N"], p["m"], p["k"]
-    ctx_so = LieContext("so", N)
-    ctx_sp = LieContext("sp", 2 * m)
-    t0 = time.monotonic()
-    lhs = central_series(ctx_sp, "C", m)[k].gamma_prime(m, N)
-    rhs = central_series(ctx_so, "C", k)[k].gamma(m)
-    _push(results, f"transfer-identity-C[N={N},m={m},k={k}]",
-          _weyl_witness(lhs, rhs), t0)
-    return results
+    lhs = central_series(LieContext("sp", 2 * m), "C", m)[k].gamma_prime(m, N)
+    rhs = central_series(LieContext("so", N), "C", k)[k].gamma(m)
+    yield f"transfer-identity-C[N={N},m={m},k={k}]", _weyl_witness(lhs, rhs)
 
 
 def suite_prop_43(p, rng):
-    results = []
     for N in p["N"]:
         for m in p["m"]:
             guard_cells(N, m)
-            t0 = time.monotonic()
             ctx_so = LieContext("so", N)
             ctx_sp = LieContext("sp", 2 * m)
             n = ctx_so.n
@@ -413,61 +364,36 @@ def suite_prop_43(p, rng):
                 if not x == y:
                     witness = f"t^{d}: {first_difference(x, y)}"
                     break
-            _push(results, f"generating-transfer-C[N={N},m={m}]", witness, t0)
-    return results
+            yield f"generating-transfer-C[N={N},m={m}]", witness
 
 
 def suite_thm_53(p, rng):
-    results = []
     K = p["k"]
     for N in p["N"]:
         for m in p["m"]:
             guard_cells(N, m)
-            ctx_sp = LieContext("sp", N)
-            ctx_so = LieContext("so", 2 * m)
-            series_sp = central_series(ctx_sp, "D", K)
-            series_so = central_series(ctx_so, "D", K)
-            wctx = WeylContext(m, N)
+            series_sp = central_series(LieContext("sp", N), "D", K)
+            series_so = central_series(LieContext("so", 2 * m), "D", K)
             for k in range(1, K + 1):
-                t0 = time.monotonic()
-                lhs = series_so[k].gamma_prime(m, N)
-                rhs = WeylOperator.zero(wctx)
-                for l in range(0, k + 1):
-                    g = dual_pair_coeffs("D", k, l, m, N)
-                    if g == 0:
-                        continue
-                    dl = (series_sp[l].gamma(m) if l
-                          else WeylOperator.scalar(wctx, 1))
-                    add_into(rhs.terms, dl.terms, g)
-                _push(results, f"transfer-D[N={N},m={m},k={k}]",
-                      _weyl_witness(lhs, rhs), t0)
-    return results
+                yield (f"transfer-D[N={N},m={m},k={k}]",
+                       _transfer_witness("D", k, m, N, series_sp, series_so))
 
 
 def suite_cor_54(p, rng):
     # n = m - 1: the unsigned transfer is the identity map
-    results = []
     [N], [m] = p["N"], p["m"]
-    ctx_sp = LieContext("sp", N)
-    ctx_so = LieContext("so", 2 * m)
-    series_sp = central_series(ctx_sp, "D", 2)
-    series_so = central_series(ctx_so, "D", 2)
+    series_sp = central_series(LieContext("sp", N), "D", 2)
+    series_so = central_series(LieContext("so", 2 * m), "D", 2)
     for k in p["k"]:
-        t0 = time.monotonic()
-        lhs = series_so[k].gamma_prime(m, N)
-        rhs = series_sp[k].gamma(m)
-        _push(results, f"transfer-identity-D[N={N},m={m},k={k}]",
-              _weyl_witness(lhs, rhs), t0)
-    return results
+        yield (f"transfer-identity-D[N={N},m={m},k={k}]",
+               _weyl_witness(series_so[k].gamma_prime(m, N), series_sp[k].gamma(m)))
 
 
 def suite_prop_52(p, rng):
-    results = []
     K = p["K"]
     for N in p["N"]:
         for m in p["m"]:
             guard_cells(N, m)
-            t0 = time.monotonic()
             ctx_sp = LieContext("sp", N)
             ctx_so = LieContext("so", 2 * m)
             n = ctx_sp.n
@@ -491,44 +417,35 @@ def suite_prop_52(p, rng):
             deg = len(dense_trim(diff)) - 1
             den_deg = len(beta_den) - 1 + len(lhs_den) - 1 + len(rhs_den) - 1
             bound = den_deg - (K + 1)
-            witness = (None if deg <= bound else
-                       f"defect degree {deg} exceeds the truncation bound {bound}")
-            _push(results, f"generating-transfer-D[N={N},m={m},K={K}]", witness, t0)
-    return results
+            yield (f"generating-transfer-D[N={N},m={m},K={K}]",
+                   None if deg <= bound else
+                   f"defect degree {deg} exceeds the truncation bound {bound}")
 
 
 # -- corollary 4.2 and the series inversion ----------------------------------------
 
 
 def suite_cor_42(p, rng):
-    results = []
     for N in p["N"]:
         n = N // 2
         ctx = LieContext("so", N)
-        t0 = time.monotonic()
         pf = pfaffian_phi_expr(ctx.indices).evaluate(uea_ring(ctx))
         lhs = c_k_pfaffian(ctx, n)
-        rhs = (pf * pf) * Fraction((-1) ** n)
-        _push(results, f"top-pfaffian-square[N={N}]", _uea_witness(lhs, rhs), t0)
-    return results
+        yield f"top-pfaffian-square[N={N}]", _uea_witness(lhs, (pf * pf) * Fraction((-1) ** n))
 
 
 def suite_series_inversion(p, rng):
-    results = []
     K = p["K"]
     for family, N in (("so", 3), ("sp", 2)):
         if N not in p["N"]:
             continue
         ctx = LieContext(family, N)
-        t0 = time.monotonic()
         series_c = central_series(ctx, "C", min(K, ctx.n))
         series_d = central_series(ctx, "D", K)
         out = generating_functions(ctx, K, series_c, series_d)
-        witness = (None if out["inverse_ok"] else
-                   f"defect degree {out['defect_degree']} exceeds "
-                   f"{out['allowed_degree']}")
-        _push(results, f"series-inversion[{family}{N},K={K}]", witness, t0)
-    return results
+        yield (f"series-inversion[{family}{N},K={K}]",
+               None if out["inverse_ok"] else
+               f"defect degree {out['defect_degree']} exceeds {out['allowed_degree']}")
 
 
 # -- the symmetric-function groundwork ----------------------------------------------
@@ -542,11 +459,9 @@ def _random_sequence(rng, count):
 
 
 def suite_prop_22(p, rng):
-    results = []
     for trial in range(5):
         a = _random_sequence(rng, 10)
         witness = None
-        t0 = time.monotonic()
         for n in (1, 2, 3):
             for k in range(0, 5):
                 ek = e_factorial(k, n, a)
@@ -562,30 +477,23 @@ def suite_prop_22(p, rng):
                     break
             if witness:
                 break
-        _push(results, f"explicit-sums[trial={trial}]", witness, t0)
-    return results
+        yield f"explicit-sums[trial={trial}]", witness
 
 
 def suite_prop_23(p, rng):
-    results = []
     K = p["K"]
     for trial in range(3):
         for n in (1, 2):
             a = _random_sequence(rng, n + K + 4)
             z = [Fraction(rng.randint(30, 90), rng.randint(1, 3)) for _ in range(n)]
-            t0 = time.monotonic()
-            ok = check_generating_series(n, K, a, z)
-            _push(results, f"generating-series[trial={trial},n={n},K={K}]",
-                  None if ok else "series identity failed", t0)
-    return results
+            yield (f"generating-series[trial={trial},n={n},K={K}]",
+                   None if check_generating_series(n, K, a, z) else "series identity failed")
 
 
 def suite_thm_21(p, rng):
-    results = []
     n = 2
     a = _random_sequence(rng, 12)
     witness = None
-    t0 = time.monotonic()
     for mu in partitions_with(n, max_weight=4):
         s = schur_factorial(mu, n, a)
         for lam in partitions_with(n, max_weight=4):
@@ -601,8 +509,7 @@ def suite_thm_21(p, rng):
                 witness = f"characterization fails for {tuple(mu.parts)}: {conds}"
         if witness:
             break
-    _push(results, "interpolation-grid", witness, t0)
-    return results
+    yield "interpolation-grid", witness
 
 
 # -- registry ------------------------------------------------------------------------
@@ -610,8 +517,9 @@ def suite_thm_21(p, rng):
 # Each entry is (description, domains, callable).  A domain is a tuple of
 # the values a grid parameter may take (all of them by default), or an
 # int: the default of a series order, which may be set to any value >= 1.
-# The callable gets the resolved domains: a tuple of values per grid
-# parameter and an int per order.
+# The callable is a generator function of (resolved domains, rng): it gets
+# a tuple of values per grid parameter and an int per order, and yields
+# one (check id, witness) pair per check, with witness None on a pass.
 
 SUITES = {
     "capelli-gl": ("classical determinant-type identity over gl_N",
@@ -690,13 +598,23 @@ def _resolve(domains, given):
 
 
 def run_suite(name, params=None, seed=0):
+    """Run one suite and time its checks.  A check's `ms` is the time since
+    the previous check was yielded (since the body started, for the first
+    one), so the values add up to the time the body ran."""
     if name not in SUITES:
         raise UsageError(f"unknown suite {name!r}")
     params = dict(params or {})
     rng = random.Random(params.pop("seed", seed))
     given = {key: value for key, value in params.items() if value is not None}
     _desc, domains, fn = SUITES[name]
-    results = fn(_resolve(domains, given), rng)
+    checks = fn(_resolve(domains, given), rng)
+    results = []
+    last = time.monotonic()
+    for cid, witness in checks:
+        now = time.monotonic()
+        results.append(CheckResult(id=cid, status="pass" if witness is None else "fail",
+                                   witness=witness, ms=(now - last) * 1000.0))
+        last = now
     if not results:
         raise UsageError(f"no check of {name!r} matches the parameters {given}")
     return results

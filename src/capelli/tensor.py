@@ -954,16 +954,3 @@ def verify_vanishing(m: int, l: int, N: int, family="so"):
                "single-factor image is not the exchange sum")
     return out
 
-
-def check_trace_invariance(ctx: LieContext, m: int, shape: str):
-    """The partial trace of the fused matrix has invariant coefficients:
-    it commutes with every subalgebra generator, coefficient by
-    coefficient in u."""
-    mat = fused_F(ctx, m, shape)
-    tr, _den = mat.trace_id()
-    coeffs = ent_to_ucoeffs(ctx, tr)
-    for c in coeffs:
-        for pair in ctx.f_pairs():
-            if not c.bracket(UEAElement.F(ctx, *pair)).is_zero():
-                return f"coefficient fails to commute with F[{pair[0]},{pair[1]}]"
-    return None

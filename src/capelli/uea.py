@@ -22,7 +22,15 @@ import itertools
 import math
 from fractions import Fraction
 
-from .core import ConsistencyError, DimensionError, SymPoly, add_into, perm_sign, scal
+from .core import (
+    ConsistencyError,
+    DimensionError,
+    SymPoly,
+    add_into,
+    multiplicity_factorial,
+    perm_sign,
+    scal,
+)
 from .symfun import Partition, ShiftSequence, e_factorial, h_factorial, partitions_with, zvars
 from .weyl import (
     WeylContext,
@@ -622,11 +630,8 @@ def d_k_expr(ctx: LieContext, k: int) -> FExpr:
         sign = 1
         for i in I:
             sign *= sgn(i)
-        denom = 1
-        for _, grp in itertools.groupby(I):
-            denom *= math.factorial(sum(1 for _ in grp))
         add_into(total.terms, (hafnian_psi_expr(I) * hafnian_psi_expr(Istar)).terms,
-                 Fraction(sign, denom))
+                 Fraction(sign, multiplicity_factorial(I)))
     return total * Fraction((-1) ** k)
 
 

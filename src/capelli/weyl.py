@@ -14,7 +14,17 @@ import itertools
 import math
 from fractions import Fraction
 
-from .core import ConsistencyError, DimensionError, SymPoly, add_into, det, per, perm_sign, scal
+from .core import (
+    ConsistencyError,
+    DimensionError,
+    SymPoly,
+    add_into,
+    det,
+    multiplicity_factorial,
+    per,
+    perm_sign,
+    scal,
+)
 
 
 def index_set(N):
@@ -61,9 +71,6 @@ class WeylContext:
         ev = [0] * self.nvars
         ev[self.slot(a, i)] = 1
         return tuple(ev)
-
-    def poly_ring_vars(self):
-        return self.var_names
 
     def poly_x(self, a, i):
         return SymPoly.variable(self.var_names, f"x{a}_{i}")
@@ -334,7 +341,13 @@ def dual_gamma_gen(dual_family: str, A: int, B: int, m: int, N: int) -> WeylOper
 # -- Cayley operators --------------------------------------------------------
 
 
-def _cayley_sum(k, m, N, signed):
+def _cayley(k, m, N, signed):
+    """k-th antisymmetric (signed) or symmetric Cayley operator: the
+    symmetrized sum over permutations, cross-checked before returning
+    against the sum of block[x]*block[d] over the chosen rows and columns,
+    where the block is det over strictly increasing choices or per over
+    weakly increasing ones, weighted by the inverse multiplicity
+    factorials (1 on strictly increasing choices)."""
     ctx = WeylContext(m, N)
     terms = {}
     inv_kfact = Fraction(1, math.factorial(k))
@@ -348,48 +361,30 @@ def _cayley_sum(k, m, N, signed):
                     alpha[ctx.slot(avec[t], ivec[t])] += 1
                     beta[ctx.slot(avec[t], ivec[sigma[t]])] += 1
                 add_into(terms, {(tuple(alpha), tuple(beta)): c0})
-    return WeylOperator(ctx, terms)
+    op = WeylOperator(ctx, terms)
+    block, choose = ((det, itertools.combinations) if signed
+                     else (per, itertools.combinations_with_replacement))
+    alt = WeylOperator.zero(ctx)
+    for avec in choose(range(1, m + 1), k):
+        for ivec in choose(ctx.indices, k):
+            xblock = block([[WeylOperator.x(ctx, a, i) for i in ivec] for a in avec])
+            dblock = block([[WeylOperator.d(ctx, a, i) for i in ivec] for a in avec])
+            weight = Fraction(1, multiplicity_factorial(avec) * multiplicity_factorial(ivec))
+            add_into(alt.terms, alt._coerce(xblock * dblock).terms, weight)
+    if not op == alt:
+        form = "determinantal" if signed else "permanental"
+        raise ConsistencyError(f"symmetrized and {form} forms disagree")
+    return op
 
 
 def cayley_omega(k: int, m: int, N: int) -> WeylOperator:
-    """k-th antisymmetric Cayley operator: the signed symmetrized sum,
-    cross-checked against the sum of det[x]*det[d] over increasing index
-    choices before returning."""
-    op = _cayley_sum(k, m, N, signed=True)
-    ctx = WeylContext(m, N)
-    alt = WeylOperator.zero(ctx)
-    for avec in itertools.combinations(range(1, m + 1), k):
-        for ivec in itertools.combinations(ctx.indices, k):
-            xdet = det([[WeylOperator.x(ctx, a, i) for i in ivec] for a in avec])
-            ddet = det([[WeylOperator.d(ctx, a, i) for i in ivec] for a in avec])
-            add_into(alt.terms, alt._coerce(xdet * ddet).terms)
-    if not op == alt:
-        raise ConsistencyError("symmetrized and determinantal forms disagree")
-    return op
+    """k-th antisymmetric Cayley operator (sum of det[x]*det[d])."""
+    return _cayley(k, m, N, signed=True)
 
 
 def cayley_theta(k: int, m: int, N: int) -> WeylOperator:
-    """k-th symmetric Cayley operator, cross-checked against the
-    multiplicity-weighted per[x]*per[d] form."""
-    op = _cayley_sum(k, m, N, signed=False)
-    ctx = WeylContext(m, N)
-    alt = WeylOperator.zero(ctx)
-    for avec in itertools.combinations_with_replacement(range(1, m + 1), k):
-        for ivec in itertools.combinations_with_replacement(ctx.indices, k):
-            xper = per([[WeylOperator.x(ctx, a, i) for i in ivec] for a in avec])
-            dper = per([[WeylOperator.d(ctx, a, i) for i in ivec] for a in avec])
-            weight = Fraction(1, _multiplicity_factorial(avec) * _multiplicity_factorial(ivec))
-            add_into(alt.terms, alt._coerce(xper * dper).terms, weight)
-    if not op == alt:
-        raise ConsistencyError("symmetrized and permanental forms disagree")
-    return op
-
-
-def _multiplicity_factorial(seq):
-    out = 1
-    for _, grp in itertools.groupby(seq):
-        out *= math.factorial(sum(1 for _ in grp))
-    return out
+    """k-th symmetric Cayley operator (weighted sum of per[x]*per[d])."""
+    return _cayley(k, m, N, signed=False)
 
 
 # -- paired determinant/permanent blocks -------------------------------------

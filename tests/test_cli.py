@@ -1,10 +1,12 @@
+import inspect
 import json
 
 import pytest
 
 from capelli.cli import SuiteConfig, VerificationReport, main, report_emit, run
 from capelli.core import ConsistencyError
-from capelli.suites import SUITES, CheckResult, UsageError, run_suite
+from capelli import suites
+from capelli.suites import SUITES, UsageError, run_suite
 from capelli.uea import LieContext, UEAElement, uea_first_difference
 
 
@@ -74,8 +76,7 @@ def test_failing_check_carries_pbw_witness(monkeypatch, capsys):
     rhs = UEAElement.E(ctx, -1, -1) + 2 * UEAElement.E(ctx, 1, 1)
 
     def fake_suite(params, rng):
-        return [CheckResult(id="injected", status="fail",
-                            witness=uea_first_difference(lhs, rhs), ms=0.0)]
+        yield "injected", uea_first_difference(lhs, rhs)
 
     monkeypatch.setitem(SUITES, "injected-failure", ("failure injection", {}, fake_suite))
     assert main(["verify", "injected-failure", "--format", "json"]) == 1
@@ -188,3 +189,36 @@ def test_internal_fault_exits_three(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "error: internal: ConsistencyError: generator images" in err
     assert "Traceback" not in err
+
+
+def test_every_suite_is_a_generator_of_checks():
+    for name, (_desc, _domains, fn) in SUITES.items():
+        assert inspect.isgeneratorfunction(fn), name
+
+
+def test_ms_is_the_gap_since_the_previous_check(monkeypatch):
+    clock = [100.0]
+    monkeypatch.setattr(suites.time, "monotonic", lambda: clock[0])
+    costs = {"first": 0.5, "second": 0.25, "third": 2.0}
+
+    def timed_suite(p, rng):
+        for cid, cost in costs.items():
+            clock[0] += cost
+            yield cid, None if cid != "second" else "injected"
+
+    monkeypatch.setitem(SUITES, "timed", ("fake clock", {}, timed_suite))
+    checks = run_suite("timed", {}, seed=0)
+    assert [(c.id, c.status, c.ms) for c in checks] == [
+        ("first", "pass", 500.0), ("second", "fail", 250.0), ("third", "pass", 2000.0)]
+    assert sum(c.ms for c in checks) == (clock[0] - 100.0) * 1000.0
+
+
+def test_generator_with_no_checks_is_usage_error(monkeypatch, capsys):
+    def empty_suite(p, rng):
+        yield from ()
+
+    monkeypatch.setitem(SUITES, "empty", ("yields nothing", {}, empty_suite))
+    with pytest.raises(UsageError):
+        run_suite("empty", {}, seed=0)
+    assert main(["verify", "empty"]) == 2
+    assert "error: no check of 'empty'" in capsys.readouterr().err

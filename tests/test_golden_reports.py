@@ -1,0 +1,29 @@
+"""Every benchmark entry reproduces its golden report: the same check ids,
+statuses and witnesses, in the same order.  Only the `ms` fields may
+differ.  The golden copies live in `perfbench/golden/` and are read, never
+written, here."""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from capelli.cli import main
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import golden  # noqa: E402
+from workloads import PARTS, entry_key  # noqa: E402
+
+ENTRIES = [entry for part in PARTS.values() for entry in part["entries"]]
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=entry_key)
+def test_report_matches_golden_copy(entry, tmp_path, monkeypatch):
+    monkeypatch.setenv("VERIFY_MAX_CELLS", "256")
+    out = tmp_path / "report.json"
+    code = main(["verify", *entry, "--seed", "0", "--format", "json", "--out", str(out)])
+    assert out.exists(), f"{entry} exited {code} without a report"
+    report = json.loads(out.read_text())
+    assert golden.compare(report, golden.load(entry_key(entry)), 0) is None

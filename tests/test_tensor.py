@@ -16,10 +16,10 @@ from capelli.uea import LieContext, UEAElement, c_k_pfaffian, central_series, d_
 from capelli.tensor import (
     TMat,
     TensorSpace,
-    check_trace_invariance,
     classical_point,
     cross_equal,
     eigenvalue_check_gl,
+    ent_to_ucoeffs,
     exchange_P,
     fused_F,
     fusion_capelli,
@@ -159,6 +159,18 @@ def test_fusion_value_is_central():
     assert is_central(v, SO3)
 
 
+def check_trace_invariance(ctx, m, shape):
+    """The partial trace of the fused matrix has invariant coefficients:
+    it commutes with every subalgebra generator, coefficient by
+    coefficient in u."""
+    tr, _den = fused_F(ctx, m, shape).trace_id()
+    for c in ent_to_ucoeffs(ctx, tr):
+        for pair in ctx.f_pairs():
+            if not c.bracket(UEAElement.F(ctx, *pair)).is_zero():
+                return f"coefficient fails to commute with F[{pair[0]},{pair[1]}]"
+    return None
+
+
 def test_trace_invariance_surrogate():
     for ctx in (SO2, SO3, SP2):
         for shape in ("column", "row"):
@@ -229,7 +241,7 @@ def test_generating_function_inversion_small():
 def test_normalized_fused_matrix_is_entrywise_regular():
     # the normalizing factor makes every entry of the fused column
     # divisible by (u - u0) as often as the denominator vanishes there
-    from capelli.tensor import ent_scalar_poly_mul, ent_to_ucoeffs, phi_normalizer
+    from capelli.tensor import ent_scalar_poly_mul, phi_normalizer
 
     ctx = SO2
     mat = fused_F(ctx, 2, "column")
