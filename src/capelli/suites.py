@@ -332,6 +332,21 @@ def suite_cor_46(p, rng):
     yield f"transfer-identity-C[N={N},m={m},k={k}]", _weyl_witness(lhs, rhs)
 
 
+def _cross_multiplied(lhs, lhs_roots, rhs, rhs_roots, top_roots, bottom_roots):
+    """Clear the denominators of lhs(t) * top(t) / bottom(t) = rhs(t) in
+    t = u^2.  `lhs` and `rhs` map k to the k-th term of a generating
+    series summed by `series_as_fraction` over the linear ladder with the
+    given roots; top and bottom are the products of (t - root).  Returns
+    (left, right): the two sides times all four denominators, as
+    coefficient lists."""
+    lhs_num, lhs_den = series_as_fraction(lhs, linear_ladder(lhs_roots))
+    rhs_num, rhs_den = series_as_fraction(rhs, linear_ladder(rhs_roots))
+    top = dense_prod(linear_ladder(top_roots))
+    bottom = dense_prod(linear_ladder(bottom_roots))
+    return (dense_mul(lhs_num, dense_mul(top, rhs_den)),
+            dense_mul(rhs_num, dense_mul(bottom, lhs_den)))
+
+
 def suite_prop_43(p, rng):
     for N in p["N"]:
         for m in p["m"]:
@@ -348,15 +363,10 @@ def suite_prop_43(p, rng):
             c_gamma[0] = one
             cp_gamma = {k: series_sp[k].gamma_prime(m, N) for k in range(1, m + 1)}
             cp_gamma[0] = one
-            lhs_num, lhs_den = series_as_fraction(
-                c_gamma, linear_ladder(c_ladder_roots(ctx_so, n)))
-            rhs_num, rhs_den = series_as_fraction(
-                cp_gamma, linear_ladder(c_ladder_roots(ctx_sp, m)))
-            alpha_num = dense_prod(linear_ladder((Fraction(N, 2) - a) ** 2
-                                                 for a in range(1, m + 1)))
-            alpha_den = dense_prod(linear_ladder(Fraction(a) ** 2 for a in range(1, m + 1)))
-            left = dense_mul(lhs_num, dense_mul(alpha_num, rhs_den))
-            right = dense_mul(rhs_num, dense_mul(alpha_den, lhs_den))
+            left, right = _cross_multiplied(
+                c_gamma, c_ladder_roots(ctx_so, n), cp_gamma, c_ladder_roots(ctx_sp, m),
+                [(Fraction(N, 2) - a) ** 2 for a in range(1, m + 1)],
+                [Fraction(a) ** 2 for a in range(1, m + 1)])
             witness = None
             for d in range(max(len(left), len(right))):
                 x = left[d] if d < len(left) else zero
@@ -404,19 +414,13 @@ def suite_prop_52(p, rng):
             dp_gamma = {k: series_so[k].gamma_prime(m, N) for k in range(1, K + 1)}
             d_gamma[0] = one
             dp_gamma[0] = one
-            lhs_num, lhs_den = series_as_fraction(
-                d_gamma, linear_ladder(d_ladder_roots(ctx_sp, K)))
-            rhs_num, rhs_den = series_as_fraction(
-                dp_gamma, linear_ladder(d_ladder_roots(ctx_so, K)))
-            beta_num = dense_prod(linear_ladder(Fraction(a - 1) ** 2 for a in range(1, m + 1)))
-            beta_den = dense_prod(linear_ladder(Fraction(n - a + 1) ** 2
-                                                for a in range(1, m + 1)))
-            left = dense_mul(lhs_num, dense_mul(beta_num, rhs_den))
-            right = dense_mul(rhs_num, dense_mul(beta_den, lhs_den))
+            left, right = _cross_multiplied(
+                d_gamma, d_ladder_roots(ctx_sp, K), dp_gamma, d_ladder_roots(ctx_so, K),
+                [Fraction(a - 1) ** 2 for a in range(1, m + 1)],
+                [Fraction(n - a + 1) ** 2 for a in range(1, m + 1)])
             diff = dense_add(left, [x * -1 for x in right])
             deg = len(dense_trim(diff)) - 1
-            den_deg = len(beta_den) - 1 + len(lhs_den) - 1 + len(rhs_den) - 1
-            bound = den_deg - (K + 1)
+            bound = (m + 2 * K) - (K + 1)  # degree of the cleared denominators: m + K + K
             yield (f"generating-transfer-D[N={N},m={m},K={K}]",
                    None if deg <= bound else
                    f"defect degree {deg} exceeds the truncation bound {bound}")

@@ -16,6 +16,17 @@ that add through `core.add_into`.  Every factor is built by `tm_one_plus`
 `_slot_factor` (a generator matrix in one tensor slot: `tm_F`, `tm_E`).
 Polynomials in one variable are read out as dense coefficient lists for
 the `core.dense_*` functions, with scalar or U(gl_N) coefficients alike.
+
+Every projected product (the fused row and column, the quantum
+determinants, the projected twisted chain) starts with an
+(anti)symmetrizer A and runs on the representative rows of A only: the
+index tuples sorted ascending (strictly, for the antisymmetrizer).
+Because P_tau * A = sign(tau) * A for every permutation operator P_tau
+(sign 1 for the symmetrizer), the row of A * Y at an index tuple t equals
+orbit_sign(t)'s sign times the row at sorted(t), for any Y, so the
+representative rows fix the whole product exactly; `orbit_expand`
+rebuilds the other rows.  Two products that start with the same
+projector are equal exactly when their representative rows are.
 """
 
 from __future__ import annotations
@@ -117,6 +128,18 @@ def symmetrizer(space: TensorSpace, signed: bool):
                 for t in space.tuples}
         add_into(out, perm, norm * (perm_sign(sigma) if signed else 1))
     return out
+
+
+def orbit_sign(t, signed):
+    """(sorted(t), sign) with row t of an (anti)symmetrizer equal to sign
+    times its row sorted(t): the sign of the permutation that sorts t
+    when `signed` (0 if an index repeats), and 1 when not."""
+    rep = tuple(sorted(t))
+    if not signed:
+        return rep, 1
+    if len(set(t)) < len(t):
+        return rep, 0
+    return rep, perm_sign(t)
 
 
 def exchange_P(space: TensorSpace, p, q):
@@ -280,6 +303,38 @@ def cross_equal(a: TMat, b: TMat):
     return None
 
 
+# -- projected products: one row per orbit -----------------------------------
+
+
+def projector_rows(ctx, space: TensorSpace, vars, signed, width=None):
+    """The (anti)symmetrizer of the first `width` tensor slots (all of
+    them by default), times the identity on the others, as a `TMat` that
+    holds only its representative rows: those whose first `width`
+    indices are sorted, and distinct when `signed`."""
+    width = space.m if width is None else width
+    proj = symmetrizer(TensorSpace(space.N, width), signed)
+    if width < space.m:
+        proj = smat_tensor_id(proj, space.N ** (space.m - width))
+    keep = {r for r, t in enumerate(space.tuples)
+            if orbit_sign(t[:width], signed) == (t[:width], 1)}
+    return TMat.from_scalar(ctx, space, vars,
+                            {(r, c): v for (r, c), v in proj.items() if r in keep})
+
+
+def orbit_expand(mat, signed):
+    """The full matrix A * Y from its representative rows (the rows of a
+    product that starts with `projector_rows(..., signed)`): row t is
+    the row at sorted(t) times the sign of `orbit_sign(t, signed)`."""
+    space = mat.space
+    rows = {}
+    for r, t in enumerate(space.tuples):
+        rep, sign = orbit_sign(t, signed)
+        row = mat.rows.get(space.code[rep])
+        if sign and row:
+            rows[r] = dict(row) if sign == 1 else {c: smat_scale(e, -1) for c, e in row.items()}
+    return TMat(mat.ctx, space, mat.vars, rows, mat.den)
+
+
 # -- factor constructors -------------------------------------------------------
 
 
@@ -421,17 +476,21 @@ def fused_F(ctx: LieContext, m: int, shape: str, check_alternative=None,
     """Ordered fused product over one spectral variable u.
 
     `shape` "column" builds the antisymmetrized product with arguments
-    u, u-1, ..., and "row" the symmetrized one with u, u+1, ....  When
-    `check_alternative` is enabled (the default below a size threshold)
-    the twisted-R product form is also built and the two are asserted
-    equal as rational matrices.
+    u, u-1, ..., and "row" the symmetrized one with u, u+1, ....  The
+    chain runs on the representative rows of the projector, C(N, m) for a
+    column and C(N+m-1, m) for a row, and the full matrix is rebuilt by
+    `orbit_expand`; this is exact because P_tau * A = sign(tau) * A.
+    When `check_alternative` is enabled (the default below a size
+    threshold) the twisted-R product form is also built on the same rows
+    and the two are asserted equal as rational matrices; both start with
+    the projector, so equal representative rows mean equal products.
     """
     guard_cells(ctx.N, m, max_cells)
     space = TensorSpace(ctx.N, m)
     vars = ("u",)
     signed = shape == "column"
     arg = _spectral_args(signed)
-    proj = TMat.from_scalar(ctx, space, vars, symmetrizer(space, signed))
+    proj = projector_rows(ctx, space, vars, signed)
     mat = proj
     for q in range(1, m + 1):
         if q > 1:
@@ -448,7 +507,7 @@ def fused_F(ctx: LieContext, m: int, shape: str, check_alternative=None,
         witness = cross_equal(mat, alt)
         if witness is not None:
             raise ConsistencyError(f"fused product forms disagree: {witness}")
-    return mat
+    return orbit_expand(mat, signed)
 
 
 def _cancel_and_eval(ctx, num, den, u0):
@@ -477,37 +536,41 @@ def fusion_capelli(ctx: LieContext, k: int, shape: str, max_cells=None) -> UEAEl
 # -- quantum determinants --------------------------------------------------------
 
 
-def _extract_proportional(space, mat: TMat, proj):
-    """Assert mat = proj (x) X(u) for the rank-one projector and return
-    the entry polynomial X(u) over the reference cell."""
-    ref = next(iter(sorted(proj)))
-    for r in range(space.size):
-        for c in range(space.size):
-            lhs = smat_scale(mat.entry(r, c), proj[ref])
-            rhs = smat_scale(mat.entry(*ref), proj.get((r, c), Fraction(0)))
-            if lhs != rhs:
-                raise ConsistencyError(
-                    f"matrix is not proportional to the projector at ({r},{c})")
-    return smat_scale(mat.entry(*ref), 1 / proj[ref])
+def _extract_proportional(mat: TMat, proj: TMat):
+    """Assert mat = A (x) X(u) for the rank-one antisymmetrizer A, given
+    by its one representative row `proj` (from `projector_rows`), and
+    return the entry polynomial X(u) over the first cell of that row.
+    Only that row of `mat` is read: every other row of a product that
+    starts with A is a signed copy of it (P_tau * A = sign(tau) * A)."""
+    [(r, prow)] = proj.rows.items()
+    weight = {c: v for c, e in prow.items() for v in e.values()}  # scalar cells
+    row = mat.rows.get(r, {})
+    ref = min(weight)
+    for c in sorted(set(row) | set(weight)):
+        if smat_scale(row.get(c, {}), weight[ref]) != smat_scale(row.get(ref, {}),
+                                                                 weight.get(c, 0)):
+            raise ConsistencyError(
+                f"matrix is not proportional to the projector at ({r},{c})")
+    return smat_scale(row.get(ref, {}), 1 / weight[ref])
 
 
 def quantum_det_gl(N: int, eps_family="so"):
     """The central polynomial H(u) carried by the antisymmetrized product
     of E factors; the reversed twisted form is asserted to carry the same
     polynomial; `eps_family` names the sign table of the transposition.
-    Returns a dense coefficient list over U(gl_N)."""
+    Both products run on the one representative row of the
+    antisymmetrizer.  Returns a dense coefficient list over U(gl_N)."""
     ctx = LieContext("gl", N)
     space = TensorSpace(N, N)
     vars = ("u",)
     arg = _spectral_args(True)
-    proj = symmetrizer(space, signed=True)
-    mat = TMat.from_scalar(ctx, space, vars, proj)
-    twisted = mat
+    proj = projector_rows(ctx, space, vars, signed=True)
+    mat = twisted = proj
     for q in range(1, N + 1):
         mat = mat * tm_E(ctx, space, vars, q, arg(q))
         twisted = twisted * tm_E(ctx, space, vars, q, arg(N + 1 - q), eps_family)
-    h = ent_to_ucoeffs(ctx, _extract_proportional(space, mat, proj))
-    h2 = ent_to_ucoeffs(ctx, _extract_proportional(space, twisted, proj))
+    h = ent_to_ucoeffs(ctx, _extract_proportional(mat, proj))
+    h2 = ent_to_ucoeffs(ctx, _extract_proportional(twisted, proj))
     if h != h2:
         raise ConsistencyError("twisted and plain determinant forms disagree")
     return h
@@ -524,11 +587,8 @@ def sklyanin_det(ctx: LieContext, max_cells=None):
     eps(u) is flagged rather than silently renormalized.
     """
     N = ctx.N
-    guard_cells(N, N, max_cells)
-    space = TensorSpace(N, N)
     mat = fused_F(ctx, N, "column", max_cells=max_cells)
-    proj = symmetrizer(space, signed=True)
-    entry = _extract_proportional(space, mat, proj)
+    entry = _extract_proportional(mat, projector_rows(ctx, mat.space, mat.vars, signed=True))
     num = ent_to_ucoeffs(ctx, entry)
     den = to_dense(mat.den)
     if ctx.family == "sp":
@@ -765,14 +825,14 @@ def check_boundary_regularity(ctx: LieContext):
 
 def check_projected_products(ctx: LieContext, m: int):
     """The chain of twisted factors against the (anti)symmetrizer of the
-    first m-1 slots collapses to a single twist correction."""
+    first m-1 slots collapses to a single twist correction.  Both sides
+    start with that projector, so they are compared on its
+    representative rows (orbits of S_{m-1} on the first m-1 slots)."""
     space = TensorSpace(ctx.N, m)
     vars = ("u",)
     for signed in (True, False):
         arg = _spectral_args(signed)
-        sub = TensorSpace(ctx.N, m - 1)
-        proj = smat_tensor_id(symmetrizer(sub, signed), ctx.N)
-        projm = TMat.from_scalar(ctx, space, vars, proj)
+        projm = projector_rows(ctx, space, vars, signed, width=m - 1)
         lhs = projm
         for factor in _rt_chain(ctx, space, vars, m, arg):
             lhs = lhs * factor

@@ -31,7 +31,7 @@ from .core import (
     perm_sign,
     scal,
 )
-from .symfun import Partition, ShiftSequence, e_factorial, h_factorial, partitions_with, zvars
+from .symfun import Partition, ShiftSequence, e_factorial, h_factorial, partitions_with
 from .weyl import (
     WeylContext,
     WeylOperator,

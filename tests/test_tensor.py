@@ -4,7 +4,6 @@ import pytest
 
 from capelli import tensor
 from capelli.core import (
-    ConsistencyError,
     DimensionError,
     SymPoly,
     dense_div_linear,
@@ -25,22 +24,27 @@ from capelli.tensor import (
     fusion_capelli,
     generating_functions,
     guard_cells,
+    orbit_sign,
+    projector_rows,
     quantum_det_gl,
     sklyanin_det,
     smat_eq,
     smat_identity,
     smat_mul,
     smat_scale,
+    smat_tensor_id,
     symmetrizer,
     theorem_62_check,
     tm_E,
     tm_F,
     tm_one_plus,
+    tm_q_correction,
     tm_R,
     twist_Q,
     verify_relations,
     verify_vanishing,
 )
+from capelli.symfun import partitions_with
 from capelli.weyl import sgn
 
 SO2 = LieContext("so", 2)
@@ -257,3 +261,114 @@ def test_normalized_fused_matrix_is_entrywise_regular():
             while sum(c * u0 ** t for t, c in enumerate(d)) == 0:
                 d = dense_div_linear(d, u0)
                 num = dense_div_linear(num, u0)  # raises if a pole survived
+
+
+# -- the full-row route, kept here as the oracle of the one-row-per-orbit one ---
+
+
+def full_row_fused(ctx, m, shape):
+    """Reference for `fused_F`: the same factor chain on every one of the
+    N^m rows of the (anti)symmetrizer, with no orbit expansion."""
+    space = TensorSpace(ctx.N, m)
+    vars = ("u",)
+    signed = shape == "column"
+    u = SymPoly.variable(vars, "u")
+
+    def arg(q):
+        return u - (q - 1) if signed else u + (q - 1)
+
+    mat = TMat.from_scalar(ctx, space, vars, symmetrizer(space, signed))
+    for q in range(1, m + 1):
+        if q > 1:
+            mat = mat * tm_q_correction(ctx, space, vars, q, arg(1) + arg(q))
+        mat = mat * tm_F(ctx, space, vars, q, arg(q))
+    return mat
+
+
+def all_cells_extraction(mat, proj):
+    """Reference for `_extract_proportional`: compare every cell of the
+    N^N x N^N matrix with the full antisymmetrizer (`proj` is ignored)."""
+    space = mat.space
+    full = symmetrizer(space, signed=True)
+    ref = min(full)
+    for r in range(space.size):
+        for c in range(space.size):
+            lhs = smat_scale(mat.entry(r, c), full[ref])
+            rhs = smat_scale(mat.entry(*ref), full.get((r, c), Fraction(0)))
+            assert lhs == rhs, (r, c)
+    return smat_scale(mat.entry(*ref), 1 / full[ref])
+
+
+def full_row_qdet(N):
+    """Reference for `quantum_det_gl`: the plain product on all rows."""
+    ctx = LieContext("gl", N)
+    space = TensorSpace(N, N)
+    vars = ("u",)
+    u = SymPoly.variable(vars, "u")
+    mat = TMat.from_scalar(ctx, space, vars, symmetrizer(space, signed=True))
+    for q in range(1, N + 1):
+        mat = mat * tm_E(ctx, space, vars, q, u - (q - 1))
+    return ent_to_ucoeffs(ctx, all_cells_extraction(mat, None))
+
+
+def test_orbit_sign():
+    assert orbit_sign((1, -1), True) == ((-1, 1), -1)
+    assert orbit_sign((-1, 1), True) == ((-1, 1), 1)
+    assert orbit_sign((1, 0, -1), True) == ((-1, 0, 1), -1)
+    assert orbit_sign((0, 1, -1), True) == ((-1, 0, 1), 1)
+    assert orbit_sign((1, -1, 1), True) == ((-1, 1, 1), 0)
+    for t in ((1, -1), (1, 0, -1), (1, -1, 1), (1, 1)):
+        assert orbit_sign(t, False) == (tuple(sorted(t)), 1)
+
+
+@pytest.mark.parametrize("signed", [True, False])
+def test_projector_rows_are_the_sorted_rows(signed):
+    space = TensorSpace(3, 3)
+    proj = projector_rows(SO3, space, ("u",), signed)
+    expected = {space.code[t] for t in space.tuples
+                if list(t) == sorted(t) and (len(set(t)) == 3 or not signed)}
+    assert set(proj.rows) == expected
+    partial = projector_rows(SO3, space, ("u",), signed, width=2)
+    full = smat_tensor_id(symmetrizer(TensorSpace(3, 2), signed), 3)
+    for r, row in partial.rows.items():
+        t = space.tuples[r]
+        assert orbit_sign(t[:2], signed) == (t[:2], 1)
+        assert {c: e[((0,), ())] for c, e in row.items()} == {
+            c: v for (rr, c), v in full.items() if rr == r}
+
+
+@pytest.mark.parametrize("ctx,m", [
+    pytest.param(c, m, id=f"{c.family}{c.N}-m{m}")
+    for c, ms in ((SO2, (1, 2, 3, 4)), (SP2, (1, 2, 3, 4)), (SO3, (1, 2))) for m in ms])
+@pytest.mark.parametrize("shape", ["column", "row"])
+def test_fused_F_matches_full_row_route(ctx, m, shape):
+    mat = fused_F(ctx, m, shape)
+    ref = full_row_fused(ctx, m, shape)
+    assert set(mat.rows) == set(ref.rows)
+    assert cross_equal(mat, ref) is None
+
+
+@pytest.mark.parametrize("N,eps", [(1, "so"), (2, "so"), (2, "sp"), (3, "so")])
+def test_quantum_det_gl_matches_all_cells_extraction(N, eps):
+    assert quantum_det_gl(N, eps) == full_row_qdet(N)
+
+
+@pytest.mark.parametrize("ctx", [SO2, SP2, SO3], ids=["so2", "sp2", "so3"])
+def test_sklyanin_det_matches_all_cells_extraction(ctx, monkeypatch):
+    fast = sklyanin_det(ctx)
+    monkeypatch.setattr(tensor, "fused_F", lambda ctx, m, shape, max_cells=None:
+                        full_row_fused(ctx, m, shape))
+    monkeypatch.setattr(tensor, "_extract_proportional", all_cells_extraction)
+    assert fast == sklyanin_det(ctx)
+
+
+@pytest.mark.parametrize("N,eps", [(3, "so"), (4, "so"), (4, "sp")])
+def test_quantum_det_gl_eigenvalues_on_every_wired_weight(N, eps):
+    h = quantum_det_gl(N, eps)
+    for nu in partitions_with(N, max_weight=2):
+        assert eigenvalue_check_gl(N, nu, h) is None, nu
+
+
+def test_sp_sign_table_needs_even_rank():
+    with pytest.raises(DimensionError):
+        quantum_det_gl(3, "sp")
