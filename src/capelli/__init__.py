@@ -10,7 +10,7 @@ the R-matrix fusion constructions, the quantum-determinant formula, the
 dual-pair transfer, and the generating-series inversion.
 """
 
-from .core import DimensionError, ExactDivisionError, PoleError, RatFun, Scalar, SymPoly, det, per
+from .core import DimensionError, ExactDivisionError, Scalar, SymPoly, det, per
 from .symfun import (
     Partition,
     ShiftSequence,

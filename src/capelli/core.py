@@ -1,6 +1,6 @@
-"""Exact commutative kernel: rational scalars, sparse polynomials, rational
-functions of one variable, and determinants/permanents of matrices with
-commuting entries.
+"""Exact commutative kernel: rational scalars, sparse polynomials,
+determinants/permanents of matrices with commuting entries, and
+generating series in one variable.
 
 Every coefficient in the library is a `fractions.Fraction`; there is no
 floating point anywhere.  Polynomials are stored sparsely as a map from
@@ -9,7 +9,10 @@ variable tuple.
 
 The module also holds the two shared building blocks of the other
 layers: `add_into`, the one in-place accumulation for sparse maps, and
-the `dense_*` functions on coefficient lists in one variable.
+the `dense_*` functions on coefficient lists in one variable.  A series
+in one variable is a fraction of two such lists (`series_as_fraction`),
+and `series_defect` is the one rule that decides a one-variable rational
+identity, exactly or up to a truncation order, by cross-multiplying.
 """
 
 from __future__ import annotations
@@ -24,10 +27,6 @@ Scalar = Fraction
 
 class DimensionError(ValueError):
     """Matrix input is not square (or sizes are inconsistent)."""
-
-
-class PoleError(ZeroDivisionError):
-    """Evaluation of a rational function at a pole."""
 
 
 class ExactDivisionError(ArithmeticError):
@@ -479,9 +478,6 @@ def dense_trim(a):
     return a
 
 
-# -- rational functions of one variable ----------------------------------------
-
-
 def to_dense(p: SymPoly):
     """A polynomial in one variable as its dense coefficient list,
     constant term first (empty for zero)."""
@@ -494,138 +490,36 @@ def to_dense(p: SymPoly):
     return out
 
 
-def _from_dense(var, coeffs):
-    return SymPoly((var,), {(i,): c for i, c in enumerate(coeffs) if c != 0})
+# -- generating series in one variable ------------------------------------------
+#
+# A series in t is kept as a fraction (num, den) of two coefficient lists;
+# two fractions are equal when num_a * den_b and num_b * den_a are.
 
 
-def _dense_divmod(a, b):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        f = a[i] / lb
-        q[i - db] = f
-        if f:
-            for j in range(db + 1):
-                a[i - db + j] -= f * b[j]
-    return q, dense_trim(a)
+def linear_ladder(roots):
+    """The ladder factors (t - r) for the given roots."""
+    return [[-r, Fraction(1)] for r in roots]
 
 
-def _dense_gcd(a, b):
-    a, b = list(a), list(b)
-    while b:
-        _, r = _dense_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+def series_as_fraction(elements, ladder):
+    """sum_k elements[k] / (ladder[0] * ... * ladder[k-1]) for k = 0 ..
+    len(ladder), over the common denominator, the product of the whole
+    ladder.  `elements` are ring elements (elements[0] is the ring's one)
+    and the ladder factors are scalar coefficient lists.  Returns the
+    numerator and the denominator as coefficient lists."""
+    num = []
+    for k in range(len(ladder) + 1):
+        num = dense_add(num, [elements[k] * c for c in dense_prod(ladder[k:])])
+    return num, dense_prod(ladder)
 
 
-class RatFun:
-    """Rational function of one variable with exact coefficients.
-
-    Normal form: gcd(numerator, denominator) = 1 and the denominator is
-    monic, so equality is structural.
-    """
-
-    __slots__ = ("var", "num", "den")
-
-    def __init__(self, num: SymPoly, den: SymPoly):
-        if num.vars != den.vars or len(num.vars) != 1:
-            raise DimensionError("RatFun needs matching one-variable polynomials")
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        var = num.vars[0]
-        dn, dd = to_dense(num), to_dense(den)
-        g = _dense_gcd(dn, dd) if dn else []
-        if len(g) > 1:
-            dn, _ = _dense_divmod(dn, g)
-            dd, _ = _dense_divmod(dd, g)
-        lead = dd[-1]
-        if lead != 1:
-            dn = [c / lead for c in dn]
-            dd = [c / lead for c in dd]
-        self.var = var
-        self.num = _from_dense(var, dn)
-        self.den = _from_dense(var, dd)
-
-    @classmethod
-    def from_poly(cls, p: SymPoly):
-        return cls(p, SymPoly.const(p.vars, 1))
-
-    @classmethod
-    def const(cls, var, c):
-        one = SymPoly.const((var,), 1)
-        return cls(SymPoly.const((var,), c), one)
-
-    @classmethod
-    def variable(cls, var):
-        v = SymPoly.variable((var,), var)
-        return cls(v, SymPoly.const((var,), 1))
-
-    def _coerce(self, other):
-        if isinstance(other, RatFun):
-            if other.var != self.var:
-                raise DimensionError("rational functions in different variables")
-            return other
-        if isinstance(other, SymPoly):
-            return RatFun.from_poly(other)
-        return RatFun.const(self.var, other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return RatFun(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFun(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return RatFun(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def inverse(self):
-        return 1 / self
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        # already canonical, but cross-multiplication is the contract
-        return (self.num * other.den - other.num * self.den).is_zero()
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __call__(self, u0):
-        u0 = scal(u0)
-        dv = self.den.evaluate({self.var: u0})
-        if dv == 0:
-            raise PoleError(f"pole at {self.var}={u0}")
-        return self.num.evaluate({self.var: u0}) / dv
-
-    def __repr__(self):
-        if self.den == 1:
-            return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
+def series_defect(a, b, K):
+    """How far the series a = (num_a, den_a) and b = (num_b, den_b) in t
+    agree, as (deg, bound): deg is the degree of num_a * den_b - num_b *
+    den_a (-1 when a = b exactly) and bound is deg(den_a * den_b) - (K+1).
+    a = b + O(t^{-K-1}) exactly when deg <= bound.  The denominators are
+    scalar coefficient lists; products keep num_a and num_b on the left."""
+    (num_a, den_a), (num_b, den_b) = a, b
+    diff = dense_add(dense_mul(num_a, den_b), [-x for x in dense_mul(num_b, den_a)])
+    bound = len(dense_trim(dense_mul(den_a, den_b))) - 1 - (K + 1)
+    return len(dense_trim(diff)) - 1, bound

@@ -27,11 +27,12 @@ from fractions import Fraction
 from .core import (
     SymPoly,
     add_into,
-    dense_add,
     dense_mul,
     dense_prod,
-    dense_trim,
+    linear_ladder,
     multiplicity_factorial,
+    series_as_fraction,
+    series_defect,
 )
 from .symfun import (
     Partition,
@@ -69,9 +70,7 @@ from .tensor import (
     fusion_capelli,
     generating_functions,
     guard_cells,
-    linear_ladder,
     quantum_det_gl,
-    series_as_fraction,
     theorem_62_check,
     verify_relations,
     verify_vanishing,
@@ -332,19 +331,17 @@ def suite_cor_46(p, rng):
     yield f"transfer-identity-C[N={N},m={m},k={k}]", _weyl_witness(lhs, rhs)
 
 
-def _cross_multiplied(lhs, lhs_roots, rhs, rhs_roots, top_roots, bottom_roots):
-    """Clear the denominators of lhs(t) * top(t) / bottom(t) = rhs(t) in
-    t = u^2.  `lhs` and `rhs` map k to the k-th term of a generating
-    series summed by `series_as_fraction` over the linear ladder with the
-    given roots; top and bottom are the products of (t - root).  Returns
-    (left, right): the two sides times all four denominators, as
-    coefficient lists."""
+def _transfer_sides(lhs, lhs_roots, rhs, rhs_roots, top_roots, bottom_roots):
+    """The two sides of lhs(t) * top(t) / bottom(t) = rhs(t) in t = u^2,
+    each as a fraction (num, den) of coefficient lists.  `lhs` and `rhs`
+    map k to the k-th term of a generating series summed by
+    `series_as_fraction` over the linear ladder with the given roots; top
+    and bottom are the products of (t - root)."""
     lhs_num, lhs_den = series_as_fraction(lhs, linear_ladder(lhs_roots))
-    rhs_num, rhs_den = series_as_fraction(rhs, linear_ladder(rhs_roots))
     top = dense_prod(linear_ladder(top_roots))
     bottom = dense_prod(linear_ladder(bottom_roots))
-    return (dense_mul(lhs_num, dense_mul(top, rhs_den)),
-            dense_mul(rhs_num, dense_mul(bottom, lhs_den)))
+    return ((dense_mul(lhs_num, top), dense_mul(lhs_den, bottom)),
+            series_as_fraction(rhs, linear_ladder(rhs_roots)))
 
 
 def suite_prop_43(p, rng):
@@ -363,10 +360,11 @@ def suite_prop_43(p, rng):
             c_gamma[0] = one
             cp_gamma = {k: series_sp[k].gamma_prime(m, N) for k in range(1, m + 1)}
             cp_gamma[0] = one
-            left, right = _cross_multiplied(
+            (lhs_num, lhs_den), (rhs_num, rhs_den) = _transfer_sides(
                 c_gamma, c_ladder_roots(ctx_so, n), cp_gamma, c_ladder_roots(ctx_sp, m),
                 [(Fraction(N, 2) - a) ** 2 for a in range(1, m + 1)],
                 [Fraction(a) ** 2 for a in range(1, m + 1)])
+            left, right = dense_mul(lhs_num, rhs_den), dense_mul(rhs_num, lhs_den)
             witness = None
             for d in range(max(len(left), len(right))):
                 x = left[d] if d < len(left) else zero
@@ -414,13 +412,10 @@ def suite_prop_52(p, rng):
             dp_gamma = {k: series_so[k].gamma_prime(m, N) for k in range(1, K + 1)}
             d_gamma[0] = one
             dp_gamma[0] = one
-            left, right = _cross_multiplied(
+            deg, bound = series_defect(*_transfer_sides(
                 d_gamma, d_ladder_roots(ctx_sp, K), dp_gamma, d_ladder_roots(ctx_so, K),
                 [Fraction(a - 1) ** 2 for a in range(1, m + 1)],
-                [Fraction(n - a + 1) ** 2 for a in range(1, m + 1)])
-            diff = dense_add(left, [x * -1 for x in right])
-            deg = len(dense_trim(diff)) - 1
-            bound = (m + 2 * K) - (K + 1)  # degree of the cleared denominators: m + K + K
+                [Fraction(n - a + 1) ** 2 for a in range(1, m + 1)]), K)
             yield (f"generating-transfer-D[N={N},m={m},K={K}]",
                    None if deg <= bound else
                    f"defect degree {deg} exceeds the truncation bound {bound}")

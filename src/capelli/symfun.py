@@ -12,7 +12,19 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .core import DimensionError, RatFun, SymPoly, add_into, det, scal
+from .core import (
+    DimensionError,
+    SymPoly,
+    add_into,
+    dense_mul,
+    dense_prod,
+    dense_trim,
+    det,
+    linear_ladder,
+    scal,
+    series_as_fraction,
+    series_defect,
+)
 
 
 class Partition:
@@ -286,26 +298,17 @@ class PoleCollision(ArithmeticError):
     """z-values collided with sequence entries; resample and retry."""
 
 
-def x_series(n, a: ShiftSequence, zvals, tvar="t"):
-    """The interpolation kernel prod(t - z_p) / prod(t - a_p) at concrete
-    z-values, as an exact rational function of t."""
-    t = RatFun.variable(tvar)
-    num = RatFun.const(tvar, 1)
-    den = RatFun.const(tvar, 1)
-    for p in range(1, n + 1):
-        num = num * (t - scal(zvals[p - 1]))
-        den = den * (t - a[p])
-    return num / den
-
-
 def check_generating_series(n: int, K: int, a: ShiftSequence, zvals) -> bool:
     """Both generating-series identities for the factorial e- and
-    h-families at concrete rational z-values.
+    h-families at concrete rational z-values, against the interpolation
+    kernel X(t) = prod(t - z_p) / prod(t - a_p), p = 1..n.
 
-    The e-side is a bona fide rational-function identity in t and is
-    checked exactly.  The h-side is an identity of power series in 1/t;
-    truncating the sum at K terms leaves an error whose numerator degree
-    is checked after clearing all denominators.
+    The e-side sums (-1)^k e_k over the ladder (t - a_n), ..., (t - a_1);
+    it is a rational identity in t and is decided exactly, by
+    cross-multiplying.  The h-side sums h_k over the ladder (t - a_{n+1}),
+    (t - a_{n+2}), ...; it is an identity of power series in 1/t, and its
+    truncation at K terms must equal 1/X up to O(t^{-K-1}), which
+    `series_defect` decides.
     """
     if not a.multiplicity_free(n + K):
         raise PoleCollision("shift sequence has repeated entries on the needed prefix")
@@ -313,38 +316,19 @@ def check_generating_series(n: int, K: int, a: ShiftSequence, zvals) -> bool:
     if any(z == a[j] for z in zvals for j in range(1, n + K + 1)):
         raise PoleCollision("z-value hits a sequence entry")
 
-    tvar = "t"
-    t = RatFun.variable(tvar)
-    X = x_series(n, a, zvals, tvar)
-
     point = {f"z{q}": zvals[q - 1] for q in range(1, n + 1)}
 
-    lhs_e = RatFun.const(tvar, 1)
-    for k in range(1, n + 1):
-        ek = e_factorial(k, n, a).subs_partial(point).constant_value()
-        denom = RatFun.const(tvar, 1)
-        for j in range(n - k + 1, n + 1):
-            denom = denom * (t - a[j])
-        lhs_e = lhs_e + RatFun.const(tvar, (-1) ** k * ek) / denom
-    if not lhs_e == X:
-        return False
+    def value(family, k):
+        return family(k, n, a).subs_partial(point).constant_value()
 
-    lhs_h = RatFun.const(tvar, 1)
-    for k in range(1, K + 1):
-        hk = h_factorial(k, n, a).subs_partial(point).constant_value()
-        denom = RatFun.const(tvar, 1)
-        for j in range(n + 1, n + k + 1):
-            denom = denom * (t - a[j])
-        lhs_h = lhs_h + RatFun.const(tvar, hk) / denom
-    err = lhs_h - 1 / X
-    # deg(err) <= -(K+1) in 1/t; clearing the K+n denominator factors
-    # must leave a polynomial of degree <= n-1
-    clear = RatFun.const(tvar, 1)
-    for j in range(n + 1, n + K + 1):
-        clear = clear * (t - a[j])
-    for z in zvals:
-        clear = clear * (t - z)
-    cleared = err * clear
-    if not cleared.den == 1:
+    x_num = dense_prod(linear_ladder(zvals))
+    x_den = dense_prod(linear_ladder(a.prefix(n)))
+    e_num, e_den = series_as_fraction(
+        [(-1) ** k * value(e_factorial, k) for k in range(n + 1)],
+        linear_ladder(a[j] for j in range(n, 0, -1)))
+    if dense_trim(dense_mul(e_num, x_den)) != dense_trim(dense_mul(x_num, e_den)):
         return False
-    return cleared.num.total_degree() <= n - 1
+    h = series_as_fraction([value(h_factorial, k) for k in range(K + 1)],
+                           linear_ladder(a[j] for j in range(n + 1, n + K + 1)))
+    deg, bound = series_defect(h, (x_den, x_num), K)
+    return deg <= bound

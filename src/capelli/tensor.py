@@ -15,7 +15,9 @@ that add through `core.add_into`.  Every factor is built by `tm_one_plus`
 (1 + X/den: the Yang and twisted R-matrices, the twist correction) or by
 `_slot_factor` (a generator matrix in one tensor slot: `tm_F`, `tm_E`).
 Polynomials in one variable are read out as dense coefficient lists for
-the `core.dense_*` functions, with scalar or U(gl_N) coefficients alike.
+the `core.dense_*` functions, with scalar or U(gl_N) coefficients alike;
+the generating functions are `core.series_as_fraction` fractions of such
+lists, and their inversion is decided by `core.series_defect`.
 
 Every projected product (the fused row and column, the quantum
 determinants, the projected twisted chain) starts with an
@@ -41,15 +43,17 @@ from .core import (
     DimensionError,
     SymPoly,
     add_into,
-    dense_add,
     dense_div_linear,
     dense_eval,
     dense_mul,
     dense_prod,
     dense_shift,
     dense_trim,
+    linear_ladder,
     perm_sign,
     scal,
+    series_as_fraction,
+    series_defect,
     to_dense,
 )
 from .symfun import Partition
@@ -620,45 +624,23 @@ def d_ladder_roots(ctx: LieContext, K: int):
     return [Fraction(ctx.n + j) ** 2 for j in range(1, K + 1)]
 
 
-def series_as_fraction(elements, ladder):
-    """sum_k elements[k] / (ladder[0] * ... * ladder[k-1]) for k = 0 ..
-    len(ladder), over the common denominator, the product of the whole
-    ladder.  `elements` are ring elements (elements[0] is the ring's one)
-    and the ladder factors are scalar coefficient lists.  Returns the
-    numerator and the denominator as coefficient lists."""
-    num = []
-    for k in range(len(ladder) + 1):
-        num = dense_add(num, [elements[k] * c for c in dense_prod(ladder[k:])])
-    return num, dense_prod(ladder)
-
-
-def linear_ladder(roots):
-    """The ladder factors (t - r) for the given roots."""
-    return [[-r, Fraction(1)] for r in roots]
-
-
 def generating_functions(ctx: LieContext, K: int, series_c: CentralSeries,
                          series_d: CentralSeries):
     """Package the two generating functions in t = u^2 and assert that
-    their product is 1 + O(t^{-K-1}) (exactly: after clearing the two
-    ladders the numerator of product-minus-one has t-degree at most
-    deg(denominator) - (K+1))."""
+    their product is 1 + O(t^{-K-1}), by `series_defect`."""
     n = ctx.n
     kc = min(K, n)
     c_elems = [series_c[k].uea() for k in range(0, kc + 1)]
     d_elems = [series_d[k].uea() for k in range(0, K + 1)]
     c_num, c_den = series_as_fraction(c_elems, linear_ladder(c_ladder_roots(ctx, kc)))
     d_num, d_den = series_as_fraction(d_elems, linear_ladder(d_ladder_roots(ctx, K)))
-    prod_den = dense_mul(c_den, d_den)
-    # product - 1, over the common denominator
-    diff = dense_add(dense_mul(c_num, d_num), [-c for c in prod_den])
-    deg = len(dense_trim(diff)) - 1
-    bound = (len(dense_trim(prod_den)) - 1) - (K + 1)
-    ok = deg <= bound
+    one = [Fraction(1)]
+    deg, bound = series_defect((dense_mul(c_num, d_num), dense_mul(c_den, d_den)),
+                               (one, one), K)
     return {
         "C": (c_num, c_den),
         "D": (d_num, d_den),
-        "inverse_ok": ok,
+        "inverse_ok": deg <= bound,
         "defect_degree": deg,
         "allowed_degree": bound,
     }

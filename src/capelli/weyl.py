@@ -283,16 +283,15 @@ def operators_agree_on_degree(aop: WeylOperator, bop: WeylOperator, d: int) -> b
 def gamma_gen(family: str, i, j, m: int, N: int) -> WeylOperator:
     """Image of a Lie algebra generator under the natural action on the
     polynomial ring: E_ij for gl, F_ij for so/sp."""
+    if family not in ("gl", "so", "sp"):
+        raise ValueError(f"unknown family {family!r}")
     ctx = WeylContext(m, N)
+    eps = sgn(i) * sgn(j) if family == "sp" else 1
     op = WeylOperator.zero(ctx)
     for a in range(1, m + 1):
         op = op + WeylOperator.x(ctx, a, i) * WeylOperator.d(ctx, a, j)
-        if family == "so":
-            op = op - WeylOperator.x(ctx, a, -j) * WeylOperator.d(ctx, a, -i)
-        elif family == "sp":
-            op = op - sgn(i) * sgn(j) * WeylOperator.x(ctx, a, -j) * WeylOperator.d(ctx, a, -i)
-        elif family != "gl":
-            raise ValueError(f"unknown family {family!r}")
+        if family != "gl":
+            op = op - eps * WeylOperator.x(ctx, a, -j) * WeylOperator.d(ctx, a, -i)
     return op
 
 
@@ -303,38 +302,24 @@ def dual_gamma_gen(dual_family: str, A: int, B: int, m: int, N: int) -> WeylOper
     ctx = WeylContext(m, N)
     if A == 0 or B == 0 or not (abs(A) <= m and abs(B) <= m):
         raise DimensionError(f"dual generator F'[{A},{B}] out of range")
+    if dual_family not in ("sp", "so"):
+        raise ValueError(f"unknown dual family {dual_family!r}")
+    if dual_family == "so" and N % 2:
+        raise DimensionError("orthogonal dual action needs an even inner dimension")
     if A < 0 and B < 0:
         return -dual_gamma_gen(dual_family, -B, -A, m, N)
+    x, d = WeylOperator.x, WeylOperator.d
     op = WeylOperator.zero(ctx)
-    if dual_family == "sp":
+    for i in index_set(N):
+        xx_sign, dd_sign = (sgn(i), sgn(i)) if dual_family == "so" else (-1, 1)
         if A > 0 and B > 0:
-            for i in index_set(N):
-                op = op + WeylOperator.x(ctx, A, i) * WeylOperator.d(ctx, B, i)
-            if A == B:
-                op = op + WeylOperator.scalar(ctx, Fraction(N, 2))
-        elif A > 0 and B < 0:
-            for i in index_set(N):
-                op = op - WeylOperator.x(ctx, A, i) * WeylOperator.x(ctx, -B, -i)
+            op = op + x(ctx, A, i) * d(ctx, B, i)
+        elif A > 0:  # B < 0
+            op = op + xx_sign * x(ctx, A, i) * x(ctx, -B, -i)
         else:  # A < 0 < B
-            for i in index_set(N):
-                op = op + WeylOperator.d(ctx, -A, i) * WeylOperator.d(ctx, B, -i)
-    elif dual_family == "so":
-        n = N // 2
-        if N % 2:
-            raise DimensionError("orthogonal dual action needs an even inner dimension")
-        if A > 0 and B > 0:
-            for i in index_set(N):
-                op = op + WeylOperator.x(ctx, A, i) * WeylOperator.d(ctx, B, i)
-            if A == B:
-                op = op + WeylOperator.scalar(ctx, n)
-        elif A > 0 and B < 0:
-            for i in index_set(N):
-                op = op + sgn(i) * WeylOperator.x(ctx, A, i) * WeylOperator.x(ctx, -B, -i)
-        else:
-            for i in index_set(N):
-                op = op + sgn(i) * WeylOperator.d(ctx, -A, i) * WeylOperator.d(ctx, B, -i)
-    else:
-        raise ValueError(f"unknown dual family {dual_family!r}")
+            op = op + dd_sign * d(ctx, -A, i) * d(ctx, B, -i)
+    if A == B:
+        op = op + WeylOperator.scalar(ctx, Fraction(N, 2))
     return op
 
 

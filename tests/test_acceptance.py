@@ -8,8 +8,6 @@ criterion.
 
 import time
 
-import pytest
-
 from capelli.suites import run_suite
 
 

@@ -7,18 +7,20 @@ import pytest
 from capelli.core import (
     ConsistencyError,
     DimensionError,
-    PoleError,
-    RatFun,
     SymPoly,
     add_into,
     dense_div_linear,
     dense_eval,
     dense_mul,
     dense_shift,
+    dense_trim,
     det,
+    linear_ladder,
     per,
     perm_sign,
     scal,
+    series_as_fraction,
+    series_defect,
 )
 
 
@@ -247,47 +249,26 @@ def test_sympoly_partial_substitution():
     assert q == 11 * y
 
 
-# -- rational functions ---------------------------------------------------
+# -- generating series in one variable ------------------------------------
 
 
-def test_ratfun_eval_simple():
-    u = RatFun.variable("u")
-    f = (u - 1) / (u - 2)
-    assert f(3) == 2
+def test_series_as_fraction_two_step_ladder():
+    # 1 + 5/(t - 2) + 7/((t - 2)(t - 3)) over (t - 2)(t - 3):
+    # (t^2 - 5t + 6) + 5(t - 3) + 7 = t^2 - 2
+    num, den = series_as_fraction([Fraction(1), Fraction(5), Fraction(7)],
+                                  linear_ladder([Fraction(2), Fraction(3)]))
+    assert dense_trim(num) == [-2, 0, 1]
+    assert den == [6, -5, 1]
 
 
-def test_ratfun_removable_singularity():
-    u = RatFun.variable("u")
-    f = (u * u - 1) / (u - 1)
-    assert f(1) == 2  # gcd normalization cancels the factor
-    g = (u - 1) / (u - 2)
-    with pytest.raises(PoleError):
-        g(2)
-
-
-def test_ratfun_alpha_value():
-    # dual-pair normalizer with one tensor slot over a 3-dimensional space:
-    # product oracle (u^2 - (3/2 - 1)^2) / (u^2 - 1) at u=2 is (4 - 1/4)/3.
-    u = RatFun.variable("u")
-    alpha = (u * u - Fraction(1, 4)) / (u * u - 1)
-    assert alpha(2) == Fraction(5, 4)
-
-
-def test_ratfun_equality_cross_multiplication():
-    rng = random.Random(23)
-    u = RatFun.variable("u")
-    for _ in range(20):
-        a, b, c = (rand_fraction(rng) for _ in range(3))
-        f = (u - a) * (u - b) / ((u - c) * (u - b))
-        g = (u - a) / (u - c)
-        assert f == g
-        assert (f.num * g.den - g.num * f.den).is_zero()
-        if a != c:
-            assert not f == (u - c) / (u - a)
-
-
-def test_ratfun_denominator_monic():
-    u = RatFun.variable("u")
-    f = 1 / (2 * u - 1)
-    assert f.den.coefficient((1,)) == 1
-    assert f(1) == 1
+def test_series_defect_at_the_truncation_bound():
+    # sum_{k<=K} (r/t)^k agrees with t/(t - r) up to r^{K+1}/t^{K+1}
+    # exactly: it passes at order K and fails one order above.
+    r, K = Fraction(3, 2), 4
+    truncated = series_as_fraction([r ** k for k in range(K + 1)],
+                                   linear_ladder([Fraction(0)] * K))
+    exact = ([Fraction(0), Fraction(1)], [-r, Fraction(1)])
+    deg, bound = series_defect(truncated, exact, K)
+    assert deg == bound == 0
+    deg, bound = series_defect(truncated, exact, K + 1)
+    assert deg > bound

@@ -1,9 +1,9 @@
 from fractions import Fraction
-import itertools
 import random
 
 import pytest
 
+from capelli import symfun
 from capelli.core import DimensionError, SymPoly
 from capelli.symfun import (
     Partition,
@@ -158,6 +158,20 @@ def test_generating_series_random():
         for _ in range(3):
             z = [Fraction(rng.randint(20, 60), rng.randint(1, 3)) for _ in range(n)]
             assert check_generating_series(n, 4, a, z)
+
+
+@pytest.mark.parametrize("family, k", [("e_factorial", 2), ("h_factorial", 3)])
+def test_generating_series_rejects_a_perturbed_coefficient(monkeypatch, family, k):
+    exact = getattr(symfun, family)
+
+    def perturbed(j, n, a):
+        p = exact(j, n, a)
+        return p * Fraction(101, 100) if j == k else p
+
+    z = [Fraction(7, 3), Fraction(11, 2)]
+    assert check_generating_series(2, 4, SQH, z)
+    monkeypatch.setattr(symfun, family, perturbed)
+    assert not check_generating_series(2, 4, SQH, z)
 
 
 def test_generating_series_pole_collision():

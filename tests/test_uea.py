@@ -7,9 +7,8 @@ import pytest
 
 from capelli import uea
 from capelli.core import ConsistencyError, DimensionError, SymPoly, add_into, perm_sign
-from capelli.symfun import Partition, e_factorial, h_factorial
+from capelli.symfun import e_factorial, h_factorial
 from capelli.uea import (
-    CentralElement,
     DualRing,
     FExpr,
     GammaRing,
@@ -41,7 +40,7 @@ from capelli.uea import (
     uea_first_difference,
     uea_ring,
 )
-from capelli.weyl import WeylContext, WeylOperator, sgn
+from capelli.weyl import sgn
 
 
 GL2 = LieContext("gl", 2)

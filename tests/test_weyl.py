@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from capelli.core import ConsistencyError, DimensionError, SymPoly
+from capelli.core import DimensionError, SymPoly
 from capelli.symfun import Partition
 from capelli.weyl import (
     WeylContext,
