@@ -7,11 +7,14 @@ floating point anywhere.  Polynomials are stored sparsely as a map from
 dense exponent vectors to nonzero coefficients, over a fixed ordered
 variable tuple.
 
-The module also holds the two shared building blocks of the other
-layers: `add_into`, the one in-place accumulation for sparse maps, and
-the `dense_*` functions on coefficient lists in one variable.  A series
-in one variable is a fraction of two such lists (`series_as_fraction`),
-and `series_defect` is the one rule that decides a one-variable rational
+The module also holds the shared building blocks of the other layers:
+`add_into`, the one in-place accumulation for sparse maps; `Sparse`, the
+one base class of the four exact linear combinations (`SymPoly`,
+`UEAElement`, `WeylOperator`, `FExpr`), which holds their linear
+structure, equality and mismatch witness once; and the `dense_*`
+functions on coefficient lists in one variable.  A series in one
+variable is a fraction of two such lists (`series_as_fraction`), and
+`series_defect` is the one rule that decides a one-variable rational
 identity, exactly or up to a truncation order, by cross-multiplying.
 """
 
@@ -48,10 +51,10 @@ def add_into(out, terms, c=1):
     Both arguments are sparse maps: every key maps to a nonzero exact
     scalar, and a key that is absent has coefficient zero.  A key whose
     coefficient cancels is deleted at once, so `out` keeps that contract
-    after every step.  `terms` is not modified.  `SymPoly`, `UEAElement`,
-    `WeylOperator`, `FExpr` and the matrices and entry maps of `tensor`
-    all add through this one kernel; only the product loops that compute
-    each key on the fly repeat its body inline.
+    after every step.  `terms` is not modified.  Every `Sparse` element
+    (`SymPoly`, `UEAElement`, `WeylOperator`, `FExpr`) and the matrices
+    and entry maps of `tensor` add through this one kernel; only the
+    product loops that compute each key on the fly repeat its body inline.
     """
     if c == 1:  # the common case; no product, so no new Fraction per term
         for k, v in terms.items():
@@ -184,15 +187,110 @@ def _zero_like(x):
     return Fraction(0)
 
 
-class SymPoly:
+class Sparse:
+    """An exact linear combination: `terms` maps keys (monomials, PBW
+    words, normal-ordered operator symbols) to nonzero scalars, over a
+    `home` (a context or a variable tuple) that two operands must share.
+
+    The base holds the linear structure, equality and the mismatch
+    witness once.  A subclass supplies its constructor and its product,
+    `_home()`, `_like(terms)` (a new element over the same home),
+    `_mismatch` (the text of the `DimensionError` for operands over
+    different homes) and `_render(key)`, and overrides `_unit` (the key
+    of the scalar 1) and `_shown` (the number of terms `repr` lists)
+    where the defaults do not fit.
+    """
+
+    __slots__ = ()
+
+    _unit = ()
+    _shown = 6
+
+    @classmethod
+    def zero(cls, home):
+        return cls(home, {})
+
+    @classmethod
+    def scalar(cls, home, c):
+        out = cls.zero(home)
+        c = scal(c)
+        if c:
+            out.terms[out._unit] = c
+        return out
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            if other._home() != self._home():
+                raise DimensionError(self._mismatch)
+            return other
+        return self.scalar(self._home(), other)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return self._like(add_into(dict(self.terms), other.terms))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def _scaled(self, c):
+        """The product with the scalar c: the scalar branch of `*`."""
+        c = scal(c)
+        return self._like({k: c * v for k, v in self.terms.items()} if c else {})
+
+    def __eq__(self, other):
+        return self.terms == self._coerce(other).terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def is_zero(self):
+        return not self.terms
+
+    def bracket(self, other):
+        return self * other - other * self
+
+    def first_difference(self, other):
+        """Witness string "<term>: a != b" for the first key, in sorted
+        order, on which the two elements disagree, or None if equal."""
+        other = self._coerce(other)
+        if self.terms == other.terms:
+            return None
+        for k in sorted(set(self.terms) | set(other.terms)):
+            a = self.terms.get(k, Fraction(0))
+            b = other.terms.get(k, Fraction(0))
+            if a != b:
+                return f"{self._render(k)}: {a} != {b}"
+        return None
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        keys = sorted(self.terms)[:self._shown]
+        body = " + ".join(f"({self.terms[k]})*{self._render(k)}" for k in keys)
+        more = "" if len(self.terms) <= self._shown else f" + ... ({len(self.terms)} terms)"
+        return body + more
+
+
+class SymPoly(Sparse):
     """Sparse commutative polynomial over exact scalars.
 
     `vars` is the ordered tuple of variable names; `terms` maps an exponent
     tuple (same length as `vars`) to a nonzero Fraction.  Instances are
-    immutable; all operations return new objects.
+    immutable; all operations return new objects.  `==` against a
+    polynomial over another variable tuple is False, not an error.
     """
 
     __slots__ = ("vars", "terms")
+
+    _mismatch = "polynomials over different variable tuples"
 
     def __init__(self, vars, terms):
         self.vars = tuple(vars)
@@ -209,17 +307,6 @@ class SymPoly:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls, vars):
-        return cls(vars, {})
-
-    @classmethod
-    def const(cls, vars, c):
-        c = scal(c)
-        if c == 0:
-            return cls.zero(vars)
-        return cls(vars, {(0,) * len(vars): c})
-
-    @classmethod
     def variable(cls, vars, name):
         vars = tuple(vars)
         ev = [0] * len(vars)
@@ -232,36 +319,21 @@ class SymPoly:
 
     # -- ring structure --------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, SymPoly):
-            if other.vars != self.vars:
-                raise DimensionError("polynomials over different variable tuples")
-            return other
-        return SymPoly.const(self.vars, other)
+    def _home(self):
+        return self.vars
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        return SymPoly(self.vars, add_into(dict(self.terms), other.terms))
+    def _like(self, terms):
+        return SymPoly(self.vars, terms)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return SymPoly(self.vars, {ev: -c for ev, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
+    @property
+    def _unit(self):
+        return (0,) * len(self.vars)
 
     def __mul__(self, other):
         if not isinstance(other, SymPoly):
-            c = scal(other)
-            if c == 0:
-                return SymPoly.zero(self.vars)
-            return SymPoly(self.vars, {ev: c * v for ev, v in self.terms.items()})
+            return self._scaled(other)
         if other.vars != self.vars:
-            raise DimensionError("polynomials over different variable tuples")
+            raise DimensionError(self._mismatch)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -278,7 +350,7 @@ class SymPoly:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = SymPoly.const(self.vars, 1)
+        result = SymPoly.scalar(self.vars, 1)
         base = self
         while k:
             if k & 1:
@@ -290,15 +362,12 @@ class SymPoly:
     def __eq__(self, other):
         if isinstance(other, SymPoly):
             return self.vars == other.vars and self.terms == other.terms
-        return self.terms == SymPoly.const(self.vars, other).terms
+        return self.terms == SymPoly.scalar(self.vars, other).terms
 
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
 
     # -- queries ---------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     def is_constant(self):
         return all(all(e == 0 for e in ev) for ev in self.terms)
@@ -306,7 +375,7 @@ class SymPoly:
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        return self.terms.get(self._unit, Fraction(0))
 
     def total_degree(self):
         if not self.terms:
@@ -371,7 +440,7 @@ class SymPoly:
                 raise ZeroDivisionError("division by zero polynomial")
             return self * (1 / c)
         if divisor.vars != self.vars:
-            raise DimensionError("polynomials over different variable tuples")
+            raise DimensionError(self._mismatch)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         rem = self
@@ -389,17 +458,18 @@ class SymPoly:
 
     # -- display ---------------------------------------------------------
 
+    def _render(self, ev):
+        return "*".join(f"{v}^{e}" if e > 1 else v
+                        for v, e in zip(self.vars, ev) if e) or "1"
+
     def __repr__(self):
         if not self.terms:
             return "0"
         parts = []
         for ev in sorted(self.terms, reverse=True):
             c = self.terms[ev]
-            factors = [f"{v}^{e}" if e > 1 else v
-                       for v, e in zip(self.vars, ev) if e]
-            mono = "*".join(factors)
-            if mono:
-                parts.append(f"{c}*{mono}" if c != 1 else mono)
+            if any(ev):
+                parts.append(f"{c}*{self._render(ev)}" if c != 1 else self._render(ev))
             else:
                 parts.append(str(c))
         return " + ".join(parts).replace("+ -", "- ")
@@ -468,6 +538,20 @@ def dense_div_linear(a, root):
     if carry != 0:
         raise ConsistencyError("division by (u - root) leaves a nonzero remainder")
     return q
+
+
+def dense_first_difference(a, b, var):
+    """Witness "<var>^d: <witness>" for the lowest power d at which the
+    coefficient lists a and b of `Sparse` elements differ, or None when
+    they agree; the shorter list is padded with a zero of the other
+    side's type."""
+    for d in range(max(len(a), len(b))):
+        x = a[d] if d < len(a) else b[d]._like({})
+        y = b[d] if d < len(b) else x._like({})
+        witness = x.first_difference(y)
+        if witness is not None:
+            return f"{var}^{d}: {witness}"
+    return None
 
 
 def dense_trim(a):

@@ -27,6 +27,7 @@ from fractions import Fraction
 from .core import (
     SymPoly,
     add_into,
+    dense_first_difference,
     dense_mul,
     dense_prod,
     linear_ladder,
@@ -60,7 +61,6 @@ from .uea import (
     hc_polynomial,
     is_central,
     pfaffian_phi_expr,
-    uea_first_difference,
     uea_ring,
 )
 from .tensor import (
@@ -80,7 +80,6 @@ from .weyl import (
     WeylOperator,
     cayley_omega,
     cayley_theta,
-    first_difference,
     omega_AI,
     theta_AI,
 )
@@ -96,18 +95,6 @@ class CheckResult:
 
 class UsageError(ValueError):
     """Out-of-range or unknown parameters; maps to exit code 2."""
-
-
-def _weyl_witness(lhs, rhs):
-    if lhs == rhs:
-        return None
-    return first_difference(lhs, rhs)
-
-
-def _uea_witness(lhs, rhs):
-    if lhs == rhs:
-        return None
-    return uea_first_difference(lhs, rhs)
 
 
 def _hc_witness(element, k, ctx, target):
@@ -126,7 +113,7 @@ def _image_witness(ctx, m, k, choose, expr, block):
         for A in choose(range(1, m + 1), k):
             add_into(rhs.terms, block(A, I, m, ctx.N).terms,
                      Fraction(1, multiplicity_factorial(A)))
-        witness = _weyl_witness(lhs, rhs)
+        witness = lhs.first_difference(rhs)
         if witness is not None:
             return f"I={I}: {witness}"
     return None
@@ -144,7 +131,7 @@ def _transfer_witness(kind, k, m, N, series_inner, series_dual):
             continue
         cl = series_inner[l].gamma(m) if l else WeylOperator.scalar(wctx, 1)
         add_into(rhs.terms, cl.terms, f)
-    return _weyl_witness(lhs, rhs)
+    return lhs.first_difference(rhs)
 
 
 def _families(N):
@@ -162,7 +149,7 @@ def _capelli_suite(element, cayley, prefix):
                 for k in p["k"]:
                     if k <= min(m, N):
                         yield (f"{prefix}-capelli[N={N},m={m},k={k}]",
-                               _weyl_witness(gamma(element(k, N), m), cayley(k, m, N)))
+                               gamma(element(k, N), m).first_difference(cayley(k, m, N)))
 
     return run
 
@@ -226,7 +213,7 @@ def _fusion_suite(kind, shape, rank):
                     ctx = LieContext(family, N)
                     series = central_series(ctx, kind, rank(k, N))
                     yield (f"fusion-{shape}[{family}{N},k={k}]",
-                           _uea_witness(fusion_capelli(ctx, k, shape), series[k].uea()))
+                           fusion_capelli(ctx, k, shape).first_difference(series[k].uea()))
 
     return run
 
@@ -328,7 +315,7 @@ def suite_cor_46(p, rng):
     [N], [m], [k] = p["N"], p["m"], p["k"]
     lhs = central_series(LieContext("sp", 2 * m), "C", m)[k].gamma_prime(m, N)
     rhs = central_series(LieContext("so", N), "C", k)[k].gamma(m)
-    yield f"transfer-identity-C[N={N},m={m},k={k}]", _weyl_witness(lhs, rhs)
+    yield f"transfer-identity-C[N={N},m={m},k={k}]", lhs.first_difference(rhs)
 
 
 def _transfer_sides(lhs, lhs_roots, rhs, rhs_roots, top_roots, bottom_roots):
@@ -351,9 +338,7 @@ def suite_prop_43(p, rng):
             ctx_so = LieContext("so", N)
             ctx_sp = LieContext("sp", 2 * m)
             n = ctx_so.n
-            wctx = WeylContext(m, N)
-            zero = WeylOperator.zero(wctx)
-            one = WeylOperator.scalar(wctx, 1)
+            one = WeylOperator.scalar(WeylContext(m, N), 1)
             series_so = central_series(ctx_so, "C", n)
             series_sp = central_series(ctx_sp, "C", m)
             c_gamma = {l: series_so[l].gamma(m) for l in range(1, n + 1)}
@@ -364,15 +349,8 @@ def suite_prop_43(p, rng):
                 c_gamma, c_ladder_roots(ctx_so, n), cp_gamma, c_ladder_roots(ctx_sp, m),
                 [(Fraction(N, 2) - a) ** 2 for a in range(1, m + 1)],
                 [Fraction(a) ** 2 for a in range(1, m + 1)])
-            left, right = dense_mul(lhs_num, rhs_den), dense_mul(rhs_num, lhs_den)
-            witness = None
-            for d in range(max(len(left), len(right))):
-                x = left[d] if d < len(left) else zero
-                y = right[d] if d < len(right) else zero
-                if not x == y:
-                    witness = f"t^{d}: {first_difference(x, y)}"
-                    break
-            yield f"generating-transfer-C[N={N},m={m}]", witness
+            yield (f"generating-transfer-C[N={N},m={m}]", dense_first_difference(
+                dense_mul(lhs_num, rhs_den), dense_mul(rhs_num, lhs_den), "t"))
 
 
 def suite_thm_53(p, rng):
@@ -394,7 +372,7 @@ def suite_cor_54(p, rng):
     series_so = central_series(LieContext("so", 2 * m), "D", 2)
     for k in p["k"]:
         yield (f"transfer-identity-D[N={N},m={m},k={k}]",
-               _weyl_witness(series_so[k].gamma_prime(m, N), series_sp[k].gamma(m)))
+               series_so[k].gamma_prime(m, N).first_difference(series_sp[k].gamma(m)))
 
 
 def suite_prop_52(p, rng):
@@ -430,7 +408,7 @@ def suite_cor_42(p, rng):
         ctx = LieContext("so", N)
         pf = pfaffian_phi_expr(ctx.indices).evaluate(uea_ring(ctx))
         lhs = c_k_pfaffian(ctx, n)
-        yield f"top-pfaffian-square[N={N}]", _uea_witness(lhs, (pf * pf) * Fraction((-1) ** n))
+        yield f"top-pfaffian-square[N={N}]", lhs.first_difference((pf * pf) * Fraction((-1) ** n))
 
 
 def suite_series_inversion(p, rng):

@@ -165,7 +165,7 @@ def factorial_power(z, a: ShiftSequence, k: int):
 def vandermonde(n):
     vs = zvars(n)
     gens = SymPoly.gens(vs)
-    prod = SymPoly.const(vs, 1)
+    prod = SymPoly.scalar(vs, 1)
     for p in range(n):
         for q in range(p + 1, n):
             prod = prod * (gens[p] - gens[q])
@@ -193,9 +193,9 @@ def e_factorial(k: int, n: int, a: ShiftSequence) -> SymPoly:
     gens = SymPoly.gens(vs)
     total = SymPoly.zero(vs)
     if k == 0:
-        return SymPoly.const(vs, 1)
+        return SymPoly.scalar(vs, 1)
     for ps in itertools.combinations(range(1, n + 1), k):
-        term = SymPoly.const(vs, 1)
+        term = SymPoly.scalar(vs, 1)
         for t, p in enumerate(ps, start=1):
             term = term * (gens[p - 1] - a[p - t + 1])
         add_into(total.terms, term.terms)
@@ -208,10 +208,10 @@ def h_factorial(k: int, n: int, a: ShiftSequence) -> SymPoly:
     vs = zvars(n)
     gens = SymPoly.gens(vs)
     if k == 0:
-        return SymPoly.const(vs, 1)
+        return SymPoly.scalar(vs, 1)
     total = SymPoly.zero(vs)
     for ps in itertools.combinations_with_replacement(range(1, n + 1), k):
-        term = SymPoly.const(vs, 1)
+        term = SymPoly.scalar(vs, 1)
         for t, p in enumerate(ps, start=1):
             term = term * (gens[p - 1] - a[p + t - 1])
         add_into(total.terms, term.terms)

@@ -45,6 +45,7 @@ from .core import (
     add_into,
     dense_div_linear,
     dense_eval,
+    dense_first_difference,
     dense_mul,
     dense_prod,
     dense_shift,
@@ -57,7 +58,7 @@ from .core import (
     to_dense,
 )
 from .symfun import Partition
-from .uea import CentralSeries, LieContext, UEAElement, _normal_form, uea_first_difference
+from .uea import CentralSeries, LieContext, UEAElement, _normal_form
 from .weyl import index_set, sgn
 
 
@@ -247,7 +248,7 @@ class TMat:
         self.space = space
         self.vars = tuple(vars)
         self.rows = rows
-        self.den = den if den is not None else SymPoly.const(self.vars, 1)
+        self.den = den if den is not None else SymPoly.scalar(self.vars, 1)
 
     @classmethod
     def from_scalar(cls, ctx, space, vars, smat):
@@ -418,19 +419,18 @@ def tm_E(ctx, space, vars, q, arg, eps_family=None):
     return _slot_factor(ctx, space, vars, q, cell, arg)
 
 
-def guard_cells(N, m, max_cells=None):
+def guard_cells(N, m):
     """Raise `DimensionError` if the tensor space N^m has more cells than
-    `max_cells`, by default the environment variable VERIFY_MAX_CELLS
-    (256 when unset), which must be a positive integer."""
-    if max_cells is None:
-        raw = os.environ.get("VERIFY_MAX_CELLS", "256")
-        try:
-            max_cells = int(raw)
-        except ValueError:
-            max_cells = 0
-        if max_cells < 1:
-            raise DimensionError(
-                f"VERIFY_MAX_CELLS must be a positive integer, got {raw!r}")
+    the environment variable VERIFY_MAX_CELLS (256 when unset), which
+    must be a positive integer."""
+    raw = os.environ.get("VERIFY_MAX_CELLS", "256")
+    try:
+        max_cells = int(raw)
+    except ValueError:
+        max_cells = 0
+    if max_cells < 1:
+        raise DimensionError(
+            f"VERIFY_MAX_CELLS must be a positive integer, got {raw!r}")
     if N ** m > max_cells:
         raise DimensionError(
             f"tensor space {N}^{m} exceeds the {max_cells}-cell guard")
@@ -456,7 +456,7 @@ def phi_normalizer(ctx: LieContext, shape: str, m: int):
         return u + Fraction(1 - m, 2), u + Fraction(1, 2)
     if shape == "row" and ctx.family == "sp":
         return u + Fraction(m - 1, 2), u - Fraction(1, 2)
-    one = SymPoly.const(("u",), 1)
+    one = SymPoly.scalar(("u",), 1)
     return one, one
 
 
@@ -475,8 +475,7 @@ def _rt_chain(ctx, space, vars, q, arg):
     return [tm_Rt(ctx, space, vars, p, q, arg(p), arg(q)) for p in range(1, q)]
 
 
-def fused_F(ctx: LieContext, m: int, shape: str, check_alternative=None,
-            max_cells=None) -> TMat:
+def fused_F(ctx: LieContext, m: int, shape: str) -> TMat:
     """Ordered fused product over one spectral variable u.
 
     `shape` "column" builds the antisymmetrized product with arguments
@@ -484,12 +483,12 @@ def fused_F(ctx: LieContext, m: int, shape: str, check_alternative=None,
     chain runs on the representative rows of the projector, C(N, m) for a
     column and C(N+m-1, m) for a row, and the full matrix is rebuilt by
     `orbit_expand`; this is exact because P_tau * A = sign(tau) * A.
-    When `check_alternative` is enabled (the default below a size
-    threshold) the twisted-R product form is also built on the same rows
-    and the two are asserted equal as rational matrices; both start with
-    the projector, so equal representative rows mean equal products.
+    On a tensor space of at most 32 cells the twisted-R product form is
+    also built on the same rows and the two are asserted equal as
+    rational matrices; both start with the projector, so equal
+    representative rows mean equal products.
     """
-    guard_cells(ctx.N, m, max_cells)
+    guard_cells(ctx.N, m)
     space = TensorSpace(ctx.N, m)
     vars = ("u",)
     signed = shape == "column"
@@ -500,9 +499,7 @@ def fused_F(ctx: LieContext, m: int, shape: str, check_alternative=None,
         if q > 1:
             mat = mat * tm_q_correction(ctx, space, vars, q, arg(1) + arg(q))
         mat = mat * tm_F(ctx, space, vars, q, arg(q))
-    if check_alternative is None:
-        check_alternative = space.size <= 32
-    if check_alternative:
+    if space.size <= 32:
         alt = proj
         for q in range(1, m + 1):
             for factor in _rt_chain(ctx, space, vars, q, arg):
@@ -524,12 +521,12 @@ def _cancel_and_eval(ctx, num, den, u0):
     return value * (1 / dense_eval(den, u0))
 
 
-def fusion_capelli(ctx: LieContext, k: int, shape: str, max_cells=None) -> UEAElement:
+def fusion_capelli(ctx: LieContext, k: int, shape: str) -> UEAElement:
     """Value of the normalized partial trace of the fused matrix at the
     classical point: the k-th element of the signed family for shape
     "column", of the unsigned family for shape "row"."""
     m = 2 * k
-    mat = fused_F(ctx, m, shape, max_cells=max_cells)
+    mat = fused_F(ctx, m, shape)
     tr, den = mat.trace_id()
     phi_num, phi_den = phi_normalizer(ctx, shape, m)
     num = ent_scalar_poly_mul(tr, phi_num)
@@ -580,7 +577,7 @@ def quantum_det_gl(N: int, eps_family="so"):
     return h
 
 
-def sklyanin_det(ctx: LieContext, max_cells=None):
+def sklyanin_det(ctx: LieContext):
     """The quantum determinant of the fused column of full height N:
     F_{(1^N)}(u) = eps(u) * A_N (x) Cbar(u).  Returns (coefficient list,
     scalar denominator list) for Cbar as a rational function of u.
@@ -591,7 +588,7 @@ def sklyanin_det(ctx: LieContext, max_cells=None):
     eps(u) is flagged rather than silently renormalized.
     """
     N = ctx.N
-    mat = fused_F(ctx, N, "column", max_cells=max_cells)
+    mat = fused_F(ctx, N, "column")
     entry = _extract_proportional(mat, projector_rows(ctx, mat.space, mat.vars, signed=True))
     num = ent_to_ucoeffs(ctx, entry)
     den = to_dense(mat.den)
@@ -649,12 +646,12 @@ def generating_functions(ctx: LieContext, K: int, series_c: CentralSeries,
 # -- the section-6 identity -------------------------------------------------------
 
 
-def theorem_62_check(ctx: LieContext, series_c: CentralSeries, max_cells=None):
+def theorem_62_check(ctx: LieContext, series_c: CentralSeries):
     """The generating function of the signed family equals the shifted,
     renormalized quantum determinant.  Exact cross-multiplied identity;
     returns None or a witness string."""
     N, n = ctx.N, ctx.n
-    cbar_num, cbar_den = sklyanin_det(ctx, max_cells=max_cells)
+    cbar_num, cbar_den = sklyanin_det(ctx)
     shift = Fraction(N, 2) - Fraction(1, 2)
     cbar_num_s = dense_shift(cbar_num, shift)
     cbar_den_s = dense_shift(cbar_den, shift)
@@ -664,14 +661,7 @@ def theorem_62_check(ctx: LieContext, series_c: CentralSeries, max_cells=None):
     prodq = dense_prod([Fraction(N, 2) + Fraction(1, 2) - q - ctx.eta, -1]
                        for q in range(1, N + 1))
     lhs = dense_mul(cnum, dense_mul(prodq, cbar_den_s))
-    rhs = dense_mul(cbar_num_s, cden)
-    if dense_trim(lhs) != dense_trim(rhs):
-        for d in range(max(len(lhs), len(rhs))):
-            x = lhs[d] if d < len(lhs) else UEAElement.zero(ctx)
-            y = rhs[d] if d < len(rhs) else UEAElement.zero(ctx)
-            if not (x - y).is_zero():
-                return f"u^{d}: {uea_first_difference(x, y)}"
-    return None
+    return dense_first_difference(lhs, dense_mul(cbar_num_s, cden), "u")
 
 
 def eigenvalue_check_gl(N: int, nu, h_coeffs):

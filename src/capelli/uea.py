@@ -25,6 +25,7 @@ from fractions import Fraction
 from .core import (
     ConsistencyError,
     DimensionError,
+    Sparse,
     SymPoly,
     add_into,
     multiplicity_factorial,
@@ -159,26 +160,19 @@ def _normal_form(ctx: LieContext, word):
     return out
 
 
-class UEAElement:
+class UEAElement(Sparse):
     """Element of U(gl_N) in PBW normal form: a sparse map from weakly
     increasing generator-id words to exact scalars."""
 
     __slots__ = ("ctx", "terms")
+
+    _mismatch = "elements of different enveloping algebras"
 
     def __init__(self, ctx: LieContext, terms):
         self.ctx = ctx
         self.terms = {w: c for w, c in terms.items() if c != 0}
 
     # -- constructors --------------------------------------------------
-
-    @classmethod
-    def zero(cls, ctx):
-        return cls(ctx, {})
-
-    @classmethod
-    def scalar(cls, ctx, c):
-        c = scal(c)
-        return cls(ctx, {(): c} if c else {})
 
     @classmethod
     def one(cls, ctx):
@@ -198,36 +192,17 @@ class UEAElement:
 
     # -- arithmetic ------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, UEAElement):
-            if other.ctx is not self.ctx:
-                raise DimensionError("elements of different enveloping algebras")
-            return other
-        return UEAElement.scalar(self.ctx, other)
+    def _home(self):
+        return self.ctx
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        return UEAElement(self.ctx, add_into(dict(self.terms), other.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UEAElement(self.ctx, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
+    def _like(self, terms):
+        return UEAElement(self.ctx, terms)
 
     def __mul__(self, other):
         if not isinstance(other, UEAElement):
-            c = scal(other)
-            if c == 0:
-                return UEAElement.zero(self.ctx)
-            return UEAElement(self.ctx, {w: c * v for w, v in self.terms.items()})
+            return self._scaled(other)
         if other.ctx is not self.ctx:
-            raise DimensionError("elements of different enveloping algebras")
+            raise DimensionError(self._mismatch)
         out = {}
         ctx = self.ctx
         for w1, c1 in self.terms.items():
@@ -237,39 +212,16 @@ class UEAElement:
 
     __rmul__ = __mul__
 
-    def bracket(self, other):
-        return self * other - other * self
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
-
     def filtration_degree(self):
         return max((len(w) for w in self.terms), default=-1)
 
     def scalar_part(self):
-        return self.terms.get((), Fraction(0))
+        return self.terms.get(self._unit, Fraction(0))
 
     # -- display -----------------------------------------------------------
 
-    def _render_word(self, w):
-        if not w:
-            return "1"
-        return "*".join("E[%d,%d]" % self.ctx.gen_pair(g) for g in w)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        keys = sorted(self.terms)[:6]
-        body = " + ".join(f"({self.terms[w]})*{self._render_word(w)}" for w in keys)
-        more = "" if len(self.terms) <= 6 else f" + ... ({len(self.terms)} terms)"
-        return body + more
+    def _render(self, w):
+        return "*".join("E[%d,%d]" % self.ctx.gen_pair(g) for g in w) or "1"
 
 
 def pbw_normal_form(ctx: LieContext, pairs) -> UEAElement:
@@ -277,16 +229,6 @@ def pbw_normal_form(ctx: LieContext, pairs) -> UEAElement:
     sequence of (i, j) pairs."""
     word = tuple(ctx.gen_id(i, j) for i, j in pairs)
     return UEAElement(ctx, dict(_normal_form(ctx, word)))
-
-
-def uea_first_difference(a: UEAElement, b: UEAElement):
-    """Witness string: the first PBW monomial with differing coefficient."""
-    for w in sorted(set(a.terms) | set(b.terms)):
-        ca = a.terms.get(w, Fraction(0))
-        cb = b.terms.get(w, Fraction(0))
-        if ca != cb:
-            return f"{a._render_word(w)}: {ca} != {cb}"
-    return None
 
 
 # -- brackets of the subalgebra generators ------------------------------------
@@ -443,7 +385,7 @@ def dual_ring(dual_ctx, m, N) -> DualRing:
     return _RINGS[key]
 
 
-class FExpr:
+class FExpr(Sparse):
     """Noncommutative polynomial in the generator symbols (i, j): a map
     from words of pairs to scalars.  Evaluating in a ring sends the
     symbol (i, j) to ring.f_gen(i, j) and extends multiplicatively.
@@ -460,26 +402,26 @@ class FExpr:
         self.terms = {w: c for w, c in (terms or {}).items() if c != 0}
 
     @classmethod
+    def zero(cls, home=None):
+        return cls()
+
+    @classmethod
     def one(cls):
-        return cls({(): Fraction(1)})
+        return cls.scalar(None, 1)
 
     @classmethod
     def gen(cls, i, j, coeff=1):
         return cls({((i, j),): scal(coeff)})
 
-    def __add__(self, other):
-        return FExpr(add_into(dict(self.terms), other.terms))
+    def _home(self):
+        return None
 
-    def __neg__(self):
-        return FExpr({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+    def _like(self, terms):
+        return FExpr(terms)
 
     def __mul__(self, other):
         if not isinstance(other, FExpr):
-            c = scal(other)
-            return FExpr({w: c * v for w, v in self.terms.items()})
+            return self._scaled(other)
         out = {}
         for w1, c1 in self.terms.items():
             add_into(out, {w1 + w2: c2 for w2, c2 in other.terms.items()}, c1)
@@ -498,6 +440,9 @@ class FExpr:
         for w, c in self.terms.items():
             add_into(out.terms, ring.word_image(w).terms, c)
         return out
+
+    def _render(self, word):
+        return "*".join(f"F[{i},{j}]" for i, j in word) or "1"
 
     def __repr__(self):
         return f"FExpr({len(self.terms)} words)"
@@ -807,7 +752,7 @@ def hc_polynomial(z, degree_bound: int, ctx: LieContext = None,
         lp = SymPoly.variable(lamvars, f"lam{p}") + ctx.rho[p - 1]
         subs[f"y{p}"] = lp * lp
     value = result.evaluate(subs)
-    return value if isinstance(value, SymPoly) else SymPoly.const(lamvars, value)
+    return value if isinstance(value, SymPoly) else SymPoly.scalar(lamvars, value)
 
 
 # -- the two central families -------------------------------------------------
@@ -824,7 +769,7 @@ def express_in_family(target: SymPoly, gens, gen_degrees, n: int):
     vs = target.vars
     products = []
     for alpha in alphas:
-        p = SymPoly.const(vs, 1)
+        p = SymPoly.scalar(vs, 1)
         for g, a in zip(gens, alpha):
             for _ in range(a):
                 p = p * g

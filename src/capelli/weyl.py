@@ -17,13 +17,13 @@ from fractions import Fraction
 from .core import (
     ConsistencyError,
     DimensionError,
+    Sparse,
     SymPoly,
     add_into,
     det,
     multiplicity_factorial,
     per,
     perm_sign,
-    scal,
 )
 
 
@@ -86,25 +86,19 @@ def _falling(g, k):
     return out
 
 
-class WeylOperator:
+class WeylOperator(Sparse):
     """Normal-ordered differential operator Sum c * x^alpha d^beta."""
 
     __slots__ = ("ctx", "terms")
+
+    _mismatch = "operators over different contexts"
+    _shown = 8
 
     def __init__(self, ctx: WeylContext, terms):
         self.ctx = ctx
         self.terms = {k: v for k, v in terms.items() if v != 0}
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ctx):
-        return cls(ctx, {})
-
-    @classmethod
-    def scalar(cls, ctx, c):
-        c = scal(c)
-        return cls(ctx, {(ctx.zero_ev, ctx.zero_ev): c} if c else {})
 
     @classmethod
     def x(cls, ctx, a, i):
@@ -122,36 +116,25 @@ class WeylOperator:
 
     # -- ring structure ----------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, WeylOperator):
-            if other.ctx is not self.ctx:
-                raise DimensionError("operators over different contexts")
-            return other
-        return WeylOperator.scalar(self.ctx, other)
+    def _home(self):
+        return self.ctx
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        return WeylOperator(self.ctx, add_into(dict(self.terms), other.terms))
+    def _like(self, terms):
+        return WeylOperator(self.ctx, terms)
 
-    __radd__ = __add__
+    @property
+    def _unit(self):
+        return (self.ctx.zero_ev, self.ctx.zero_ev)
 
-    def __neg__(self):
-        return WeylOperator(self.ctx, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
+    # The layer tracer patches `__add__`/`__radd__` in this class's own
+    # dict, so the inherited addition is bound here by name.
+    __add__ = __radd__ = Sparse.__add__
 
     def __mul__(self, other):
         if not isinstance(other, WeylOperator):
-            c = scal(other)
-            if c == 0:
-                return WeylOperator.zero(self.ctx)
-            return WeylOperator(self.ctx, {k: c * v for k, v in self.terms.items()})
+            return self._scaled(other)
         if other.ctx is not self.ctx:
-            raise DimensionError("operators over different contexts")
+            raise DimensionError(self._mismatch)
         out = {}
         nv = self.ctx.nvars
         for (a1, b1), c1 in self.terms.items():
@@ -183,16 +166,6 @@ class WeylOperator:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        other = self._coerce(other)
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -200,9 +173,6 @@ class WeylOperator:
         if not self.terms:
             return -1
         return max(sum(a) + sum(b) for a, b in self.terms)
-
-    def bracket(self, other):
-        return self * other - other * self
 
     # -- action ------------------------------------------------------------
 
@@ -228,7 +198,7 @@ class WeylOperator:
 
     # -- display -----------------------------------------------------------
 
-    def _render_term(self, key):
+    def _render(self, key):
         alpha, beta = key
         ctx = self.ctx
         parts = []
@@ -239,26 +209,6 @@ class WeylOperator:
                     name = f"{label}[{a + 1},{ctx.indices[i]}]"
                     parts.append(name if e == 1 else f"{name}^{e}")
         return "*".join(parts) if parts else "1"
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        keys = sorted(self.terms)[:8]
-        body = " + ".join(f"({self.terms[k]})*{self._render_term(k)}" for k in keys)
-        more = "" if len(self.terms) <= 8 else f" + ... ({len(self.terms)} terms)"
-        return body + more
-
-
-def first_difference(aop: WeylOperator, bop: WeylOperator):
-    """Witness string for the first normal-ordered monomial on which the
-    two operators disagree, or None if equal."""
-    keys = sorted(set(aop.terms) | set(bop.terms))
-    for k in keys:
-        ca = aop.terms.get(k, Fraction(0))
-        cb = bop.terms.get(k, Fraction(0))
-        if ca != cb:
-            return f"{aop._render_term(k)}: {ca} != {cb}"
-    return None
 
 
 def operators_agree_on_degree(aop: WeylOperator, bop: WeylOperator, d: int) -> bool:
@@ -452,7 +402,7 @@ def singular_vector(lam, m: int, n: int, family: str, N: int) -> SymPoly:
     if not (m >= n >= len(lam)):
         raise DimensionError("need m >= n >= len(lam)")
     ctx = WeylContext(m, N)
-    v = SymPoly.const(ctx.var_names, 1)
+    v = SymPoly.scalar(ctx.var_names, 1)
     for p in range(1, n + 1):
         e = lam[p] - lam[p + 1] if p < n else lam[n]
         if e:

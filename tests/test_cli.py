@@ -7,7 +7,7 @@ from capelli.cli import SuiteConfig, VerificationReport, main, report_emit, run
 from capelli.core import ConsistencyError
 from capelli import suites
 from capelli.suites import SUITES, UsageError, run_suite
-from capelli.uea import LieContext, UEAElement, uea_first_difference
+from capelli.uea import LieContext, UEAElement
 
 
 def test_list_suites_exits_zero(capsys):
@@ -76,7 +76,7 @@ def test_failing_check_carries_pbw_witness(monkeypatch, capsys):
     rhs = UEAElement.E(ctx, -1, -1) + 2 * UEAElement.E(ctx, 1, 1)
 
     def fake_suite(params, rng):
-        yield "injected", uea_first_difference(lhs, rhs)
+        yield "injected", lhs.first_difference(rhs)
 
     monkeypatch.setitem(SUITES, "injected-failure", ("failure injection", {}, fake_suite))
     assert main(["verify", "injected-failure", "--format", "json"]) == 1

@@ -11,6 +11,7 @@ from capelli.core import (
     add_into,
     dense_div_linear,
     dense_eval,
+    dense_first_difference,
     dense_mul,
     dense_shift,
     dense_trim,
@@ -219,6 +220,19 @@ def test_dense_shift_and_eval():
         assert dense_eval(q, x) == dense_eval(p, x + Fraction(5, 2))
 
 
+def test_dense_first_difference_names_the_lowest_differing_power():
+    from capelli.uea import LieContext, UEAElement
+
+    ctx = LieContext("gl", 2)
+    e, f = UEAElement.E(ctx, 1, 1), UEAElement.E(ctx, -1, 1)
+    a = [e, e + f, e]
+    assert dense_first_difference(a, list(a), "u") is None
+    assert dense_first_difference(a + [e - e], a, "u") is None
+    assert dense_first_difference(a, [e, e + 2 * f, e], "u") == "u^1: E[-1,1]: 1 != 2"
+    assert dense_first_difference(a, a[:2], "u") == "u^2: E[1,1]: 1 != 0"
+    assert dense_first_difference(a[:2], a, "t") == "t^2: E[1,1]: 0 != 1"
+
+
 # -- polynomials ----------------------------------------------------------
 
 
@@ -229,6 +243,16 @@ def test_sympoly_arithmetic_and_eval():
     assert p.evaluate({"x": Fraction(1), "y": Fraction(2)}) == 9
     assert p.total_degree() == 2
     assert (p - p).is_zero()
+
+
+def test_sympoly_equality_across_variable_tuples_is_false():
+    (x,) = poly_vars("x")
+    xy, _ = poly_vars("x", "y")
+    assert not x == xy
+    assert x != xy
+    assert SymPoly.zero(("x",)) != SymPoly.zero(("y",))
+    with pytest.raises(DimensionError, match="^polynomials over different variable tuples$"):
+        x + xy
 
 
 def test_sympoly_exact_division():

@@ -119,9 +119,10 @@ def test_transposed_E_factor_sign_table(family, N):
             assert mat.entry(space.code[(i,)], space.code[(j,)]) == expected
 
 
-def test_guard_cells():
+def test_guard_cells(monkeypatch):
+    monkeypatch.setenv("VERIFY_MAX_CELLS", "256")
     with pytest.raises(DimensionError):
-        guard_cells(4, 5, max_cells=256)
+        guard_cells(4, 5)
 
 
 def test_fused_single_factor_is_generator_matrix():
@@ -133,8 +134,8 @@ def test_fused_single_factor_is_generator_matrix():
 
 def test_fused_two_forms_agree_so2():
     # the constructor asserts the twisted-product form internally
-    fused_F(SO2, 2, "column", check_alternative=True)
-    fused_F(SO2, 2, "row", check_alternative=True)
+    fused_F(SO2, 2, "column")
+    fused_F(SO2, 2, "row")
 
 
 def test_classical_points():
@@ -356,8 +357,7 @@ def test_quantum_det_gl_matches_all_cells_extraction(N, eps):
 @pytest.mark.parametrize("ctx", [SO2, SP2, SO3], ids=["so2", "sp2", "so3"])
 def test_sklyanin_det_matches_all_cells_extraction(ctx, monkeypatch):
     fast = sklyanin_det(ctx)
-    monkeypatch.setattr(tensor, "fused_F", lambda ctx, m, shape, max_cells=None:
-                        full_row_fused(ctx, m, shape))
+    monkeypatch.setattr(tensor, "fused_F", full_row_fused)
     monkeypatch.setattr(tensor, "_extract_proportional", all_cells_extraction)
     assert fast == sklyanin_det(ctx)
 

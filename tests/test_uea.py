@@ -37,7 +37,6 @@ from capelli.uea import (
     pbw_normal_form,
     pfaffian_phi,
     pfaffian_phi_expr,
-    uea_first_difference,
     uea_ring,
 )
 from capelli.weyl import sgn
@@ -339,7 +338,7 @@ def test_hc_of_d_family(ctx, k):
 
 def test_hc_of_identity():
     hc = hc_polynomial(UEAElement.one(SO3), 1, SO3)
-    assert hc == SymPoly.const(hc.vars, 1)
+    assert hc == SymPoly.scalar(hc.vars, 1)
 
 
 def test_hc_in_lambda_variables():
@@ -442,6 +441,21 @@ def test_dual_pair_coeffs_g_vanishing():
 def test_first_difference_witness():
     x = E(GL2, -1, -1)
     y = E(GL2, -1, -1) + 2 * E(GL2, 1, 1)
-    w = uea_first_difference(x, y)
+    w = x.first_difference(y)
     assert w is not None and "E[1,1]" in w
-    assert uea_first_difference(x, x) is None
+    assert x.first_difference(x) is None
+
+
+def test_elements_of_different_algebras_do_not_mix():
+    message = "^elements of different enveloping algebras$"
+    with pytest.raises(DimensionError, match=message):
+        E(GL2, 1, 1) + E(GL3, 1, 1)
+    with pytest.raises(DimensionError, match=message):
+        E(GL2, 1, 1).first_difference(E(GL3, 1, 1))
+
+
+def test_fexpr_linear_structure_and_witness():
+    a = FExpr.gen(1, 1) * FExpr.gen(-1, -1) + 2
+    assert (a - a).is_zero()
+    assert a == a * 1 and a != a * 2
+    assert a.first_difference(a + FExpr.gen(1, 1)) == "F[1,1]: 0 != 1"
