@@ -192,8 +192,9 @@ class Sparse:
     words, normal-ordered operator symbols) to nonzero scalars, over a
     `home` (a context or a variable tuple) that two operands must share.
 
-    The base holds the linear structure, equality and the mismatch
-    witness once.  A subclass supplies its constructor and its product,
+    The base holds the linear structure, equality, the truth value (a
+    zero element is falsy, as Fraction(0) is) and the mismatch witness
+    once.  A subclass supplies its constructor and its product,
     `_home()`, `_like(terms)` (a new element over the same home),
     `_mismatch` (the text of the `DimensionError` for operands over
     different homes) and `_render(key)`, and overrides `_unit` (the key
@@ -253,6 +254,9 @@ class Sparse:
 
     def is_zero(self):
         return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
     def bracket(self, other):
         return self * other - other * self

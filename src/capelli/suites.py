@@ -14,6 +14,12 @@ the witness is None on a pass.  `run_suite` resolves the given N/m/k/K
 against the declared domains before the body runs, so no suite reads raw
 parameters, and it is the one place that reads the clock and builds the
 `CheckResult`s.
+
+Twin statements about the signed family C (Pfaffians over so_N, det,
+strictly increasing choices) and the unsigned family D (Hafnians over
+sp_N, per, weakly increasing choices) share one body that takes
+`signed`: thm-4.1 and thm-5.1 are `_formula_suite(signed)`, and
+`_image_witness` takes the same flag.
 """
 
 from __future__ import annotations
@@ -59,30 +65,23 @@ from .uea import (
     gamma_ring,
     hafnian_psi_expr,
     hc_polynomial,
+    hc_target,
     is_central,
     pfaffian_phi_expr,
     uea_ring,
 )
 from .tensor import (
-    c_ladder_roots,
-    d_ladder_roots,
     eigenvalue_check_gl,
     fusion_capelli,
     generating_functions,
     guard_cells,
+    ladder_roots,
     quantum_det_gl,
     theorem_62_check,
     verify_relations,
     verify_vanishing,
 )
-from .weyl import (
-    WeylContext,
-    WeylOperator,
-    cayley_omega,
-    cayley_theta,
-    omega_AI,
-    theta_AI,
-)
+from .weyl import WeylContext, WeylOperator, _paired_blocks, cayley_omega, cayley_theta
 
 
 @dataclass
@@ -103,15 +102,19 @@ def _hc_witness(element, k, ctx, target):
     return None if hc == SymPoly(hc.vars, target.terms) else f"harish-chandra image is {hc!r}"
 
 
-def _image_witness(ctx, m, k, choose, expr, block):
-    """The first I among choose(indices, 2k) at which expr(I) acts on the
-    m-fold grid differently from the sum over A in choose(1..m, k) of
-    block(A, I) / multiplicity_factorial(A), or None."""
+def _image_witness(ctx, m, k, signed):
+    """The first I at which the Pfaffian (signed) or Hafnian of I acts on
+    the m-fold grid differently from the sum over A of
+    omega_AI (signed) or theta_AI / multiplicity_factorial(A), or None.
+    I and A run over the strictly (signed) or weakly increasing choices
+    of 2k indices and of k rows."""
+    choose = itertools.combinations if signed else itertools.combinations_with_replacement
+    expr = pfaffian_phi_expr if signed else hafnian_psi_expr
     for I in choose(ctx.indices, 2 * k):
         lhs = expr(I).evaluate(gamma_ring(ctx, m))
         rhs = WeylOperator.zero(WeylContext(m, ctx.N))
         for A in choose(range(1, m + 1), k):
-            add_into(rhs.terms, block(A, I, m, ctx.N).terms,
+            add_into(rhs.terms, _paired_blocks(A, I, m, ctx.N, signed).terms,
                      Fraction(1, multiplicity_factorial(A)))
         witness = lhs.first_difference(rhs)
         if witness is not None:
@@ -158,68 +161,60 @@ suite_capelli_gl = _capelli_suite(capelli_element_e, cayley_omega, "det")
 suite_capelli_gl_perm = _capelli_suite(capelli_element_h, cayley_theta, "per")
 
 
-# -- so_N: Pfaffian formula ----------------------------------------------------
+# -- so_N and sp_N: the Pfaffian and Hafnian formulas ----------------------------
 
 
-def suite_thm_41(p, rng):
-    for N in p["N"]:
-        ctx = LieContext("so", N)
-        n = ctx.n
-        for k in p["k"]:
-            ck = c_k_pfaffian(ctx, k)
-            if k > n:
-                yield (f"pfaffian-vanishes[N={N},k={k}]",
-                       None if ck.is_zero() else "nonzero past the rank")
-                continue
-            yield (f"pfaffian-central[N={N},k={k}]",
-                   None if is_central(ck, ctx) else "element is not central")
-            target = e_factorial(k, n, ctx.shift_sequence) * Fraction((-1) ** k)
-            yield f"pfaffian-hc-image[N={N},k={k}]", _hc_witness(ck, k, ctx, target)
-        for m in p["m"]:
+def _formula_suite(signed):
+    """thm-4.1 (signed: the Pfaffian sums C_k over so_N, empty past the
+    rank n) or thm-5.1 (unsigned: the Hafnian sums D_k over sp_N): each
+    element is central, has the Harish-Chandra image `hc_target` and acts
+    on the m-fold grid as the sum of the paired blocks."""
+    family, kind, name = ("so", "C", "pfaffian") if signed else ("sp", "D", "hafnian")
+
+    def run(p, rng):
+        for N in p["N"]:
+            ctx = LieContext(family, N)
             for k in p["k"]:
-                if 2 * k <= N:
-                    yield (f"pfaffian-image[N={N},m={m},k={k}]",
-                           _image_witness(ctx, m, k, itertools.combinations,
-                                          pfaffian_phi_expr, omega_AI))
+                z = c_k_pfaffian(ctx, k) if signed else d_k_hafnian(ctx, k)
+                if signed and k > ctx.n:
+                    yield (f"pfaffian-vanishes[N={N},k={k}]",
+                           None if z.is_zero() else "nonzero past the rank")
+                    continue
+                yield (f"{name}-central[N={N},k={k}]",
+                       None if is_central(z, ctx) else "element is not central")
+                yield (f"{name}-hc-image[N={N},k={k}]",
+                       _hc_witness(z, k, ctx, hc_target(ctx, kind, k)))
+            for m in p["m"]:
+                for k in p["k"]:
+                    if not (signed and k > ctx.n):
+                        yield (f"{name}-image[N={N},m={m},k={k}]",
+                               _image_witness(ctx, m, k, signed))
+
+    return run
 
 
-# -- sp_N: Hafnian formula -----------------------------------------------------
-
-
-def suite_thm_51(p, rng):
-    for N in p["N"]:
-        ctx = LieContext("sp", N)
-        for k in p["k"]:
-            dk = d_k_hafnian(ctx, k)
-            yield (f"hafnian-central[N={N},k={k}]",
-                   None if is_central(dk, ctx) else "element is not central")
-            target = h_factorial(k, ctx.n, ctx.shift_sequence)
-            yield f"hafnian-hc-image[N={N},k={k}]", _hc_witness(dk, k, ctx, target)
-        for m in p["m"]:
-            for k in p["k"]:
-                yield (f"hafnian-image[N={N},m={m},k={k}]",
-                       _image_witness(ctx, m, k, itertools.combinations_with_replacement,
-                                      hafnian_psi_expr, theta_AI))
+suite_thm_41 = _formula_suite(signed=True)
+suite_thm_51 = _formula_suite(signed=False)
 
 
 # -- fusion --------------------------------------------------------------------
 
 
-def _fusion_suite(kind, shape, rank):
+def _fusion_suite(kind, shape):
     def run(p, rng):
         for N in p["N"]:
             for family in _families(N):
                 for k in p["k"]:
                     ctx = LieContext(family, N)
-                    series = central_series(ctx, kind, rank(k, N))
+                    series = central_series(ctx, kind, k)
                     yield (f"fusion-{shape}[{family}{N},k={k}]",
                            fusion_capelli(ctx, k, shape).first_difference(series[k].uea()))
 
     return run
 
 
-suite_thm_32 = _fusion_suite("C", "column", lambda k, N: min(k, N // 2))
-suite_thm_33 = _fusion_suite("D", "row", lambda k, N: k)
+suite_thm_32 = _fusion_suite("C", "column")
+suite_thm_33 = _fusion_suite("D", "row")
 
 
 # -- exchange-matrix identities --------------------------------------------------
@@ -232,8 +227,7 @@ def _relation_suite(selector):
         for N in p["N"]:
             for family in _families(N):
                 ctx = LieContext(family, N)
-                for cid, ok, witness in verify_relations(ctx, m_max=3, select=selector):
-                    yield cid, None if ok else witness
+                yield from verify_relations(ctx, m_max=3, select=selector)
 
     return run
 
@@ -252,9 +246,9 @@ def _vanishing_suite(prefixes):
             for family in ("so", "sp"):
                 for m in p["m"]:
                     for l in range(0, 3):
-                        for cid, ok, witness in verify_vanishing(m, l, N, family):
+                        for cid, witness in verify_vanishing(m, l, N, family):
                             if cid.startswith(prefixes):
-                                yield cid, None if ok else witness
+                                yield cid, witness
 
     return run
 
@@ -294,7 +288,7 @@ def suite_thm_44(p, rng):
         for m in p["m"]:
             guard_cells(N, m)
             ctx_so = LieContext("so", N)
-            series_so = central_series(ctx_so, "C", min(m, ctx_so.n))
+            series_so = central_series(ctx_so, "C", m)
             series_sp = central_series(LieContext("sp", 2 * m), "C", m)
             for k in p["k"]:
                 if k <= m:
@@ -346,7 +340,7 @@ def suite_prop_43(p, rng):
             cp_gamma = {k: series_sp[k].gamma_prime(m, N) for k in range(1, m + 1)}
             cp_gamma[0] = one
             (lhs_num, lhs_den), (rhs_num, rhs_den) = _transfer_sides(
-                c_gamma, c_ladder_roots(ctx_so, n), cp_gamma, c_ladder_roots(ctx_sp, m),
+                c_gamma, ladder_roots(ctx_so, True, n), cp_gamma, ladder_roots(ctx_sp, True, m),
                 [(Fraction(N, 2) - a) ** 2 for a in range(1, m + 1)],
                 [Fraction(a) ** 2 for a in range(1, m + 1)])
             yield (f"generating-transfer-C[N={N},m={m}]", dense_first_difference(
@@ -391,7 +385,7 @@ def suite_prop_52(p, rng):
             d_gamma[0] = one
             dp_gamma[0] = one
             deg, bound = series_defect(*_transfer_sides(
-                d_gamma, d_ladder_roots(ctx_sp, K), dp_gamma, d_ladder_roots(ctx_so, K),
+                d_gamma, ladder_roots(ctx_sp, False, K), dp_gamma, ladder_roots(ctx_so, False, K),
                 [Fraction(a - 1) ** 2 for a in range(1, m + 1)],
                 [Fraction(n - a + 1) ** 2 for a in range(1, m + 1)]), K)
             yield (f"generating-transfer-D[N={N},m={m},K={K}]",

@@ -29,6 +29,14 @@ orbit_sign(t)'s sign times the row at sorted(t), for any Y, so the
 representative rows fix the whole product exactly; `orbit_expand`
 rebuilds the other rows.  Two products that start with the same
 projector are equal exactly when their representative rows are.
+
+A flag `signed` picks one of the two twin constructions throughout:
+signed means the antisymmetrizer (permutation signs, distinct indices,
+spectral shifts u - (q-1), the signed family C), unsigned the
+symmetrizer (no signs, repeated indices, shifts u + (q-1), the unsigned
+family D).  `symmetrizer`, `orbit_sign`, `projector_rows`,
+`_spectral_args`, `ladder_roots` and the products of `verify_vanishing`
+all take it.
 """
 
 from __future__ import annotations
@@ -607,18 +615,12 @@ def sklyanin_det(ctx: LieContext):
 # -- generating functions --------------------------------------------------------
 
 
-def c_ladder_roots(ctx: LieContext, K: int):
-    """Squared denominators of the signed family's generating function."""
-    if ctx.family == "so":
-        return [(Fraction(ctx.N, 2) - j) ** 2 for j in range(1, K + 1)]
-    return [Fraction(ctx.n - j + 1) ** 2 for j in range(1, K + 1)]
-
-
-def d_ladder_roots(ctx: LieContext, K: int):
-    """Squared denominators of the unsigned family's generating function."""
-    if ctx.family == "so":
-        return [(Fraction(ctx.N, 2) + j - 1) ** 2 for j in range(1, K + 1)]
-    return [Fraction(ctx.n + j) ** 2 for j in range(1, K + 1)]
+def ladder_roots(ctx: LieContext, signed: bool, K: int):
+    """Squared denominators, j = 1..K, of the generating function of the
+    signed family, (b - j)^2, or of the unsigned family, (b + j - 1)^2,
+    where b = n + eps (N/2 for so_N, n + 1 for sp_N)."""
+    b = ctx.n + ctx.eps
+    return [(b - j) ** 2 if signed else (b + j - 1) ** 2 for j in range(1, K + 1)]
 
 
 def generating_functions(ctx: LieContext, K: int, series_c: CentralSeries,
@@ -629,8 +631,8 @@ def generating_functions(ctx: LieContext, K: int, series_c: CentralSeries,
     kc = min(K, n)
     c_elems = [series_c[k].uea() for k in range(0, kc + 1)]
     d_elems = [series_d[k].uea() for k in range(0, K + 1)]
-    c_num, c_den = series_as_fraction(c_elems, linear_ladder(c_ladder_roots(ctx, kc)))
-    d_num, d_den = series_as_fraction(d_elems, linear_ladder(d_ladder_roots(ctx, K)))
+    c_num, c_den = series_as_fraction(c_elems, linear_ladder(ladder_roots(ctx, True, kc)))
+    d_num, d_den = series_as_fraction(d_elems, linear_ladder(ladder_roots(ctx, False, K)))
     one = [Fraction(1)]
     deg, bound = series_defect((dense_mul(c_num, d_num), dense_mul(c_den, d_den)),
                                (one, one), K)
@@ -656,7 +658,7 @@ def theorem_62_check(ctx: LieContext, series_c: CentralSeries):
     cbar_num_s = dense_shift(cbar_num, shift)
     cbar_den_s = dense_shift(cbar_den, shift)
     # C(u) in the variable u (ladder roots are squares, expand in u)
-    ladder = [[-r, Fraction(0), Fraction(1)] for r in c_ladder_roots(ctx, n)]
+    ladder = [[-r, Fraction(0), Fraction(1)] for r in ladder_roots(ctx, True, n)]
     cnum, cden = series_as_fraction([series_c[k].uea() for k in range(n + 1)], ladder)
     prodq = dense_prod([Fraction(N, 2) + Fraction(1, 2) - q - ctx.eta, -1]
                        for q in range(1, N + 1))
@@ -872,14 +874,14 @@ def check_gl_exchange_relations(N: int, eps_family: str):
 
 def verify_relations(ctx: LieContext, m_max=3, select=None):
     """Run the operator-identity battery for one algebra; returns a list
-    of (check id, passed, witness).  With `select`, a predicate on the
-    check id, only the selected checks are computed."""
+    of (check id, witness) pairs, the witness None on a pass.  With
+    `select`, a predicate on the check id, only the selected checks are
+    computed."""
     out = []
 
     def record(cid, check, *args):
         if select is None or select(cid):
-            witness = check(*args)
-            out.append((cid, witness is None, witness))
+            out.append((cid, check(*args)))
 
     record(f"exchange-relation[{ctx.family}{ctx.N}]", check_exchange_relation, ctx)
     record(f"rrr-relation[{ctx.family}{ctx.N}]", check_rrr_relation, ctx)
@@ -913,70 +915,59 @@ def _image_factor(space_big, m, l, q, const, family=None):
 
 def verify_vanishing(m: int, l: int, N: int, family="so"):
     """Exact matrix checks of the annihilation statements for the four
-    ordered products of spectral factors, represented on l extra slots.
+    ordered products of spectral factors, represented on l extra slots;
+    returns a list of (check id, witness) pairs, the witness None on a
+    pass.
 
-    For l < m every product must vanish outright (all isotypic components
-    of the small tensor power are killed).  At l = m the plain
-    antisymmetrized product must also equal the distinct-index exchange
-    sum, and each product must kill the projected component it is
-    asserted to kill.
+    The products are (anti)symmetrizer * prod_q image(q), one for each
+    (signed, twisted): plain factors E_q(-+(q-1)) act by +-(q-1) + sum P,
+    twisted factors Et_q(-+(m-q)) by +-(m-q) + sum Q, the upper signs
+    under the antisymmetrizer (signed).  For l < m every product must
+    vanish outright (all isotypic components of the small tensor power
+    are killed).  At l = m the plain antisymmetrized product must also
+    equal the distinct-index exchange sum, and each product must kill
+    the one-row (signed) or one-column (unsigned) component.
     """
     out = []
     space = TensorSpace(N, m + l)
     sub_m = TensorSpace(N, m)
-    sub_l = TensorSpace(N, l) if l else None
-    A_big = smat_tensor_id(symmetrizer(sub_m, True), N ** l)
-    B_big = smat_tensor_id(symmetrizer(sub_m, False), N ** l)
+    projs = {signed: smat_tensor_id(symmetrizer(sub_m, signed), N ** l)
+             for signed in (True, False)}
+    products = {}
+    for signed, proj in projs.items():
+        step = 1 if signed else -1
+        for twisted in (False, True):
+            acc = proj
+            for q in range(1, m + 1):
+                const = Fraction(step * (m - q if twisted else q - 1))
+                acc = smat_mul(acc, _image_factor(space, m, l, q, const,
+                                                  family if twisted else None))
+            products[signed, twisted] = acc
 
-    def prod_with(proj, args, family_arg):
-        acc = proj
-        for q, const in args:
-            acc = smat_mul(acc, _image_factor(space, m, l, q, const, family_arg))
-        return acc
-
-    # plain antisymmetrized: factors E_q(1-q), image -(1-q) + sum P
-    plainA = prod_with(A_big, [(q, Fraction(q - 1)) for q in range(1, m + 1)], None)
-    # plain symmetrized: factors E_q(q-1)
-    plainB = prod_with(B_big, [(q, Fraction(1 - q)) for q in range(1, m + 1)], None)
-    # twisted antisymmetrized: Et_q(q-m), image (m-q) + sum Q
-    twistA = prod_with(A_big, [(q, Fraction(m - q)) for q in range(1, m + 1)], family)
-    # twisted symmetrized: Et_q(m-q), image (q-m) + sum Q
-    twistB = prod_with(B_big, [(q, Fraction(q - m)) for q in range(1, m + 1)], family)
-
-    def record(cid, ok, detail=""):
-        out.append((cid, ok, None if ok else detail))
+    def record(cid, ok, detail):
+        out.append((cid, None if ok else detail))
 
     tag = f"m={m},l={l},N={N},{family}"
-    if l < m:
-        record(f"antisym-vanishes-small[{tag}]", not plainA,
-               "the antisymmetrized product failed to vanish on the small power")
-        record(f"antisym-twisted-vanishes-small[{tag}]", not twistA,
-               "the twisted antisymmetrized product failed to vanish")
-        if m >= 2:
-            record(f"sym-vanishes-small[{tag}]", not plainB,
-                   "the symmetrized product failed to vanish on the small power")
-            record(f"sym-twisted-vanishes-small[{tag}]", not twistB,
-                   "the twisted symmetrized product failed to vanish")
+    for (signed, twisted), prod in products.items():
+        name = ("anti" if signed else "") + "sym" + ("-twisted" if twisted else "")
+        what = ("twisted " if twisted else "") + ("anti" if signed else "") + "symmetrized product"
+        if l < m and (signed or m >= 2):
+            record(f"{name}-vanishes-small[{tag}]", not prod,
+                   f"the {what} failed to vanish" + ("" if twisted else " on the small power"))
+        if l >= m >= 2:
+            shape = "row" if signed else "column"
+            component = smat_id_tensor(N ** m, symmetrizer(TensorSpace(N, l), not signed), N ** l)
+            record(f"{name}-kills-{shape}[{tag}]", not smat_mul(prod, component),
+                   f"{what} does not kill the one-{shape} component")
     if l >= m:
         distinct = {}
         for rs in itertools.permutations(range(1, l + 1), m):
-            term = A_big
+            term = projs[True]
             for q, r in enumerate(rs, start=1):
                 term = smat_mul(term, exchange_P(space, q, m + r))
             add_into(distinct, term)
-        record(f"antisym-distinct-sum[{tag}]", smat_eq(plainA, distinct),
+        record(f"antisym-distinct-sum[{tag}]", smat_eq(products[True, False], distinct),
                "antisymmetrized product differs from the distinct-index sum")
-        if m >= 2 and l:
-            idB = smat_id_tensor(N ** m, symmetrizer(sub_l, False), N ** l)
-            idA = smat_id_tensor(N ** m, symmetrizer(sub_l, True), N ** l)
-            record(f"antisym-kills-row[{tag}]", not smat_mul(plainA, idB),
-                   "antisymmetrized product does not kill the one-row component")
-            record(f"sym-kills-column[{tag}]", not smat_mul(plainB, idA),
-                   "symmetrized product does not kill the one-column component")
-            record(f"antisym-twisted-kills-row[{tag}]", not smat_mul(twistA, idB),
-                   "twisted antisymmetrized product does not kill the one-row component")
-            record(f"sym-twisted-kills-column[{tag}]", not smat_mul(twistB, idA),
-                   "twisted symmetrized product does not kill the one-column component")
     if m == 1:
         base = _image_factor(space, 1, l, 1, Fraction(0), None)
         expect = {}
@@ -985,4 +976,3 @@ def verify_vanishing(m: int, l: int, N: int, family="so"):
         record(f"antisym-single-factor-base[{tag}]", smat_eq(base, expect),
                "single-factor image is not the exchange sum")
     return out
-

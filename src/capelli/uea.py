@@ -548,35 +548,27 @@ def pfaffian_phi(ctx: LieContext, I) -> UEAElement:
 def hafnian_psi(ctx: LieContext, I) -> UEAElement:
     if ctx.family != "sp":
         raise DimensionError("Hafnian generators live in the symplectic algebra")
-    if ctx.N % 2:
-        raise DimensionError("even N required")
     return hafnian_psi_expr(I).evaluate(uea_ring(ctx))
 
 
-def c_k_expr(ctx: LieContext, k: int) -> FExpr:
-    """(-1)^k sum over 2k-subsets I of Phi_I Phi_{I*}."""
-    if ctx.family != "so":
+def _family_expr(ctx: LieContext, k: int, signed: bool) -> FExpr:
+    """The k-th element of the signed family over so_N,
+    (-1)^k sum over 2k-subsets I of Phi_I Phi_{I*}, or of the unsigned
+    family over sp_N, (-1)^k sum over weakly increasing 2k-sequences I of
+    sgn(i_1...i_{2k}) Psi_I Psi_{I*} / (f_1! f_{-1}! ... f_n! f_{-n}!).
+    Past the rank n the signed sum is empty."""
+    if signed and ctx.family != "so":
         raise DimensionError("the signed family is built from Pfaffians over so_N")
-    total = FExpr()
-    for I in itertools.combinations(ctx.indices, 2 * k):
-        Istar = tuple(sorted(-i for i in I))
-        add_into(total.terms, (pfaffian_phi_expr(I) * pfaffian_phi_expr(Istar)).terms)
-    return total * Fraction((-1) ** k)
-
-
-def d_k_expr(ctx: LieContext, k: int) -> FExpr:
-    """(-1)^k sum over weakly increasing 2k-sequences I of
-    sgn(i_1...i_{2k}) Psi_I Psi_{I*} / (f_1! f_{-1}! ... f_n! f_{-n}!)."""
-    if ctx.family != "sp":
+    if not signed and ctx.family != "sp":
         raise DimensionError("the unsigned family is built from Hafnians over sp_N")
+    choose = itertools.combinations if signed else itertools.combinations_with_replacement
+    block = pfaffian_phi_expr if signed else hafnian_psi_expr
     total = FExpr()
-    for I in itertools.combinations_with_replacement(ctx.indices, 2 * k):
+    for I in choose(ctx.indices, 2 * k):
         Istar = tuple(sorted(-i for i in I))
-        sign = 1
-        for i in I:
-            sign *= sgn(i)
-        add_into(total.terms, (hafnian_psi_expr(I) * hafnian_psi_expr(Istar)).terms,
-                 Fraction(sign, multiplicity_factorial(I)))
+        weight = 1 if signed else Fraction(math.prod(sgn(i) for i in I),
+                                           multiplicity_factorial(I))
+        add_into(total.terms, (block(I) * block(Istar)).terms, weight)
     return total * Fraction((-1) ** k)
 
 
@@ -784,8 +776,8 @@ def express_in_family(target: SymPoly, gens, gen_degrees, n: int):
 
 class CentralSeries:
     """The coefficients of one of the two central generating functions:
-    kind "C" (signed family, identically zero past the rank) or kind "D"
-    (unsigned family)."""
+    kind "C" (signed family, zero past the rank) or kind "D" (unsigned
+    family), computed to the order K it was built with."""
 
     def __init__(self, ctx: LieContext, kind: str, elements):
         self.ctx = ctx
@@ -797,12 +789,16 @@ class CentralSeries:
             return CentralElement(self.ctx, FExpr.one(), f"{self.kind}_0")
         if k <= len(self.elements):
             return self.elements[k - 1]
-        if self.kind == "C":
-            return CentralElement(self.ctx, FExpr(), f"{self.kind}_{k}")
         raise IndexError("series computed to lower order")
 
-    def __len__(self):
-        return len(self.elements)
+
+def hc_target(ctx: LieContext, kind: str, k: int) -> SymPoly:
+    """Harish-Chandra image of the k-th element of kind "C" or "D", in the
+    squared variables l_p^2: (-1)^k e_k or h_k, the factorial elementary
+    or complete symmetric polynomial over the shift sequence of ctx."""
+    if kind == "C":
+        return e_factorial(k, ctx.n, ctx.shift_sequence) * Fraction((-1) ** k)
+    return h_factorial(k, ctx.n, ctx.shift_sequence)
 
 
 def central_series(ctx: LieContext, kind: str, K: int) -> CentralSeries:
@@ -812,60 +808,39 @@ def central_series(ctx: LieContext, kind: str, K: int) -> CentralSeries:
     so_N) and the Hafnian sums (unsigned family over sp_N).  The
     complementary family in each algebra is assembled through the
     Harish-Chandra characterization: its target symmetric polynomial is
-    expressed in the images of the native generators and the same
-    polynomial is taken in the elements themselves.
+    expressed in the images of the native generators 1..min(K, n), and
+    the same polynomial is taken in the elements themselves.
     """
     if ctx.family not in ("so", "sp"):
         raise DimensionError("central families live in so_N or sp_N")
-    n, a = ctx.n, ctx.shift_sequence
-    native_kind = "C" if ctx.family == "so" else "D"
-    if kind == native_kind:
-        out = []
+    signed = ctx.family == "so"
+    native_kind = "C" if signed else "D"
+    top = K if kind == native_kind else min(K, ctx.n)
+    exprs = [_family_expr(ctx, k, signed) for k in range(1, top + 1)]
+    if kind != native_kind:
+        gen_imgs = [hc_target(ctx, native_kind, j) for j in range(1, top + 1)]
+        gens, exprs = exprs, []
         for k in range(1, K + 1):
-            if kind == "C" and k > n:
-                out.append(CentralElement(ctx, FExpr(), f"C_{k}"))
-            else:
-                builder = c_k_expr if kind == "C" else d_k_expr
-                out.append(CentralElement(ctx, builder(ctx, k), f"{kind}_{k}"))
-        return CentralSeries(ctx, kind, out)
-
-    native = central_series(ctx, native_kind, min(K, n) if native_kind == "C" else K)
-    gens = []
-    gen_imgs = []
-    for j in range(1, n + 1):
-        if native_kind == "C":
-            gen_imgs.append(e_factorial(j, n, a) * Fraction((-1) ** j))
-        else:
-            gen_imgs.append(h_factorial(j, n, a))
-        gens.append(native[j].expr)
-    out = []
-    for k in range(1, K + 1):
-        if kind == "C" and k > n:
-            out.append(CentralElement(ctx, FExpr(), f"C_{k}"))
-            continue
-        if kind == "C":
-            target = e_factorial(k, n, a) * Fraction((-1) ** k)
-        else:
-            target = h_factorial(k, n, a)
-        combo = express_in_family(target, gen_imgs, list(range(1, n + 1)), n)
-        expr = FExpr()
-        for alpha, c in combo.items():
-            prod = FExpr.one()
-            for g, e in zip(gens, alpha):
-                for _ in range(e):
-                    prod = prod * g
-            add_into(expr.terms, prod.terms, c)
-        out.append(CentralElement(ctx, expr, f"{kind}_{k}"))
-    return CentralSeries(ctx, kind, out)
+            combo = express_in_family(hc_target(ctx, kind, k), gen_imgs,
+                                      list(range(1, top + 1)), ctx.n)
+            expr = FExpr()
+            for alpha, c in combo.items():
+                prod = FExpr.one()
+                for g, e in zip(gens, alpha):
+                    for _ in range(e):
+                        prod = prod * g
+                add_into(expr.terms, prod.terms, c)
+            exprs.append(expr)
+    return CentralSeries(ctx, kind, [CentralElement(ctx, expr, f"{kind}_{k}")
+                                     for k, expr in enumerate(exprs, start=1)])
 
 
 def c_k_pfaffian(ctx: LieContext, k: int) -> UEAElement:
-    return c_k_expr(ctx, k).evaluate(uea_ring(ctx)) if k <= ctx.n \
-        else UEAElement.zero(ctx)
+    return _family_expr(ctx, k, signed=True).evaluate(uea_ring(ctx))
 
 
 def d_k_hafnian(ctx: LieContext, k: int) -> UEAElement:
-    return d_k_expr(ctx, k).evaluate(uea_ring(ctx))
+    return _family_expr(ctx, k, signed=False).evaluate(uea_ring(ctx))
 
 
 # -- dual pair transfer coefficients ------------------------------------------

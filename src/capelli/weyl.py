@@ -6,6 +6,12 @@ to exact scalars.  The module also houses the invariant Cayley operators,
 their determinant/permanent building blocks, highest-weight vectors in
 the polynomial ring, and the images of the Lie algebra generators under
 the natural and the dual (oscillator) actions.
+
+The Cayley operators and the paired blocks come in two forms, built by
+one body that takes `signed`: signed uses det over strictly increasing
+(distinct) choices, unsigned uses per over weakly increasing ones.
+`_cayley` serves `cayley_omega`/`cayley_theta`, and `_paired_blocks`
+serves `omega_AI`/`theta_AI`.
 """
 
 from __future__ import annotations
@@ -166,9 +172,6 @@ class WeylOperator(Sparse):
 
     __rmul__ = __mul__
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def filtration_degree(self):
         if not self.terms:
             return -1
@@ -325,60 +328,57 @@ def cayley_theta(k: int, m: int, N: int) -> WeylOperator:
 # -- paired determinant/permanent blocks -------------------------------------
 
 
-def omega_AI(A, I, m: int, N: int) -> WeylOperator:
-    """Signed sum over the splittings of the 2k distinct indices I into
-    two k-subsets J, J' of det[x_{a_p j_q}] * det[d_{a_p, -j'_q}]."""
+def _paired_blocks(A, I, m, N, signed):
+    """Sum over the splittings of the sorted index sequence I into two
+    subsequences J, J' of length k = |I|/2 of
+    sign * block[x_{a_p j_q}] * block[d_{a_p, -j'_q}], a in A.
+
+    Signed: I has distinct entries, A has k distinct rows, the block is
+    det and the sign is that of the interleaving j_1 j'_1 ... j_k j'_k.
+    Unsigned: I is weakly increasing, the block is per and the sign is
+    sgn(j_1 ... j_k); splittings are enumerated by position, so
+    coincident splits of repeated entries are counted with multiplicity,
+    the counting under which the representation image of the Hafnian
+    equals Sum_A theta_AI / (d_1! ... d_m!).
+    """
     ctx = WeylContext(m, N)
     I = tuple(sorted(I))
-    if len(set(I)) != len(I):
+    if signed and len(set(I)) != len(I):
         raise DimensionError("index set I must not repeat entries")
     if len(I) % 2:
         raise DimensionError("I must have even size")
     k = len(I) // 2
     A = tuple(sorted(A))
-    if len(set(A)) != k:
+    if signed and len(set(A)) != k:
         raise DimensionError("A must consist of k distinct rows")
+    if len(A) != k:
+        raise DimensionError("A must consist of k rows")
+    block = det if signed else per
     total = WeylOperator.zero(ctx)
     for positions in itertools.combinations(range(2 * k), k):
+        rest = [p for p in range(2 * k) if p not in positions]
         J = [I[p] for p in positions]
-        Jp = [I[p] for p in range(2 * k) if p not in positions]
-        interleaved = [v for pair in zip(J, Jp) for v in pair]
-        sign = perm_sign([I.index(v) for v in interleaved])
-        xdet = det([[WeylOperator.x(ctx, a, j) for j in J] for a in A])
-        ddet = det([[WeylOperator.d(ctx, a, -jp) for jp in Jp] for a in A])
-        add_into(total.terms, total._coerce(xdet * ddet).terms, sign)
+        if signed:
+            sign = perm_sign([p for pair in zip(positions, rest) for p in pair])
+        else:
+            sign = math.prod(sgn(j) for j in J)
+        xblock = block([[WeylOperator.x(ctx, a, j) for j in J] for a in A])
+        dblock = block([[WeylOperator.d(ctx, a, -I[p]) for p in rest] for a in A])
+        add_into(total.terms, total._coerce(xblock * dblock).terms, sign)
     return total
+
+
+def omega_AI(A, I, m: int, N: int) -> WeylOperator:
+    """Signed sum over the splittings of the 2k distinct indices I into
+    two k-subsets J, J' of det[x_{a_p j_q}] * det[d_{a_p, -j'_q}]."""
+    return _paired_blocks(A, I, m, N, signed=True)
 
 
 def theta_AI(A, I, m: int, N: int) -> WeylOperator:
     """Sum over the splittings of the weakly increasing index sequence I
     into two weakly increasing subsequences J, J' of
-    sgn(j_1...j_k) * per[x_{a_p j_q}] * per[d_{a_p,-j'_q}].
-
-    Splittings are enumerated by position, so coincident splits of
-    repeated entries are counted with multiplicity; that counting is the
-    one under which the representation image of the Hafnian equals
-    Sum_A theta_AI / (d_1! ... d_m!).
-    """
-    ctx = WeylContext(m, N)
-    I = tuple(sorted(I))
-    if len(I) % 2:
-        raise DimensionError("I must have even size")
-    k = len(I) // 2
-    A = tuple(sorted(A))
-    if len(A) != k:
-        raise DimensionError("A must consist of k rows")
-    total = WeylOperator.zero(ctx)
-    for positions in itertools.combinations(range(2 * k), k):
-        J = [I[p] for p in positions]
-        Jp = [I[p] for p in range(2 * k) if p not in positions]
-        sign = 1
-        for j in J:
-            sign *= sgn(j)
-        xper = per([[WeylOperator.x(ctx, a, j) for j in J] for a in A])
-        dper = per([[WeylOperator.d(ctx, a, -jp) for jp in Jp] for a in A])
-        add_into(total.terms, total._coerce(xper * dper).terms, sign)
-    return total
+    sgn(j_1...j_k) * per[x_{a_p j_q}] * per[d_{a_p,-j'_q}]."""
+    return _paired_blocks(A, I, m, N, signed=False)
 
 
 # -- highest-weight vectors ---------------------------------------------------

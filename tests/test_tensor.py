@@ -24,6 +24,7 @@ from capelli.tensor import (
     fusion_capelli,
     generating_functions,
     guard_cells,
+    ladder_roots,
     orbit_sign,
     projector_rows,
     quantum_det_gl,
@@ -184,8 +185,8 @@ def test_trace_invariance_surrogate():
 
 def test_verify_relations_all_pass():
     for ctx in (SO2, SP2):
-        for cid, ok, witness in verify_relations(ctx, m_max=3):
-            assert ok, (cid, witness)
+        for cid, witness in verify_relations(ctx, m_max=3):
+            assert witness is None, cid
 
 
 def test_verify_relations_computes_only_selected_checks(monkeypatch):
@@ -202,8 +203,8 @@ def test_verify_vanishing_all_pass():
     for fam in ("so", "sp"):
         for m in (1, 2):
             for l in (0, 1, 2):
-                for cid, ok, witness in verify_vanishing(m, l, 2, fam):
-                    assert ok, (cid, witness)
+                for cid, witness in verify_vanishing(m, l, 2, fam):
+                    assert witness is None, cid
 
 
 def test_quantum_det_gl1():
@@ -234,6 +235,22 @@ def test_sklyanin_scalar_normalization():
 def test_theorem_62(ctx):
     series = central_series(ctx, "C", ctx.n)
     assert theorem_62_check(ctx, series) is None
+
+
+@pytest.mark.parametrize("family,N,signed,roots", [
+    ("so", 2, True, [0, 1, 4]),
+    ("so", 2, False, [1, 4, 9]),
+    ("so", 3, True, [Fraction(1, 4), Fraction(1, 4), Fraction(9, 4)]),
+    ("so", 3, False, [Fraction(9, 4), Fraction(25, 4), Fraction(49, 4)]),
+    ("so", 4, True, [1, 0, 1]),
+    ("so", 4, False, [4, 9, 16]),
+    ("sp", 2, True, [1, 0, 1]),
+    ("sp", 2, False, [4, 9, 16]),
+    ("sp", 4, True, [4, 1, 0]),
+    ("sp", 4, False, [9, 16, 25]),
+])
+def test_ladder_roots(family, N, signed, roots):
+    assert ladder_roots(LieContext(family, N), signed, 3) == roots
 
 
 def test_generating_function_inversion_small():

@@ -39,7 +39,7 @@ from capelli.uea import (
     pfaffian_phi_expr,
     uea_ring,
 )
-from capelli.weyl import sgn
+from capelli.weyl import WeylContext, WeylOperator, sgn
 
 
 GL2 = LieContext("gl", 2)
@@ -358,6 +358,14 @@ def test_complementary_family_so():
         assert hc == SymPoly(hc.vars, target.terms)
 
 
+def test_complementary_family_needs_only_the_generators_up_to_K():
+    # K = 1 below the rank n = 2 builds the complementary family from the
+    # first native generator alone and must agree with the K = 2 build
+    assert central_series(SP4, "C", 1)[1].uea() == central_series(SP4, "C", 2)[1].uea()
+    so5 = LieContext("so", 5)
+    assert central_series(so5, "D", 1)[1].uea() == central_series(so5, "D", 2)[1].uea()
+
+
 def test_complementary_family_sp():
     series = central_series(SP2, "C", 3)
     assert series[1].uea() == -d_k_hafnian(SP2, 1)
@@ -459,3 +467,14 @@ def test_fexpr_linear_structure_and_witness():
     assert (a - a).is_zero()
     assert a == a * 1 and a != a * 2
     assert a.first_difference(a + FExpr.gen(1, 1)) == "F[1,1]: 0 != 1"
+
+
+@pytest.mark.parametrize("zero,one", [
+    (SymPoly.zero(("x",)), SymPoly.scalar(("x",), 1)),
+    (UEAElement.zero(GL2), UEAElement.one(GL2)),
+    (WeylOperator.zero(WeylContext(1, 2)), WeylOperator.scalar(WeylContext(1, 2), 1)),
+    (FExpr.zero(), FExpr.one()),
+], ids=["SymPoly", "UEAElement", "WeylOperator", "FExpr"])
+def test_zero_element_is_falsy(zero, one):
+    assert not zero and not (one - one)
+    assert one and (one + one)

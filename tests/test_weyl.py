@@ -163,6 +163,20 @@ def test_theta_AI_k1_and_repeats():
     assert theta_AI((), (), m, N) == WeylOperator.scalar(ctx, 1)
 
 
+@pytest.mark.parametrize("build,A,I,message", [
+    (omega_AI, (1,), (1, 1), "index set I must not repeat entries"),
+    (omega_AI, (1,), (-2, -1, 1), "I must have even size"),
+    (theta_AI, (1,), (-1, 1, 1), "I must have even size"),
+    (omega_AI, (1, 1), (-2, -1, 1, 2), "A must consist of k distinct rows"),
+    (omega_AI, (1,), (-2, -1, 1, 2), "A must consist of k distinct rows"),
+    (theta_AI, (1,), (-1, -1, 1, 1), "A must consist of k rows"),
+], ids=["omega-repeated-I", "omega-odd-I", "theta-odd-I", "omega-repeated-A",
+        "omega-short-A", "theta-short-A"])
+def test_paired_blocks_reject_bad_input(build, A, I, message):
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        build(A, I, 2, 4)
+
+
 def test_singular_vector_small():
     assert singular_vector(Partition(()), 2, 1, "so", 2) == 1
     v = singular_vector(Partition((1,)), 1, 1, "so", 3)
