@@ -92,69 +92,26 @@ def perm_sign(perm):
     return s
 
 
-def _exact_quot(a, b):
-    """Exact quotient a/b in the entry ring (Fraction or SymPoly)."""
-    if isinstance(a, SymPoly):
-        return a.exact_div(b)
-    return Fraction(a) / b
-
-
 def det(rows):
-    """Determinant of a square matrix of pairwise commuting ring elements.
-
-    Cofactor expansion for size <= 4, fraction-free (Bareiss) elimination
-    above; both give the standard alternating sum.
-    """
+    """Determinant of a square matrix of pairwise commuting ring elements,
+    by cofactor expansion along the first row: no division, so any
+    commutative entry ring works, at a cost of up to n! products."""
     n = len(rows)
     for r in rows:
         if len(r) != n:
             raise DimensionError("det of a non-square matrix")
     if n == 0:
         return Fraction(1)
-    if n <= 4:
-        return _det_cofactor(rows)
-    return _det_bareiss([list(r) for r in rows])
-
-
-def _det_cofactor(rows):
-    n = len(rows)
     if n == 1:
         return rows[0][0]
     acc = None
-    for j in range(n):
-        piv = rows[0][j]
-        if _is_zero_entry(piv):
-            continue
-        minor = [[rows[i][c] for c in range(n) if c != j] for i in range(1, n)]
-        term = piv * _det_cofactor(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return _zero_like(rows[0][0])
-    return acc
-
-
-def _det_bareiss(m):
-    n = len(m)
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if _is_zero_entry(m[k][k]):
-            for r in range(k + 1, n):
-                if not _is_zero_entry(m[r][k]):
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return _zero_like(m[0][0])
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = _exact_quot(num, prev)
-        prev = m[k][k]
-    result = m[n - 1][n - 1]
-    return -result if sign < 0 else result
+    for j, piv in enumerate(rows[0]):
+        if piv:
+            term = piv * det([[*r[:j], *r[j + 1:]] for r in rows[1:]])
+            if j % 2:
+                term = -term
+            acc = term if acc is None else acc + term
+    return rows[0][0] * 0 if acc is None else acc
 
 
 def per(rows):
@@ -173,18 +130,6 @@ def per(rows):
             term = term * rows[p][sigma[p]]
         acc = term if acc is None else acc + term
     return acc
-
-
-def _is_zero_entry(x):
-    if isinstance(x, SymPoly):
-        return x.is_zero()
-    return x == 0
-
-
-def _zero_like(x):
-    if isinstance(x, SymPoly):
-        return SymPoly.zero(x.vars)
-    return Fraction(0)
 
 
 class Sparse:
@@ -513,35 +458,12 @@ def dense_prod(factors):
     return out
 
 
-def dense_eval(a, x):
-    """Value at the scalar x of a nonempty coefficient list (Horner)."""
-    acc = a[-1]
-    for c in reversed(a[:-1]):
-        acc = acc * x + c
-    return acc
-
-
 def dense_shift(a, c):
     """Coefficients of a(u + c)."""
     out = []
     for x in reversed(a):
         out = dense_add(dense_mul(out, [c, 1]), [x])
     return out
-
-
-def dense_div_linear(a, root):
-    """Exact quotient of a by (u - root); raises ConsistencyError when
-    the remainder a(root) is not zero."""
-    if not a:
-        return []
-    q = [None] * (len(a) - 1)
-    carry = a[-1]
-    for d in range(len(a) - 2, -1, -1):
-        q[d] = carry
-        carry = a[d] + carry * root
-    if carry != 0:
-        raise ConsistencyError("division by (u - root) leaves a nonzero remainder")
-    return q
 
 
 def dense_first_difference(a, b, var):

@@ -4,8 +4,9 @@ dependence on spectral variables.
 A `TMat` is an N^m x N^m sparse matrix whose entries are polynomials in
 the central variables (u, v, w, ...) with coefficients in U(gl_N),
 divided by one common scalar polynomial.  Rational identities are decided
-by clearing denominators; pole cancellation at a classical point is exact
-division of every numerator coefficient by the linear factor.
+by clearing denominators; the value at a classical point, where the
+denominator vanishes, is a quotient of Taylor coefficients there: shift
+numerator and denominator to the point and read both at the pole order.
 
 Scalar polynomials in the spectral variables (denominators, arguments,
 normalizing factors) are `SymPoly` values.  An entry maps (exponent
@@ -51,8 +52,6 @@ from .core import (
     DimensionError,
     SymPoly,
     add_into,
-    dense_div_linear,
-    dense_eval,
     dense_first_difference,
     dense_mul,
     dense_prod,
@@ -519,27 +518,30 @@ def fused_F(ctx: LieContext, m: int, shape: str) -> TMat:
     return orbit_expand(mat, signed)
 
 
-def _cancel_and_eval(ctx, num, den, u0):
-    """Evaluate num/den (coefficient lists) at u0 after exact
-    cancellation of the pole."""
-    while dense_eval(den, u0) == 0:
-        den = dense_div_linear(den, u0)
-        num = dense_div_linear(num, u0)
-    value = dense_eval(num, u0) if num else UEAElement.zero(ctx)
-    return value * (1 / dense_eval(den, u0))
-
-
 def fusion_capelli(ctx: LieContext, k: int, shape: str) -> UEAElement:
     """Value of the normalized partial trace of the fused matrix at the
-    classical point: the k-th element of the signed family for shape
-    "column", of the unsigned family for shape "row"."""
+    classical point u0: the k-th element of the signed family for shape
+    "column", of the unsigned family for shape "row".
+
+    The numerator (trace times phi's numerator) and the denominator (the
+    matrix denominator times phi's) are shifted to u0 and read as Taylor
+    coefficients there.  If the denominator's lowest nonzero coefficient
+    has index D (the pole order at u0), the numerator's coefficients below
+    D must vanish, else `ConsistencyError`; the value is num[D] / den[D].
+    """
     m = 2 * k
     mat = fused_F(ctx, m, shape)
     tr, den = mat.trace_id()
     phi_num, phi_den = phi_normalizer(ctx, shape, m)
-    num = ent_scalar_poly_mul(tr, phi_num)
     u0 = classical_point(ctx, shape, m)
-    return _cancel_and_eval(ctx, ent_to_ucoeffs(ctx, num), to_dense(den * phi_den), u0)
+    num = dense_shift(ent_to_ucoeffs(ctx, ent_scalar_poly_mul(tr, phi_num)), u0)
+    den = dense_shift(to_dense(den * phi_den), u0)
+    order = next(d for d, c in enumerate(den) if c != 0)
+    if any(num[:order]):
+        raise ConsistencyError(f"the pole of order {order} at u = {u0} does not cancel")
+    if len(num) <= order:
+        return UEAElement.zero(ctx)
+    return num[order] * (1 / den[order])
 
 
 # -- quantum determinants --------------------------------------------------------
@@ -669,41 +671,32 @@ def theorem_62_check(ctx: LieContext, series_c: CentralSeries):
 def eigenvalue_check_gl(N: int, nu, h_coeffs):
     """The quantum determinant acts on the irreducible with highest
     weight nu by prod_q (nu_q + N - q - u); checked on the isotypic
-    component inside the |nu|-th tensor power.  Returns None or a
+    component inside the |nu|-th tensor power, cut out by the symmetrizer
+    for one row and the antisymmetrizer for one column of at most N boxes
+    (any other weight raises DimensionError).  Returns None or a
     witness."""
     nu = nu if isinstance(nu, Partition) else Partition(nu)
+    if len(nu) > N or (len(nu) > 1 and nu[1] > 1):
+        raise DimensionError(f"only one-row and one-column gl_{N} weights are wired up")
     s = nu.weight()
-    space = TensorSpace(N, s) if s else None
+    space = TensorSpace(N, s)
     ctx = h_coeffs[0].ctx
 
     def pi_word(word):
-        size = space.size if space else 1
-        acc = smat_identity(size)
+        acc = smat_identity(space.size)
         for gid in word:
             i, j = ctx.gen_pair(gid)
             gen = {}
-            if s:
-                for r, t in enumerate(space.tuples):
-                    for slot in range(s):
-                        if t[slot] == j:
-                            w = list(t)
-                            w[slot] = i
-                            add_into(gen, {(space.code[tuple(w)], r): Fraction(1)})
+            for r, t in enumerate(space.tuples):
+                for slot in range(s):
+                    if t[slot] == j:
+                        w = list(t)
+                        w[slot] = i
+                        add_into(gen, {(space.code[tuple(w)], r): Fraction(1)})
             acc = smat_mul(acc, gen)
         return acc
 
-    # projector onto the nu-isotypic component for the weights used here
-    if s == 0:
-        proj = {(0, 0): Fraction(1)}
-    elif s == 1:
-        proj = smat_identity(space.size)
-    elif nu.parts == (2,):
-        proj = symmetrizer(space, signed=False)
-    elif nu.parts == (1, 1):
-        proj = symmetrizer(space, signed=True)
-    else:
-        raise DimensionError("only weights up to two boxes are wired up")
-
+    proj = symmetrizer(space, signed=len(nu) > 1)
     expected = dense_prod([nu[q] + N - q, -1] for q in range(1, N + 1))
     for d in range(max(len(h_coeffs), len(expected))):
         himg = {}
@@ -718,24 +711,6 @@ def eigenvalue_check_gl(N: int, nu, h_coeffs):
 
 
 # -- relation suites ---------------------------------------------------------
-
-
-def ent_subst_var(e, vars, var, const, slope):
-    """Substitute var := const + slope * (first variable); the result is
-    an entry over the remaining variable tuple with `var` removed."""
-    vi = vars.index(var)
-    out_vars = tuple(v for v in vars if v != var)
-    out = {}
-    for (ev, w), c in e.items():
-        deg = ev[vi]
-        base = tuple(x for i, x in enumerate(ev) if i != vi)
-        # (const + slope*u)^deg, binomially
-        for t in range(deg + 1):
-            coeff = c * math.comb(deg, t) * const ** (deg - t) * slope ** t
-            nev = list(base)
-            nev[0] += t
-            add_into(out, {(tuple(nev), w): coeff})
-    return out, out_vars
 
 
 def check_exchange_relation(ctx: LieContext):
@@ -780,11 +755,14 @@ def check_boundary_regularity(ctx: LieContext):
         Rt13 = tm_Rt(ctx, space, vars, 1, 3, u, w)
         Rt23 = tm_Rt(ctx, space, vars, 2, 3, v, w)
         prod = R12 * Rt13 * Rt23
-        # numerator must vanish on w = -u -+ 1
+        # numerator must vanish on w = -u -+ 1, word by word
+        line = {"u": u, "w": -u - pm}
         for r, row in prod.rows.items():
             for c, e in row.items():
-                sub, _ = ent_subst_var(e, vars, "w", Fraction(-pm), Fraction(-1))
-                if sub:
+                by_word = {}
+                for (ev, word), x in e.items():
+                    by_word.setdefault(word, {})[ev] = x
+                if any(SymPoly(vars, t).evaluate(line) for t in by_word.values()):
                     return f"entry ({r},{c}) does not vanish on the polar line (v=u{pm:+d})"
         # collapsed form
         psum = add_into(smat_identity(space.size), exchange_P(space, 1, 2), pm)

@@ -212,9 +212,6 @@ class UEAElement(Sparse):
 
     __rmul__ = __mul__
 
-    def filtration_degree(self):
-        return max((len(w) for w in self.terms), default=-1)
-
     def scalar_part(self):
         return self.terms.get(self._unit, Fraction(0))
 
@@ -229,46 +226,6 @@ def pbw_normal_form(ctx: LieContext, pairs) -> UEAElement:
     sequence of (i, j) pairs."""
     word = tuple(ctx.gen_id(i, j) for i, j in pairs)
     return UEAElement(ctx, dict(_normal_form(ctx, word)))
-
-
-# -- brackets of the subalgebra generators ------------------------------------
-
-
-def generator_bracket(ctx: LieContext, pair1, pair2):
-    """Bracket of two subalgebra generators, with its re-expression over
-    the canonical F basis (asserted exact).
-
-    Returns (element, combination) where combination maps canonical
-    pairs to coefficients; for gl the combination is over E pairs.
-    """
-    if ctx.family == "gl":
-        elem = UEAElement.E(ctx, *pair1).bracket(UEAElement.E(ctx, *pair2))
-        combo = {ctx.gen_pair(w[0]): c for w, c in elem.terms.items()}
-        return elem, combo
-    elem = UEAElement.F(ctx, *pair1).bracket(UEAElement.F(ctx, *pair2))
-    return elem, as_f_combination(elem)
-
-
-def as_f_combination(elem: UEAElement):
-    """Write a degree-one element of the subalgebra over the canonical F
-    basis; raises ConsistencyError if the element is not in the span."""
-    ctx = elem.ctx
-    if elem.filtration_degree() > 1 or elem.scalar_part() != 0:
-        raise ConsistencyError("not a Lie-algebra element")
-    combo = {}
-    residue = dict(elem.terms)
-    for (i, j) in ctx.f_pairs():
-        c = residue.get((ctx.gen_id(i, j),), Fraction(0))
-        if j == -i and ctx.family == "sp":
-            c = c / 2
-        if c == 0:
-            continue
-        combo[(i, j)] = c
-        add_into(residue, UEAElement.F(ctx, i, j).terms, -c)
-    if residue:
-        residue = {ctx.gen_pair(w[0]): c for w, c in residue.items()}
-        raise ConsistencyError(f"element is not in the F-span: residue {residue}")
-    return combo
 
 
 # -- evaluation rings ---------------------------------------------------------
@@ -617,23 +574,6 @@ def gamma_prime(expr, dual_ctx: LieContext, m: int, N: int) -> WeylOperator:
     return expr.evaluate(dual_ring(dual_ctx, m, N))
 
 
-def check_dual_bracket_compatibility(dual_ctx: LieContext, m: int, N: int):
-    """The dual generator images satisfy the structure relations of the
-    commutant algebra: [g'(X), g'(Y)] = g'([X, Y]) on all generators."""
-    ring = dual_ring(dual_ctx, m, N)
-    pairs = dual_ctx.f_pairs()
-    for p1 in pairs:
-        for p2 in pairs:
-            lhs = ring.f_gen(*p1).bracket(ring.f_gen(*p2))
-            _, combo = generator_bracket(dual_ctx, p1, p2)
-            rhs = WeylOperator.zero(ring.wctx)
-            for pair, c in combo.items():
-                add_into(rhs.terms, ring.f_gen(*pair).terms, c)
-            if not lhs == rhs:
-                raise ConsistencyError(f"dual bracket mismatch on {p1}, {p2}")
-    return True
-
-
 # -- eigenvalues and the Harish-Chandra oracle -------------------------------
 
 
@@ -785,6 +725,8 @@ class CentralSeries:
         self.elements = list(elements)
 
     def __getitem__(self, k):
+        if k < 0:
+            raise IndexError("the series has no negative index")
         if k == 0:
             return CentralElement(self.ctx, FExpr.one(), f"{self.kind}_0")
         if k <= len(self.elements):

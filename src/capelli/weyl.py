@@ -114,12 +114,6 @@ class WeylOperator(Sparse):
     def d(cls, ctx, a, i):
         return cls(ctx, {(ctx.zero_ev, ctx.unit_ev(a, i)): Fraction(1)})
 
-    @classmethod
-    def from_polynomial(cls, ctx, p: SymPoly):
-        if p.vars != ctx.var_names:
-            raise DimensionError("polynomial over a different variable grid")
-        return cls(ctx, {(ev, ctx.zero_ev): c for ev, c in p.terms.items()})
-
     # -- ring structure ----------------------------------------------------
 
     def _home(self):
@@ -172,11 +166,6 @@ class WeylOperator(Sparse):
 
     __rmul__ = __mul__
 
-    def filtration_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(a) + sum(b) for a, b in self.terms)
-
     # -- action ------------------------------------------------------------
 
     def apply(self, p: SymPoly) -> SymPoly:
@@ -212,22 +201,6 @@ class WeylOperator(Sparse):
                     name = f"{label}[{a + 1},{ctx.indices[i]}]"
                     parts.append(name if e == 1 else f"{name}^{e}")
         return "*".join(parts) if parts else "1"
-
-
-def operators_agree_on_degree(aop: WeylOperator, bop: WeylOperator, d: int) -> bool:
-    """Independent equality oracle: compare actions on every monomial of
-    total degree <= d."""
-    ctx = aop.ctx
-    vs = ctx.var_names
-    for deg in range(d + 1):
-        for combo in itertools.combinations_with_replacement(range(ctx.nvars), deg):
-            ev = [0] * ctx.nvars
-            for t in combo:
-                ev[t] += 1
-            mono = SymPoly(vs, {tuple(ev): Fraction(1)})
-            if not (aop.apply(mono) - bop.apply(mono)).is_zero():
-                return False
-    return True
 
 
 # -- representation generators ---------------------------------------------

@@ -5,14 +5,10 @@ import random
 import pytest
 
 from capelli.core import (
-    ConsistencyError,
     DimensionError,
     SymPoly,
     add_into,
-    dense_div_linear,
-    dense_eval,
     dense_first_difference,
-    dense_mul,
     dense_shift,
     dense_trim,
     det,
@@ -22,6 +18,7 @@ from capelli.core import (
     scal,
     series_as_fraction,
     series_defect,
+    to_dense,
 )
 
 
@@ -193,31 +190,13 @@ def test_perm_sign():
 # -- dense coefficient lists -------------------------------------------------
 
 
-def test_dense_div_linear_exact_and_remainder_fraction():
-    # (u - 2)(u + 3) = u^2 + u - 6
-    p = [Fraction(-6), Fraction(1), Fraction(1)]
-    assert dense_div_linear(p, Fraction(2)) == [3, 1]
-    with pytest.raises(ConsistencyError):
-        dense_div_linear(p, Fraction(1))
-
-
-def test_dense_div_linear_exact_and_remainder_uea():
-    from capelli.uea import LieContext, UEAElement
-
-    ctx = LieContext("gl", 2)
-    e = UEAElement.E(ctx, -1, 1)
-    # e * (u - 1/2)(u + 1) = e*u^2 + (e/2)*u - e/2
-    p = dense_mul([e], [Fraction(-1, 2), Fraction(1, 2), Fraction(1)])
-    assert dense_div_linear(p, Fraction(1, 2)) == [e, e]
-    with pytest.raises(ConsistencyError):
-        dense_div_linear(p, Fraction(3))
-
-
 def test_dense_shift_and_eval():
+    # dense_shift(p, c) is p(u + c), read off by SymPoly.evaluate
+    u = SymPoly.variable(("u",), "u")
     p = [Fraction(1), Fraction(-2), Fraction(0), Fraction(3)]
-    q = dense_shift(p, Fraction(5, 2))
-    for x in (Fraction(0), Fraction(1), Fraction(-7, 3)):
-        assert dense_eval(q, x) == dense_eval(p, x + Fraction(5, 2))
+    poly = SymPoly(("u",), {(d,): x for d, x in enumerate(p)})
+    for c in (Fraction(0), Fraction(5, 2), Fraction(-7, 3)):
+        assert dense_shift(p, c) == to_dense(poly.evaluate({"u": u + c}))
 
 
 def test_dense_first_difference_names_the_lowest_differing_power():

@@ -4,10 +4,11 @@ import pytest
 
 from capelli import tensor
 from capelli.core import (
+    ConsistencyError,
     DimensionError,
     SymPoly,
-    dense_div_linear,
     dense_mul,
+    dense_shift,
     dense_trim,
     to_dense,
 )
@@ -261,24 +262,28 @@ def test_generating_function_inversion_small():
 
 
 def test_normalized_fused_matrix_is_entrywise_regular():
-    # the normalizing factor makes every entry of the fused column
-    # divisible by (u - u0) as often as the denominator vanishes there
+    # shifted to u0, every normalized entry of the fused column vanishes
+    # below the pole order of the denominator there, which is 1
     from capelli.tensor import ent_scalar_poly_mul, phi_normalizer
 
     ctx = SO2
     mat = fused_F(ctx, 2, "column")
     u0 = classical_point(ctx, "column", 2)
     phi_num, phi_den = phi_normalizer(ctx, "column", 2)
-    den = to_dense(mat.den)
-    phid = to_dense(phi_den)
-    full_den = dense_trim(dense_mul(dense_trim(den), dense_trim(phid)))
-    for r, row in mat.rows.items():
-        for cidx, e in row.items():
-            num = ent_to_ucoeffs(ctx, ent_scalar_poly_mul(e, phi_num))
-            d = list(full_den)
-            while sum(c * u0 ** t for t, c in enumerate(d)) == 0:
-                d = dense_div_linear(d, u0)
-                num = dense_div_linear(num, u0)  # raises if a pole survived
+    den = dense_shift(to_dense(mat.den * phi_den), u0)
+    order = next(d for d, c in enumerate(den) if c != 0)
+    assert order == 1
+    for row in mat.rows.values():
+        for e in row.values():
+            num = dense_shift(ent_to_ucoeffs(ctx, ent_scalar_poly_mul(e, phi_num)), u0)
+            assert not any(num[:order])
+
+
+def test_fusion_capelli_raises_on_a_pole_that_does_not_cancel(monkeypatch):
+    one = SymPoly.scalar(("u",), 1)
+    monkeypatch.setattr(tensor, "phi_normalizer", lambda ctx, shape, m: (one, one))
+    with pytest.raises(ConsistencyError):
+        fusion_capelli(SO2, 1, "column")
 
 
 # -- the full-row route, kept here as the oracle of the one-row-per-orbit one ---
@@ -384,6 +389,17 @@ def test_quantum_det_gl_eigenvalues_on_every_wired_weight(N, eps):
     h = quantum_det_gl(N, eps)
     for nu in partitions_with(N, max_weight=2):
         assert eigenvalue_check_gl(N, nu, h) is None, nu
+
+
+@pytest.mark.parametrize("nu", [(3,), (1, 1, 1)], ids=["row", "column"])
+def test_quantum_det_gl_eigenvalue_on_three_boxes(nu):
+    assert eigenvalue_check_gl(3, nu, quantum_det_gl(3, "so")) is None
+
+
+@pytest.mark.parametrize("nu", [(2, 1), (1, 1, 1, 1)], ids=["hook", "too-long"])
+def test_eigenvalue_check_gl_rejects_a_weight_it_cannot_project_to(nu):
+    with pytest.raises(DimensionError):
+        eigenvalue_check_gl(3, nu, quantum_det_gl(3, "so"))
 
 
 def test_sp_sign_table_needs_even_rank():

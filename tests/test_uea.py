@@ -15,13 +15,11 @@ from capelli.uea import (
     LieContext,
     UEAElement,
     UEARing,
-    as_f_combination,
     canonical_symbol,
     c_k_pfaffian,
     capelli_element_e,
     capelli_element_h,
     central_series,
-    check_dual_bracket_compatibility,
     d_k_hafnian,
     dual_pair_coeffs,
     dual_ring,
@@ -29,7 +27,6 @@ from capelli.uea import (
     express_in_family,
     gamma,
     gamma_ring,
-    generator_bracket,
     hafnian_psi,
     hafnian_psi_expr,
     hc_polynomial,
@@ -93,6 +90,43 @@ def test_pbw_associativity_randomized():
 def test_cartan_commutes():
     assert F(SO3, -1, -1).bracket(F(SO3, 0, 0)).is_zero()
     assert F(SP4, -2, -2).bracket(F(SP4, -1, -1)).is_zero()
+
+
+def generator_bracket(ctx: LieContext, pair1, pair2):
+    """Bracket of two subalgebra generators, with its re-expression over
+    the canonical F basis (asserted exact).
+
+    Returns (element, combination) where combination maps canonical
+    pairs to coefficients; for gl the combination is over E pairs.
+    """
+    if ctx.family == "gl":
+        elem = UEAElement.E(ctx, *pair1).bracket(UEAElement.E(ctx, *pair2))
+        combo = {ctx.gen_pair(w[0]): c for w, c in elem.terms.items()}
+        return elem, combo
+    elem = UEAElement.F(ctx, *pair1).bracket(UEAElement.F(ctx, *pair2))
+    return elem, as_f_combination(elem)
+
+
+def as_f_combination(elem: UEAElement):
+    """Write a degree-one element of the subalgebra over the canonical F
+    basis; raises ConsistencyError if the element is not in the span."""
+    ctx = elem.ctx
+    if any(len(w) != 1 for w in elem.terms):
+        raise ConsistencyError("not a Lie-algebra element")
+    combo = {}
+    residue = dict(elem.terms)
+    for (i, j) in ctx.f_pairs():
+        c = residue.get((ctx.gen_id(i, j),), Fraction(0))
+        if j == -i and ctx.family == "sp":
+            c = c / 2
+        if c == 0:
+            continue
+        combo[(i, j)] = c
+        add_into(residue, UEAElement.F(ctx, i, j).terms, -c)
+    if residue:
+        residue = {ctx.gen_pair(w[0]): c for w, c in residue.items()}
+        raise ConsistencyError(f"element is not in the F-span: residue {residue}")
+    return combo
 
 
 def test_generator_bracket_so3_reexpression():
@@ -412,12 +446,36 @@ def test_gamma_of_so_element_restricts_gl_action():
     assert got == expected
 
 
+def check_dual_bracket_compatibility(dual_ctx: LieContext, m: int, N: int):
+    """The dual generator images satisfy the structure relations of the
+    commutant algebra: [g'(X), g'(Y)] = g'([X, Y]) on all generators."""
+    ring = dual_ring(dual_ctx, m, N)
+    pairs = dual_ctx.f_pairs()
+    for p1 in pairs:
+        for p2 in pairs:
+            lhs = ring.f_gen(*p1).bracket(ring.f_gen(*p2))
+            _, combo = generator_bracket(dual_ctx, p1, p2)
+            rhs = WeylOperator.zero(ring.wctx)
+            for pair, c in combo.items():
+                add_into(rhs.terms, ring.f_gen(*pair).terms, c)
+            if not lhs == rhs:
+                raise ConsistencyError(f"dual bracket mismatch on {p1}, {p2}")
+    return True
+
+
 def test_dual_bracket_compatibility():
     assert check_dual_bracket_compatibility(SP2, 1, 2)
     assert check_dual_bracket_compatibility(SP2, 1, 3)
     assert check_dual_bracket_compatibility(SO2, 1, 2)
     assert check_dual_bracket_compatibility(SP4, 2, 2)
     assert check_dual_bracket_compatibility(SO4, 2, 2)
+
+
+def test_central_series_rejects_a_negative_index():
+    series = central_series(SO4, "C", 2)
+    assert series[0].label == "C_0" and series[2].label == "C_2"
+    with pytest.raises(IndexError):
+        series[-1]
 
 
 def test_central_element_gamma_routes_agree():

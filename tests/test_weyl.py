@@ -16,7 +16,6 @@ from capelli.weyl import (
     index_set,
     minor_delta,
     omega_AI,
-    operators_agree_on_degree,
     singular_vector,
     theta_AI,
 )
@@ -79,6 +78,22 @@ def test_mul_associative_randomized():
     for _ in range(15):
         a, b, c = rand_op(), rand_op(), rand_op()
         assert (a * b) * c == a * (b * c)
+
+
+def operators_agree_on_degree(aop: WeylOperator, bop: WeylOperator, d: int) -> bool:
+    """Independent equality oracle: compare actions on every monomial of
+    total degree <= d."""
+    ctx = aop.ctx
+    vs = ctx.var_names
+    for deg in range(d + 1):
+        for combo in itertools.combinations_with_replacement(range(ctx.nvars), deg):
+            ev = [0] * ctx.nvars
+            for t in combo:
+                ev[t] += 1
+            mono = SymPoly(vs, {tuple(ev): Fraction(1)})
+            if not (aop.apply(mono) - bop.apply(mono)).is_zero():
+                return False
+    return True
 
 
 def test_operator_equality_oracle():
