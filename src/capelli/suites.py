@@ -18,8 +18,11 @@ parameters, and it is the one place that reads the clock and builds the
 Twin statements about the signed family C (Pfaffians over so_N, det,
 strictly increasing choices) and the unsigned family D (Hafnians over
 sp_N, per, weakly increasing choices) share one body that takes
-`signed`: thm-4.1 and thm-5.1 are `_formula_suite(signed)`, and
-`_image_witness` takes the same flag.
+`signed`: `_formula_suite` (thm-4.1/5.1), `_vanishing_suite`
+(prop-3.10/3.11) and the three dual-pair bodies over `_dual_pair` (so_N
+against sp_2m for C, sp_N against so_2m for D): `_transfer_suite`
+(thm-4.4/5.3), `_generating_suite` (prop-4.3/5.2) and `_identity_suite`
+(cor-4.6/5.4).
 """
 
 from __future__ import annotations
@@ -240,21 +243,19 @@ suite_dec_304 = _relation_suite(lambda cid: cid.startswith("symmetrizer-decompos
 suite_prop_39 = _relation_suite(lambda cid: cid.startswith("gl-exchange"))
 
 
-def _vanishing_suite(prefixes):
+def _vanishing_suite(signed):
     def run(p, rng):
         for N in p["N"]:
             for family in ("so", "sp"):
                 for m in p["m"]:
                     for l in range(0, 3):
-                        for cid, witness in verify_vanishing(m, l, N, family):
-                            if cid.startswith(prefixes):
-                                yield cid, witness
+                        yield from verify_vanishing(m, l, N, family, signed)
 
     return run
 
 
-suite_prop_310 = _vanishing_suite(("antisym-",))
-suite_prop_311 = _vanishing_suite(("sym-",))
+suite_prop_310 = _vanishing_suite(signed=True)
+suite_prop_311 = _vanishing_suite(signed=False)
 
 
 # -- quantum determinant ----------------------------------------------------------
@@ -283,17 +284,97 @@ def suite_prop_61(p, rng):
 # -- dual pair transfer ------------------------------------------------------------
 
 
-def suite_thm_44(p, rng):
-    for N in p["N"]:
-        for m in p["m"]:
-            guard_cells(N, m)
-            ctx_so = LieContext("so", N)
-            series_so = central_series(ctx_so, "C", m)
-            series_sp = central_series(LieContext("sp", 2 * m), "C", m)
-            for k in p["k"]:
-                if k <= m:
-                    yield (f"transfer-C[N={N},m={m},k={k}]",
-                           _transfer_witness("C", k, m, N, series_so, series_sp))
+def _dual_pair(N, m, signed):
+    """(inner ctx, dual ctx, kind): so_N against sp_2m for the signed
+    family C, sp_N against so_2m for the unsigned family D."""
+    if signed:
+        return LieContext("so", N), LieContext("sp", 2 * m), "C"
+    return LieContext("sp", N), LieContext("so", 2 * m), "D"
+
+
+def _transfer_suite(signed):
+    """thm-4.4 (signed: the grid's k up to m, both series to order m) or
+    thm-5.3 (unsigned: k = 1..K, both series to order K): the dual action
+    of the k-th dual element is the combination of the inner elements'
+    images with the coefficients `dual_pair_coeffs`."""
+    def run(p, rng):
+        for N in p["N"]:
+            for m in p["m"]:
+                guard_cells(N, m)
+                inner, dual, kind = _dual_pair(N, m, signed)
+                order = m if signed else p["k"]
+                series_inner = central_series(inner, kind, order)
+                series_dual = central_series(dual, kind, order)
+                for k in p["k"] if signed else range(1, order + 1):
+                    if k <= order:
+                        yield (f"transfer-{kind}[N={N},m={m},k={k}]",
+                               _transfer_witness(kind, k, m, N, series_inner, series_dual))
+
+    return run
+
+
+def _generating_suite(signed):
+    """prop-4.3 (signed: the inner series to the rank n and the dual one
+    to m, compared exactly) or prop-5.2 (unsigned: both to order K,
+    compared to O(t^{-K-1})): in t = u^2, the series of the inner images
+    times the quotient of two ladders of m roots (orthogonal over
+    symplectic) is the series of the dual images."""
+    def run(p, rng):
+        K = p.get("K")
+        for N in p["N"]:
+            for m in p["m"]:
+                guard_cells(N, m)
+                inner, dual, kind = _dual_pair(N, m, signed)
+                inner_order, dual_order = (inner.n, m) if signed else (K, K)
+                one = WeylOperator.scalar(WeylContext(m, N), 1)
+                series_inner = central_series(inner, kind, inner_order)
+                series_dual = central_series(dual, kind, dual_order)
+                lhs_num, lhs_den = series_as_fraction(
+                    [one] + [series_inner[l].gamma(m) for l in range(1, inner_order + 1)],
+                    linear_ladder(ladder_roots(inner, signed, inner_order)))
+                rhs = series_as_fraction(
+                    [one] + [series_dual[k].gamma_prime(m, N) for k in range(1, dual_order + 1)],
+                    linear_ladder(ladder_roots(dual, signed, dual_order)))
+                top, bottom = (dense_prod(linear_ladder(ladder_roots(ctx, True, m)))
+                               for ctx in ((inner, dual) if signed else (dual, inner)))
+                lhs = (dense_mul(lhs_num, top), dense_mul(lhs_den, bottom))
+                if signed:
+                    yield (f"generating-transfer-C[N={N},m={m}]", dense_first_difference(
+                        dense_mul(lhs[0], rhs[1]), dense_mul(rhs[0], lhs[1]), "t"))
+                else:
+                    deg, bound = series_defect(lhs, rhs, K)
+                    yield (f"generating-transfer-D[N={N},m={m},K={K}]",
+                           None if deg <= bound else
+                           f"defect degree {deg} exceeds the truncation bound {bound}")
+
+    return run
+
+
+def _identity_suite(signed):
+    """cor-4.6 (signed, N = 2n and m = n - 1) or cor-5.4 (unsigned,
+    n = m - 1): the transfer is the identity map, so the dual action of
+    the k-th dual element is the image of the k-th inner element; both
+    series are built to order m (k <= m on both domains)."""
+    def run(p, rng):
+        for N in p["N"]:
+            for m in p["m"]:
+                inner, dual, kind = _dual_pair(N, m, signed)
+                series_inner = central_series(inner, kind, m)
+                series_dual = central_series(dual, kind, m)
+                for k in p["k"]:
+                    yield (f"transfer-identity-{kind}[N={N},m={m},k={k}]",
+                           series_dual[k].gamma_prime(m, N).first_difference(
+                               series_inner[k].gamma(m)))
+
+    return run
+
+
+suite_thm_44 = _transfer_suite(signed=True)
+suite_thm_53 = _transfer_suite(signed=False)
+suite_prop_43 = _generating_suite(signed=True)
+suite_prop_52 = _generating_suite(signed=False)
+suite_cor_46 = _identity_suite(signed=True)
+suite_cor_54 = _identity_suite(signed=False)
 
 
 def suite_cor_45(p, rng):
@@ -302,95 +383,6 @@ def suite_cor_45(p, rng):
     img = central_series(LieContext("sp", 2 * m), "C", m)[k].gamma_prime(m, N)
     yield (f"dual-image-vanishes[N={N},m={m},k={k}]",
            None if img.is_zero() else "image is nonzero")
-
-
-def suite_cor_46(p, rng):
-    # N = 2n, m = n-1: the transfer is the identity map
-    [N], [m], [k] = p["N"], p["m"], p["k"]
-    lhs = central_series(LieContext("sp", 2 * m), "C", m)[k].gamma_prime(m, N)
-    rhs = central_series(LieContext("so", N), "C", k)[k].gamma(m)
-    yield f"transfer-identity-C[N={N},m={m},k={k}]", lhs.first_difference(rhs)
-
-
-def _transfer_sides(lhs, lhs_roots, rhs, rhs_roots, top_roots, bottom_roots):
-    """The two sides of lhs(t) * top(t) / bottom(t) = rhs(t) in t = u^2,
-    each as a fraction (num, den) of coefficient lists.  `lhs` and `rhs`
-    map k to the k-th term of a generating series summed by
-    `series_as_fraction` over the linear ladder with the given roots; top
-    and bottom are the products of (t - root)."""
-    lhs_num, lhs_den = series_as_fraction(lhs, linear_ladder(lhs_roots))
-    top = dense_prod(linear_ladder(top_roots))
-    bottom = dense_prod(linear_ladder(bottom_roots))
-    return ((dense_mul(lhs_num, top), dense_mul(lhs_den, bottom)),
-            series_as_fraction(rhs, linear_ladder(rhs_roots)))
-
-
-def suite_prop_43(p, rng):
-    for N in p["N"]:
-        for m in p["m"]:
-            guard_cells(N, m)
-            ctx_so = LieContext("so", N)
-            ctx_sp = LieContext("sp", 2 * m)
-            n = ctx_so.n
-            one = WeylOperator.scalar(WeylContext(m, N), 1)
-            series_so = central_series(ctx_so, "C", n)
-            series_sp = central_series(ctx_sp, "C", m)
-            c_gamma = {l: series_so[l].gamma(m) for l in range(1, n + 1)}
-            c_gamma[0] = one
-            cp_gamma = {k: series_sp[k].gamma_prime(m, N) for k in range(1, m + 1)}
-            cp_gamma[0] = one
-            (lhs_num, lhs_den), (rhs_num, rhs_den) = _transfer_sides(
-                c_gamma, ladder_roots(ctx_so, True, n), cp_gamma, ladder_roots(ctx_sp, True, m),
-                [(Fraction(N, 2) - a) ** 2 for a in range(1, m + 1)],
-                [Fraction(a) ** 2 for a in range(1, m + 1)])
-            yield (f"generating-transfer-C[N={N},m={m}]", dense_first_difference(
-                dense_mul(lhs_num, rhs_den), dense_mul(rhs_num, lhs_den), "t"))
-
-
-def suite_thm_53(p, rng):
-    K = p["k"]
-    for N in p["N"]:
-        for m in p["m"]:
-            guard_cells(N, m)
-            series_sp = central_series(LieContext("sp", N), "D", K)
-            series_so = central_series(LieContext("so", 2 * m), "D", K)
-            for k in range(1, K + 1):
-                yield (f"transfer-D[N={N},m={m},k={k}]",
-                       _transfer_witness("D", k, m, N, series_sp, series_so))
-
-
-def suite_cor_54(p, rng):
-    # n = m - 1: the unsigned transfer is the identity map
-    [N], [m] = p["N"], p["m"]
-    series_sp = central_series(LieContext("sp", N), "D", 2)
-    series_so = central_series(LieContext("so", 2 * m), "D", 2)
-    for k in p["k"]:
-        yield (f"transfer-identity-D[N={N},m={m},k={k}]",
-               series_so[k].gamma_prime(m, N).first_difference(series_sp[k].gamma(m)))
-
-
-def suite_prop_52(p, rng):
-    K = p["K"]
-    for N in p["N"]:
-        for m in p["m"]:
-            guard_cells(N, m)
-            ctx_sp = LieContext("sp", N)
-            ctx_so = LieContext("so", 2 * m)
-            n = ctx_sp.n
-            one = WeylOperator.scalar(WeylContext(m, N), 1)
-            series_sp = central_series(ctx_sp, "D", K)
-            series_so = central_series(ctx_so, "D", K)
-            d_gamma = {l: series_sp[l].gamma(m) for l in range(1, K + 1)}
-            dp_gamma = {k: series_so[k].gamma_prime(m, N) for k in range(1, K + 1)}
-            d_gamma[0] = one
-            dp_gamma[0] = one
-            deg, bound = series_defect(*_transfer_sides(
-                d_gamma, ladder_roots(ctx_sp, False, K), dp_gamma, ladder_roots(ctx_so, False, K),
-                [Fraction(a - 1) ** 2 for a in range(1, m + 1)],
-                [Fraction(n - a + 1) ** 2 for a in range(1, m + 1)]), K)
-            yield (f"generating-transfer-D[N={N},m={m},K={K}]",
-                   None if deg <= bound else
-                   f"defect degree {deg} exceeds the truncation bound {bound}")
 
 
 # -- corollary 4.2 and the series inversion ----------------------------------------

@@ -189,31 +189,27 @@ def schur_factorial(mu: Partition, n: int, a: ShiftSequence) -> SymPoly:
 def e_factorial(k: int, n: int, a: ShiftSequence) -> SymPoly:
     """Factorial elementary symmetric polynomial, by the explicit sum
     over strictly increasing index tuples."""
-    vs = zvars(n)
-    gens = SymPoly.gens(vs)
-    total = SymPoly.zero(vs)
-    if k == 0:
-        return SymPoly.scalar(vs, 1)
-    for ps in itertools.combinations(range(1, n + 1), k):
-        term = SymPoly.scalar(vs, 1)
-        for t, p in enumerate(ps, start=1):
-            term = term * (gens[p - 1] - a[p - t + 1])
-        add_into(total.terms, term.terms)
-    return total
+    return _factorial_sum(k, n, a, signed=True)
 
 
 def h_factorial(k: int, n: int, a: ShiftSequence) -> SymPoly:
     """Factorial complete symmetric polynomial, by the explicit sum over
     weakly increasing index tuples."""
+    return _factorial_sum(k, n, a, signed=False)
+
+
+def _factorial_sum(k, n, a, signed):
+    """Sum over the strictly (signed) or weakly increasing p_1..p_k of the
+    products of (z_{p_t} - a_{p_t - t + 1}) (signed) or
+    (z_{p_t} - a_{p_t + t - 1})."""
     vs = zvars(n)
     gens = SymPoly.gens(vs)
-    if k == 0:
-        return SymPoly.scalar(vs, 1)
+    choose = itertools.combinations if signed else itertools.combinations_with_replacement
     total = SymPoly.zero(vs)
-    for ps in itertools.combinations_with_replacement(range(1, n + 1), k):
+    for ps in choose(range(1, n + 1), k):
         term = SymPoly.scalar(vs, 1)
         for t, p in enumerate(ps, start=1):
-            term = term * (gens[p - 1] - a[p + t - 1])
+            term = term * (gens[p - 1] - a[p - t + 1 if signed else p + t - 1])
         add_into(total.terms, term.terms)
     return total
 

@@ -36,8 +36,7 @@ signed means the antisymmetrizer (permutation signs, distinct indices,
 spectral shifts u - (q-1), the signed family C), unsigned the
 symmetrizer (no signs, repeated indices, shifts u + (q-1), the unsigned
 family D).  `symmetrizer`, `orbit_sign`, `projector_rows`,
-`_spectral_args`, `ladder_roots` and the products of `verify_vanishing`
-all take it.
+`_spectral_args`, `ladder_roots` and `verify_vanishing` all take it.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ from .core import (
 )
 from .symfun import Partition
 from .uea import CentralSeries, LieContext, UEAElement, _normal_form
-from .weyl import index_set, sgn
+from .weyl import eps_ij, index_set
 
 
 # -- plain scalar sparse matrices (dict[(r, c)] -> Fraction) -----------------
@@ -175,27 +174,20 @@ def twist_Q(space: TensorSpace, p, q, family):
         for i in space.indices:
             s = list(t)
             s[p - 1], s[q - 1] = i, -i
-            eps = sgn(i) * sgn(a) if family == "sp" else 1
             # distinct i give distinct rows, so every cell is written once
-            out[(space.code[tuple(s)], space.code[t])] = eps
+            out[(space.code[tuple(s)], space.code[t])] = eps_ij(family, i, a)
     return out
 
 
-def smat_tensor_id(a, right_size):
-    """Extend a matrix on the first block of factors by the identity on
-    the remaining ones."""
+def smat_embed(b, size, left=1, right=1):
+    """1_left (x) b (x) 1_right: a matrix b on a factor of dimension
+    `size`, between identity factors of dimensions `left` and `right`."""
     out = {}
-    for (r, c), v in a.items():
-        for s in range(right_size):
-            out[(r * right_size + s, c * right_size + s)] = v
-    return out
-
-
-def smat_id_tensor(left_size, b, right_size):
-    out = {}
+    span = size * right
     for (r, c), v in b.items():
-        for s in range(left_size):
-            out[(s * right_size + r, s * right_size + c)] = v
+        for s in range(left):
+            for t in range(right):
+                out[(s * span + r * right + t, s * span + c * right + t)] = v
     return out
 
 
@@ -324,9 +316,8 @@ def projector_rows(ctx, space: TensorSpace, vars, signed, width=None):
     holds only its representative rows: those whose first `width`
     indices are sorted, and distinct when `signed`."""
     width = space.m if width is None else width
-    proj = symmetrizer(TensorSpace(space.N, width), signed)
-    if width < space.m:
-        proj = smat_tensor_id(proj, space.N ** (space.m - width))
+    proj = smat_embed(symmetrizer(TensorSpace(space.N, width), signed), space.N ** width,
+                      right=space.N ** (space.m - width))
     keep = {r for r, t in enumerate(space.tuples)
             if orbit_sign(t[:width], signed) == (t[:width], 1)}
     return TMat.from_scalar(ctx, space, vars,
@@ -419,10 +410,10 @@ def tm_E(ctx, space, vars, q, arg, eps_family=None):
         def cell(i, j):
             return UEAElement.E(ctx, j, i)
     else:
-        eps_ij = LieContext(eps_family, ctx.N).eps_ij
+        form = LieContext(eps_family, ctx.N).family  # sp needs an even N
 
         def cell(i, j):
-            return UEAElement.E(ctx, -i, -j) * eps_ij(i, j)
+            return UEAElement.E(ctx, -i, -j) * eps_ij(form, i, j)
     return _slot_factor(ctx, space, vars, q, cell, arg)
 
 
@@ -891,42 +882,38 @@ def _image_factor(space_big, m, l, q, const, family=None):
     return total
 
 
-def verify_vanishing(m: int, l: int, N: int, family="so"):
-    """Exact matrix checks of the annihilation statements for the four
-    ordered products of spectral factors, represented on l extra slots;
-    returns a list of (check id, witness) pairs, the witness None on a
-    pass.
+def verify_vanishing(m: int, l: int, N: int, family: str, signed: bool):
+    """Exact matrix checks of the annihilation statements for the two
+    ordered products of spectral factors under the antisymmetrizer
+    (signed) or the symmetrizer, represented on l extra slots; returns a
+    list of (check id, witness) pairs, the witness None on a pass.
 
-    The products are (anti)symmetrizer * prod_q image(q), one for each
-    (signed, twisted): plain factors E_q(-+(q-1)) act by +-(q-1) + sum P,
+    The products are (anti)symmetrizer * prod_q image(q), one plain and
+    one twisted: plain factors E_q(-+(q-1)) act by +-(q-1) + sum P,
     twisted factors Et_q(-+(m-q)) by +-(m-q) + sum Q, the upper signs
-    under the antisymmetrizer (signed).  For l < m every product must
-    vanish outright (all isotypic components of the small tensor power
-    are killed).  At l = m the plain antisymmetrized product must also
-    equal the distinct-index exchange sum, and each product must kill
-    the one-row (signed) or one-column (unsigned) component.
+    when signed.  For l < m every product must vanish outright (all
+    isotypic components of the small tensor power are killed).  At l = m
+    each product must kill the one-row (signed) or one-column (unsigned)
+    component, and the plain antisymmetrized product must also equal the
+    distinct-index exchange sum.
     """
     out = []
     space = TensorSpace(N, m + l)
-    sub_m = TensorSpace(N, m)
-    projs = {signed: smat_tensor_id(symmetrizer(sub_m, signed), N ** l)
-             for signed in (True, False)}
-    products = {}
-    for signed, proj in projs.items():
-        step = 1 if signed else -1
-        for twisted in (False, True):
-            acc = proj
-            for q in range(1, m + 1):
-                const = Fraction(step * (m - q if twisted else q - 1))
-                acc = smat_mul(acc, _image_factor(space, m, l, q, const,
-                                                  family if twisted else None))
-            products[signed, twisted] = acc
+    proj = smat_embed(symmetrizer(TensorSpace(N, m), signed), N ** m, right=N ** l)
+    step = 1 if signed else -1
 
     def record(cid, ok, detail):
         out.append((cid, None if ok else detail))
 
     tag = f"m={m},l={l},N={N},{family}"
-    for (signed, twisted), prod in products.items():
+    for twisted in (False, True):
+        prod = proj
+        for q in range(1, m + 1):
+            const = Fraction(step * (m - q if twisted else q - 1))
+            prod = smat_mul(prod, _image_factor(space, m, l, q, const,
+                                                family if twisted else None))
+        if not twisted:
+            plain = prod
         name = ("anti" if signed else "") + "sym" + ("-twisted" if twisted else "")
         what = ("twisted " if twisted else "") + ("anti" if signed else "") + "symmetrized product"
         if l < m and (signed or m >= 2):
@@ -934,19 +921,20 @@ def verify_vanishing(m: int, l: int, N: int, family="so"):
                    f"the {what} failed to vanish" + ("" if twisted else " on the small power"))
         if l >= m >= 2:
             shape = "row" if signed else "column"
-            component = smat_id_tensor(N ** m, symmetrizer(TensorSpace(N, l), not signed), N ** l)
+            component = smat_embed(symmetrizer(TensorSpace(N, l), not signed), N ** l,
+                                   left=N ** m)
             record(f"{name}-kills-{shape}[{tag}]", not smat_mul(prod, component),
                    f"{what} does not kill the one-{shape} component")
-    if l >= m:
+    if signed and l >= m:
         distinct = {}
         for rs in itertools.permutations(range(1, l + 1), m):
-            term = projs[True]
+            term = proj
             for q, r in enumerate(rs, start=1):
                 term = smat_mul(term, exchange_P(space, q, m + r))
             add_into(distinct, term)
-        record(f"antisym-distinct-sum[{tag}]", smat_eq(products[True, False], distinct),
+        record(f"antisym-distinct-sum[{tag}]", smat_eq(plain, distinct),
                "antisymmetrized product differs from the distinct-index sum")
-    if m == 1:
+    if signed and m == 1:
         base = _image_factor(space, 1, l, 1, Fraction(0), None)
         expect = {}
         for r in range(1, l + 1):

@@ -37,6 +37,7 @@ from .weyl import (
     WeylContext,
     WeylOperator,
     dual_gamma_gen,
+    eps_ij,
     gamma_gen,
     index_set,
     sgn,
@@ -91,11 +92,6 @@ class LieContext:
         p, q = divmod(gid, self.N)
         return self.indices[p], self.indices[q]
 
-    def eps_ij(self, i, j):
-        if self.family == "sp":
-            return sgn(i) * sgn(j)
-        return 1
-
     def f_pairs(self):
         """Canonical representatives (i,j) of the nonzero generators F_ij
         under F_{-j,-i} = -eps_ij F_ij."""
@@ -115,7 +111,7 @@ def canonical_symbol(family, i, j):
         return 0, (i, j)
     if (i, j) <= (-j, -i):
         return 1, (i, j)
-    return -(sgn(i) * sgn(j) if family == "sp" else 1), (-j, -i)
+    return -eps_ij(family, i, j), (-j, -i)
 
 
 # -- straightening engine ----------------------------------------------------
@@ -188,7 +184,7 @@ class UEAElement(Sparse):
         if ctx.family == "gl":
             return cls.E(ctx, i, j)
         terms = {(ctx.gen_id(i, j),): Fraction(1)}
-        return cls(ctx, add_into(terms, {(ctx.gen_id(-j, -i),): 1}, -ctx.eps_ij(i, j)))
+        return cls(ctx, add_into(terms, {(ctx.gen_id(-j, -i),): 1}, -eps_ij(ctx.family, i, j)))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -412,15 +408,15 @@ def capelli_element_e(k: int, N: int) -> UEAElement:
     """Row-ordered symmetrized sum with +(s-1) diagonal shifts whose
     image under the natural action is the k-th antisymmetric Cayley
     operator."""
-    return _capelli_sum(k, N, shift_sign=+1, signed=True)
+    return _capelli_sum(k, N, signed=True)
 
 
 def capelli_element_h(k: int, N: int) -> UEAElement:
     """The permanental counterpart, with -(s-1) shifts and no signs."""
-    return _capelli_sum(k, N, shift_sign=-1, signed=False)
+    return _capelli_sum(k, N, signed=False)
 
 
-def _capelli_sum(k, N, shift_sign, signed):
+def _capelli_sum(k, N, signed):
     ctx = LieContext("gl", N)
     total = UEAElement.zero(ctx)
     inv_kfact = Fraction(1, math.factorial(k))
@@ -431,7 +427,7 @@ def _capelli_sum(k, N, shift_sign, signed):
             for s in range(k):
                 i, j = ivec[s], ivec[sigma[s]]
                 factor = UEAElement.E(ctx, i, j) + UEAElement.scalar(
-                    ctx, shift_sign * s * (1 if i == j else 0))
+                    ctx, (s if signed else -s) * (1 if i == j else 0))
                 prod = prod * factor
             add_into(total.terms, prod.terms)
     return total

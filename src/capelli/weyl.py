@@ -46,6 +46,12 @@ def sgn(i):
     return 1 if i > 0 else -1
 
 
+def eps_ij(family, i, j):
+    """The sign eps_ij of the defining bilinear form: sgn(i) sgn(j) for
+    sp (alternating), 1 for so (symmetric) and gl."""
+    return sgn(i) * sgn(j) if family == "sp" else 1
+
+
 class WeylContext:
     """Variable grid x_{ai}, a = 1..m, i in the index set of size N."""
 
@@ -212,7 +218,7 @@ def gamma_gen(family: str, i, j, m: int, N: int) -> WeylOperator:
     if family not in ("gl", "so", "sp"):
         raise ValueError(f"unknown family {family!r}")
     ctx = WeylContext(m, N)
-    eps = sgn(i) * sgn(j) if family == "sp" else 1
+    eps = eps_ij(family, i, j)
     op = WeylOperator.zero(ctx)
     for a in range(1, m + 1):
         op = op + WeylOperator.x(ctx, a, i) * WeylOperator.d(ctx, a, j)

@@ -30,11 +30,11 @@ from capelli.tensor import (
     projector_rows,
     quantum_det_gl,
     sklyanin_det,
+    smat_embed,
     smat_eq,
     smat_identity,
     smat_mul,
     smat_scale,
-    smat_tensor_id,
     symmetrizer,
     theorem_62_check,
     tm_E,
@@ -204,8 +204,24 @@ def test_verify_vanishing_all_pass():
     for fam in ("so", "sp"):
         for m in (1, 2):
             for l in (0, 1, 2):
-                for cid, witness in verify_vanishing(m, l, 2, fam):
-                    assert witness is None, cid
+                for signed in (True, False):
+                    for cid, witness in verify_vanishing(m, l, 2, fam, signed):
+                        assert witness is None, cid
+
+
+@pytest.mark.parametrize("fam", ["so", "sp"])
+@pytest.mark.parametrize("m,l,ids", [
+    (2, 2, ["antisym-kills-row", "antisym-twisted-kills-row", "sym-kills-column",
+            "sym-twisted-kills-column", "antisym-distinct-sum"]),
+    (1, 2, ["antisym-distinct-sum", "antisym-single-factor-base"]),
+])
+def test_verify_vanishing_splits_the_four_products_by_sign(fam, m, l, ids):
+    tag = f"[m={m},l={l},N=2,{fam}]"
+    by_sign = {signed: [cid for cid, _ in verify_vanishing(m, l, 2, fam, signed)]
+               for signed in (True, False)}
+    assert sorted(by_sign[True] + by_sign[False]) == sorted(i + tag for i in ids)
+    assert all(cid.startswith("antisym-") for cid in by_sign[True])
+    assert all(cid.startswith("sym-") for cid in by_sign[False])
 
 
 def test_quantum_det_gl1():
@@ -252,6 +268,27 @@ def test_theorem_62(ctx):
 ])
 def test_ladder_roots(family, N, signed, roots):
     assert ladder_roots(LieContext(family, N), signed, 3) == roots
+
+
+@pytest.mark.parametrize("signed,N,m", [
+    *((True, N, m) for N in (2, 3, 4) for m in (1, 2)),
+    *((False, N, m) for N in (2, 4) for m in (1, 2)),
+])
+def test_ladder_roots_give_the_transfer_factors(signed, N, m):
+    # the extra factors of the generating-function transfer, (N/2 - a)^2
+    # over a^2 for C and (a - 1)^2 over (n - a + 1)^2 for D, are the
+    # signed ladders of the orthogonal over the symplectic algebra
+    so, sp = (LieContext("so", N), LieContext("sp", 2 * m)) if signed else (
+        LieContext("so", 2 * m), LieContext("sp", N))
+    if signed:
+        top = [(Fraction(N, 2) - a) ** 2 for a in range(1, m + 1)]
+        bottom = [Fraction(a) ** 2 for a in range(1, m + 1)]
+    else:
+        n = N // 2
+        top = [Fraction(a - 1) ** 2 for a in range(1, m + 1)]
+        bottom = [Fraction(n - a + 1) ** 2 for a in range(1, m + 1)]
+    assert sorted(ladder_roots(so, True, m)) == sorted(top)
+    assert sorted(ladder_roots(sp, True, m)) == sorted(bottom)
 
 
 def test_generating_function_inversion_small():
@@ -352,7 +389,7 @@ def test_projector_rows_are_the_sorted_rows(signed):
                 if list(t) == sorted(t) and (len(set(t)) == 3 or not signed)}
     assert set(proj.rows) == expected
     partial = projector_rows(SO3, space, ("u",), signed, width=2)
-    full = smat_tensor_id(symmetrizer(TensorSpace(3, 2), signed), 3)
+    full = smat_embed(symmetrizer(TensorSpace(3, 2), signed), 9, right=3)
     for r, row in partial.rows.items():
         t = space.tuples[r]
         assert orbit_sign(t[:2], signed) == (t[:2], 1)
