@@ -2,10 +2,13 @@
 determinants/permanents of matrices with commuting entries, and
 generating series in one variable.
 
-Every coefficient in the library is a `fractions.Fraction`; there is no
-floating point anywhere.  Polynomials are stored sparsely as a map from
-dense exponent vectors to nonzero coefficients, over a fixed ordered
-variable tuple.
+Every coefficient in the library is an exact rational: an `int` when it
+is integral, otherwise a `fractions.Fraction` (`scal` and `exact_terms`
+hold this one rule); there is no floating point anywhere.  A sum with
+fractional weights runs over one common denominator (`combine`), so a
+`Fraction` appears only where a true division happens.  Polynomials are
+stored sparsely as a map from dense exponent vectors to nonzero
+coefficients, over a fixed ordered variable tuple.
 
 The module also holds the shared building blocks of the other layers:
 `add_into`, the one in-place accumulation for sparse maps; `Sparse`, the
@@ -25,7 +28,7 @@ import math
 from fractions import Fraction
 
 
-Scalar = Fraction
+Scalar = int | Fraction
 
 
 class DimensionError(ValueError):
@@ -40,9 +43,18 @@ class ConsistencyError(RuntimeError):
     """Two internal routes to the same value disagreed (bug trap)."""
 
 
-def scal(x) -> Fraction:
-    """Coerce an int/str/Fraction into an exact scalar."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+def scal(x) -> Scalar:
+    """Coerce an int/str/Fraction into an exact rational: an `int` when
+    it is integral, otherwise a `Fraction`."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def exact_terms(terms):
+    """The nonzero entries of a sparse map, each coefficient stored by the
+    rule of `scal`; the constructors of the element classes use it."""
+    return {k: v.numerator if v.denominator == 1 else v for k, v in terms.items() if v}
 
 
 def add_into(out, terms, c=1):
@@ -56,7 +68,7 @@ def add_into(out, terms, c=1):
     and entry maps of `tensor` add through this one kernel; only the
     product loops that compute each key on the fly repeat its body inline.
     """
-    if c == 1:  # the common case; no product, so no new Fraction per term
+    if c == 1:  # the common case; no product per term
         for k, v in terms.items():
             s = out.get(k, 0) + v
             if s:
@@ -71,6 +83,30 @@ def add_into(out, terms, c=1):
             else:
                 out.pop(k, None)
     return out
+
+
+def common_denominator(values):
+    """The lcm of the denominators of exact rationals; 1 for none, or
+    when every value is an int."""
+    return math.lcm(*(v.denominator for v in values))
+
+
+def combine(pairs):
+    """The sparse map sum of c * terms over the (c, terms) pairs, for
+    exact rationals c and sparse maps `terms`, over one common
+    denominator: each c is scaled by the lcm D of their denominators to
+    an int, so the products and sums stay in int where the terms are
+    integral, and the total is divided by D once at the end.  The result
+    may hold integral `Fraction` values; pass it to a constructor (or
+    `exact_terms`) to store it."""
+    pairs = list(pairs)
+    den = common_denominator(c for c, _ in pairs)
+    out = {}
+    for c, terms in pairs:
+        add_into(out, terms, c.numerator * (den // c.denominator))
+    if den == 1:
+        return out
+    return {k: Fraction(v, den) for k, v in out.items()}
 
 
 def multiplicity_factorial(seq):
@@ -101,7 +137,7 @@ def det(rows):
         if len(r) != n:
             raise DimensionError("det of a non-square matrix")
     if n == 0:
-        return Fraction(1)
+        return 1
     if n == 1:
         return rows[0][0]
     acc = None
@@ -122,7 +158,7 @@ def per(rows):
         if len(r) != n:
             raise DimensionError("per of a non-square matrix")
     if n == 0:
-        return Fraction(1)
+        return 1
     acc = None
     for sigma in itertools.permutations(range(n)):
         term = rows[0][sigma[0]]
@@ -138,7 +174,7 @@ class Sparse:
     `home` (a context or a variable tuple) that two operands must share.
 
     The base holds the linear structure, equality, the truth value (a
-    zero element is falsy, as Fraction(0) is) and the mismatch witness
+    zero element is falsy, as the scalar 0 is) and the mismatch witness
     once.  A subclass supplies its constructor and its product,
     `_home()`, `_like(terms)` (a new element over the same home),
     `_mismatch` (the text of the `DimensionError` for operands over
@@ -213,8 +249,8 @@ class Sparse:
         if self.terms == other.terms:
             return None
         for k in sorted(set(self.terms) | set(other.terms)):
-            a = self.terms.get(k, Fraction(0))
-            b = other.terms.get(k, Fraction(0))
+            a = self.terms.get(k, 0)
+            b = other.terms.get(k, 0)
             if a != b:
                 return f"{self._render(k)}: {a} != {b}"
         return None
@@ -232,7 +268,8 @@ class SymPoly(Sparse):
     """Sparse commutative polynomial over exact scalars.
 
     `vars` is the ordered tuple of variable names; `terms` maps an exponent
-    tuple (same length as `vars`) to a nonzero Fraction.  Instances are
+    tuple (same length as `vars`) to a nonzero exact rational, an `int`
+    when it is integral, otherwise a `Fraction`.  Instances are
     immutable; all operations return new objects.  `==` against a
     polynomial over another variable tuple is False, not an error.
     """
@@ -260,7 +297,7 @@ class SymPoly(Sparse):
         vars = tuple(vars)
         ev = [0] * len(vars)
         ev[vars.index(name)] = 1
-        return cls(vars, {tuple(ev): Fraction(1)})
+        return cls(vars, {tuple(ev): 1})
 
     @classmethod
     def gens(cls, vars):
@@ -324,7 +361,7 @@ class SymPoly(Sparse):
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms.get(self._unit, Fraction(0))
+        return self.terms.get(self._unit, 0)
 
     def total_degree(self):
         if not self.terms:
@@ -337,7 +374,7 @@ class SymPoly(Sparse):
         return SymPoly(self.vars, {ev: c for ev, c in self.terms.items() if sum(ev) == d})
 
     def coefficient(self, ev):
-        return self.terms.get(tuple(ev), Fraction(0))
+        return self.terms.get(tuple(ev), 0)
 
     def degree_in(self, name):
         i = self.vars.index(name)
@@ -361,7 +398,7 @@ class SymPoly(Sparse):
                 for _ in range(e):
                     term = term * values[self.vars[i]]
             acc = term if acc is None else acc + term
-        return Fraction(0) if acc is None else acc
+        return 0 if acc is None else acc
 
     def subs_partial(self, values):
         """Substitute scalars for a subset of the variables, keeping the
@@ -387,7 +424,7 @@ class SymPoly(Sparse):
             c = scal(divisor)
             if c == 0:
                 raise ZeroDivisionError("division by zero polynomial")
-            return self * (1 / c)
+            return self * Fraction(1, c)
         if divisor.vars != self.vars:
             raise DimensionError(self._mismatch)
         if divisor.is_zero():
@@ -400,7 +437,7 @@ class SymPoly(Sparse):
             qev = tuple(a - b for a, b in zip(rev, dev))
             if any(e < 0 for e in qev):
                 raise ExactDivisionError("inexact polynomial division")
-            qc = rc / dc
+            qc = Fraction(rc, dc)
             q[qev] = qc  # the leading exponent strictly drops, so qev is new
             rem = rem - SymPoly(self.vars, {qev: qc}) * divisor
         return SymPoly(self.vars, q)
@@ -428,7 +465,7 @@ class SymPoly(Sparse):
 #
 # A polynomial in one variable u is also kept densely, as the list of its
 # coefficients from the constant term up.  The coefficients may be of any
-# type with + and * that compares equal to 0 when zero: Fraction,
+# type with + and * that compares equal to 0 when zero: exact rationals,
 # UEAElement, WeylOperator, mixed with scalars where a product needs it.
 # Products keep the left factor's coefficients on the left, which matters
 # for noncommuting coefficients.
@@ -452,7 +489,7 @@ def dense_mul(a, b):
 
 def dense_prod(factors):
     """Product of a sequence of coefficient lists; [1] when empty."""
-    out = [Fraction(1)]
+    out = [1]
     for f in factors:
         out = dense_mul(out, f)
     return out
@@ -494,7 +531,7 @@ def to_dense(p: SymPoly):
     d = p.degree_in(p.vars[0]) if len(p.vars) == 1 else None
     if d is None:
         raise DimensionError("univariate polynomial expected")
-    out = [Fraction(0)] * (d + 1) if d >= 0 else []
+    out = [0] * (d + 1) if d >= 0 else []
     for ev, c in p.terms.items():
         out[ev[0]] = c
     return out
@@ -508,7 +545,7 @@ def to_dense(p: SymPoly):
 
 def linear_ladder(roots):
     """The ladder factors (t - r) for the given roots."""
-    return [[-r, Fraction(1)] for r in roots]
+    return [[-r, 1] for r in roots]
 
 
 def series_as_fraction(elements, ladder):

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .core import (
     SymPoly,
-    add_into,
+    combine,
     dense_first_difference,
     dense_mul,
     dense_prod,
@@ -115,10 +115,9 @@ def _image_witness(ctx, m, k, signed):
     expr = pfaffian_phi_expr if signed else hafnian_psi_expr
     for I in choose(ctx.indices, 2 * k):
         lhs = expr(I).evaluate(gamma_ring(ctx, m))
-        rhs = WeylOperator.zero(WeylContext(m, ctx.N))
-        for A in choose(range(1, m + 1), k):
-            add_into(rhs.terms, _paired_blocks(A, I, m, ctx.N, signed).terms,
-                     Fraction(1, multiplicity_factorial(A)))
+        rhs = WeylOperator(WeylContext(m, ctx.N), combine(
+            (Fraction(1, multiplicity_factorial(A)), _paired_blocks(A, I, m, ctx.N, signed).terms)
+            for A in choose(range(1, m + 1), k)))
         witness = lhs.first_difference(rhs)
         if witness is not None:
             return f"I={I}: {witness}"
@@ -130,14 +129,14 @@ def _transfer_witness(kind, k, m, N, series_inner, series_dual):
     element against the combination of the inner elements' images."""
     wctx = WeylContext(m, N)
     lhs = series_dual[k].gamma_prime(m, N)
-    rhs = WeylOperator.zero(wctx)
+    pairs = []
     for l in range(0, k + 1):
         f = dual_pair_coeffs(kind, k, l, m, N)
         if f == 0:
             continue
         cl = series_inner[l].gamma(m) if l else WeylOperator.scalar(wctx, 1)
-        add_into(rhs.terms, cl.terms, f)
-    return lhs.first_difference(rhs)
+        pairs.append((f, cl.terms))
+    return lhs.first_difference(WeylOperator(wctx, combine(pairs)))
 
 
 def _families(N):
@@ -394,7 +393,7 @@ def suite_cor_42(p, rng):
         ctx = LieContext("so", N)
         pf = pfaffian_phi_expr(ctx.indices).evaluate(uea_ring(ctx))
         lhs = c_k_pfaffian(ctx, n)
-        yield f"top-pfaffian-square[N={N}]", lhs.first_difference((pf * pf) * Fraction((-1) ** n))
+        yield f"top-pfaffian-square[N={N}]", lhs.first_difference((pf * pf) * (-1) ** n)
 
 
 def suite_series_inversion(p, rng):

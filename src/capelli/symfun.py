@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .core import (
     DimensionError,
+    Scalar,
     SymPoly,
     add_into,
     dense_mul,
@@ -125,14 +126,14 @@ class ShiftSequence:
         """Finite list, extended past the end by consecutive integers to
         keep the sequence multiplicity-free."""
         values = [scal(v) for v in values]
-        top = max((v for v in values), default=Fraction(0))
+        top = max(values, default=0)
 
         def rule(k):
             if k <= len(values):
                 return values[k - 1]
             return top + tail_step * (k - len(values))
 
-        return cls(rule, name=f"list{tuple(values)}")
+        return cls(rule, name=f"list({', '.join(map(str, values))})")
 
     @classmethod
     def squares(cls, eps):
@@ -158,7 +159,7 @@ def factorial_power(z, a: ShiftSequence, k: int):
         f = z - a[j]
         result = f if result is None else result * f
     if result is None:
-        return z ** 0 if isinstance(z, SymPoly) else Fraction(1)
+        return z ** 0 if isinstance(z, SymPoly) else 1
     return result
 
 
@@ -205,13 +206,13 @@ def _factorial_sum(k, n, a, signed):
     vs = zvars(n)
     gens = SymPoly.gens(vs)
     choose = itertools.combinations if signed else itertools.combinations_with_replacement
-    total = SymPoly.zero(vs)
+    total = {}
     for ps in choose(range(1, n + 1), k):
         term = SymPoly.scalar(vs, 1)
         for t, p in enumerate(ps, start=1):
             term = term * (gens[p - 1] - a[p - t + 1 if signed else p + t - 1])
-        add_into(total.terms, term.terms)
-    return total
+        add_into(total, term.terms)
+    return SymPoly(vs, total)
 
 
 def a_lambda(lam: Partition, n: int, a: ShiftSequence):
@@ -238,7 +239,7 @@ def is_symmetric(f: SymPoly, n: int) -> bool:
     return True
 
 
-def eval_at(f: SymPoly, point) -> Fraction:
+def eval_at(f: SymPoly, point) -> Scalar:
     return f.evaluate({v: scal(c) for v, c in zip(f.vars, point)})
 
 
@@ -286,7 +287,7 @@ def _proportional(f: SymPoly, g: SymPoly) -> bool:
     c = f.coefficient(ev)
     if c == 0:
         return False
-    ratio = c / g.terms[ev]
+    ratio = Fraction(c, g.terms[ev])
     return (f - g * ratio).is_zero()
 
 

@@ -56,6 +56,7 @@ from .core import (
     dense_prod,
     dense_shift,
     dense_trim,
+    exact_terms,
     linear_ladder,
     perm_sign,
     scal,
@@ -68,11 +69,11 @@ from .uea import CentralSeries, LieContext, UEAElement, _normal_form
 from .weyl import eps_ij, index_set
 
 
-# -- plain scalar sparse matrices (dict[(r, c)] -> Fraction) -----------------
+# -- plain scalar sparse matrices (dict[(r, c)] -> exact rational) -------------
 
 
 def smat_identity(size):
-    return {(r, r): Fraction(1) for r in range(size)}
+    return {(r, r): 1 for r in range(size)}
 
 
 def smat_scale(a, c):
@@ -99,7 +100,7 @@ def smat_eq(a, b):
 
 
 def smat_trace(a):
-    return sum((c for (r, q), c in a.items() if r == q), Fraction(0))
+    return sum(c for (r, q), c in a.items() if r == q)
 
 
 class TensorSpace:
@@ -135,7 +136,7 @@ def symmetrizer(space: TensorSpace, signed: bool):
     out = {}
     norm = Fraction(1, math.factorial(space.m))
     for sigma in itertools.permutations(range(space.m)):
-        perm = {(space.code[space.apply_perm(t, sigma)], space.code[t]): Fraction(1)
+        perm = {(space.code[space.apply_perm(t, sigma)], space.code[t]): 1
                 for t in space.tuples}
         add_into(out, perm, norm * (perm_sign(sigma) if signed else 1))
     return out
@@ -159,7 +160,7 @@ def exchange_P(space: TensorSpace, p, q):
     for t in space.tuples:
         s = list(t)
         s[p - 1], s[q - 1] = s[q - 1], s[p - 1]
-        out[(space.code[tuple(s)], space.code[t])] = Fraction(1)
+        out[(space.code[tuple(s)], space.code[t])] = 1
     return out
 
 
@@ -209,7 +210,7 @@ def ent_mul(ctx, a, b):
                     out[k] = s
                 else:
                     out.pop(k, None)
-    return out
+    return exact_terms(out)
 
 
 def ent_scalar_poly_mul(e, p: SymPoly):
@@ -227,10 +228,10 @@ def ent_from_scalar_poly(p: SymPoly):
 def ent_to_ucoeffs(ctx, e):
     """Entry over a single variable as a dense list of elements."""
     deg = max((ev[0] for (ev, _w) in e), default=-1)
-    out = [UEAElement.zero(ctx) for _ in range(deg + 1)]
+    out = [{} for _ in range(deg + 1)]
     for ((d,), w), c in e.items():
-        out[d].terms[w] = c  # each (degree, word) key occurs once
-    return out
+        out[d][w] = c  # each (degree, word) key occurs once
+    return [UEAElement(ctx, terms) for terms in out]
 
 
 # -- the matrix class ----------------------------------------------------------
@@ -532,7 +533,7 @@ def fusion_capelli(ctx: LieContext, k: int, shape: str) -> UEAElement:
         raise ConsistencyError(f"the pole of order {order} at u = {u0} does not cancel")
     if len(num) <= order:
         return UEAElement.zero(ctx)
-    return num[order] * (1 / den[order])
+    return num[order] * Fraction(1, den[order])
 
 
 # -- quantum determinants --------------------------------------------------------
@@ -553,7 +554,7 @@ def _extract_proportional(mat: TMat, proj: TMat):
                                                                  weight.get(c, 0)):
             raise ConsistencyError(
                 f"matrix is not proportional to the projector at ({r},{c})")
-    return smat_scale(row.get(ref, {}), 1 / weight[ref])
+    return smat_scale(row.get(ref, {}), Fraction(1, weight[ref]))
 
 
 def quantum_det_gl(N: int, eps_family="so"):
@@ -595,8 +596,8 @@ def sklyanin_det(ctx: LieContext):
     den = to_dense(mat.den)
     if ctx.family == "sp":
         # divide by eps(u) = (2u+1)/(2u-N+1)
-        num = dense_mul(num, [Fraction(1 - N, 2), Fraction(1)])
-        den = dense_mul(den, [Fraction(1, 2), Fraction(1)])
+        num = dense_mul(num, [Fraction(1 - N, 2), 1])
+        den = dense_mul(den, [Fraction(1, 2), 1])
     scalar = [c.scalar_part() for c in num]
     expected = dense_prod([N - q - ctx.eta, -1] for q in range(1, N + 1))
     if dense_trim(scalar) != dense_trim(dense_mul(expected, den)):
@@ -626,7 +627,7 @@ def generating_functions(ctx: LieContext, K: int, series_c: CentralSeries,
     d_elems = [series_d[k].uea() for k in range(0, K + 1)]
     c_num, c_den = series_as_fraction(c_elems, linear_ladder(ladder_roots(ctx, True, kc)))
     d_num, d_den = series_as_fraction(d_elems, linear_ladder(ladder_roots(ctx, False, K)))
-    one = [Fraction(1)]
+    one = [1]
     deg, bound = series_defect((dense_mul(c_num, d_num), dense_mul(c_den, d_den)),
                                (one, one), K)
     return {
@@ -651,7 +652,7 @@ def theorem_62_check(ctx: LieContext, series_c: CentralSeries):
     cbar_num_s = dense_shift(cbar_num, shift)
     cbar_den_s = dense_shift(cbar_den, shift)
     # C(u) in the variable u (ladder roots are squares, expand in u)
-    ladder = [[-r, Fraction(0), Fraction(1)] for r in ladder_roots(ctx, True, n)]
+    ladder = [[-r, 0, 1] for r in ladder_roots(ctx, True, n)]
     cnum, cden = series_as_fraction([series_c[k].uea() for k in range(n + 1)], ladder)
     prodq = dense_prod([Fraction(N, 2) + Fraction(1, 2) - q - ctx.eta, -1]
                        for q in range(1, N + 1))
@@ -683,7 +684,7 @@ def eigenvalue_check_gl(N: int, nu, h_coeffs):
                     if t[slot] == j:
                         w = list(t)
                         w[slot] = i
-                        add_into(gen, {(space.code[tuple(w)], r): Fraction(1)})
+                        add_into(gen, {(space.code[tuple(w)], r): 1})
             acc = smat_mul(acc, gen)
         return acc
 
@@ -909,7 +910,7 @@ def verify_vanishing(m: int, l: int, N: int, family: str, signed: bool):
     for twisted in (False, True):
         prod = proj
         for q in range(1, m + 1):
-            const = Fraction(step * (m - q if twisted else q - 1))
+            const = step * (m - q if twisted else q - 1)
             prod = smat_mul(prod, _image_factor(space, m, l, q, const,
                                                 family if twisted else None))
         if not twisted:
@@ -935,7 +936,7 @@ def verify_vanishing(m: int, l: int, N: int, family: str, signed: bool):
         record(f"antisym-distinct-sum[{tag}]", smat_eq(plain, distinct),
                "antisymmetrized product differs from the distinct-index sum")
     if signed and m == 1:
-        base = _image_factor(space, 1, l, 1, Fraction(0), None)
+        base = _image_factor(space, 1, l, 1, 0, None)
         expect = {}
         for r in range(1, l + 1):
             add_into(expect, exchange_P(space, 1, 1 + r))

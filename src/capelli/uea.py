@@ -25,9 +25,12 @@ from fractions import Fraction
 from .core import (
     ConsistencyError,
     DimensionError,
+    Scalar,
     Sparse,
     SymPoly,
     add_into,
+    combine,
+    exact_terms,
     multiplicity_factorial,
     perm_sign,
     scal,
@@ -144,7 +147,7 @@ def _normal_form(ctx: LieContext, word):
         if word[t] > word[t + 1]:
             break
     else:
-        res = {word: Fraction(1)}
+        res = {word: 1}
         ctx._nf[word] = res
         return res
     g1, g2 = word[t], word[t + 1]
@@ -166,7 +169,7 @@ class UEAElement(Sparse):
 
     def __init__(self, ctx: LieContext, terms):
         self.ctx = ctx
-        self.terms = {w: c for w, c in terms.items() if c != 0}
+        self.terms = exact_terms(terms)
 
     # -- constructors --------------------------------------------------
 
@@ -176,14 +179,14 @@ class UEAElement(Sparse):
 
     @classmethod
     def E(cls, ctx, i, j):
-        return cls(ctx, {(ctx.gen_id(i, j),): Fraction(1)})
+        return cls(ctx, {(ctx.gen_id(i, j),): 1})
 
     @classmethod
     def F(cls, ctx, i, j):
         """F_ij = E_ij - eps_ij E_{-j,-i} (zero for so when j = -i)."""
         if ctx.family == "gl":
             return cls.E(ctx, i, j)
-        terms = {(ctx.gen_id(i, j),): Fraction(1)}
+        terms = {(ctx.gen_id(i, j),): 1}
         return cls(ctx, add_into(terms, {(ctx.gen_id(-j, -i),): 1}, -eps_ij(ctx.family, i, j)))
 
     # -- arithmetic ------------------------------------------------------
@@ -209,7 +212,7 @@ class UEAElement(Sparse):
     __rmul__ = __mul__
 
     def scalar_part(self):
-        return self.terms.get(self._unit, Fraction(0))
+        return self.terms.get(self._unit, 0)
 
     # -- display -----------------------------------------------------------
 
@@ -267,6 +270,12 @@ class _TargetRing:
             cached = self.word_image(word[:-1]) * self.f_gen(*word[-1])
             self._words[word] = cached
         return cached
+
+    def image(self, terms):
+        """The image of sum c * word over the (word, c) items of `terms`:
+        the word images combined over one common denominator."""
+        return self._words[()]._like(
+            combine((c, self.word_image(w).terms) for w, c in terms.items()))
 
 
 class UEARing(_TargetRing):
@@ -352,7 +361,7 @@ class FExpr(Sparse):
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {w: c for w, c in (terms or {}).items() if c != 0}
+        self.terms = exact_terms(terms or {})
 
     @classmethod
     def zero(cls, home=None):
@@ -389,10 +398,7 @@ class FExpr(Sparse):
         return out
 
     def evaluate(self, ring):
-        out = ring.scalar(0)
-        for w, c in self.terms.items():
-            add_into(out.terms, ring.word_image(w).terms, c)
-        return out
+        return ring.image(self.terms)
 
     def _render(self, word):
         return "*".join(f"F[{i},{j}]" for i, j in word) or "1"
@@ -418,19 +424,18 @@ def capelli_element_h(k: int, N: int) -> UEAElement:
 
 def _capelli_sum(k, N, signed):
     ctx = LieContext("gl", N)
-    total = UEAElement.zero(ctx)
-    inv_kfact = Fraction(1, math.factorial(k))
+    total = {}
     for sigma in itertools.permutations(range(k)):
-        base = inv_kfact * (perm_sign(sigma) if signed else 1)
+        sign = perm_sign(sigma) if signed else 1
         for ivec in itertools.product(ctx.indices, repeat=k):
-            prod = UEAElement.scalar(ctx, base)
+            prod = UEAElement.one(ctx)
             for s in range(k):
                 i, j = ivec[s], ivec[sigma[s]]
                 factor = UEAElement.E(ctx, i, j) + UEAElement.scalar(
                     ctx, (s if signed else -s) * (1 if i == j else 0))
                 prod = prod * factor
-            add_into(total.terms, prod.terms)
-    return total
+            add_into(total, prod.terms, sign)
+    return UEAElement(ctx, total) * Fraction(1, math.factorial(k))
 
 
 # -- Pfaffians, Hafnians and the central families -----------------------------
@@ -458,17 +463,16 @@ def _matching_expr(family, I, weight) -> FExpr:
     one canonical word with one coefficient, so this is the average over
     all (2k)! permutations."""
     k = len(I) // 2
-    norm = Fraction(1, math.factorial(k))
     terms = {}
     for pairs in _ordered_matchings(k):
-        c = norm * weight(pairs)
+        c = weight(pairs)
         word = []
         for p, q in pairs:
             s, symbol = canonical_symbol(family, I[p], -I[q])
             c *= s
             word.append(symbol)
         add_into(terms, {tuple(word): c})
-    return FExpr(terms)
+    return FExpr(terms) * Fraction(1, math.factorial(k))
 
 
 def pfaffian_phi_expr(I) -> FExpr:
@@ -516,13 +520,13 @@ def _family_expr(ctx: LieContext, k: int, signed: bool) -> FExpr:
         raise DimensionError("the unsigned family is built from Hafnians over sp_N")
     choose = itertools.combinations if signed else itertools.combinations_with_replacement
     block = pfaffian_phi_expr if signed else hafnian_psi_expr
-    total = FExpr()
+    pairs = []
     for I in choose(ctx.indices, 2 * k):
         Istar = tuple(sorted(-i for i in I))
-        weight = 1 if signed else Fraction(math.prod(sgn(i) for i in I),
-                                           multiplicity_factorial(I))
-        add_into(total.terms, (block(I) * block(Istar)).terms, weight)
-    return total * Fraction((-1) ** k)
+        weight = (-1) ** k if signed else Fraction((-1) ** k * math.prod(sgn(i) for i in I),
+                                                   multiplicity_factorial(I))
+        pairs.append((weight, (block(I) * block(Istar)).terms))
+    return FExpr(combine(pairs))
 
 
 class CentralElement:
@@ -556,10 +560,7 @@ def gamma(x: UEAElement, m: int) -> WeylOperator:
     """Natural action on the polynomial ring, extended from the generator
     images over the PBW words."""
     ring = gamma_ring(LieContext("gl", x.ctx.N), m)
-    out = WeylOperator.zero(ring.wctx)
-    for w, c in x.terms.items():
-        add_into(out.terms, ring.word_image(tuple(x.ctx.gen_pair(g) for g in w)).terms, c)
-    return out
+    return ring.image({tuple(x.ctx.gen_pair(g) for g in w): c for w, c in x.terms.items()})
 
 
 def gamma_prime(expr, dual_ctx: LieContext, m: int, N: int) -> WeylOperator:
@@ -580,7 +581,7 @@ def is_central(x: UEAElement, ctx: LieContext) -> bool:
     return all(x.bracket(make(ctx, i, j)).is_zero() for i, j in gens)
 
 
-def eigenvalue_on_hwv(z, lam, ctx: LieContext = None, check_central=True) -> Fraction:
+def eigenvalue_on_hwv(z, lam, ctx: LieContext = None, check_central=True) -> Scalar:
     """Eigenvalue of a central element on the irreducible with highest
     weight lam, read off from its action on the explicit highest-weight
     vector in the polynomial ring with m = n rows."""
@@ -596,7 +597,7 @@ def eigenvalue_on_hwv(z, lam, ctx: LieContext = None, check_central=True) -> Fra
     v = singular_vector(lam, n, n, ctx.family, ctx.N)
     image = gamma(z, n).apply(v)
     ev0, c0 = next(iter(v.terms.items()))
-    ratio = image.coefficient(ev0) / c0
+    ratio = scal(Fraction(image.coefficient(ev0), c0))
     if not (image - ratio * v).is_zero():
         raise ConsistencyError("image of the highest-weight vector is not proportional to it")
     return ratio
@@ -606,7 +607,7 @@ def _monomial_symmetric(vs, mu, n):
     """Monomial symmetric polynomial m_mu in n variables."""
     mu = tuple(mu.parts) + (0,) * (n - len(mu))
     exps = set(itertools.permutations(mu))
-    return SymPoly(vs, {e: Fraction(1) for e in exps})
+    return SymPoly(vs, {e: 1 for e in exps})
 
 
 def _solve_exact(rows, rhs, ncols):
@@ -621,7 +622,7 @@ def _solve_exact(rows, rhs, ncols):
             continue
         aug[r], aug[piv] = aug[piv], aug[r]
         lead = aug[r][c]
-        aug[r] = [x / lead for x in aug[r]]
+        aug[r] = [Fraction(x, lead) for x in aug[r]]
         for i in range(len(aug)):
             if i != r and aug[i][c] != 0:
                 f = aug[i][c]
@@ -635,7 +636,7 @@ def _solve_exact(rows, rhs, ncols):
     for i in range(r, len(aug)):
         if any(x != 0 for x in aug[i]):
             raise ConsistencyError("inconsistent interpolation system")
-    sol = [Fraction(0)] * ncols
+    sol = [0] * ncols
     for i, c in enumerate(pivots):
         sol[c] = aug[i][ncols]
     return sol
@@ -669,9 +670,7 @@ def hc_polynomial(z, degree_bound: int, ctx: LieContext = None,
         rhs.append(eigenvalue_on_hwv(z, lam, ctx, check_central=first))
         first = False
     coeffs = _solve_exact(rows, rhs, len(basis))
-    result = SymPoly.zero(yvars)
-    for c, bp in zip(coeffs, basis_polys):
-        add_into(result.terms, bp.terms, c)
+    result = SymPoly(yvars, combine((c, bp.terms) for c, bp in zip(coeffs, basis_polys)))
     if in_l_squared:
         return result
     lamvars = tuple(f"lam{p}" for p in range(1, n + 1))
@@ -761,14 +760,14 @@ def central_series(ctx: LieContext, kind: str, K: int) -> CentralSeries:
         for k in range(1, K + 1):
             combo = express_in_family(hc_target(ctx, kind, k), gen_imgs,
                                       list(range(1, top + 1)), ctx.n)
-            expr = FExpr()
+            pairs = []
             for alpha, c in combo.items():
                 prod = FExpr.one()
                 for g, e in zip(gens, alpha):
                     for _ in range(e):
                         prod = prod * g
-                add_into(expr.terms, prod.terms, c)
-            exprs.append(expr)
+                pairs.append((c, prod.terms))
+            exprs.append(FExpr(combine(pairs)))
     return CentralSeries(ctx, kind, [CentralElement(ctx, expr, f"{kind}_{k}")
                                      for k, expr in enumerate(exprs, start=1)])
 

@@ -26,7 +26,9 @@ from .core import (
     Sparse,
     SymPoly,
     add_into,
+    combine,
     det,
+    exact_terms,
     multiplicity_factorial,
     per,
     perm_sign,
@@ -108,17 +110,17 @@ class WeylOperator(Sparse):
 
     def __init__(self, ctx: WeylContext, terms):
         self.ctx = ctx
-        self.terms = {k: v for k, v in terms.items() if v != 0}
+        self.terms = exact_terms(terms)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def x(cls, ctx, a, i):
-        return cls(ctx, {(ctx.unit_ev(a, i), ctx.zero_ev): Fraction(1)})
+        return cls(ctx, {(ctx.unit_ev(a, i), ctx.zero_ev): 1})
 
     @classmethod
     def d(cls, ctx, a, i):
-        return cls(ctx, {(ctx.zero_ev, ctx.unit_ev(a, i)): Fraction(1)})
+        return cls(ctx, {(ctx.zero_ev, ctx.unit_ev(a, i)): 1})
 
     # -- ring structure ----------------------------------------------------
 
@@ -267,9 +269,8 @@ def _cayley(k, m, N, signed):
     factorials (1 on strictly increasing choices)."""
     ctx = WeylContext(m, N)
     terms = {}
-    inv_kfact = Fraction(1, math.factorial(k))
     for sigma in itertools.permutations(range(k)):
-        c0 = inv_kfact * (perm_sign(sigma) if signed else 1)
+        c0 = perm_sign(sigma) if signed else 1
         for avec in itertools.product(range(1, m + 1), repeat=k):
             for ivec in itertools.product(ctx.indices, repeat=k):
                 alpha = [0] * ctx.nvars
@@ -278,16 +279,17 @@ def _cayley(k, m, N, signed):
                     alpha[ctx.slot(avec[t], ivec[t])] += 1
                     beta[ctx.slot(avec[t], ivec[sigma[t]])] += 1
                 add_into(terms, {(tuple(alpha), tuple(beta)): c0})
-    op = WeylOperator(ctx, terms)
+    op = WeylOperator(ctx, terms) * Fraction(1, math.factorial(k))
     block, choose = ((det, itertools.combinations) if signed
                      else (per, itertools.combinations_with_replacement))
-    alt = WeylOperator.zero(ctx)
+    pairs = []
     for avec in choose(range(1, m + 1), k):
         for ivec in choose(ctx.indices, k):
             xblock = block([[WeylOperator.x(ctx, a, i) for i in ivec] for a in avec])
             dblock = block([[WeylOperator.d(ctx, a, i) for i in ivec] for a in avec])
             weight = Fraction(1, multiplicity_factorial(avec) * multiplicity_factorial(ivec))
-            add_into(alt.terms, alt._coerce(xblock * dblock).terms, weight)
+            pairs.append((weight, op._coerce(xblock * dblock).terms))
+    alt = WeylOperator(ctx, combine(pairs))
     if not op == alt:
         form = "determinantal" if signed else "permanental"
         raise ConsistencyError(f"symmetrized and {form} forms disagree")

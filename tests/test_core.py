@@ -8,10 +8,13 @@ from capelli.core import (
     DimensionError,
     SymPoly,
     add_into,
+    combine,
+    common_denominator,
     dense_first_difference,
     dense_shift,
     dense_trim,
     det,
+    exact_terms,
     linear_ladder,
     per,
     perm_sign,
@@ -155,6 +158,37 @@ def test_scalar_field_axioms_randomized():
         if a != 0:
             assert a * (1 / a) == 1
     assert scal("3/4") == Fraction(3, 4)
+
+
+def test_integral_scalars_are_stored_as_int():
+    for value, expected in ((Fraction(6, 3), 2), ("-4/2", -2), (True, 1), (7, 7)):
+        assert type(scal(value)) is int and scal(value) == expected
+    assert type(scal("3/4")) is Fraction
+    terms = exact_terms({"a": Fraction(4, 2), "b": Fraction(1, 2), "c": Fraction(0), "d": 3})
+    assert terms == {"a": 2, "b": Fraction(1, 2), "d": 3}
+    assert [type(v) for v in terms.values()] == [int, Fraction, int]
+    assert type(SymPoly(("x",), {(1,): Fraction(2, 2)}).terms[(1,)]) is int
+
+
+def test_common_denominator():
+    assert common_denominator([]) == 1
+    assert common_denominator([3, -2, 0]) == 1
+    assert common_denominator([Fraction(1, 6), 4, Fraction(-3, 4)]) == 12
+
+
+def test_combine_matches_per_coefficient_fractions():
+    a = {"x": 1, "y": 2}
+    b = {"y": Fraction(1, 2), "z": 3}
+    pairs = [(Fraction(1, 3), a), (2, b), (Fraction(-1, 6), a), (Fraction(1, 4), b)]
+    expected = {}
+    for c, terms in pairs:
+        add_into(expected, terms, Fraction(c))
+    assert combine(pairs) == expected
+    assert combine(iter(pairs)) == expected
+    assert combine([]) == {}
+    assert combine([(Fraction(1, 2), a), (Fraction(-1, 2), a)]) == {}
+    integral = combine([(2, a), (-1, {"x": 2})])
+    assert integral == {"y": 4} and type(integral["y"]) is int
 
 
 # -- the sparse accumulation kernel ----------------------------------------

@@ -6,7 +6,14 @@ import random
 import pytest
 
 from capelli import uea
-from capelli.core import ConsistencyError, DimensionError, SymPoly, add_into, perm_sign
+from capelli.core import (
+    ConsistencyError,
+    DimensionError,
+    SymPoly,
+    add_into,
+    common_denominator,
+    perm_sign,
+)
 from capelli.symfun import e_factorial, h_factorial
 from capelli.uea import (
     DualRing,
@@ -36,6 +43,7 @@ from capelli.uea import (
     pfaffian_phi_expr,
     uea_ring,
 )
+from capelli.suites import run_suite
 from capelli.weyl import WeylContext, WeylOperator, sgn
 
 
@@ -280,6 +288,67 @@ def test_central_families_match_expanded_oracle(ctx, monkeypatch):
     for kind in "CD":
         for k in (1, 2):
             assert got[kind][k].expr.evaluate(ring) == oracle[kind][k].expr.evaluate(ring)
+
+
+# -- one common denominator against the per-coefficient Fraction route ------------
+
+
+def _fraction_image(ring, terms):
+    """Oracle: sum c * word_image(w) over the (w, c) items of `terms`,
+    each coefficient a Fraction and every product and sum reduced at once."""
+    out = {}
+    for w, c in terms.items():
+        add_into(out, ring.word_image(w).terms, Fraction(c))
+    return out
+
+
+@pytest.mark.parametrize("ctx", [SO3, SO4, SP4], ids=repr)
+def test_evaluation_over_one_denominator_matches_fraction_oracle(ctx):
+    rings = _oracle_rings(ctx)  # uea, gamma m = 1, 2, and dual when N is even
+    assert {type(ring) for ring in rings} >= {UEARing, GammaRing}
+    fractional = False  # some coefficient has a denominator to clear
+    for kind in "CD":
+        series = central_series(ctx, kind, 2)
+        for k in (1, 2):
+            expr = series[k].expr
+            fractional |= common_denominator(expr.terms.values()) > 1
+            for ring in rings:
+                assert expr.evaluate(ring).terms == _fraction_image(ring, expr.terms)
+            x = series[k].uea()
+            words = {tuple(ctx.gen_pair(g) for g in w): c for w, c in x.terms.items()}
+            for m in (1, 2):
+                ring = gamma_ring(LieContext("gl", ctx.N), m)
+                assert gamma(x, m).terms == _fraction_image(ring, words)
+    assert fractional or ctx.n == 1  # at rank 1, C_1 and D_1, D_2 are integral
+
+
+@pytest.mark.parametrize("suite, params, algebras", [
+    ("thm-4.1", {"N": 2}, [SO2]), ("thm-4.1", {"N": 3}, [SO3]),
+    ("thm-4.4", {"N": 2}, [SO2, SP2, SP4]), ("thm-4.4", {"N": 3}, [SO3, SP2, SP4]),
+    ("thm-5.3", {"N": 2}, [SP2, SO2, SO4]),
+], ids=["thm-4.1-N2", "thm-4.1-N3", "thm-4.4-N2", "thm-4.4-N3", "thm-5.3-N2"])
+def test_stored_coefficients_are_ints_or_proper_fractions(suite, params, algebras, monkeypatch):
+    # every element built by the suite (the images of the central series,
+    # the transferred operators) and by the central series of its inner
+    # and dual algebras in U(gl_N) stores an integral coefficient as an
+    # int, any other as a Fraction, and never a float
+    built = []
+    for cls in (UEAElement, WeylOperator, FExpr, SymPoly):
+        def recording(self, *args, _init=cls.__init__):
+            _init(self, *args)
+            built.append(self)
+        monkeypatch.setattr(cls, "__init__", recording)
+    checks = run_suite(suite, params)
+    assert checks and all(c.status == "pass" for c in checks)
+    for ctx in algebras:
+        for kind in "CD":
+            series = central_series(ctx, kind, 2)
+            for k in (1, 2):
+                series[k].uea()
+    assert {type(x) for x in built} >= {UEAElement, WeylOperator, FExpr}
+    for x in built:
+        for c in x.terms.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (x, c)
 
 
 def test_canonical_word_counts():
