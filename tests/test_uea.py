@@ -305,7 +305,6 @@ def _fraction_image(ring, terms):
 @pytest.mark.parametrize("ctx", [SO3, SO4, SP4], ids=repr)
 def test_evaluation_over_one_denominator_matches_fraction_oracle(ctx):
     rings = _oracle_rings(ctx)  # uea, gamma m = 1, 2, and dual when N is even
-    assert {type(ring) for ring in rings} >= {UEARing, GammaRing}
     fractional = False  # some coefficient has a denominator to clear
     for kind in "CD":
         series = central_series(ctx, kind, 2)
