@@ -14,11 +14,14 @@ The module also holds the shared building blocks of the other layers:
 `add_into`, the one in-place accumulation for sparse maps; `Sparse`, the
 one base class of the four exact linear combinations (`SymPoly`,
 `UEAElement`, `WeylOperator`, `FExpr`), which holds their linear
-structure, equality and mismatch witness once; and the `dense_*`
-functions on coefficient lists in one variable.  A series in one
-variable is a fraction of two such lists (`series_as_fraction`), and
-`series_defect` is the one rule that decides a one-variable rational
-identity, exactly or up to a truncation order, by cross-multiplying.
+structure, equality and mismatch witness once; and the functions on
+coefficient lists in one variable: `dense_add`, `dense_mul`,
+`dense_prod`, `dense_trim`, `to_dense` (a `SymPoly` in one variable as
+such a list) and `dense_first_difference` (the mismatch witness of two
+lists).  A series in one variable is a fraction of two such lists
+(`series_as_fraction`), and `series_defect` is the one rule that decides
+a one-variable rational identity, exactly or up to a truncation order,
+by cross-multiplying.
 """
 
 from __future__ import annotations
@@ -128,14 +131,15 @@ def perm_sign(perm):
     return s
 
 
-def det(rows):
-    """Determinant of a square matrix of pairwise commuting ring elements,
-    by cofactor expansion along the first row: no division, so any
-    commutative entry ring works, at a cost of up to n! products."""
+def _laplace(rows, signed):
+    """Cofactor expansion along the first row, of the determinant when
+    `signed` and of the permanent when not, skipping zero pivots: no
+    division, so any commutative entry ring works, at a cost of up to n!
+    products."""
     n = len(rows)
     for r in rows:
         if len(r) != n:
-            raise DimensionError("det of a non-square matrix")
+            raise DimensionError(f"{'det' if signed else 'per'} of a non-square matrix")
     if n == 0:
         return 1
     if n == 1:
@@ -143,29 +147,21 @@ def det(rows):
     acc = None
     for j, piv in enumerate(rows[0]):
         if piv:
-            term = piv * det([[*r[:j], *r[j + 1:]] for r in rows[1:]])
-            if j % 2:
+            term = piv * _laplace([[*r[:j], *r[j + 1:]] for r in rows[1:]], signed)
+            if signed and j % 2:
                 term = -term
             acc = term if acc is None else acc + term
     return rows[0][0] * 0 if acc is None else acc
 
 
+def det(rows):
+    """Determinant of a square matrix of pairwise commuting ring elements."""
+    return _laplace(rows, signed=True)
+
+
 def per(rows):
-    """Permanent of a square matrix of commuting ring elements:
-    sum over all permutations of the products of matched entries."""
-    n = len(rows)
-    for r in rows:
-        if len(r) != n:
-            raise DimensionError("per of a non-square matrix")
-    if n == 0:
-        return 1
-    acc = None
-    for sigma in itertools.permutations(range(n)):
-        term = rows[0][sigma[0]]
-        for p in range(1, n):
-            term = term * rows[p][sigma[p]]
-        acc = term if acc is None else acc + term
-    return acc
+    """Permanent of a square matrix of pairwise commuting ring elements."""
+    return _laplace(rows, signed=False)
 
 
 class Sparse:
@@ -355,14 +351,6 @@ class SymPoly(Sparse):
 
     # -- queries ---------------------------------------------------------
 
-    def is_constant(self):
-        return all(all(e == 0 for e in ev) for ev in self.terms)
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self.terms.get(self._unit, 0)
-
     def total_degree(self):
         if not self.terms:
             return -1
@@ -399,19 +387,6 @@ class SymPoly(Sparse):
                     term = term * values[self.vars[i]]
             acc = term if acc is None else acc + term
         return 0 if acc is None else acc
-
-    def subs_partial(self, values):
-        """Substitute scalars for a subset of the variables, keeping the
-        variable tuple."""
-        out = {}
-        for ev, c in self.terms.items():
-            nev = list(ev)
-            for i, v in enumerate(self.vars):
-                if v in values and ev[i]:
-                    c = c * (scal(values[v]) ** ev[i])
-                    nev[i] = 0
-            add_into(out, {tuple(nev): c})
-        return SymPoly(self.vars, out)
 
     def _lead(self):
         ev = max(self.terms)  # lex order on exponent tuples
@@ -492,14 +467,6 @@ def dense_prod(factors):
     out = [1]
     for f in factors:
         out = dense_mul(out, f)
-    return out
-
-
-def dense_shift(a, c):
-    """Coefficients of a(u + c)."""
-    out = []
-    for x in reversed(a):
-        out = dense_add(dense_mul(out, [c, 1]), [x])
     return out
 
 

@@ -313,10 +313,8 @@ def check_generating_series(n: int, K: int, a: ShiftSequence, zvals) -> bool:
     if any(z == a[j] for z in zvals for j in range(1, n + K + 1)):
         raise PoleCollision("z-value hits a sequence entry")
 
-    point = {f"z{q}": zvals[q - 1] for q in range(1, n + 1)}
-
     def value(family, k):
-        return family(k, n, a).subs_partial(point).constant_value()
+        return eval_at(family(k, n, a), zvals)
 
     x_num = dense_prod(linear_ladder(zvals))
     x_den = dense_prod(linear_ladder(a.prefix(n)))

@@ -4,9 +4,14 @@ dependence on spectral variables.
 A `TMat` is an N^m x N^m sparse matrix whose entries are polynomials in
 the central variables (u, v, w, ...) with coefficients in U(gl_N),
 divided by one common scalar polynomial.  Rational identities are decided
-by clearing denominators; the value at a classical point, where the
-denominator vanishes, is a quotient of Taylor coefficients there: shift
-numerator and denominator to the point and read both at the pole order.
+by clearing denominators.  A fused product is read at one point u0: the
+classical point for the fused column and row, (N-1)/2 for the Sklyanin
+determinant.  Its chain runs in the variable eps = u - u0 from the start,
+since the spectral arguments carry the origin u0 (`_spectral_args`; the
+variable keeps the name "u" in the variable tuples), and u -> eps + u0
+is a ring homomorphism, so every identity of the chain holds in eps as
+it does in u.  The value at u0, where the denominator vanishes, is a
+quotient of Taylor coefficients at eps = 0, read at the pole order.
 
 Scalar polynomials in the spectral variables (denominators, arguments,
 normalizing factors) are `SymPoly` values.  An entry maps (exponent
@@ -27,16 +32,19 @@ index tuples sorted ascending (strictly, for the antisymmetrizer).
 Because P_tau * A = sign(tau) * A for every permutation operator P_tau
 (sign 1 for the symmetrizer), the row of A * Y at an index tuple t equals
 orbit_sign(t)'s sign times the row at sorted(t), for any Y, so the
-representative rows fix the whole product exactly; `orbit_expand`
-rebuilds the other rows.  Two products that start with the same
-projector are equal exactly when their representative rows are.
+representative rows fix the whole product exactly, and every reading
+stays on them: the trace is the signed sum of the cells (sorted(t), t)
+(`projected_trace`), and the quantum determinants read one row.  Two
+products that start with the same projector are equal exactly when their
+representative rows are.
 
 A flag `signed` picks one of the two twin constructions throughout:
 signed means the antisymmetrizer (permutation signs, distinct indices,
 spectral shifts u - (q-1), the signed family C), unsigned the
 symmetrizer (no signs, repeated indices, shifts u + (q-1), the unsigned
 family D).  `symmetrizer`, `orbit_sign`, `projector_rows`,
-`_spectral_args`, `ladder_roots` and `verify_vanishing` all take it.
+`projected_trace`, `_spectral_args`, `ladder_roots` and
+`verify_vanishing` all take it.
 """
 
 from __future__ import annotations
@@ -54,7 +62,6 @@ from .core import (
     dense_first_difference,
     dense_mul,
     dense_prod,
-    dense_shift,
     dense_trim,
     exact_terms,
     linear_ladder,
@@ -284,14 +291,6 @@ class TMat:
     def entry(self, r, c):
         return self.rows.get(r, {}).get(c, {})
 
-    def trace_id(self):
-        """Partial trace over the tensor factors; returns (entry, den)."""
-        acc = {}
-        for r, row in self.rows.items():
-            if r in row:
-                add_into(acc, row[r])
-        return acc, self.den
-
 
 def cross_equal(a: TMat, b: TMat):
     """Equality of rational matrices by clearing denominators; returns
@@ -325,18 +324,19 @@ def projector_rows(ctx, space: TensorSpace, vars, signed, width=None):
                             {(r, c): v for (r, c), v in proj.items() if r in keep})
 
 
-def orbit_expand(mat, signed):
-    """The full matrix A * Y from its representative rows (the rows of a
-    product that starts with `projector_rows(..., signed)`): row t is
-    the row at sorted(t) times the sign of `orbit_sign(t, signed)`."""
+def projected_trace(mat, signed):
+    """The trace of the product A * Y from its representative rows (the
+    rows of a product that starts with `projector_rows(..., signed)`):
+    row t of A * Y is the row at sorted(t) times the sign of
+    `orbit_sign(t, signed)`, so the trace is the sum over t of that sign
+    times the cell (sorted(t), t).  Returns an entry."""
     space = mat.space
-    rows = {}
-    for r, t in enumerate(space.tuples):
+    acc = {}
+    for c, t in enumerate(space.tuples):
         rep, sign = orbit_sign(t, signed)
-        row = mat.rows.get(space.code[rep])
-        if sign and row:
-            rows[r] = dict(row) if sign == 1 else {c: smat_scale(e, -1) for c, e in row.items()}
-    return TMat(mat.ctx, space, mat.vars, rows, mat.den)
+        if sign:
+            add_into(acc, mat.entry(space.code[rep], c), sign)
+    return acc
 
 
 # -- factor constructors -------------------------------------------------------
@@ -448,24 +448,26 @@ def classical_point(ctx: LieContext, shape: str, m: int) -> Fraction:
 
 
 def phi_normalizer(ctx: LieContext, shape: str, m: int):
-    """Normalizing rational factor (numerator, denominator) in u making
-    the fused matrix regular at the classical point."""
-    u = SymPoly.variable(("u",), "u")
+    """Normalizing rational factor (numerator, denominator) making the
+    fused matrix regular at the classical point, in eps = u - u0:
+    eps / (eps + m/2) for an orthogonal column, eps / (eps - m/2) for a
+    symplectic row, and 1 otherwise."""
+    eps = SymPoly.variable(("u",), "u")
     if shape == "column" and ctx.family == "so":
-        return u + Fraction(1 - m, 2), u + Fraction(1, 2)
+        return eps, eps + Fraction(m, 2)
     if shape == "row" and ctx.family == "sp":
-        return u + Fraction(m - 1, 2), u - Fraction(1, 2)
+        return eps, eps - Fraction(m, 2)
     one = SymPoly.scalar(("u",), 1)
     return one, one
 
 
-def _spectral_args(signed):
-    """The argument rule of a chain over the variable u: slot q gets
-    u - (q-1) in an antisymmetrized (signed) chain and u + (q-1) in a
-    symmetrized one."""
-    u = SymPoly.variable(("u",), "u")
+def _spectral_args(signed, origin):
+    """The argument rule of a chain over the variable eps = u - origin:
+    slot q gets eps + origin - (q-1) in an antisymmetrized (signed) chain
+    and eps + origin + (q-1) in a symmetrized one."""
+    eps = SymPoly.variable(("u",), "u")
     step = -1 if signed else 1
-    return lambda q: u + step * (q - 1)
+    return lambda q: eps + origin + step * (q - 1)
 
 
 def _rt_chain(ctx, space, vars, q, arg):
@@ -474,24 +476,24 @@ def _rt_chain(ctx, space, vars, q, arg):
     return [tm_Rt(ctx, space, vars, p, q, arg(p), arg(q)) for p in range(1, q)]
 
 
-def fused_F(ctx: LieContext, m: int, shape: str) -> TMat:
-    """Ordered fused product over one spectral variable u.
+def fused_F(ctx: LieContext, m: int, shape: str, origin) -> TMat:
+    """Ordered fused product over the variable eps = u - origin.
 
     `shape` "column" builds the antisymmetrized product with arguments
     u, u-1, ..., and "row" the symmetrized one with u, u+1, ....  The
     chain runs on the representative rows of the projector, C(N, m) for a
-    column and C(N+m-1, m) for a row, and the full matrix is rebuilt by
-    `orbit_expand`; this is exact because P_tau * A = sign(tau) * A.
+    column and C(N+m-1, m) for a row, and returns only those rows; every
+    other row is a signed copy of one of them (P_tau * A = sign(tau) * A).
     On a tensor space of at most 32 cells the twisted-R product form is
-    also built on the same rows and the two are asserted equal as
-    rational matrices; both start with the projector, so equal
-    representative rows mean equal products.
+    also built on the same rows, at the same origin, and the two are
+    asserted equal as rational matrices; both start with the projector,
+    so equal representative rows mean equal products.
     """
     guard_cells(ctx.N, m)
     space = TensorSpace(ctx.N, m)
     vars = ("u",)
     signed = shape == "column"
-    arg = _spectral_args(signed)
+    arg = _spectral_args(signed, origin)
     proj = projector_rows(ctx, space, vars, signed)
     mat = proj
     for q in range(1, m + 1):
@@ -507,7 +509,7 @@ def fused_F(ctx: LieContext, m: int, shape: str) -> TMat:
         witness = cross_equal(mat, alt)
         if witness is not None:
             raise ConsistencyError(f"fused product forms disagree: {witness}")
-    return orbit_expand(mat, signed)
+    return mat
 
 
 def fusion_capelli(ctx: LieContext, k: int, shape: str) -> UEAElement:
@@ -515,19 +517,20 @@ def fusion_capelli(ctx: LieContext, k: int, shape: str) -> UEAElement:
     classical point u0: the k-th element of the signed family for shape
     "column", of the unsigned family for shape "row".
 
-    The numerator (trace times phi's numerator) and the denominator (the
-    matrix denominator times phi's) are shifted to u0 and read as Taylor
-    coefficients there.  If the denominator's lowest nonzero coefficient
-    has index D (the pole order at u0), the numerator's coefficients below
-    D must vanish, else `ConsistencyError`; the value is num[D] / den[D].
+    The chain is built in eps = u - u0, so the numerator (the projected
+    trace times phi's numerator) and the denominator (the matrix
+    denominator times phi's) are read as Taylor coefficients at eps = 0.
+    If the denominator's lowest nonzero coefficient has index D (the pole
+    order at u0), the numerator's coefficients below D must vanish, else
+    `ConsistencyError`; the value is num[D] / den[D].
     """
     m = 2 * k
-    mat = fused_F(ctx, m, shape)
-    tr, den = mat.trace_id()
-    phi_num, phi_den = phi_normalizer(ctx, shape, m)
     u0 = classical_point(ctx, shape, m)
-    num = dense_shift(ent_to_ucoeffs(ctx, ent_scalar_poly_mul(tr, phi_num)), u0)
-    den = dense_shift(to_dense(den * phi_den), u0)
+    mat = fused_F(ctx, m, shape, u0)
+    phi_num, phi_den = phi_normalizer(ctx, shape, m)
+    num = ent_to_ucoeffs(ctx, ent_scalar_poly_mul(projected_trace(mat, shape == "column"),
+                                                  phi_num))
+    den = to_dense(mat.den * phi_den)
     order = next(d for d, c in enumerate(den) if c != 0)
     if any(num[:order]):
         raise ConsistencyError(f"the pole of order {order} at u = {u0} does not cancel")
@@ -566,7 +569,7 @@ def quantum_det_gl(N: int, eps_family="so"):
     ctx = LieContext("gl", N)
     space = TensorSpace(N, N)
     vars = ("u",)
-    arg = _spectral_args(True)
+    arg = _spectral_args(True, 0)
     proj = projector_rows(ctx, space, vars, signed=True)
     mat = twisted = proj
     for q in range(1, N + 1):
@@ -579,28 +582,36 @@ def quantum_det_gl(N: int, eps_family="so"):
     return h
 
 
+def _sklyanin_scalar(ctx: LieContext):
+    """The scalar part prod_q ((N+1)/2 - q - eta - eps), q = 1..N, of the
+    quantum determinant Cbar(u) at u = eps + (N-1)/2."""
+    N = ctx.N
+    return dense_prod([Fraction(N + 1, 2) - q - ctx.eta, -1] for q in range(1, N + 1))
+
+
 def sklyanin_det(ctx: LieContext):
     """The quantum determinant of the fused column of full height N:
-    F_{(1^N)}(u) = eps(u) * A_N (x) Cbar(u).  Returns (coefficient list,
-    scalar denominator list) for Cbar as a rational function of u.
+    F_{(1^N)}(u) = g(u) * A_N (x) Cbar(u), built at the origin (N-1)/2.
+    Returns (coefficient list, scalar denominator list) for
+    Cbar(eps + (N-1)/2) as a rational function of eps, the form that
+    Theorem 6.2 compares with the generating function.
 
-    The normalizing eps(u) is (2u+1)/(2u-N+1) in the symplectic case and
-    1 in the orthogonal case; the derived scalar part of Cbar is asserted
-    to match the product prod_q (N - q - u - eta) so any discrepancy in
-    eps(u) is flagged rather than silently renormalized.
+    The normalizing factor g(u) is (2u+1)/(2u-N+1), that is
+    (eps + N/2)/eps, in the symplectic case and 1 in the orthogonal case;
+    the derived scalar part of Cbar is asserted to match
+    `_sklyanin_scalar` so any discrepancy in g(u) is flagged rather than
+    silently renormalized.
     """
     N = ctx.N
-    mat = fused_F(ctx, N, "column")
+    mat = fused_F(ctx, N, "column", Fraction(N - 1, 2))
     entry = _extract_proportional(mat, projector_rows(ctx, mat.space, mat.vars, signed=True))
     num = ent_to_ucoeffs(ctx, entry)
     den = to_dense(mat.den)
     if ctx.family == "sp":
-        # divide by eps(u) = (2u+1)/(2u-N+1)
-        num = dense_mul(num, [Fraction(1 - N, 2), 1])
-        den = dense_mul(den, [Fraction(1, 2), 1])
+        num = dense_mul(num, [0, 1])
+        den = dense_mul(den, [Fraction(N, 2), 1])
     scalar = [c.scalar_part() for c in num]
-    expected = dense_prod([N - q - ctx.eta, -1] for q in range(1, N + 1))
-    if dense_trim(scalar) != dense_trim(dense_mul(expected, den)):
+    if dense_trim(scalar) != dense_trim(dense_mul(_sklyanin_scalar(ctx), den)):
         raise ConsistencyError("scalar part of the quantum determinant is off: "
                                "normalizing factor mismatch")
     return num, den
@@ -643,21 +654,17 @@ def generating_functions(ctx: LieContext, K: int, series_c: CentralSeries,
 
 
 def theorem_62_check(ctx: LieContext, series_c: CentralSeries):
-    """The generating function of the signed family equals the shifted,
-    renormalized quantum determinant.  Exact cross-multiplied identity;
-    returns None or a witness string."""
-    N, n = ctx.N, ctx.n
+    """The generating function C(u) of the signed family times the scalar
+    part `_sklyanin_scalar` equals the quantum determinant Cbar(u +
+    (N-1)/2), as `sklyanin_det` returns it.  Exact cross-multiplied
+    identity; returns None or a witness string."""
+    n = ctx.n
     cbar_num, cbar_den = sklyanin_det(ctx)
-    shift = Fraction(N, 2) - Fraction(1, 2)
-    cbar_num_s = dense_shift(cbar_num, shift)
-    cbar_den_s = dense_shift(cbar_den, shift)
     # C(u) in the variable u (ladder roots are squares, expand in u)
     ladder = [[-r, 0, 1] for r in ladder_roots(ctx, True, n)]
     cnum, cden = series_as_fraction([series_c[k].uea() for k in range(n + 1)], ladder)
-    prodq = dense_prod([Fraction(N, 2) + Fraction(1, 2) - q - ctx.eta, -1]
-                       for q in range(1, N + 1))
-    lhs = dense_mul(cnum, dense_mul(prodq, cbar_den_s))
-    return dense_first_difference(lhs, dense_mul(cbar_num_s, cden), "u")
+    lhs = dense_mul(cnum, dense_mul(_sklyanin_scalar(ctx), cbar_den))
+    return dense_first_difference(lhs, dense_mul(cbar_num, cden), "u")
 
 
 def eigenvalue_check_gl(N: int, nu, h_coeffs):
@@ -775,7 +782,7 @@ def check_projected_products(ctx: LieContext, m: int):
     space = TensorSpace(ctx.N, m)
     vars = ("u",)
     for signed in (True, False):
-        arg = _spectral_args(signed)
+        arg = _spectral_args(signed, 0)
         projm = projector_rows(ctx, space, vars, signed, width=m - 1)
         lhs = projm
         for factor in _rt_chain(ctx, space, vars, m, arg):

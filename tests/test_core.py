@@ -11,7 +11,6 @@ from capelli.core import (
     combine,
     common_denominator,
     dense_first_difference,
-    dense_shift,
     dense_trim,
     det,
     exact_terms,
@@ -21,7 +20,6 @@ from capelli.core import (
     scal,
     series_as_fraction,
     series_defect,
-    to_dense,
 )
 
 
@@ -224,15 +222,6 @@ def test_perm_sign():
 # -- dense coefficient lists -------------------------------------------------
 
 
-def test_dense_shift_and_eval():
-    # dense_shift(p, c) is p(u + c), read off by SymPoly.evaluate
-    u = SymPoly.variable(("u",), "u")
-    p = [Fraction(1), Fraction(-2), Fraction(0), Fraction(3)]
-    poly = SymPoly(("u",), {(d,): x for d, x in enumerate(p)})
-    for c in (Fraction(0), Fraction(5, 2), Fraction(-7, 3)):
-        assert dense_shift(p, c) == to_dense(poly.evaluate({"u": u + c}))
-
-
 def test_dense_first_difference_names_the_lowest_differing_power():
     from capelli.uea import LieContext, UEAElement
 
@@ -277,13 +266,6 @@ def test_sympoly_exact_division():
 
     with pytest.raises(ExactDivisionError):
         (x * x + y).exact_div(x - y)
-
-
-def test_sympoly_partial_substitution():
-    x, y = poly_vars("x", "y")
-    p = x * x * y + 2 * y
-    q = p.subs_partial({"x": Fraction(3)})
-    assert q == 11 * y
 
 
 # -- generating series in one variable ------------------------------------

@@ -7,8 +7,9 @@ from capelli.core import (
     ConsistencyError,
     DimensionError,
     SymPoly,
+    add_into,
+    dense_add,
     dense_mul,
-    dense_shift,
     dense_trim,
     to_dense,
 )
@@ -19,6 +20,7 @@ from capelli.tensor import (
     classical_point,
     cross_equal,
     eigenvalue_check_gl,
+    ent_scalar_poly_mul,
     ent_to_ucoeffs,
     exchange_P,
     fused_F,
@@ -27,6 +29,7 @@ from capelli.tensor import (
     guard_cells,
     ladder_roots,
     orbit_sign,
+    projected_trace,
     projector_rows,
     quantum_det_gl,
     sklyanin_det,
@@ -128,16 +131,18 @@ def test_guard_cells(monkeypatch):
 
 
 def test_fused_single_factor_is_generator_matrix():
-    mat = fused_F(SO3, 1, "column")
+    mat = fused_F(SO3, 1, "column", 0)
     space = TensorSpace(3, 1)
     direct = tm_F(SO3, space, ("u",), 1, SymPoly.variable(("u",), "u"))
     assert cross_equal(mat, direct) is None
 
 
 def test_fused_two_forms_agree_so2():
-    # the constructor asserts the twisted-product form internally
-    fused_F(SO2, 2, "column")
-    fused_F(SO2, 2, "row")
+    # the constructor asserts the twisted-product form internally, at the
+    # origin it is given
+    for shape in ("column", "row"):
+        fused_F(SO2, 2, shape, 0)
+        fused_F(SO2, 2, shape, classical_point(SO2, shape, 2))
 
 
 def test_classical_points():
@@ -170,7 +175,7 @@ def check_trace_invariance(ctx, m, shape):
     """The partial trace of the fused matrix has invariant coefficients:
     it commutes with every subalgebra generator, coefficient by
     coefficient in u."""
-    tr, _den = fused_F(ctx, m, shape).trace_id()
+    tr = projected_trace(fused_F(ctx, m, shape, 0), shape == "column")
     for c in ent_to_ucoeffs(ctx, tr):
         for pair in ctx.f_pairs():
             if not c.bracket(UEAElement.F(ctx, *pair)).is_zero():
@@ -243,8 +248,9 @@ def test_quantum_det_gl2_eigenvalues():
 def test_sklyanin_scalar_normalization():
     num, den = sklyanin_det(SO2)
     scalar = [c.scalar_part() for c in num]
-    # Cbar(u) has scalar part (1/2 - u)(-1/2 - u) relative to its denominator
-    expected = [Fraction(-1, 4), Fraction(0), Fraction(1)]
+    # Cbar(u) has scalar part (1/2 - u)(-1/2 - u) relative to its
+    # denominator; at u = eps + 1/2 that is eps(1 + eps)
+    expected = [0, 1, 1]
     assert dense_trim(scalar) == dense_trim(dense_mul(expected, den))
 
 
@@ -299,20 +305,19 @@ def test_generating_function_inversion_small():
 
 
 def test_normalized_fused_matrix_is_entrywise_regular():
-    # shifted to u0, every normalized entry of the fused column vanishes
+    # built at u0, every normalized entry of the fused column vanishes
     # below the pole order of the denominator there, which is 1
-    from capelli.tensor import ent_scalar_poly_mul, phi_normalizer
+    from capelli.tensor import phi_normalizer
 
     ctx = SO2
-    mat = fused_F(ctx, 2, "column")
-    u0 = classical_point(ctx, "column", 2)
+    mat = fused_F(ctx, 2, "column", classical_point(ctx, "column", 2))
     phi_num, phi_den = phi_normalizer(ctx, "column", 2)
-    den = dense_shift(to_dense(mat.den * phi_den), u0)
+    den = to_dense(mat.den * phi_den)
     order = next(d for d, c in enumerate(den) if c != 0)
     assert order == 1
     for row in mat.rows.values():
         for e in row.values():
-            num = dense_shift(ent_to_ucoeffs(ctx, ent_scalar_poly_mul(e, phi_num)), u0)
+            num = ent_to_ucoeffs(ctx, ent_scalar_poly_mul(e, phi_num))
             assert not any(num[:order])
 
 
@@ -326,13 +331,13 @@ def test_fusion_capelli_raises_on_a_pole_that_does_not_cancel(monkeypatch):
 # -- the full-row route, kept here as the oracle of the one-row-per-orbit one ---
 
 
-def full_row_fused(ctx, m, shape):
+def full_row_fused(ctx, m, shape, origin):
     """Reference for `fused_F`: the same factor chain on every one of the
-    N^m rows of the (anti)symmetrizer, with no orbit expansion."""
+    N^m rows of the (anti)symmetrizer."""
     space = TensorSpace(ctx.N, m)
     vars = ("u",)
     signed = shape == "column"
-    u = SymPoly.variable(vars, "u")
+    u = SymPoly.variable(vars, "u") + origin
 
     def arg(q):
         return u - (q - 1) if signed else u + (q - 1)
@@ -402,10 +407,99 @@ def test_projector_rows_are_the_sorted_rows(signed):
     for c, ms in ((SO2, (1, 2, 3, 4)), (SP2, (1, 2, 3, 4)), (SO3, (1, 2))) for m in ms])
 @pytest.mark.parametrize("shape", ["column", "row"])
 def test_fused_F_matches_full_row_route(ctx, m, shape):
-    mat = fused_F(ctx, m, shape)
-    ref = full_row_fused(ctx, m, shape)
-    assert set(mat.rows) == set(ref.rows)
-    assert cross_equal(mat, ref) is None
+    # fused_F returns the representative rows of the full product, at
+    # the origin 0 and at the classical point alike; every other row of
+    # the full product is sign(t) times the row at sorted(t), so the
+    # projected trace is its trace
+    signed = shape == "column"
+    for origin in (0, classical_point(ctx, shape, m)):
+        mat = fused_F(ctx, m, shape, origin)
+        ref = full_row_fused(ctx, m, shape, origin)
+        space = ref.space
+        reps = {r for r, t in enumerate(space.tuples) if orbit_sign(t, signed) == (t, 1)}
+        assert set(mat.rows) == reps & set(ref.rows)
+        on_reps = TMat(ctx, space, ref.vars, {r: ref.rows[r] for r in mat.rows}, ref.den)
+        assert cross_equal(mat, on_reps) is None
+        trace = {}
+        for r, t in enumerate(space.tuples):
+            rep, sign = orbit_sign(t, signed)
+            row = {c: smat_scale(e, sign) for c, e in ref.rows.get(space.code[rep], {}).items()}
+            assert {c: e for c, e in row.items() if e} == ref.rows.get(r, {}), t
+            add_into(trace, ref.entry(r, r))
+        assert (ent_scalar_poly_mul(projected_trace(mat, signed), ref.den)
+                == ent_scalar_poly_mul(trace, mat.den))
+
+
+# -- the chains built at a point, against the origin-0 chain shifted there ------
+
+
+def shift(a, c):
+    """Coefficients of a(u + c), for a coefficient list a."""
+    out = []
+    for x in reversed(a):
+        out = dense_add(dense_mul(out, [c, 1]), [x])
+    return out
+
+
+def shift_entry(e, c):
+    """An entry over one variable u with u replaced by u + c: `shift` on
+    the scalar coefficient list of each PBW word."""
+    by_word = {}
+    for ((d,), w), x in e.items():
+        by_word.setdefault(w, {})[d] = x
+    out = {}
+    for w, coeffs in by_word.items():
+        dense = [coeffs.get(d, 0) for d in range(max(coeffs) + 1)]
+        out.update({((d,), w): x for d, x in enumerate(shift(dense, c)) if x})
+    return out
+
+
+def test_shift_matches_evaluate():
+    # shift(p, c) is p(u + c), read off by SymPoly.evaluate
+    u = SymPoly.variable(("u",), "u")
+    p = [Fraction(1), Fraction(-2), Fraction(0), Fraction(3)]
+    poly = SymPoly(("u",), {(d,): x for d, x in enumerate(p)})
+    for c in (Fraction(0), Fraction(5, 2), Fraction(-7, 3)):
+        assert shift(p, c) == to_dense(poly.evaluate({"u": u + c}))
+
+
+@pytest.mark.parametrize("ctx,k", [
+    pytest.param(c, k, id=f"{c.family}{c.N}-k{k}") for c in (SO2, SP2, SO3) for k in (1, 2)])
+@pytest.mark.parametrize("shape", ["column", "row"])
+def test_fused_F_at_the_classical_point_is_the_shifted_chain(ctx, k, shape):
+    # u -> eps + u0 maps every factor of the origin-0 chain to the factor
+    # built at u0, so the two matrices agree coefficient by coefficient
+    u0 = classical_point(ctx, shape, 2 * k)
+    at_u0 = fused_F(ctx, 2 * k, shape, u0)
+    at_0 = fused_F(ctx, 2 * k, shape, 0)
+    assert to_dense(at_u0.den) == shift(to_dense(at_0.den), u0)
+    cells = {(r, c) for r, row in at_0.rows.items() for c in row}
+    assert cells == {(r, c) for r, row in at_u0.rows.items() for c in row}
+    for r, c in cells:
+        assert at_u0.entry(r, c) == shift_entry(at_0.entry(r, c), u0)
+
+
+def origin_zero_sklyanin(ctx):
+    """Reference for `sklyanin_det`: the fused column built at u = 0,
+    divided by g(u) = (2u+1)/(2u-N+1) in the symplectic case, and
+    shifted by (N-1)/2."""
+    N = ctx.N
+    mat = fused_F(ctx, N, "column", 0)
+    proj = projector_rows(ctx, mat.space, mat.vars, signed=True)
+    num = ent_to_ucoeffs(ctx, tensor._extract_proportional(mat, proj))
+    den = to_dense(mat.den)
+    if ctx.family == "sp":
+        num = dense_mul(num, [Fraction(1 - N, 2), 1])
+        den = dense_mul(den, [Fraction(1, 2), 1])
+    return shift(num, Fraction(N - 1, 2)), shift(den, Fraction(N - 1, 2))
+
+
+@pytest.mark.parametrize("ctx", [SO2, SP2, SO3], ids=["so2", "sp2", "so3"])
+def test_sklyanin_det_is_the_shifted_origin_zero_route(ctx):
+    num, den = sklyanin_det(ctx)
+    ref_num, ref_den = origin_zero_sklyanin(ctx)
+    assert dense_trim(num) == dense_trim(ref_num)
+    assert dense_trim(den) == dense_trim(ref_den)
 
 
 @pytest.mark.parametrize("N,eps", [(1, "so"), (2, "so"), (2, "sp"), (3, "so")])
