@@ -36,7 +36,11 @@ representative rows fix the whole product exactly, and every reading
 stays on them: the trace is the signed sum of the cells (sorted(t), t)
 (`projected_trace`), and the quantum determinants read one row.  Two
 products that start with the same projector are equal exactly when their
-representative rows are.
+representative rows are.  The projector is integral over its scalar
+denominator m!: its rows are m! * A, so a chain that starts with it
+stays in `int` wherever its factors are integral (at u0 the eta of `tm_F`
+cancels against the origin), and m! joins the chain's denominator, which
+every reading divides out (`fusion_capelli`, `_extract_proportional`).
 
 A flag `signed` picks one of the two twin constructions throughout:
 signed means the antisymmetrizer (permutation signs, distinct indices,
@@ -314,14 +318,26 @@ def projector_rows(ctx, space: TensorSpace, vars, signed, width=None):
     """The (anti)symmetrizer of the first `width` tensor slots (all of
     them by default), times the identity on the others, as a `TMat` that
     holds only its representative rows: those whose first `width`
-    indices are sorted, and distinct when `signed`."""
+    indices are sorted, and distinct when `signed`.
+
+    The projector is integral over the scalar denominator width!: the
+    row at t holds, for every permutation sigma of the first `width`
+    slots, sign(sigma) (1 when unsigned) at the column t permuted by
+    sigma, so a chain that starts with it stays in `int` wherever its
+    factors are integral."""
     width = space.m if width is None else width
-    proj = smat_embed(symmetrizer(TensorSpace(space.N, width), signed), space.N ** width,
-                      right=space.N ** (space.m - width))
-    keep = {r for r, t in enumerate(space.tuples)
-            if orbit_sign(t[:width], signed) == (t[:width], 1)}
-    return TMat.from_scalar(ctx, space, vars,
-                            {(r, c): v for (r, c), v in proj.items() if r in keep})
+    zero = (0,) * len(vars)
+    rows = {}
+    for r, t in enumerate(space.tuples):
+        head = t[:width]
+        if orbit_sign(head, signed) != (head, 1):
+            continue
+        row = {}
+        for sigma in itertools.permutations(range(width)):
+            c = space.code[tuple(head[p] for p in sigma) + t[width:]]
+            row[c] = row.get(c, 0) + (perm_sign(sigma) if signed else 1)
+        rows[r] = {c: {(zero, ()): v} for c, v in row.items()}
+    return TMat(ctx, space, vars, rows, SymPoly.scalar(vars, math.factorial(width)))
 
 
 def projected_trace(mat, signed):
@@ -545,7 +561,9 @@ def fusion_capelli(ctx: LieContext, k: int, shape: str) -> UEAElement:
 def _extract_proportional(mat: TMat, proj: TMat):
     """Assert mat = A (x) X(u) for the rank-one antisymmetrizer A, given
     by its one representative row `proj` (from `projector_rows`), and
-    return the entry polynomial X(u) over the first cell of that row.
+    return X(u) as (entry, denominator): the quotient of mat by proj
+    over the first cell of that row, denominators included, that is
+    mat's entry over proj's weight there, over mat.den / proj.den.
     Only that row of `mat` is read: every other row of a product that
     starts with A is a signed copy of it (P_tau * A = sign(tau) * A)."""
     [(r, prow)] = proj.rows.items()
@@ -557,7 +575,8 @@ def _extract_proportional(mat: TMat, proj: TMat):
                                                                  weight.get(c, 0)):
             raise ConsistencyError(
                 f"matrix is not proportional to the projector at ({r},{c})")
-    return smat_scale(row.get(ref, {}), Fraction(1, weight[ref]))
+    return (smat_scale(row.get(ref, {}), Fraction(1, weight[ref])),
+            mat.den.exact_div(proj.den))
 
 
 def quantum_det_gl(N: int, eps_family="so"):
@@ -575,8 +594,9 @@ def quantum_det_gl(N: int, eps_family="so"):
     for q in range(1, N + 1):
         mat = mat * tm_E(ctx, space, vars, q, arg(q))
         twisted = twisted * tm_E(ctx, space, vars, q, arg(N + 1 - q), eps_family)
-    h = ent_to_ucoeffs(ctx, _extract_proportional(mat, proj))
-    h2 = ent_to_ucoeffs(ctx, _extract_proportional(twisted, proj))
+    # the E factors carry no denominator, so each quotient's is 1
+    h = ent_to_ucoeffs(ctx, _extract_proportional(mat, proj)[0])
+    h2 = ent_to_ucoeffs(ctx, _extract_proportional(twisted, proj)[0])
     if h != h2:
         raise ConsistencyError("twisted and plain determinant forms disagree")
     return h
@@ -604,9 +624,9 @@ def sklyanin_det(ctx: LieContext):
     """
     N = ctx.N
     mat = fused_F(ctx, N, "column", Fraction(N - 1, 2))
-    entry = _extract_proportional(mat, projector_rows(ctx, mat.space, mat.vars, signed=True))
+    entry, den = _extract_proportional(mat, projector_rows(ctx, mat.space, mat.vars, signed=True))
     num = ent_to_ucoeffs(ctx, entry)
-    den = to_dense(mat.den)
+    den = to_dense(den)
     if ctx.family == "sp":
         num = dense_mul(num, [0, 1])
         den = dense_mul(den, [Fraction(N, 2), 1])

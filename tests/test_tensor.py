@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,7 @@ from capelli.weyl import sgn
 SO2 = LieContext("so", 2)
 SO3 = LieContext("so", 3)
 SP2 = LieContext("sp", 2)
+SO4 = LieContext("so", 4)
 SP4 = LieContext("sp", 4)
 
 
@@ -82,8 +84,6 @@ def test_Q_squared(fam, N):
 
 
 def test_projector_invariants():
-    import math
-
     for N in (2, 3):
         for m in (2, 3):
             space = TensorSpace(N, m)
@@ -254,10 +254,18 @@ def test_sklyanin_scalar_normalization():
     assert dense_trim(scalar) == dense_trim(dense_mul(expected, den))
 
 
-@pytest.mark.parametrize("ctx", [SO2, SP2])
+@pytest.mark.parametrize("ctx", [SO2, SP2, SO4, SP4])
 def test_theorem_62(ctx):
     series = central_series(ctx, "C", ctx.n)
     assert theorem_62_check(ctx, series) is None
+
+
+@pytest.mark.parametrize("ctx", [SO4, SP4], ids=["so4", "sp4"])
+@pytest.mark.parametrize("k,shape", [(1, "column"), (1, "row"), (2, "column")])
+def test_fusion_at_rank_four_is_the_central_series(ctx, k, shape):
+    # the N = 4 frontier, beyond the thm-3.2/3.3 suite domains
+    series = central_series(ctx, "C" if shape == "column" else "D", k)
+    assert fusion_capelli(ctx, k, shape) == series[k].uea()
 
 
 @pytest.mark.parametrize("family,N,signed,roots", [
@@ -352,7 +360,8 @@ def full_row_fused(ctx, m, shape, origin):
 
 def all_cells_extraction(mat, proj):
     """Reference for `_extract_proportional`: compare every cell of the
-    N^N x N^N matrix with the full antisymmetrizer (`proj` is ignored)."""
+    N^N x N^N matrix with the full idempotent antisymmetrizer (`proj` is
+    ignored), whose denominator is 1, so the quotient is over mat.den."""
     space = mat.space
     full = symmetrizer(space, signed=True)
     ref = min(full)
@@ -361,7 +370,7 @@ def all_cells_extraction(mat, proj):
             lhs = smat_scale(mat.entry(r, c), full[ref])
             rhs = smat_scale(mat.entry(*ref), full.get((r, c), Fraction(0)))
             assert lhs == rhs, (r, c)
-    return smat_scale(mat.entry(*ref), 1 / full[ref])
+    return smat_scale(mat.entry(*ref), 1 / full[ref]), mat.den
 
 
 def full_row_qdet(N):
@@ -373,7 +382,9 @@ def full_row_qdet(N):
     mat = TMat.from_scalar(ctx, space, vars, symmetrizer(space, signed=True))
     for q in range(1, N + 1):
         mat = mat * tm_E(ctx, space, vars, q, u - (q - 1))
-    return ent_to_ucoeffs(ctx, all_cells_extraction(mat, None))
+    entry, den = all_cells_extraction(mat, None)
+    assert den == 1
+    return ent_to_ucoeffs(ctx, entry)
 
 
 def test_orbit_sign():
@@ -388,18 +399,24 @@ def test_orbit_sign():
 
 @pytest.mark.parametrize("signed", [True, False])
 def test_projector_rows_are_the_sorted_rows(signed):
+    # the integral rows over the scalar denominator width! are the rows
+    # of the idempotent (anti)symmetrizer
     space = TensorSpace(3, 3)
     proj = projector_rows(SO3, space, ("u",), signed)
     expected = {space.code[t] for t in space.tuples
                 if list(t) == sorted(t) and (len(set(t)) == 3 or not signed)}
     assert set(proj.rows) == expected
-    partial = projector_rows(SO3, space, ("u",), signed, width=2)
-    full = smat_embed(symmetrizer(TensorSpace(3, 2), signed), 9, right=3)
-    for r, row in partial.rows.items():
-        t = space.tuples[r]
-        assert orbit_sign(t[:2], signed) == (t[:2], 1)
-        assert {c: e[((0,), ())] for c, e in row.items()} == {
-            c: v for (rr, c), v in full.items() if rr == r}
+    for width in (3, 2):
+        proj = projector_rows(SO3, space, ("u",), signed, width=width)
+        full = smat_embed(symmetrizer(TensorSpace(3, width), signed), 3 ** width,
+                          right=3 ** (3 - width))
+        den = proj.den.coefficient((0,))
+        assert proj.den == den == math.factorial(width)
+        for r, row in proj.rows.items():
+            t = space.tuples[r]
+            assert orbit_sign(t[:width], signed) == (t[:width], 1)
+            assert {c: Fraction(e[((0,), ())], den) for c, e in row.items()} == {
+                c: v for (rr, c), v in full.items() if rr == r}
 
 
 @pytest.mark.parametrize("ctx,m", [
@@ -479,6 +496,40 @@ def test_fused_F_at_the_classical_point_is_the_shifted_chain(ctx, k, shape):
         assert at_u0.entry(r, c) == shift_entry(at_0.entry(r, c), u0)
 
 
+def integral_chain(monkeypatch, build):
+    """Run `build` with every entry product checked to take only int
+    coefficients, and assert that so do the rows and the denominator of
+    the `TMat` it returns."""
+    mul = tensor.ent_mul
+
+    def checked(ctx, a, b):
+        assert all(type(x) is int for e in (a, b) for x in e.values())
+        return mul(ctx, a, b)
+
+    monkeypatch.setattr(tensor, "ent_mul", checked)
+    mat = build()
+    assert all(type(c) is int for c in mat.den.terms.values()), mat.den
+    for r, row in mat.rows.items():
+        for c, e in row.items():
+            assert all(type(x) is int for x in e.values()), (r, c)
+
+
+@pytest.mark.parametrize("ctx,k", [
+    pytest.param(c, k, id=f"{c.family}{c.N}-k{k}") for c in (SO2, SP2, SO3) for k in (1, 2)])
+@pytest.mark.parametrize("shape", ["column", "row"])
+def test_fused_F_at_the_classical_point_is_integral(ctx, k, shape, monkeypatch):
+    # at u0 the eta of the F factors cancels against the origin, and the
+    # projector is integral over m!, so the chain makes no Fraction
+    u0 = classical_point(ctx, shape, 2 * k)
+    integral_chain(monkeypatch, lambda: fused_F(ctx, 2 * k, shape, u0))
+
+
+@pytest.mark.parametrize("ctx", [SO2, SP2], ids=["so2", "sp2"])
+def test_sklyanin_chain_is_integral(ctx, monkeypatch):
+    # built at (N-1)/2, where eta cancels at even N
+    integral_chain(monkeypatch, lambda: fused_F(ctx, ctx.N, "column", Fraction(ctx.N - 1, 2)))
+
+
 def origin_zero_sklyanin(ctx):
     """Reference for `sklyanin_det`: the fused column built at u = 0,
     divided by g(u) = (2u+1)/(2u-N+1) in the symplectic case, and
@@ -486,8 +537,9 @@ def origin_zero_sklyanin(ctx):
     N = ctx.N
     mat = fused_F(ctx, N, "column", 0)
     proj = projector_rows(ctx, mat.space, mat.vars, signed=True)
-    num = ent_to_ucoeffs(ctx, tensor._extract_proportional(mat, proj))
-    den = to_dense(mat.den)
+    entry, den = tensor._extract_proportional(mat, proj)
+    num = ent_to_ucoeffs(ctx, entry)
+    den = to_dense(den)
     if ctx.family == "sp":
         num = dense_mul(num, [Fraction(1 - N, 2), 1])
         den = dense_mul(den, [Fraction(1, 2), 1])
