@@ -40,6 +40,7 @@ from .uea import (
     capelli_element_e,
     capelli_element_h,
     central_series,
+    clear_caches,
     d_k_hafnian,
     dual_pair_coeffs,
     eigenvalue_on_hwv,

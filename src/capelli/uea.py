@@ -30,6 +30,7 @@ from .core import (
     SymPoly,
     add_into,
     combine,
+    common_denominator,
     exact_terms,
     multiplicity_factorial,
     perm_sign,
@@ -248,14 +249,18 @@ def check_symbol_symmetry(ring):
 
 class _TargetRing:
     """A ring an FExpr is evaluated in: the generator images
-    f_gen(i, j), each built once, and the images of words, cached by
-    prefix.  Subclasses supply `scalar` and `_gen_image`.  Construction
-    checks the symbol symmetry the canonical words rely on."""
+    f_gen(i, j), each built once, and the images of whole expressions,
+    memoized in `_words` by their frozen term set until `clear_caches`
+    (`perfbench` reads the memo's size under that name).  An image is
+    shared by every caller that asks for it, so callers never change its
+    terms.  Subclasses supply `scalar` and `_gen_image`.
+    Construction checks the symbol symmetry the canonical words rely
+    on."""
 
     def __init__(self, ctx: LieContext):
         self.ctx = ctx
         self._gens = {}
-        self._words = {(): self.scalar(1)}
+        self._words = {}
         check_symbol_symmetry(self)
 
     def f_gen(self, i, j):
@@ -264,18 +269,36 @@ class _TargetRing:
             self._gens[key] = self._gen_image(i, j)
         return self._gens[key]
 
-    def word_image(self, word):
-        cached = self._words.get(word)
+    def image(self, terms):
+        """The image of sum c * word over the (word, c) items of `terms`.
+        The coefficients are scaled by the lcm D of their denominators to
+        ints, the scaled sum is evaluated by `_horner`, and the result is
+        divided by D once."""
+        key = frozenset(terms.items())
+        cached = self._words.get(key)
         if cached is None:
-            cached = self.word_image(word[:-1]) * self.f_gen(*word[-1])
-            self._words[word] = cached
+            den = common_denominator(terms.values())
+            cached = self._horner({w: c.numerator * (den // c.denominator)
+                                   for w, c in terms.items()})
+            if den != 1:
+                cached = cached * Fraction(1, den)
+            self._words[key] = cached
         return cached
 
-    def image(self, terms):
-        """The image of sum c * word over the (word, c) items of `terms`:
-        the word images combined over one common denominator."""
-        return self._words[()]._like(
-            combine((c, self.word_image(w).terms) for w, c in terms.items()))
+    def _horner(self, terms):
+        """Horner's rule on the last letter: the image of E is its
+        constant term plus the sum over letters l of image(E/l) f_gen(l),
+        where E/l is the sum of the words of E that end in l, with that l
+        removed.  Each product takes a partial sum whose words have
+        already cancelled, not a single word."""
+        out = dict(self.scalar(terms.get((), 0)).terms)
+        quotients = {}
+        for w, c in terms.items():
+            if w:
+                quotients.setdefault(w[-1], {})[w[:-1]] = c
+        for letter, quotient in quotients.items():
+            add_into(out, (self._horner(quotient) * self.f_gen(*letter)).terms)
+        return self.scalar(0)._like(out)
 
 
 class UEARing(_TargetRing):
@@ -345,6 +368,17 @@ def dual_ring(dual_ctx, m, N) -> DualRing:
     if key not in _RINGS:
         _RINGS[key] = DualRing(dual_ctx, m, N)
     return _RINGS[key]
+
+
+def clear_caches():
+    """Empty the memoized images of every target ring and the
+    straightening memos of every Lie context.  The rings, the contexts
+    and their generator images stay."""
+    for ring in _RINGS.values():
+        ring._words.clear()
+    for ctx in LieContext._cache.values():
+        ctx._nf.clear()
+        ctx._bracket.clear()
 
 
 class FExpr(Sparse):

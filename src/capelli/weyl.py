@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .core import (
@@ -145,26 +146,30 @@ class WeylOperator(Sparse):
             raise DimensionError(self._mismatch)
         out = {}
         nv = self.ctx.nvars
+        right = [(a2, b2, c2, [t for t in range(nv) if a2[t]])
+                 for (a2, b2), c2 in other.terms.items()]
         for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
+            for a2, b2, c2, slots in right:
+                aa = tuple(map(operator.add, a1, a2))
+                bb = tuple(map(operator.add, b1, b2))
                 # commute d^b1 past x^a2: sum over contraction multi-indices
-                hot = [t for t in range(nv) if b1[t] and a2[t]]
-                ranges = [range(min(b1[t], a2[t]) + 1) for t in hot]
-                for ks in itertools.product(*ranges):
+                hot = [t for t in slots if b1[t]]
+                if not hot:
+                    s = out.get((aa, bb), 0) + c1 * c2
+                    if s:
+                        out[aa, bb] = s
+                    else:
+                        out.pop((aa, bb), None)
+                    continue
+                for ks in itertools.product(*[range(min(b1[t], a2[t]) + 1) for t in hot]):
                     coeff = c1 * c2
+                    ka = list(aa)
+                    kb = list(bb)
                     for t, k in zip(hot, ks):
                         coeff *= math.comb(b1[t], k) * _falling(a2[t], k)
-                    if coeff == 0:
-                        continue
-                    aa = list(a1)
-                    bb = list(b2)
-                    for t in range(nv):
-                        aa[t] += a2[t]
-                        bb[t] += b1[t]
-                    for t, k in zip(hot, ks):
-                        aa[t] -= k
-                        bb[t] -= k
-                    key = (tuple(aa), tuple(bb))
+                        ka[t] -= k
+                        kb[t] -= k
+                    key = (tuple(ka), tuple(kb))
                     s = out.get(key, 0) + coeff
                     if s:
                         out[key] = s

@@ -36,7 +36,7 @@ def test_report_matches_golden_copy(entry, tmp_path, monkeypatch):
 def test_layer_tracer_patches_and_restores(monkeypatch):
     # The tracer replaces methods found in each class's own dict, so a
     # method moved to a base class would fail `install` or count nothing.
-    monkeypatch.setattr(uea, "_RINGS", {})  # no cached word images: the products run
+    monkeypatch.setattr(uea, "_RINGS", {})  # no memoized images: the products run
     add = WeylOperator.__dict__["__add__"]
     tracer = Tracer()
     tracer.install()

@@ -257,9 +257,14 @@ def _expanded_matching_expr(I, signed):
 
 
 def _oracle_rings(ctx):
+    """uea, gamma m = 1, 2, and dual when N is even: over the inner N = 2,
+    and for sp also over the odd inner N = 3, whose diagonal generator
+    images carry the fractional shift N/2."""
     rings = [uea_ring(ctx), gamma_ring(ctx, 1), gamma_ring(ctx, 2)]
     if ctx.N % 2 == 0:
         rings.append(dual_ring(ctx, ctx.N // 2, 2))
+    if ctx.family == "sp":
+        rings.append(dual_ring(ctx, ctx.N // 2, 3))
     return rings
 
 
@@ -294,17 +299,28 @@ def test_central_families_match_expanded_oracle(ctx, monkeypatch):
 
 
 def _fraction_image(ring, terms):
-    """Oracle: sum c * word_image(w) over the (w, c) items of `terms`,
-    each coefficient a Fraction and every product and sum reduced at once."""
+    """Oracle: sum c * image(w) over the (w, c) items of `terms`, the image
+    of each word the product of its generator images folded letter by
+    letter (cached by prefix), each coefficient a Fraction and every
+    product and sum reduced at once."""
+    images = {(): ring.scalar(1)}
+
+    def word_image(w):
+        if w not in images:
+            images[w] = word_image(w[:-1]) * ring.f_gen(*w[-1])
+        return images[w]
+
     out = {}
     for w, c in terms.items():
-        add_into(out, ring.word_image(w).terms, Fraction(c))
+        add_into(out, word_image(w).terms, Fraction(c))
     return out
 
 
 @pytest.mark.parametrize("ctx", [SO3, SO4, SP4], ids=repr)
 def test_evaluation_over_one_denominator_matches_fraction_oracle(ctx):
-    rings = _oracle_rings(ctx)  # uea, gamma m = 1, 2, and dual when N is even
+    # the rings include dual_ring(SP4, 2, 3), where sp_4's 408-word C_2 is
+    # summed from fractional word images
+    rings = _oracle_rings(ctx)
     fractional = False  # some coefficient has a denominator to clear
     for kind in "CD":
         series = central_series(ctx, kind, 2)
@@ -331,6 +347,7 @@ def test_stored_coefficients_are_ints_or_proper_fractions(suite, params, algebra
     # the transferred operators) and by the central series of its inner
     # and dual algebras in U(gl_N) stores an integral coefficient as an
     # int, any other as a Fraction, and never a float
+    uea.clear_caches()  # a memoized image would build no element
     built = []
     for cls in (UEAElement, WeylOperator, FExpr, SymPoly):
         def recording(self, *args, _init=cls.__init__):
@@ -348,6 +365,18 @@ def test_stored_coefficients_are_ints_or_proper_fractions(suite, params, algebra
     for x in built:
         for c in x.terms.values():
             assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (x, c)
+
+
+def test_images_are_memoized_until_cleared():
+    expr = central_series(SP2, "D", 2)[2].expr
+    ring = dual_ring(SP2, 1, 3)
+    first = expr.evaluate(ring)
+    assert FExpr(dict(expr.terms)).evaluate(ring) is first
+    uea.clear_caches()
+    assert not ring._words
+    assert not any(ctx._nf or ctx._bracket for ctx in LieContext._cache.values())
+    again = expr.evaluate(ring)
+    assert again is not first and again == first
 
 
 def test_canonical_word_counts():
