@@ -36,11 +36,14 @@ representative rows fix the whole product exactly, and every reading
 stays on them: the trace is the signed sum of the cells (sorted(t), t)
 (`projected_trace`), and the quantum determinants read one row.  Two
 products that start with the same projector are equal exactly when their
-representative rows are.  The projector is integral over its scalar
-denominator m!: its rows are m! * A, so a chain that starts with it
-stays in `int` wherever its factors are integral (at u0 the eta of `tm_F`
-cancels against the origin), and m! joins the chain's denominator, which
-every reading divides out (`fusion_capelli`, `_extract_proportional`).
+representative rows are.  There is one construction of the projector,
+and it is integral: `symmetrizer` builds m! * A, in full for the scalar
+matrix checks (decompositions, eigenvalues, vanishing), and
+`projector_rows` reads its representative rows over the scalar
+denominator m!.  So a chain that starts with it stays in `int` wherever
+its factors are integral (at u0 the eta of `tm_F` cancels against the
+origin), and m! joins the chain's denominator, which every reading
+divides out (`fusion_capelli`, `_extract_proportional`).
 
 A flag `signed` picks one of the two twin constructions throughout:
 signed means the antisymmetrizer (permutation signs, distinct indices,
@@ -134,23 +137,24 @@ class TensorSpace:
         cls._cache[key] = self
         return self
 
-    def apply_perm(self, t, sigma):
-        """Tuple whose p-th slot holds the sigma^{-1}(p)-th input slot."""
-        out = list(t)
-        for p in range(self.m):
-            out[sigma[p]] = t[p]
-        return tuple(out)
 
-
-def symmetrizer(space: TensorSpace, signed: bool):
-    """Idempotent (anti)symmetrizer of (C^N)^{(x)m}."""
+def symmetrizer(space: TensorSpace, signed: bool, width=None, rows=None):
+    """width! * A for the (anti)symmetrizer A of the first `width` tensor
+    slots (all of them by default) times the identity on the others, as
+    an integral sparse matrix over the row codes `rows` (all rows by
+    default).  Row t holds, for every permutation sigma of the first
+    `width` slots, sign(sigma) (1 when unsigned) at the column t permuted
+    by sigma; so the square is width! times the matrix."""
+    width = space.m if width is None else width
+    perms = [(sigma, perm_sign(sigma) if signed else 1)
+             for sigma in itertools.permutations(range(width))]
     out = {}
-    norm = Fraction(1, math.factorial(space.m))
-    for sigma in itertools.permutations(range(space.m)):
-        perm = {(space.code[space.apply_perm(t, sigma)], space.code[t]): 1
-                for t in space.tuples}
-        add_into(out, perm, norm * (perm_sign(sigma) if signed else 1))
-    return out
+    for r in range(space.size) if rows is None else rows:
+        t = space.tuples[r]
+        for sigma, sign in perms:
+            key = (r, space.code[tuple(t[p] for p in sigma) + t[width:]])
+            out[key] = out.get(key, 0) + sign
+    return {k: v for k, v in out.items() if v}
 
 
 def orbit_sign(t, signed):
@@ -262,12 +266,12 @@ class TMat:
         self.den = den if den is not None else SymPoly.scalar(self.vars, 1)
 
     @classmethod
-    def from_scalar(cls, ctx, space, vars, smat):
+    def from_scalar(cls, ctx, space, vars, smat, den=None):
         zero = (0,) * len(vars)
         rows = {}
         for (r, c), v in smat.items():
             rows.setdefault(r, {})[c] = {(zero, ()): v}
-        return cls(ctx, space, vars, rows)
+        return cls(ctx, space, vars, rows, den)
 
     def __mul__(self, other):
         if not isinstance(other, TMat):
@@ -315,29 +319,16 @@ def cross_equal(a: TMat, b: TMat):
 
 
 def projector_rows(ctx, space: TensorSpace, vars, signed, width=None):
-    """The (anti)symmetrizer of the first `width` tensor slots (all of
-    them by default), times the identity on the others, as a `TMat` that
-    holds only its representative rows: those whose first `width`
-    indices are sorted, and distinct when `signed`.
-
-    The projector is integral over the scalar denominator width!: the
-    row at t holds, for every permutation sigma of the first `width`
-    slots, sign(sigma) (1 when unsigned) at the column t permuted by
-    sigma, so a chain that starts with it stays in `int` wherever its
-    factors are integral."""
+    """The representative rows of `symmetrizer(space, signed, width)`
+    (those whose first `width` indices are sorted, and distinct when
+    `signed`) as a `TMat` over the scalar denominator width!, which makes
+    it the projector A itself.  The rows are integral, so a chain that
+    starts with it stays in `int` wherever its factors are integral."""
     width = space.m if width is None else width
-    zero = (0,) * len(vars)
-    rows = {}
-    for r, t in enumerate(space.tuples):
-        head = t[:width]
-        if orbit_sign(head, signed) != (head, 1):
-            continue
-        row = {}
-        for sigma in itertools.permutations(range(width)):
-            c = space.code[tuple(head[p] for p in sigma) + t[width:]]
-            row[c] = row.get(c, 0) + (perm_sign(sigma) if signed else 1)
-        rows[r] = {c: {(zero, ()): v} for c, v in row.items()}
-    return TMat(ctx, space, vars, rows, SymPoly.scalar(vars, math.factorial(width)))
+    reps = [r for r, t in enumerate(space.tuples)
+            if orbit_sign(t[:width], signed) == (t[:width], 1)]
+    return TMat.from_scalar(ctx, space, vars, symmetrizer(space, signed, width, reps),
+                            SymPoly.scalar(vars, math.factorial(width)))
 
 
 def projected_trace(mat, signed):
@@ -690,9 +681,10 @@ def theorem_62_check(ctx: LieContext, series_c: CentralSeries):
 def eigenvalue_check_gl(N: int, nu, h_coeffs):
     """The quantum determinant acts on the irreducible with highest
     weight nu by prod_q (nu_q + N - q - u); checked on the isotypic
-    component inside the |nu|-th tensor power, cut out by the symmetrizer
-    for one row and the antisymmetrizer for one column of at most N boxes
-    (any other weight raises DimensionError).  Returns None or a
+    component inside the |nu|-th tensor power, cut out by the integral
+    symmetrizer for one row and antisymmetrizer for one column of at most
+    N boxes (any other weight raises DimensionError); the check
+    H * A' = c * A' does not depend on the scale of A'.  Returns None or a
     witness."""
     nu = nu if isinstance(nu, Partition) else Partition(nu)
     if len(nu) > N or (len(nu) > 1 and nu[1] > 1):
@@ -815,31 +807,34 @@ def check_projected_products(ctx: LieContext, m: int):
 
 
 def check_symmetrizer_decompositions(N: int, m: int):
-    """Numeric products of Yang factors reproduce the idempotent
-    (anti)symmetrizers, and the idempotents behave as projectors."""
+    """The integral (anti)symmetrizers A' = m! * A and B' = m! * B of
+    `symmetrizer` are m! times projectors: A'^2 = m! * A', the same for
+    B', A' * B' = 0, tr A' = m! * C(N, m) and tr B' = m! * C(N+m-1, m).
+    The ordered product of the numeric Yang factors (a - b) - P_pq, with
+    a - b = -+(p - q) (the upper sign for A'), is the product of the
+    (a - b) times A' (B')."""
     space = TensorSpace(N, m)
+    scale = math.factorial(m)
     A = symmetrizer(space, signed=True)
     B = symmetrizer(space, signed=False)
-    if not smat_eq(smat_mul(A, A), A) or not smat_eq(smat_mul(B, B), B):
+    if any(not smat_eq(smat_mul(X, X), smat_scale(X, scale)) for X in (A, B)):
         return "projectors are not idempotent"
     if m >= 2 and smat_mul(A, B):
         return "antisymmetrizer times symmetrizer is not zero"
-    if smat_trace(A) != math.comb(N, m) or smat_trace(B) != math.comb(N + m - 1, m):
+    if (smat_trace(A) != scale * math.comb(N, m)
+            or smat_trace(B) != scale * math.comb(N + m - 1, m)):
         return "projector traces are off"
-
-    def numeric_R(p, q, a, b):
-        return add_into(smat_identity(space.size), exchange_P(space, p, q),
-                        Fraction(-1, a - b))
-
     for signed, proj in ((True, A), (False, B)):
-        step = -1 if signed else 1
         # both loops must ascend: descending the inner loop composes the
         # transposed chain and misses the projector for m >= 3
-        prod = smat_identity(space.size)
+        prod, weight = smat_identity(space.size), 1
         for p in range(1, m):
             for q in range(p + 1, m + 1):
-                prod = smat_mul(prod, numeric_R(p, q, step * (p - 1), step * (q - 1)))
-        if not smat_eq(smat_scale(prod, Fraction(1, math.factorial(m))), proj):
+                d = (q - p) if signed else (p - q)
+                factor = add_into(smat_scale(smat_identity(space.size), d),
+                                  exchange_P(space, p, q), -1)
+                prod, weight = smat_mul(prod, factor), weight * d
+        if not smat_eq(prod, smat_scale(proj, weight)):
             return f"{'' if signed else 'un'}signed product decomposition failed"
     return None
 
@@ -923,11 +918,12 @@ def verify_vanishing(m: int, l: int, N: int, family: str, signed: bool):
     isotypic components of the small tensor power are killed).  At l = m
     each product must kill the one-row (signed) or one-column (unsigned)
     component, and the plain antisymmetrized product must also equal the
-    distinct-index exchange sum.
+    distinct-index exchange sum.  Every check is linear in the projector,
+    so it is the integral m! * A of `symmetrizer`.
     """
     out = []
     space = TensorSpace(N, m + l)
-    proj = smat_embed(symmetrizer(TensorSpace(N, m), signed), N ** m, right=N ** l)
+    proj = symmetrizer(space, signed, width=m)
     step = 1 if signed else -1
 
     def record(cid, ok, detail):

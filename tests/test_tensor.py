@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from capelli.core import (
     dense_add,
     dense_mul,
     dense_trim,
+    perm_sign,
     to_dense,
 )
 from capelli.uea import LieContext, UEAElement, c_k_pfaffian, central_series, d_k_hafnian, is_central
@@ -39,6 +41,7 @@ from capelli.tensor import (
     smat_identity,
     smat_mul,
     smat_scale,
+    smat_trace,
     symmetrizer,
     theorem_62_check,
     tm_E,
@@ -83,17 +86,104 @@ def test_Q_squared(fam, N):
     assert smat_eq(smat_mul(Q, Q), smat_scale(Q, N))
 
 
+def idempotent_symmetrizer(space, signed):
+    """Reference for `symmetrizer`: the idempotent (anti)symmetrizer of
+    (C^N)^{(x)m}, the sum over sigma of sign(sigma)/m! (1/m! when
+    unsigned) times the operator that moves the p-th slot of an index
+    tuple to slot sigma(p)."""
+    out = {}
+    norm = Fraction(1, math.factorial(space.m))
+    for sigma in itertools.permutations(range(space.m)):
+        perm = {}
+        for t in space.tuples:
+            s = [None] * space.m
+            for p in range(space.m):
+                s[sigma[p]] = t[p]
+            perm[(space.code[tuple(s)], space.code[t])] = 1
+        add_into(out, perm, norm * (perm_sign(sigma) if signed else 1))
+    return out
+
+
+@pytest.mark.parametrize("N,m", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)])
+@pytest.mark.parametrize("signed", [True, False])
+def test_symmetrizer_is_width_factorial_times_the_idempotent(N, m, signed):
+    space = TensorSpace(N, m)
+    for width in range(m + 1):
+        full = smat_embed(idempotent_symmetrizer(TensorSpace(N, width), signed), N ** width,
+                          right=N ** (m - width))
+        expected = smat_scale(full, math.factorial(width))
+        got = symmetrizer(space, signed, width)
+        assert got == expected
+        assert all(type(v) is int for v in got.values())
+        rows = range(1, space.size, 2)
+        assert symmetrizer(space, signed, width, rows) == {
+            (r, c): v for (r, c), v in expected.items() if r in rows}
+    assert symmetrizer(space, signed) == symmetrizer(space, signed, m)
+
+
 def test_projector_invariants():
+    # A' = m! * A and B' = m! * B for the idempotents A and B
     for N in (2, 3):
         for m in (2, 3):
             space = TensorSpace(N, m)
+            scale = math.factorial(m)
             A = symmetrizer(space, True)
             B = symmetrizer(space, False)
-            assert smat_eq(smat_mul(A, A), A)
-            assert smat_eq(smat_mul(B, B), B)
+            assert smat_eq(smat_mul(A, A), smat_scale(A, scale))
+            assert smat_eq(smat_mul(B, B), smat_scale(B, scale))
             assert not smat_mul(A, B)
-            assert sum(c for (r, q), c in A.items() if r == q) == math.comb(N, m)
-            assert sum(c for (r, q), c in B.items() if r == q) == math.comb(N + m - 1, m)
+            assert smat_trace(A) == scale * math.comb(N, m)
+            assert smat_trace(B) == scale * math.comb(N + m - 1, m)
+
+
+def test_symmetrizer_decompositions_fail_at_the_idempotent_scale(monkeypatch):
+    monkeypatch.setattr(tensor, "symmetrizer",
+                        lambda space, signed, width=None, rows=None:
+                        idempotent_symmetrizer(space, signed))
+    assert tensor.check_symmetrizer_decompositions(2, 2) is not None
+
+
+def test_symmetrizer_decompositions_fail_on_a_flipped_sign(monkeypatch):
+    build = tensor.symmetrizer
+
+    def flipped(space, signed, width=None, rows=None):
+        out = build(space, signed, width, rows)
+        if signed:
+            key = min(out)
+            out[key] = -out[key]
+        return out
+
+    monkeypatch.setattr(tensor, "symmetrizer", flipped)
+    assert tensor.check_symmetrizer_decompositions(2, 2) is not None
+
+
+def test_verify_vanishing_fails_on_the_symmetric_projector(monkeypatch):
+    build = tensor.symmetrizer
+    monkeypatch.setattr(tensor, "symmetrizer",
+                        lambda space, signed, width=None, rows=None:
+                        build(space, False, width, rows))
+    assert any(witness is not None for _cid, witness in verify_vanishing(2, 1, 2, "so", True))
+
+
+@pytest.mark.parametrize("check", [
+    lambda: tensor.check_symmetrizer_decompositions(3, 3),
+    lambda: verify_vanishing(2, 2, 2, "sp", False),
+    lambda: eigenvalue_check_gl(2, (1, 1), quantum_det_gl(2)),
+], ids=["dec-3.04", "vanishing", "eigenvalue"])
+def test_scalar_matrix_checks_are_integral(check, monkeypatch):
+    # every scalar matrix product takes only int cells, and the check passes
+    mul = tensor.smat_mul
+    calls = []
+
+    def checked(a, b):
+        assert all(type(x) is int for mat in (a, b) for x in mat.values())
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(tensor, "smat_mul", checked)
+    out = check()
+    assert calls
+    assert out is None or all(witness is None for _cid, witness in out)
 
 
 @pytest.mark.parametrize("ctx", [SO2, SO3, SP2])
@@ -350,7 +440,7 @@ def full_row_fused(ctx, m, shape, origin):
     def arg(q):
         return u - (q - 1) if signed else u + (q - 1)
 
-    mat = TMat.from_scalar(ctx, space, vars, symmetrizer(space, signed))
+    mat = TMat.from_scalar(ctx, space, vars, idempotent_symmetrizer(space, signed))
     for q in range(1, m + 1):
         if q > 1:
             mat = mat * tm_q_correction(ctx, space, vars, q, arg(1) + arg(q))
@@ -363,7 +453,7 @@ def all_cells_extraction(mat, proj):
     N^N x N^N matrix with the full idempotent antisymmetrizer (`proj` is
     ignored), whose denominator is 1, so the quotient is over mat.den."""
     space = mat.space
-    full = symmetrizer(space, signed=True)
+    full = idempotent_symmetrizer(space, signed=True)
     ref = min(full)
     for r in range(space.size):
         for c in range(space.size):
@@ -379,7 +469,7 @@ def full_row_qdet(N):
     space = TensorSpace(N, N)
     vars = ("u",)
     u = SymPoly.variable(vars, "u")
-    mat = TMat.from_scalar(ctx, space, vars, symmetrizer(space, signed=True))
+    mat = TMat.from_scalar(ctx, space, vars, idempotent_symmetrizer(space, signed=True))
     for q in range(1, N + 1):
         mat = mat * tm_E(ctx, space, vars, q, u - (q - 1))
     entry, den = all_cells_extraction(mat, None)
@@ -408,7 +498,7 @@ def test_projector_rows_are_the_sorted_rows(signed):
     assert set(proj.rows) == expected
     for width in (3, 2):
         proj = projector_rows(SO3, space, ("u",), signed, width=width)
-        full = smat_embed(symmetrizer(TensorSpace(3, width), signed), 3 ** width,
+        full = smat_embed(idempotent_symmetrizer(TensorSpace(3, width), signed), 3 ** width,
                           right=3 ** (3 - width))
         den = proj.den.coefficient((0,))
         assert proj.den == den == math.factorial(width)
