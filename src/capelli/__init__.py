@@ -32,8 +32,6 @@ from .weyl import (
     theta_AI,
 )
 from .uea import (
-    CentralElement,
-    CentralSeries,
     LieContext,
     UEAElement,
     c_k_pfaffian,
@@ -45,7 +43,6 @@ from .uea import (
     dual_pair_coeffs,
     eigenvalue_on_hwv,
     gamma,
-    gamma_prime,
     hafnian_psi,
     hc_polynomial,
     pbw_normal_form,

@@ -79,7 +79,7 @@ from .core import (
     to_dense,
 )
 from .symfun import Partition
-from .uea import CentralSeries, LieContext, UEAElement, _normal_form
+from .uea import LieContext, UEAElement, _normal_form, uea_ring
 from .weyl import eps_ij, index_set
 
 
@@ -639,14 +639,16 @@ def ladder_roots(ctx: LieContext, signed: bool, K: int):
     return [(b - j) ** 2 if signed else (b + j - 1) ** 2 for j in range(1, K + 1)]
 
 
-def generating_functions(ctx: LieContext, K: int, series_c: CentralSeries,
-                         series_d: CentralSeries):
-    """Package the two generating functions in t = u^2 and assert that
-    their product is 1 + O(t^{-K-1}), by `series_defect`."""
+def generating_functions(ctx: LieContext, K: int, series_c, series_d):
+    """Package the two generating functions in t = u^2 of the formula
+    series `series_c` and `series_d` (from `central_series`, read in
+    U(gl_N)) and assert that their product is 1 + O(t^{-K-1}), by
+    `series_defect`."""
     n = ctx.n
     kc = min(K, n)
-    c_elems = [series_c[k].uea() for k in range(0, kc + 1)]
-    d_elems = [series_d[k].uea() for k in range(0, K + 1)]
+    ring = uea_ring(ctx)
+    c_elems = [series_c[k].evaluate(ring) for k in range(0, kc + 1)]
+    d_elems = [series_d[k].evaluate(ring) for k in range(0, K + 1)]
     c_num, c_den = series_as_fraction(c_elems, linear_ladder(ladder_roots(ctx, True, kc)))
     d_num, d_den = series_as_fraction(d_elems, linear_ladder(ladder_roots(ctx, False, K)))
     one = [1]
@@ -664,18 +666,34 @@ def generating_functions(ctx: LieContext, K: int, series_c: CentralSeries,
 # -- the section-6 identity -------------------------------------------------------
 
 
-def theorem_62_check(ctx: LieContext, series_c: CentralSeries):
-    """The generating function C(u) of the signed family times the scalar
-    part `_sklyanin_scalar` equals the quantum determinant Cbar(u +
-    (N-1)/2), as `sklyanin_det` returns it.  Exact cross-multiplied
-    identity; returns None or a witness string."""
+def theorem_62_check(ctx: LieContext, series_c):
+    """The generating function C(u) of the signed family (the formula
+    series `series_c` from `central_series`) times the scalar part
+    `_sklyanin_scalar` equals the quantum determinant Cbar(u + (N-1)/2),
+    as `sklyanin_det` returns it.  Exact cross-multiplied identity;
+    returns None or a witness string."""
     n = ctx.n
     cbar_num, cbar_den = sklyanin_det(ctx)
     # C(u) in the variable u (ladder roots are squares, expand in u)
     ladder = [[-r, 0, 1] for r in ladder_roots(ctx, True, n)]
-    cnum, cden = series_as_fraction([series_c[k].uea() for k in range(n + 1)], ladder)
+    ring = uea_ring(ctx)
+    cnum, cden = series_as_fraction([series_c[k].evaluate(ring) for k in range(n + 1)], ladder)
     lhs = dense_mul(cnum, dense_mul(_sklyanin_scalar(ctx), cbar_den))
     return dense_first_difference(lhs, dense_mul(cbar_num, cden), "u")
+
+
+def slot_action(space: TensorSpace, i, j, slots):
+    """The generator E_ij of gl_N acting on the tensor slots `slots`
+    (1-based) of `space`: the sum over those slots of the matrix unit
+    e_ij in that slot, as a scalar matrix."""
+    out = {}
+    for r, t in enumerate(space.tuples):
+        for slot in slots:
+            if t[slot - 1] == j:
+                w = list(t)
+                w[slot - 1] = i
+                add_into(out, {(space.code[tuple(w)], r): 1})
+    return out
 
 
 def eigenvalue_check_gl(N: int, nu, h_coeffs):
@@ -696,15 +714,7 @@ def eigenvalue_check_gl(N: int, nu, h_coeffs):
     def pi_word(word):
         acc = smat_identity(space.size)
         for gid in word:
-            i, j = ctx.gen_pair(gid)
-            gen = {}
-            for r, t in enumerate(space.tuples):
-                for slot in range(s):
-                    if t[slot] == j:
-                        w = list(t)
-                        w[slot] = i
-                        add_into(gen, {(space.code[tuple(w)], r): 1})
-            acc = smat_mul(acc, gen)
+            acc = smat_mul(acc, slot_action(space, *ctx.gen_pair(gid), range(1, s + 1)))
         return acc
 
     proj = symmetrizer(space, signed=len(nu) > 1)
@@ -726,10 +736,14 @@ def eigenvalue_check_gl(N: int, nu, h_coeffs):
 
 def check_exchange_relation(ctx: LieContext):
     """The fundamental exchange relation between two spectral copies of
-    the generator matrix, conjugated by the Yang and twisted factors."""
+    the generator matrix, conjugated by the Yang and twisted factors.
+    It is built in U = u + eta and V = v + eta (u, v = U - eta, V - eta):
+    that substitution is a ring automorphism, so the relation holds in U
+    and V as it does in u and v, and every factor is integral there (F's
+    shift is U, R's denominator U - V, Rt's U + V - 2 eta = U + V -+ 1)."""
     space = TensorSpace(ctx.N, 2)
     vars = ("u", "v")
-    u, v = SymPoly.gens(vars)
+    u, v = (x - ctx.eta for x in SymPoly.gens(vars))
     R = tm_R(ctx, space, vars, 1, 2, u, v)
     Rt = tm_Rt(ctx, space, vars, 1, 2, u, v)
     F1 = tm_F(ctx, space, vars, 1, u)
@@ -959,10 +973,14 @@ def verify_vanishing(m: int, l: int, N: int, family: str, signed: bool):
         record(f"antisym-distinct-sum[{tag}]", smat_eq(plain, distinct),
                "antisymmetrized product differs from the distinct-index sum")
     if signed and m == 1:
+        # sum_r P_{1,1+r} = sum_ij pi_1(E_ij) * sum_r pi_{1+r}(E_ji), from
+        # the generator matrices rather than from `exchange_P`
         base = _image_factor(space, 1, l, 1, 0, None)
         expect = {}
-        for r in range(1, l + 1):
-            add_into(expect, exchange_P(space, 1, 1 + r))
+        for i in space.indices:
+            for j in space.indices:
+                add_into(expect, smat_mul(slot_action(space, i, j, (1,)),
+                                          slot_action(space, j, i, range(2, l + 2))))
         record(f"antisym-single-factor-base[{tag}]", smat_eq(base, expect),
                "single-factor image is not the exchange sum")
     return out

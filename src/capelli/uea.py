@@ -5,10 +5,13 @@ Everything is computed inside U(gl_N): elements of the orthogonal and
 symplectic subalgebras are expanded through F_ij = E_ij - eps_ij E_{-j,-i}
 and normal-ordered against a single straightening engine for the E
 generators.  Noncommutative polynomials in the F symbols are kept as
-`FExpr` objects so that the same formula (a Pfaffian, a Hafnian, a
-product of central elements) can be evaluated inside U(gl_N), through
-the natural action on polynomials, or through the dual (oscillator)
-action, by swapping the target ring.
+`FExpr` objects, and a central element is its formula: one `FExpr` (a
+Pfaffian, a Hafnian, a product of central elements), read inside
+U(gl_N), through the natural action on polynomials, or through the dual
+(oscillator) action by evaluating it in `uea_ring`, `gamma_ring` or
+`dual_ring`.  Each target ring is built once per parameter set and
+memoizes the image of every expression it has evaluated; that memo is
+the only cache of images.
 
 Since F_{-j,-i} = -eps_ij F_ij, the formulas keep one canonical spelling
 of each symbol (`canonical_symbol`).  A target ring is valid only if its
@@ -70,10 +73,10 @@ class LieContext:
         self.indices = index_set(N)
         self._pos = {i: p for p, i in enumerate(self.indices)}
         if family == "so":
-            self.eps = Fraction(0) if N % 2 == 0 else Fraction(1, 2)
+            self.eps = 0 if N % 2 == 0 else Fraction(1, 2)
             self.eta = Fraction(1, 2)
         elif family == "sp":
-            self.eps = Fraction(1)
+            self.eps = 1
             self.eta = Fraction(-1, 2)
         else:
             self.eps = None
@@ -349,25 +352,25 @@ class DualRing(_TargetRing):
 _RINGS = {}
 
 
-def uea_ring(ctx) -> UEARing:
-    key = ("uea", ctx.family, ctx.N)
+def _ring(cls, *args):
+    """The one `cls(*args)` ring, built on first use and kept in `_RINGS`
+    (the contexts in `args` are singletons)."""
+    key = (cls, *args)
     if key not in _RINGS:
-        _RINGS[key] = UEARing(ctx)
+        _RINGS[key] = cls(*args)
     return _RINGS[key]
+
+
+def uea_ring(ctx) -> UEARing:
+    return _ring(UEARing, ctx)
 
 
 def gamma_ring(ctx, m) -> GammaRing:
-    key = ("gamma", ctx.family, ctx.N, m)
-    if key not in _RINGS:
-        _RINGS[key] = GammaRing(ctx, m)
-    return _RINGS[key]
+    return _ring(GammaRing, ctx, m)
 
 
 def dual_ring(dual_ctx, m, N) -> DualRing:
-    key = ("dual", dual_ctx.family, dual_ctx.N, m, N)
-    if key not in _RINGS:
-        _RINGS[key] = DualRing(dual_ctx, m, N)
-    return _RINGS[key]
+    return _ring(DualRing, dual_ctx, m, N)
 
 
 def clear_caches():
@@ -404,10 +407,6 @@ class FExpr(Sparse):
     @classmethod
     def one(cls):
         return cls.scalar(None, 1)
-
-    @classmethod
-    def gen(cls, i, j, coeff=1):
-        return cls({((i, j),): scal(coeff)})
 
     def _home(self):
         return None
@@ -563,33 +562,6 @@ def _family_expr(ctx: LieContext, k: int, signed: bool) -> FExpr:
     return FExpr(combine(pairs))
 
 
-class CentralElement:
-    """A central element carried both as a formula in the F symbols and,
-    lazily, as a PBW normal form."""
-
-    __slots__ = ("ctx", "expr", "label", "_uea")
-
-    def __init__(self, ctx: LieContext, expr: FExpr, label: str):
-        self.ctx = ctx
-        self.expr = expr
-        self.label = label
-        self._uea = None
-
-    def uea(self) -> UEAElement:
-        if self._uea is None:
-            self._uea = self.expr.evaluate(uea_ring(self.ctx))
-        return self._uea
-
-    def gamma(self, m: int) -> WeylOperator:
-        return self.expr.evaluate(gamma_ring(self.ctx, m))
-
-    def gamma_prime(self, m: int, N: int) -> WeylOperator:
-        return self.expr.evaluate(dual_ring(self.ctx, m, N))
-
-    def __repr__(self):
-        return f"CentralElement({self.label} in {self.ctx})"
-
-
 def gamma(x: UEAElement, m: int) -> WeylOperator:
     """Natural action on the polynomial ring, extended from the generator
     images over the PBW words."""
@@ -597,34 +569,23 @@ def gamma(x: UEAElement, m: int) -> WeylOperator:
     return ring.image({tuple(x.ctx.gen_pair(g) for g in w): c for w, c in x.terms.items()})
 
 
-def gamma_prime(expr, dual_ctx: LieContext, m: int, N: int) -> WeylOperator:
-    """Dual action on the polynomial ring applied to a formula in the
-    generators of the commutant algebra."""
-    if isinstance(expr, CentralElement):
-        expr = expr.expr
-    return expr.evaluate(dual_ring(dual_ctx, m, N))
-
-
 # -- eigenvalues and the Harish-Chandra oracle -------------------------------
 
 
-def is_central(x: UEAElement, ctx: LieContext) -> bool:
+def is_central(x: UEAElement) -> bool:
+    ctx = x.ctx
     gens = (ctx.f_pairs() if ctx.family != "gl"
             else [(i, j) for i in ctx.indices for j in ctx.indices])
     make = UEAElement.F if ctx.family != "gl" else UEAElement.E
     return all(x.bracket(make(ctx, i, j)).is_zero() for i, j in gens)
 
 
-def eigenvalue_on_hwv(z, lam, ctx: LieContext = None, check_central=True) -> Scalar:
+def eigenvalue_on_hwv(z: UEAElement, lam, *, check_central=True) -> Scalar:
     """Eigenvalue of a central element on the irreducible with highest
     weight lam, read off from its action on the explicit highest-weight
     vector in the polynomial ring with m = n rows."""
-    if isinstance(z, CentralElement):
-        ctx = z.ctx
-        z = z.uea()
-    if ctx is None:
-        raise ValueError("context required for a bare element")
-    if check_central and not is_central(z, ctx):
+    ctx = z.ctx
+    if check_central and not is_central(z):
         raise ConsistencyError("element is not invariant (or the engine is broken)")
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     n = ctx.n
@@ -676,8 +637,7 @@ def _solve_exact(rows, rhs, ncols):
     return sol
 
 
-def hc_polynomial(z, degree_bound: int, ctx: LieContext = None,
-                  in_l_squared=False) -> SymPoly:
+def hc_polynomial(z: UEAElement, degree_bound: int, *, in_l_squared=False) -> SymPoly:
     """Harish-Chandra image of a central element, interpolated from its
     eigenvalues on a grid of dominant weights.
 
@@ -686,10 +646,7 @@ def hc_polynomial(z, degree_bound: int, ctx: LieContext = None,
     eigenvalue; returned in the lam variables, or in the squared-l
     variables when `in_l_squared` is set.
     """
-    if isinstance(z, CentralElement):
-        ctx = z.ctx
-    if ctx is None:
-        raise ValueError("context required for a bare element")
+    ctx = z.ctx
     n = ctx.n
     basis = list(partitions_with(n, max_weight=degree_bound))
     yvars = tuple(f"y{p}" for p in range(1, n + 1))
@@ -701,7 +658,7 @@ def hc_polynomial(z, degree_bound: int, ctx: LieContext = None,
         ls = [lam[p] + ctx.rho[p - 1] for p in range(1, n + 1)]
         ys = {f"y{p}": ls[p - 1] ** 2 for p in range(1, n + 1)}
         rows.append([bp.evaluate(ys) for bp in basis_polys])
-        rhs.append(eigenvalue_on_hwv(z, lam, ctx, check_central=first))
+        rhs.append(eigenvalue_on_hwv(z, lam, check_central=first))
         first = False
     coeffs = _solve_exact(rows, rhs, len(basis))
     result = SymPoly(yvars, combine((c, bp.terms) for c, bp in zip(coeffs, basis_polys)))
@@ -743,26 +700,6 @@ def express_in_family(target: SymPoly, gens, gen_degrees, n: int):
     return {alpha: c for alpha, c in zip(alphas, sol) if c != 0}
 
 
-class CentralSeries:
-    """The coefficients of one of the two central generating functions:
-    kind "C" (signed family, zero past the rank) or kind "D" (unsigned
-    family), computed to the order K it was built with."""
-
-    def __init__(self, ctx: LieContext, kind: str, elements):
-        self.ctx = ctx
-        self.kind = kind
-        self.elements = list(elements)
-
-    def __getitem__(self, k):
-        if k < 0:
-            raise IndexError("the series has no negative index")
-        if k == 0:
-            return CentralElement(self.ctx, FExpr.one(), f"{self.kind}_0")
-        if k <= len(self.elements):
-            return self.elements[k - 1]
-        raise IndexError("series computed to lower order")
-
-
 def hc_target(ctx: LieContext, kind: str, k: int) -> SymPoly:
     """Harish-Chandra image of the k-th element of kind "C" or "D", in the
     squared variables l_p^2: (-1)^k e_k or h_k, the factorial elementary
@@ -772,8 +709,12 @@ def hc_target(ctx: LieContext, kind: str, k: int) -> SymPoly:
     return h_factorial(k, ctx.n, ctx.shift_sequence)
 
 
-def central_series(ctx: LieContext, kind: str, K: int) -> CentralSeries:
-    """Construct the first K coefficients of the requested family.
+def central_series(ctx: LieContext, kind: str, K: int) -> tuple[FExpr, ...]:
+    """The formulas (X_0, X_1, ..., X_K) of the first K coefficients of
+    the requested family, kind "C" (signed, zero past the rank) or kind
+    "D" (unsigned), with X_0 = 1.  Each is read in a target ring by
+    `X.evaluate(uea_ring(ctx))`, `gamma_ring(ctx, m)` or
+    `dual_ring(ctx, m, N)`, whose memo holds the image.
 
     The native constructions are the Pfaffian sums (signed family over
     so_N) and the Hafnian sums (unsigned family over sp_N).  The
@@ -802,8 +743,7 @@ def central_series(ctx: LieContext, kind: str, K: int) -> CentralSeries:
                         prod = prod * g
                 pairs.append((c, prod.terms))
             exprs.append(FExpr(combine(pairs)))
-    return CentralSeries(ctx, kind, [CentralElement(ctx, expr, f"{kind}_{k}")
-                                     for k, expr in enumerate(exprs, start=1)])
+    return (FExpr.one(), *exprs)
 
 
 def c_k_pfaffian(ctx: LieContext, k: int) -> UEAElement:

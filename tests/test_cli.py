@@ -110,12 +110,20 @@ def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
 
 def test_max_cells_guard(monkeypatch, capsys):
     monkeypatch.setenv("VERIFY_MAX_CELLS", "4")
-    assert main(["verify", "capelli-gl", "--N", "3", "--m", "3"]) == 2
+    assert main(["verify", "thm-3.2", "--N", "3", "--k", "1"]) == 2
+    assert "tensor space 3^2 exceeds the 4-cell guard" in capsys.readouterr().err
     for raw in ("abc", "0", "-3", ""):
         monkeypatch.setenv("VERIFY_MAX_CELLS", raw)
         assert main(["verify", "thm-3.2", "--N", "2", "--k", "1"]) == 2
         err = capsys.readouterr().err
         assert f"error: VERIFY_MAX_CELLS must be a positive integer, got {raw!r}" in err
+
+
+def test_max_cells_guard_spares_suites_without_a_tensor_space(monkeypatch, capsys):
+    # capelli-gl builds no tensor space, so a 4-cell guard does not stop it
+    monkeypatch.setenv("VERIFY_MAX_CELLS", "4")
+    assert main(["verify", "capelli-gl", "--N", "3", "--m", "3"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_run_suite_rejects_unknown():

@@ -16,7 +16,15 @@ from capelli.core import (
     perm_sign,
     to_dense,
 )
-from capelli.uea import LieContext, UEAElement, c_k_pfaffian, central_series, d_k_hafnian, is_central
+from capelli.uea import (
+    LieContext,
+    UEAElement,
+    c_k_pfaffian,
+    central_series,
+    d_k_hafnian,
+    is_central,
+    uea_ring,
+)
 from capelli.tensor import (
     TMat,
     TensorSpace,
@@ -258,7 +266,7 @@ def test_fusion_column_vanishes_past_rank():
 
 def test_fusion_value_is_central():
     v = fusion_capelli(SO3, 1, "row")
-    assert is_central(v, SO3)
+    assert is_central(v)
 
 
 def check_trace_invariance(ctx, m, shape):
@@ -285,6 +293,22 @@ def test_verify_relations_all_pass():
             assert witness is None, cid
 
 
+@pytest.mark.parametrize("ctx", [SO2, SO3, SP2], ids=repr)
+def test_exchange_relation_is_integral(ctx, monkeypatch):
+    # built in u + eta and v + eta, every factor of prop-3.1 is integral
+    calls = integral_products(monkeypatch)
+    assert tensor.check_exchange_relation(ctx) is None
+    assert calls
+
+
+@pytest.mark.parametrize("ctx", [SO2, SO3, SP2], ids=repr)
+def test_exchange_relation_fails_without_the_twist(ctx, monkeypatch):
+    # Rt stripped of Q is the identity: the relation must then fail
+    monkeypatch.setattr(tensor, "tm_Rt", lambda ctx, space, vars, p, q, arg_u, arg_v:
+                        tm_one_plus(ctx, space, vars, {}, arg_u + arg_v))
+    assert tensor.check_exchange_relation(ctx) is not None
+
+
 def test_verify_relations_computes_only_selected_checks(monkeypatch):
     full = verify_relations(SP2, m_max=3)
     for name in ("check_exchange_relation", "check_rrr_relation", "check_boundary_regularity",
@@ -302,6 +326,23 @@ def test_verify_vanishing_all_pass():
                 for signed in (True, False):
                     for cid, witness in verify_vanishing(m, l, 2, fam, signed):
                         assert witness is None, cid
+
+
+def test_single_factor_base_fails_on_a_corrupted_exchange_operator(monkeypatch):
+    # the exchange sum is built from generator matrices, not from
+    # `exchange_P`, so a wrong cell of `exchange_P` shows
+    build = tensor.exchange_P
+
+    def corrupted(space, p, q):
+        out = build(space, p, q)
+        out[min(out)] = 2
+        return out
+
+    monkeypatch.setattr(tensor, "exchange_P", corrupted)
+    for fam in ("so", "sp"):
+        for l in (1, 2):
+            checks = dict(verify_vanishing(1, l, 2, fam, True))
+            assert checks[f"antisym-single-factor-base[m=1,l={l},N=2,{fam}]"] is not None
 
 
 @pytest.mark.parametrize("fam", ["so", "sp"])
@@ -355,7 +396,7 @@ def test_theorem_62(ctx):
 def test_fusion_at_rank_four_is_the_central_series(ctx, k, shape):
     # the N = 4 frontier, beyond the thm-3.2/3.3 suite domains
     series = central_series(ctx, "C" if shape == "column" else "D", k)
-    assert fusion_capelli(ctx, k, shape) == series[k].uea()
+    assert fusion_capelli(ctx, k, shape) == series[k].evaluate(uea_ring(ctx))
 
 
 @pytest.mark.parametrize("family,N,signed,roots", [
@@ -586,17 +627,26 @@ def test_fused_F_at_the_classical_point_is_the_shifted_chain(ctx, k, shape):
         assert at_u0.entry(r, c) == shift_entry(at_0.entry(r, c), u0)
 
 
+def integral_products(monkeypatch):
+    """Check from now on that every entry product takes only int
+    coefficients; returns the list that each product appends to."""
+    mul = tensor.ent_mul
+    calls = []
+
+    def checked(ctx, a, b):
+        assert all(type(x) is int for e in (a, b) for x in e.values())
+        calls.append(1)
+        return mul(ctx, a, b)
+
+    monkeypatch.setattr(tensor, "ent_mul", checked)
+    return calls
+
+
 def integral_chain(monkeypatch, build):
     """Run `build` with every entry product checked to take only int
     coefficients, and assert that so do the rows and the denominator of
     the `TMat` it returns."""
-    mul = tensor.ent_mul
-
-    def checked(ctx, a, b):
-        assert all(type(x) is int for e in (a, b) for x in e.values())
-        return mul(ctx, a, b)
-
-    monkeypatch.setattr(tensor, "ent_mul", checked)
+    integral_products(monkeypatch)
     mat = build()
     assert all(type(c) is int for c in mat.den.terms.values()), mat.den
     for r, row in mat.rows.items():
