@@ -404,17 +404,19 @@ class SymPoly(Sparse):
             raise DimensionError(self._mismatch)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = self
+        rem = dict(self.terms)  # divided in place
         q = {}
         dev, dc = divisor._lead()
-        while not rem.is_zero():
-            rev, rc = rem._lead()
+        while rem:
+            rev = max(rem)
+            rc = rem[rev]
             qev = tuple(a - b for a, b in zip(rev, dev))
             if any(e < 0 for e in qev):
                 raise ExactDivisionError("inexact polynomial division")
-            qc = Fraction(rc, dc)
+            qc = rc * dc if dc in (1, -1) else Fraction(rc, dc)
             q[qev] = qc  # the leading exponent strictly drops, so qev is new
-            rem = rem - SymPoly(self.vars, {qev: qc}) * divisor
+            add_into(rem, {tuple(a + b for a, b in zip(qev, ev)): c
+                           for ev, c in divisor.terms.items()}, -qc)
         return SymPoly(self.vars, q)
 
     # -- display ---------------------------------------------------------

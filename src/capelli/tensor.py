@@ -13,6 +13,16 @@ is a ring homomorphism, so every identity of the chain holds in eps as
 it does in u.  The value at u0, where the denominator vanishes, is a
 quotient of Taylor coefficients at eps = 0, read at the pole order.
 
+That reading needs the numerator only mod eps^(D+1), where D is the pole
+order, and reducing mod eps^(D+1) is a ring homomorphism (the arithmetic
+of truncated power series, Knuth, TAOCP vol. 2, 4.7).  So `fusion_capelli`
+builds its chain's factors first, takes D from their denominators, the
+projector's m! and the normalizing factor's denominator, and keeps every
+product mod eps^(D+1) (`TMat.order`, `ent_mul`'s `order`); the
+denominators stay whole.  `cross_equal` compares two truncated matrices
+as far as both are known.  `sklyanin_det` keeps the full polynomial,
+since Theorem 6.2 compares the whole generating function.
+
 Scalar polynomials in the spectral variables (denominators, arguments,
 normalizing factors) are `SymPoly` values.  An entry maps (exponent
 vector, PBW word) to a nonzero scalar; entries and the plain scalar
@@ -58,6 +68,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from fractions import Fraction
 
@@ -212,11 +223,19 @@ def smat_embed(b, size, left=1, right=1):
 # An entry maps (exponent vector, PBW word) to a nonzero scalar.
 
 
-def ent_mul(ctx, a, b):
+def ent_mul(ctx, a, b, *, order=None):
+    """The product of two entries; with `order` T, the product mod eps^T:
+    a pair of terms whose degrees sum to T or more is dropped before its
+    word is straightened."""
+    limit = math.inf if order is None else order
+    terms = [(e2, sum(e2), w2, c2) for (e2, w2), c2 in b.items()]
     out = {}
     for (e1, w1), c1 in a.items():
-        for (e2, w2), c2 in b.items():
-            ev = tuple(x + y for x, y in zip(e1, e2))
+        d1 = sum(e1)
+        for e2, d2, w2, c2 in terms:
+            if d1 + d2 >= limit:
+                continue
+            ev = tuple(map(operator.add, e1, e2))
             c12 = c1 * c2
             for w, c in _normal_form(ctx, w1 + w2).items():
                 k = (ev, w)
@@ -234,6 +253,18 @@ def ent_scalar_poly_mul(e, p: SymPoly):
         add_into(out, {(tuple(x + y for x, y in zip(ev, pe)), w): c
                        for (ev, w), c in e.items()}, pc)
     return out
+
+
+def ent_mod(e, order):
+    """The entry e mod eps^order: its terms of degree below `order`."""
+    return {k: c for k, c in e.items() if sum(k[0]) < order}
+
+
+def order_at_zero(p: SymPoly):
+    """The order of vanishing of a nonzero p at the origin, its least
+    total degree: in one variable eps, the pole order that p contributes
+    as a denominator at eps = 0."""
+    return min(sum(ev) for ev in p.terms)
 
 
 def ent_from_scalar_poly(p: SymPoly):
@@ -254,16 +285,25 @@ def ent_to_ucoeffs(ctx, e):
 
 class TMat:
     """Sparse N^m x N^m matrix of UEA-coefficient polynomials over a
-    common scalar denominator polynomial (a `SymPoly`, 1 by default)."""
+    common scalar denominator polynomial (a `SymPoly`, 1 by default).
 
-    __slots__ = ("ctx", "space", "vars", "rows", "den")
+    `order` None means the entries are the full polynomials; an int T
+    means they are kept mod eps^T, the terms of total degree T or more
+    dropped.  That truncation is a ring homomorphism, so a product of
+    truncated matrices is the truncated product; the product's order is
+    the smaller of its factors' orders.  The denominator is always kept
+    in full."""
 
-    def __init__(self, ctx: LieContext, space: TensorSpace, vars, rows, den=None):
+    __slots__ = ("ctx", "space", "vars", "rows", "den", "order")
+
+    def __init__(self, ctx: LieContext, space: TensorSpace, vars, rows, den=None,
+                 order=None):
         self.ctx = ctx
         self.space = space
         self.vars = tuple(vars)
         self.rows = rows
         self.den = den if den is not None else SymPoly.scalar(self.vars, 1)
+        self.order = order
 
     @classmethod
     def from_scalar(cls, ctx, space, vars, smat, den=None):
@@ -278,6 +318,7 @@ class TMat:
             raise TypeError("TMat multiplies TMat")
         if (self.ctx, self.space, self.vars) != (other.ctx, other.space, other.vars):
             raise DimensionError("tensor matrices over different setups")
+        order = min((x for x in (self.order, other.order) if x is not None), default=None)
         rows = {}
         for r, row in self.rows.items():
             acc = {}
@@ -286,7 +327,7 @@ class TMat:
                 if not brow:
                     continue
                 for q, e2 in brow.items():
-                    prod = ent_mul(self.ctx, e1, e2)
+                    prod = ent_mul(self.ctx, e1, e2, order=order)
                     if q in acc:
                         add_into(acc[q], prod)
                     elif prod:
@@ -294,22 +335,51 @@ class TMat:
             acc = {q: e for q, e in acc.items() if e}
             if acc:
                 rows[r] = acc
-        return TMat(self.ctx, self.space, self.vars, rows, self.den * other.den)
+        return TMat(self.ctx, self.space, self.vars, rows, self.den * other.den, order)
 
     def entry(self, r, c):
         return self.rows.get(r, {}).get(c, {})
 
+    def mod(self, order):
+        """This matrix with its entries kept mod eps^order from now on."""
+        rows = {}
+        for r, row in self.rows.items():
+            kept = {c: t for c, e in row.items() if (t := ent_mod(e, order))}
+            if kept:
+                rows[r] = kept
+        return TMat(self.ctx, self.space, self.vars, rows, self.den, order)
+
 
 def cross_equal(a: TMat, b: TMat):
-    """Equality of rational matrices by clearing denominators; returns
-    None or a witness string."""
+    """Equality of rational matrices by clearing denominators, cell by
+    cell in ascending order; returns None or a witness string.  When the
+    denominators are equal the entries are compared as they are:
+    multiplying both sides by the same nonzero polynomial is injective.
+
+    A truncated side is compared only as far as it is known.  If a is
+    kept mod eps^Ta and b's denominator has order Db at 0, then a.num *
+    b.den is known mod eps^(Ta + Db), since changing a.num by a multiple
+    of eps^Ta changes the product by a multiple of eps^(Ta + Db); the two
+    cleared sides are compared mod the smaller of the two such bounds.
+    For chains kept mod eps^(D + 1), D the order of their own
+    denominator, that is eps^(Da + Db + 1); a.den * b.den has order
+    Da + Db, so agreement mod eps^(Da + Db + 1) is exactly agreement of
+    the two Laurent expansions at eps = 0 through eps^0, every polar term
+    and the value read there.  With equal denominators the same bound
+    is the smaller of the two orders."""
     if (a.space, a.vars) != (b.space, b.vars):
         return "shape mismatch"
+    same = a.den == b.den
+    order = min((x.order + (0 if same else order_at_zero(y.den))
+                 for x, y in ((a, b), (b, a)) if x.order is not None), default=None)
     cells = {(r, c) for r, row in a.rows.items() for c in row}
     cells |= {(r, c) for r, row in b.rows.items() for c in row}
     for r, c in sorted(cells):
-        lhs = ent_scalar_poly_mul(a.entry(r, c), b.den)
-        rhs = ent_scalar_poly_mul(b.entry(r, c), a.den)
+        lhs, rhs = a.entry(r, c), b.entry(r, c)
+        if not same:
+            lhs, rhs = ent_scalar_poly_mul(lhs, b.den), ent_scalar_poly_mul(rhs, a.den)
+        if order is not None:
+            lhs, rhs = ent_mod(lhs, order), ent_mod(rhs, order)
         if lhs != rhs:
             return f"entry ({r},{c}) differs after clearing denominators"
     return None
@@ -483,7 +553,23 @@ def _rt_chain(ctx, space, vars, q, arg):
     return [tm_Rt(ctx, space, vars, p, q, arg(p), arg(q)) for p in range(1, q)]
 
 
-def fused_F(ctx: LieContext, m: int, shape: str, origin) -> TMat:
+def _chain(first, factors, read_order=None):
+    """The product first * factors[0] * factors[1] * ....  With
+    `read_order`, the order at eps = 0 of a denominator that the caller
+    multiplies the product's denominator by before reading it there (0
+    for none), the numerator is kept mod eps^(D+1), where D is the order
+    of that whole denominator: the sum of `read_order` and the orders of
+    every factor's denominator.  A reading at the pole order D needs no
+    coefficient above eps^D."""
+    mat = first
+    if read_order is not None:
+        mat = mat.mod(1 + read_order + sum(order_at_zero(x.den) for x in (first, *factors)))
+    for factor in factors:
+        mat = mat * factor
+    return mat
+
+
+def fused_F(ctx: LieContext, m: int, shape: str, origin, *, read_order=None) -> TMat:
     """Ordered fused product over the variable eps = u - origin.
 
     `shape` "column" builds the antisymmetrized product with arguments
@@ -495,6 +581,18 @@ def fused_F(ctx: LieContext, m: int, shape: str, origin) -> TMat:
     also built on the same rows, at the same origin, and the two are
     asserted equal as rational matrices; both start with the projector,
     so equal representative rows mean equal products.
+
+    By default every entry is the full polynomial in eps, as
+    `sklyanin_det` needs.  With `read_order`, the order at eps = 0 of the
+    normalizing denominator that the caller multiplies the product's
+    denominator by before it reads the product at eps = 0 (0 for none),
+    the factors are built first and the chain is kept mod eps^(D+1), D
+    the order at 0 of that whole denominator (`_chain`).  The twisted
+    form is then kept mod eps^(Db+1), Db the order of its own
+    denominator, and `cross_equal` compares the two mod eps^(Da+Db+1),
+    Da the order of the plain chain's own denominator: that is agreement
+    of their Laurent expansions through eps^0, every polar term and the
+    value read.
     """
     guard_cells(ctx.N, m)
     space = TensorSpace(ctx.N, m)
@@ -502,17 +600,16 @@ def fused_F(ctx: LieContext, m: int, shape: str, origin) -> TMat:
     signed = shape == "column"
     arg = _spectral_args(signed, origin)
     proj = projector_rows(ctx, space, vars, signed)
-    mat = proj
-    for q in range(1, m + 1):
-        if q > 1:
-            mat = mat * tm_q_correction(ctx, space, vars, q, arg(1) + arg(q))
-        mat = mat * tm_F(ctx, space, vars, q, arg(q))
+    F = [tm_F(ctx, space, vars, q, arg(q)) for q in range(1, m + 1)]
+    factors = [F[0]]
+    for q in range(2, m + 1):
+        factors += [tm_q_correction(ctx, space, vars, q, arg(1) + arg(q)), F[q - 1]]
+    mat = _chain(proj, factors, read_order)
     if space.size <= 32:
-        alt = proj
+        factors = []
         for q in range(1, m + 1):
-            for factor in _rt_chain(ctx, space, vars, q, arg):
-                alt = alt * factor
-            alt = alt * tm_F(ctx, space, vars, q, arg(q))
+            factors += _rt_chain(ctx, space, vars, q, arg) + [F[q - 1]]
+        alt = _chain(proj, factors, None if read_order is None else 0)
         witness = cross_equal(mat, alt)
         if witness is not None:
             raise ConsistencyError(f"fused product forms disagree: {witness}")
@@ -529,12 +626,14 @@ def fusion_capelli(ctx: LieContext, k: int, shape: str) -> UEAElement:
     denominator times phi's) are read as Taylor coefficients at eps = 0.
     If the denominator's lowest nonzero coefficient has index D (the pole
     order at u0), the numerator's coefficients below D must vanish, else
-    `ConsistencyError`; the value is num[D] / den[D].
+    `ConsistencyError`; the value is num[D] / den[D].  Only num[:D+1] is
+    read, so `fused_F` keeps the chain mod eps^(D+1), with phi's
+    denominator counted in D.
     """
     m = 2 * k
     u0 = classical_point(ctx, shape, m)
-    mat = fused_F(ctx, m, shape, u0)
     phi_num, phi_den = phi_normalizer(ctx, shape, m)
+    mat = fused_F(ctx, m, shape, u0, read_order=order_at_zero(phi_den))
     num = ent_to_ucoeffs(ctx, ent_scalar_poly_mul(projected_trace(mat, shape == "column"),
                                                   phi_num))
     den = to_dense(mat.den * phi_den)

@@ -268,6 +268,35 @@ def test_sympoly_exact_division():
         (x * x + y).exact_div(x - y)
 
 
+@pytest.mark.parametrize("case", range(4))
+def test_exact_division_undoes_a_product(case):
+    x, y, z = poly_vars("x", "y", "z")
+    quotient, divisor = [
+        (x * y - 2 * z + 5, 3 * x - 2 * y),  # leading coefficient 3
+        (Fraction(1, 2) * x ** 2 - y * z, y - x),  # leading coefficient -1
+        ((x + y + z) ** 2, x * z + Fraction(2, 3) * y ** 2 - 1),
+        (x - y, (x - y) * (y - z) * (x - z)),  # a Vandermonde in three letters
+    ][case]
+    dividend = quotient * divisor
+    q = dividend.exact_div(divisor)
+    assert q == quotient
+    assert q * divisor == dividend
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_inexact_division_raises(case):
+    from capelli.core import ExactDivisionError
+
+    x, y, z = poly_vars("x", "y", "z")
+    dividend, divisor = [
+        (x * y + 1, x),  # a constant remainder
+        (x, x * y),  # the divisor's leading exponent does not divide
+        ((x - z) * (y + z) + z, y + z),
+    ][case]
+    with pytest.raises(ExactDivisionError):
+        dividend.exact_div(divisor)
+
+
 # -- generating series in one variable ------------------------------------
 
 

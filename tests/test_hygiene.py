@@ -38,23 +38,58 @@ def test_no_unused_imports():
 LIBRARY = sorted((ROOT / "src" / "capelli").glob("*.py"))
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def local_names(function):
+    """The arguments of `function` and the names its own body stores to,
+    outside any function nested in it."""
+    args = function.args
+    names = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                             args.vararg, args.kwarg) if a is not None}
+    body = function.body if isinstance(function.body, list) else [function.body]
+    stack = list(body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
 def unread_functions(sources, exported):
     """Functions defined in `sources` (a map from a file name to its text)
     whose name no source reads, as a name or an attribute, and that are
-    not in `exported`.  Dunder methods are called by the language and are
-    left out."""
+    not in `exported`.  A bare name counts as a read only where it is not
+    an argument or a stored local of the innermost function around it.
+    Dunder methods are called by the language and are left out."""
     defined, read = {}, set()
+
+    def scan(node, local):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.setdefault(child.name, f"{where}:{child.lineno}")
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                if child.id not in local:
+                    read.add(child.id)
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                read.add(child.attr)
+            scan(child, local_names(child) if isinstance(child, FUNCTIONS) else local)
+
     for where, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defined.setdefault(node.name, f"{where}:{node.lineno}")
-            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+        scan(ast.parse(source), set())
     return sorted(f"{where}: {name}" for name, where in defined.items()
                   if name not in read | exported
                   and not (name.startswith("__") and name.endswith("__")))
+
+
+def test_scan_sees_a_function_shadowed_by_a_local():
+    source = "def gen():\n    pass\n\n\ndef f():\n    gen = {}\n    return gen\n"
+    assert unread_functions({"m.py": source}, set()) == ["m.py:1: gen", "m.py:5: f"]
+    shadowed_by_an_argument = "def gen():\n    pass\n\n\ndef f(gen):\n    return gen\n"
+    assert unread_functions({"m.py": shadowed_by_an_argument}, set()) == [
+        "m.py:1: gen", "m.py:5: f"]
 
 
 def package_exports():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from capelli import symfun
+from capelli import core, symfun
 from capelli.core import DimensionError, SymPoly
 from capelli.symfun import (
     Partition,
@@ -19,6 +19,7 @@ from capelli.symfun import (
     is_symmetric,
     partitions_with,
     schur_factorial,
+    vandermonde,
     zvars,
 )
 
@@ -64,6 +65,22 @@ def test_schur_factorial_small():
     assert one == 1
     z1, z2 = SymPoly.gens(zvars(2))
     assert schur_factorial(Partition((1, 1)), 2, SQ0) == z1 * z2
+
+
+def test_vandermonde_quotient_is_made_in_int(monkeypatch):
+    # the Vandermonde's leading coefficient is 1, so an integral
+    # alternant divides by it without making a single Fraction
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("a Fraction was made")
+
+    v = vandermonde(3)
+    s = schur_factorial(Partition((2, 1)), 3, SQ0)
+    alternant = s * v
+    monkeypatch.setattr(core, "Fraction", NoFraction)
+    q = alternant.exact_div(v)
+    assert q == s
+    assert q.terms and all(type(c) is int for c in q.terms.values())
 
 
 def test_schur_zero_sequence_is_ordinary_schur():

@@ -31,6 +31,7 @@ from capelli.tensor import (
     classical_point,
     cross_equal,
     eigenvalue_check_gl,
+    ent_mod,
     ent_scalar_poly_mul,
     ent_to_ucoeffs,
     exchange_P,
@@ -39,7 +40,9 @@ from capelli.tensor import (
     generating_functions,
     guard_cells,
     ladder_roots,
+    order_at_zero,
     orbit_sign,
+    phi_normalizer,
     projected_trace,
     projector_rows,
     quantum_det_gl,
@@ -446,8 +449,6 @@ def test_generating_function_inversion_small():
 def test_normalized_fused_matrix_is_entrywise_regular():
     # built at u0, every normalized entry of the fused column vanishes
     # below the pole order of the denominator there, which is 1
-    from capelli.tensor import phi_normalizer
-
     ctx = SO2
     mat = fused_F(ctx, 2, "column", classical_point(ctx, "column", 2))
     phi_num, phi_den = phi_normalizer(ctx, "column", 2)
@@ -633,10 +634,10 @@ def integral_products(monkeypatch):
     mul = tensor.ent_mul
     calls = []
 
-    def checked(ctx, a, b):
+    def checked(ctx, a, b, **kw):
         assert all(type(x) is int for e in (a, b) for x in e.values())
         calls.append(1)
-        return mul(ctx, a, b)
+        return mul(ctx, a, b, **kw)
 
     monkeypatch.setattr(tensor, "ent_mul", checked)
     return calls
@@ -728,3 +729,117 @@ def test_eigenvalue_check_gl_rejects_a_weight_it_cannot_project_to(nu):
 def test_sp_sign_table_needs_even_rank():
     with pytest.raises(DimensionError):
         quantum_det_gl(3, "sp")
+
+
+# -- the chains kept mod eps^(D+1), against the full polynomial chains ---------
+
+@pytest.mark.parametrize("ctx,k,shape", [
+    pytest.param(c, k, shape, id=f"{c.family}{c.N}-k{k}-{shape}")
+    for c in (SO2, SP2, SO3) for k in (1, 2) for shape in ("column", "row")])
+def test_truncated_chain_is_the_full_chain_mod_the_pole_order(ctx, k, shape):
+    # every thm-3.2/3.3 case with N <= 3: the chain that fusion_capelli
+    # reads is the full chain mod eps^(D+1), over the same denominator
+    m = 2 * k
+    u0 = classical_point(ctx, shape, m)
+    read = order_at_zero(phi_normalizer(ctx, shape, m)[1])
+    full = fused_F(ctx, m, shape, u0)
+    cut = fused_F(ctx, m, shape, u0, read_order=read)
+    assert full.order is None
+    assert cut.order == order_at_zero(full.den) + read + 1
+    assert cut.den == full.den
+    cells = {(r, c) for r, row in full.rows.items() for c in row}
+    cells |= {(r, c) for r, row in cut.rows.items() for c in row}
+    for r, c in cells:
+        assert cut.entry(r, c) == ent_mod(full.entry(r, c), cut.order), (r, c)
+
+
+def test_truncated_products_multiply_like_the_full_ones():
+    # mod eps^T is a ring homomorphism: truncating before or after a
+    # product gives the same matrix, and the product keeps the smaller order
+    space = TensorSpace(2, 2)
+    vars = ("u",)
+    eps = SymPoly.variable(vars, "u")
+    a = tm_F(SP2, space, vars, 1, eps + 3) * tm_F(SP2, space, vars, 2, eps - 1)
+    b = tm_q_correction(SP2, space, vars, 2, 2 * eps) * tm_F(SP2, space, vars, 1, eps)
+    full = a * b
+    cut = a.mod(3) * b.mod(2)
+    assert cut.order == 2 and cut.den == full.den
+    assert cut.rows == full.mod(2).rows
+
+
+@pytest.mark.parametrize("ctx,k,shape", [
+    pytest.param(c, k, shape, id=f"{c.family}{c.N}-k{k}-{shape}")
+    for c, k, shape in [(SO2, 1, "row"), (SO2, 2, "row"), (SP2, 1, "column"), (SO3, 1, "row")]])
+def test_a_chain_one_order_short_changes_the_value(ctx, k, shape, monkeypatch):
+    # the nonzero values whose normalizing factor phi is 1; where phi's
+    # numerator is eps, the read reaches one order less deep than D
+    expected = fusion_capelli(ctx, k, shape)
+    assert not expected.is_zero()
+    chain = tensor._chain
+
+    def short(first, factors, read_order=None):
+        return chain(first, factors, None if read_order is None else read_order - 1)
+
+    monkeypatch.setattr(tensor, "_chain", short)
+    try:
+        value = fusion_capelli(ctx, k, shape)
+    except ConsistencyError:
+        return
+    assert value != expected
+
+
+def flipped_Rt(ctx, space, vars, p, q, arg_u, arg_v):
+    """`tm_Rt` with the wrong sign: 1 - Q_pq/(arg_u + arg_v)."""
+    return tm_one_plus(ctx, space, vars, smat_scale(twist_Q(space, p, q, ctx.family), -1),
+                       arg_u + arg_v)
+
+
+@pytest.mark.parametrize("ctx,k,shape", [
+    pytest.param(c, k, shape, id=f"{c.family}{c.N}-k{k}-{shape}")
+    for c, k, shape in [(SO2, 1, "column"), (SO2, 1, "row"), (SO2, 2, "row"),
+                        (SP2, 1, "column"), (SP2, 1, "row"), (SP2, 2, "row"),
+                        (SO3, 1, "column"), (SO3, 1, "row")]])
+def test_truncated_cross_check_sees_a_wrong_twisted_factor(ctx, k, shape, monkeypatch):
+    # every case with a cross-check (at most 32 cells) and a nonzero
+    # projector; the N = 2, k = 2 columns have none
+    monkeypatch.setattr(tensor, "tm_Rt", flipped_Rt)
+    with pytest.raises(ConsistencyError, match="fused product forms disagree"):
+        fusion_capelli(ctx, k, shape)
+
+
+def test_cross_equal_over_equal_denominators_keeps_the_witness():
+    # the same denominators are compared entry by entry, and a mismatch
+    # reports the same cell and text as the route that clears them
+    space = TensorSpace(2, 2)
+    vars = ("u",)
+    eps = SymPoly.variable(vars, "u")
+    a = tm_F(SO2, space, vars, 1, eps) * tm_q_correction(SO2, space, vars, 2, eps + 1)
+    rows = {r: dict(row) for r, row in a.rows.items()}
+    (r, c), = [min((r, c) for r, row in rows.items() for c in row if r != c)]
+    rows[r][c] = smat_scale(rows[r][c], 2)
+    b = TMat(SO2, space, vars, rows, a.den)
+    scale = 3 * eps - 2
+    cleared = TMat(SO2, space, vars, {
+        r: {c: ent_scalar_poly_mul(e, scale) for c, e in row.items()}
+        for r, row in rows.items()}, a.den * scale)
+    assert cross_equal(a, a) is None
+    assert cross_equal(a, TMat(SO2, space, vars, a.rows, a.den * scale)) is not None
+    witness = cross_equal(a, b)
+    assert witness == f"entry ({r},{c}) differs after clearing denominators"
+    assert cross_equal(a, cleared) == witness
+
+
+@pytest.mark.parametrize("ctx,k,shape,cells", [
+    pytest.param(SO2, 3, "row", None, id="so2-k3-row"),
+    pytest.param(SP2, 3, "row", None, id="sp2-k3-row"),
+    pytest.param(SO3, 3, "column", "729", id="so3-k3-column"),
+    pytest.param(SO4, 2, "row", None, id="so4-k2-row"),
+])
+def test_fusion_frontier_is_the_central_series(ctx, k, shape, cells, monkeypatch):
+    # beyond the thm-3.2/3.3 suite domains, affordable on the truncated chain
+    if cells is not None:
+        monkeypatch.setenv("VERIFY_MAX_CELLS", cells)
+    series = central_series(ctx, "C" if shape == "column" else "D", k)
+    value = fusion_capelli(ctx, k, shape)
+    assert value == series[k].evaluate(uea_ring(ctx))
+    assert value.is_zero() == (ctx is SO3)
