@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .core import DimensionError
 from .suites import SUITES, CheckResult, UsageError, run_suite
@@ -25,65 +24,30 @@ from .suites import SUITES, CheckResult, UsageError, run_suite
 REPORT_VERSION = "1"
 
 
-@dataclass
-class SuiteConfig:
-    suite: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-    fmt: str = "text"
-    out: str | None = None
-
-
-@dataclass
-class VerificationReport:
-    suites: list
-
-    def passed(self):
-        return all(c.status == "pass" for _n, _p, checks in self.suites for c in checks)
-
-
-def run(config: SuiteConfig) -> VerificationReport:
-    checks = run_suite(config.suite, dict(config.params), seed=config.seed)
-    checks.sort(key=lambda c: c.id)
-    shown = {k: v for k, v in config.params.items() if v is not None}
-    shown["seed"] = config.seed
-    return VerificationReport(suites=[(config.suite, shown, checks)])
-
-
-def report_emit(report: VerificationReport, fmt: str) -> bytes:
+def report_emit(name, params, checks, fmt: str) -> bytes:
+    """The report of one run of suite `name` with the shown `params`."""
     if fmt == "json":
         payload = {
             "version": REPORT_VERSION,
-            "suites": [
-                {
-                    "name": name,
-                    "params": {k: params[k] for k in sorted(params)},
-                    "checks": [_check_json(c) for c in checks],
-                }
-                for name, params, checks in report.suites
-            ],
+            "suites": [{
+                "name": name,
+                "params": {k: params[k] for k in sorted(params)},
+                "checks": [_check_json(c) for c in checks],
+            }],
         }
         return (json.dumps(payload, indent=2) + "\n").encode()
     if fmt == "md":
-        lines = []
-        for name, params, checks in report.suites:
-            lines.append(f"## {name} {params}")
-            lines.append("")
-            lines.append("| check | status | witness |")
-            lines.append("|---|---|---|")
-            for c in checks:
-                lines.append(f"| {c.id} | {c.status} | {c.witness or ''} |")
-            lines.append("")
-        return ("\n".join(lines)).encode()
+        lines = [f"## {name} {params}", "", "| check | status | witness |", "|---|---|---|"]
+        lines += [f"| {c.id} | {c.status} | {c.witness or ''} |" for c in checks]
+        return ("\n".join(lines) + "\n").encode()
     if fmt == "text":
         lines = []
-        for name, params, checks in report.suites:
-            for c in checks:
-                mark = "PASS" if c.status == "pass" else "FAIL"
-                extra = f"  [{c.witness}]" if c.witness else ""
-                lines.append(f"{mark} {name}:{c.id}{extra}")
-            npass = sum(1 for c in checks if c.status == "pass")
-            lines.append(f"{name}: {npass}/{len(checks)} checks passed")
+        for c in checks:
+            mark = "PASS" if c.status == "pass" else "FAIL"
+            extra = f"  [{c.witness}]" if c.witness else ""
+            lines.append(f"{mark} {name}:{c.id}{extra}")
+        npass = sum(1 for c in checks if c.status == "pass")
+        lines.append(f"{name}: {npass}/{len(checks)} checks passed")
         return ("\n".join(lines) + "\n").encode()
     raise UsageError(f"unknown format {fmt!r}")
 
@@ -139,32 +103,29 @@ def main(argv=None) -> int:
     if args.command != "verify":
         parser.print_usage()
         return 2
-    config = SuiteConfig(
-        suite=args.suite,
-        params={"N": args.N, "m": args.m, "k": args.k, "K": args.K},
-        seed=args.seed,
-        fmt=args.fmt,
-        out=args.out,
-    )
+    params = {"N": args.N, "m": args.m, "k": args.k, "K": args.K}
     try:
-        report = run(config)
+        checks = run_suite(args.suite, params, seed=args.seed)
     except (UsageError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    blob = report_emit(report, config.fmt)
-    if config.out:
+    checks.sort(key=lambda c: c.id)
+    shown = {k: v for k, v in params.items() if v is not None}
+    shown["seed"] = args.seed
+    blob = report_emit(args.suite, shown, checks, args.fmt)
+    if args.out:
         try:
-            with open(config.out, "wb") as fh:
+            with open(args.out, "wb") as fh:
                 fh.write(blob)
         except OSError as exc:
-            print(f"error: cannot write {config.out}: {exc.strerror or exc}", file=sys.stderr)
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
             return 2
     else:
         sys.stdout.write(blob.decode())
-    return 0 if report.passed() else 1
+    return 0 if all(c.status == "pass" for c in checks) else 1
 
 
 if __name__ == "__main__":

@@ -13,15 +13,18 @@ is a ring homomorphism, so every identity of the chain holds in eps as
 it does in u.  The value at u0, where the denominator vanishes, is a
 quotient of Taylor coefficients at eps = 0, read at the pole order.
 
-That reading needs the numerator only mod eps^(D+1), where D is the pole
-order, and reducing mod eps^(D+1) is a ring homomorphism (the arithmetic
-of truncated power series, Knuth, TAOCP vol. 2, 4.7).  So `fusion_capelli`
-builds its chain's factors first, takes D from their denominators, the
-projector's m! and the normalizing factor's denominator, and keeps every
-product mod eps^(D+1) (`TMat.order`, `ent_mul`'s `order`); the
-denominators stay whole.  `cross_equal` compares two truncated matrices
-as far as both are known.  `sklyanin_det` keeps the full polynomial,
-since Theorem 6.2 compares the whole generating function.
+The normalizing factor phi is the first factor of the fused chain:
+`fused_F` scales the projector's rows by it, so the chain is phi * F,
+read at the pole order D of its whole denominator.  That needs the
+numerator only mod eps^(D+1), and reducing mod eps^(D+1) is a ring
+homomorphism (the arithmetic of truncated power series, Knuth, TAOCP
+vol. 2, 4.7).  So a normalized chain takes D from its factors'
+denominators and keeps every product mod eps^(D+1) (`TMat.order`,
+`ent_mul`'s `order`); the denominators stay whole.  The cut is tight
+also where phi's numerator is eps, since that eps is in the chain.
+`cross_equal` compares two truncated matrices as far as both are known.
+`sklyanin_det` keeps the full, unnormalized polynomial, since Theorem 6.2
+compares the whole generating function.
 
 Scalar polynomials in the spectral variables (denominators, arguments,
 normalizing factors) are `SymPoly` values.  An entry maps (exponent
@@ -553,23 +556,21 @@ def _rt_chain(ctx, space, vars, q, arg):
     return [tm_Rt(ctx, space, vars, p, q, arg(p), arg(q)) for p in range(1, q)]
 
 
-def _chain(first, factors, read_order=None):
-    """The product first * factors[0] * factors[1] * ....  With
-    `read_order`, the order at eps = 0 of a denominator that the caller
-    multiplies the product's denominator by before reading it there (0
-    for none), the numerator is kept mod eps^(D+1), where D is the order
-    of that whole denominator: the sum of `read_order` and the orders of
-    every factor's denominator.  A reading at the pole order D needs no
-    coefficient above eps^D."""
+def _chain(first, factors, normalized=False):
+    """The product first * factors[0] * factors[1] * ....  A `normalized`
+    chain (one whose first factor carries the normalizing factor phi) is
+    read at eps = 0, at the pole order D of its whole denominator, the sum
+    of the orders at 0 of every factor's denominator; so it is kept mod
+    eps^(D+1), since that reading needs no coefficient above eps^D."""
     mat = first
-    if read_order is not None:
-        mat = mat.mod(1 + read_order + sum(order_at_zero(x.den) for x in (first, *factors)))
+    if normalized:
+        mat = mat.mod(1 + sum(order_at_zero(x.den) for x in (first, *factors)))
     for factor in factors:
         mat = mat * factor
     return mat
 
 
-def fused_F(ctx: LieContext, m: int, shape: str, origin, *, read_order=None) -> TMat:
+def fused_F(ctx: LieContext, m: int, shape: str, origin, *, phi=None) -> TMat:
     """Ordered fused product over the variable eps = u - origin.
 
     `shape` "column" builds the antisymmetrized product with arguments
@@ -578,39 +579,40 @@ def fused_F(ctx: LieContext, m: int, shape: str, origin, *, read_order=None) -> 
     column and C(N+m-1, m) for a row, and returns only those rows; every
     other row is a signed copy of one of them (P_tau * A = sign(tau) * A).
     On a tensor space of at most 32 cells the twisted-R product form is
-    also built on the same rows, at the same origin, and the two are
-    asserted equal as rational matrices; both start with the projector,
-    so equal representative rows mean equal products.
+    also built on the same rows, at the same origin and from the same
+    first factor, and the two are asserted equal as rational matrices;
+    both start with the projector, so equal representative rows mean
+    equal products.
 
     By default every entry is the full polynomial in eps, as
-    `sklyanin_det` needs.  With `read_order`, the order at eps = 0 of the
-    normalizing denominator that the caller multiplies the product's
-    denominator by before it reads the product at eps = 0 (0 for none),
-    the factors are built first and the chain is kept mod eps^(D+1), D
-    the order at 0 of that whole denominator (`_chain`).  The twisted
-    form is then kept mod eps^(Db+1), Db the order of its own
-    denominator, and `cross_equal` compares the two mod eps^(Da+Db+1),
-    Da the order of the plain chain's own denominator: that is agreement
-    of their Laurent expansions through eps^0, every polar term and the
-    value read.
+    `sklyanin_det` needs.  With `phi` = (num, den) from `phi_normalizer`,
+    the projector's rows are scaled by num / den, so the chain is the
+    normalized matrix phi * F, kept mod eps^(D+1) (`_chain`).  The twisted
+    form, kept mod eps^(Db+1), is compared with it mod eps^(Da+Db+1), Da
+    and Db the orders at 0 of their denominators (`cross_equal`): that is
+    agreement of the Laurent expansions of phi * F through eps^0, every
+    polar term and the value read.
     """
     guard_cells(ctx.N, m)
     space = TensorSpace(ctx.N, m)
     vars = ("u",)
     signed = shape == "column"
     arg = _spectral_args(signed, origin)
-    proj = projector_rows(ctx, space, vars, signed)
+    first = projector_rows(ctx, space, vars, signed)
+    if phi is not None:
+        rows = {r: {c: ent_scalar_poly_mul(e, phi[0]) for c, e in row.items()}
+                for r, row in first.rows.items()}
+        first = TMat(ctx, space, vars, rows, first.den * phi[1])
     F = [tm_F(ctx, space, vars, q, arg(q)) for q in range(1, m + 1)]
     factors = [F[0]]
     for q in range(2, m + 1):
         factors += [tm_q_correction(ctx, space, vars, q, arg(1) + arg(q)), F[q - 1]]
-    mat = _chain(proj, factors, read_order)
+    mat = _chain(first, factors, phi is not None)
     if space.size <= 32:
         factors = []
         for q in range(1, m + 1):
             factors += _rt_chain(ctx, space, vars, q, arg) + [F[q - 1]]
-        alt = _chain(proj, factors, None if read_order is None else 0)
-        witness = cross_equal(mat, alt)
+        witness = cross_equal(mat, _chain(first, factors, phi is not None))
         if witness is not None:
             raise ConsistencyError(f"fused product forms disagree: {witness}")
     return mat
@@ -621,28 +623,23 @@ def fusion_capelli(ctx: LieContext, k: int, shape: str) -> UEAElement:
     classical point u0: the k-th element of the signed family for shape
     "column", of the unsigned family for shape "row".
 
-    The chain is built in eps = u - u0, so the numerator (the projected
-    trace times phi's numerator) and the denominator (the matrix
-    denominator times phi's) are read as Taylor coefficients at eps = 0.
-    If the denominator's lowest nonzero coefficient has index D (the pole
-    order at u0), the numerator's coefficients below D must vanish, else
-    `ConsistencyError`; the value is num[D] / den[D].  Only num[:D+1] is
-    read, so `fused_F` keeps the chain mod eps^(D+1), with phi's
-    denominator counted in D.
+    The normalized chain phi * F is built in eps = u - u0 and kept mod
+    eps^(D+1), D the order at 0 of its denominator (the pole order at
+    u0), so its projected trace and its denominator are read as Taylor
+    coefficients at eps = 0.  A term of the trace of degree below D means
+    a pole that does not cancel, and raises `ConsistencyError`; the value
+    is the trace's degree-D terms over the denominator's coefficient of
+    eps^D.
     """
     m = 2 * k
     u0 = classical_point(ctx, shape, m)
-    phi_num, phi_den = phi_normalizer(ctx, shape, m)
-    mat = fused_F(ctx, m, shape, u0, read_order=order_at_zero(phi_den))
-    num = ent_to_ucoeffs(ctx, ent_scalar_poly_mul(projected_trace(mat, shape == "column"),
-                                                  phi_num))
-    den = to_dense(mat.den * phi_den)
-    order = next(d for d, c in enumerate(den) if c != 0)
-    if any(num[:order]):
+    mat = fused_F(ctx, m, shape, u0, phi=phi_normalizer(ctx, shape, m))
+    order = order_at_zero(mat.den)
+    trace = projected_trace(mat, shape == "column")
+    if any(d < order for ((d,), _w) in trace):
         raise ConsistencyError(f"the pole of order {order} at u = {u0} does not cancel")
-    if len(num) <= order:
-        return UEAElement.zero(ctx)
-    return num[order] * Fraction(1, den[order])
+    value = UEAElement(ctx, {w: c for ((d,), w), c in trace.items() if d == order})
+    return value * Fraction(1, mat.den.coefficient((order,)))
 
 
 # -- quantum determinants --------------------------------------------------------
@@ -674,7 +671,14 @@ def quantum_det_gl(N: int, eps_family="so"):
     of E factors; the reversed twisted form is asserted to carry the same
     polynomial; `eps_family` names the sign table of the transposition.
     Both products run on the one representative row of the
-    antisymmetrizer.  Returns a dense coefficient list over U(gl_N)."""
+    antisymmetrizer.  Returns a dense coefficient list over U(gl_N).
+
+    No determinant can see the sp sign table: the signs conjugate the
+    generator matrix by diag(sgn i), the antisymmetrizer commutes with
+    that conjugation, and so the polynomial is the same without them.
+    The checks that see it compare the transposed factor itself:
+    `gl-exchange[N=...,eps=sp]` (prop-3.9) and
+    `test_transposed_E_factor_sign_table`."""
     ctx = LieContext("gl", N)
     space = TensorSpace(N, N)
     vars = ("u",)

@@ -3,10 +3,10 @@ import json
 
 import pytest
 
-from capelli.cli import SuiteConfig, VerificationReport, main, report_emit, run
+from capelli.cli import main, report_emit
 from capelli.core import ConsistencyError
 from capelli import suites
-from capelli.suites import SUITES, UsageError, run_suite
+from capelli.suites import SUITES, CheckResult, UsageError, run_suite
 from capelli.uea import LieContext, UEAElement
 
 
@@ -36,15 +36,16 @@ def test_verify_pass_exit_zero(capsys):
 
 
 def test_json_schema_and_determinism(tmp_path):
-    cfg = SuiteConfig(suite="prop-2.2", params={}, seed=11, fmt="json")
-    blobs = []
-    for _ in range(2):
-        report = run(cfg)
-        blobs.append(report_emit(report, "json"))
-    docs = [json.loads(b) for b in blobs]
+    docs = []
+    for run in range(2):
+        out = tmp_path / f"report{run}.json"
+        assert main(["verify", "prop-2.2", "--seed", "11", "--format", "json",
+                     "--out", str(out)]) == 0
+        docs.append(json.loads(out.read_text()))
     for doc in docs:
         assert doc["version"] == "1"
         assert doc["suites"][0]["name"] == "prop-2.2"
+        assert doc["suites"][0]["params"] == {"seed": 11}
         for check in doc["suites"][0]["checks"]:
             assert check["status"] == "pass"
             assert "witness" not in check
@@ -65,11 +66,6 @@ def test_seed_changes_random_suite_but_stays_green():
     assert all(c.status == "pass" for c in a + b)
 
 
-def test_empty_report_emission():
-    blob = report_emit(VerificationReport(suites=[]), "json")
-    assert json.loads(blob) == {"version": "1", "suites": []}
-
-
 def test_failing_check_carries_pbw_witness(monkeypatch, capsys):
     ctx = LieContext("gl", 2)
     lhs = UEAElement.E(ctx, -1, -1)
@@ -86,11 +82,19 @@ def test_failing_check_carries_pbw_witness(monkeypatch, capsys):
     assert "E[1,1]" in check["witness"]
 
 
-def test_markdown_emission():
-    report = run(SuiteConfig(suite="cor-4.6", params={}, seed=0))
-    md = report_emit(report, "md").decode()
-    assert md.startswith("## cor-4.6")
+def test_markdown_emission(capsys):
+    assert main(["verify", "cor-4.6", "--format", "md"]) == 0
+    md = capsys.readouterr().out
+    assert md.startswith("## cor-4.6 {'seed': 0}\n")
     assert "| check | status | witness |" in md
+
+
+def test_report_emit_keeps_the_given_order_and_rejects_an_unknown_format():
+    checks = [CheckResult("b", "fail", "E[1,1]", 1.0), CheckResult("a", "pass", None, 2.0)]
+    text = report_emit("demo", {"N": 2, "seed": 0}, checks, "text").decode()
+    assert text == "FAIL demo:b  [E[1,1]]\nPASS demo:a\ndemo: 1/2 checks passed\n"
+    with pytest.raises(UsageError):
+        report_emit("demo", {}, checks, "yaml")
 
 
 def test_out_file_written(tmp_path):

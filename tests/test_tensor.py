@@ -447,18 +447,16 @@ def test_generating_function_inversion_small():
 
 
 def test_normalized_fused_matrix_is_entrywise_regular():
-    # built at u0, every normalized entry of the fused column vanishes
-    # below the pole order of the denominator there, which is 1
+    # built at u0, every entry of the normalized fused column vanishes
+    # below the pole order of its denominator there, which is 1
     ctx = SO2
-    mat = fused_F(ctx, 2, "column", classical_point(ctx, "column", 2))
-    phi_num, phi_den = phi_normalizer(ctx, "column", 2)
-    den = to_dense(mat.den * phi_den)
-    order = next(d for d, c in enumerate(den) if c != 0)
+    mat = fused_F(ctx, 2, "column", classical_point(ctx, "column", 2),
+                  phi=phi_normalizer(ctx, "column", 2))
+    order = order_at_zero(mat.den)
     assert order == 1
     for row in mat.rows.values():
         for e in row.values():
-            num = ent_to_ucoeffs(ctx, ent_scalar_poly_mul(e, phi_num))
-            assert not any(num[:order])
+            assert all(d >= order for ((d,), _w) in e)
 
 
 def test_fusion_capelli_raises_on_a_pole_that_does_not_cancel(monkeypatch):
@@ -738,19 +736,21 @@ def test_sp_sign_table_needs_even_rank():
     for c in (SO2, SP2, SO3) for k in (1, 2) for shape in ("column", "row")])
 def test_truncated_chain_is_the_full_chain_mod_the_pole_order(ctx, k, shape):
     # every thm-3.2/3.3 case with N <= 3: the chain that fusion_capelli
-    # reads is the full chain mod eps^(D+1), over the same denominator
+    # reads is the full chain times phi mod eps^(D+1), D the order at 0
+    # of the full chain's denominator times phi's
     m = 2 * k
     u0 = classical_point(ctx, shape, m)
-    read = order_at_zero(phi_normalizer(ctx, shape, m)[1])
+    phi_num, phi_den = phi_normalizer(ctx, shape, m)
     full = fused_F(ctx, m, shape, u0)
-    cut = fused_F(ctx, m, shape, u0, read_order=read)
+    cut = fused_F(ctx, m, shape, u0, phi=(phi_num, phi_den))
     assert full.order is None
-    assert cut.order == order_at_zero(full.den) + read + 1
-    assert cut.den == full.den
+    assert cut.den == full.den * phi_den
+    assert cut.order == order_at_zero(cut.den) + 1
     cells = {(r, c) for r, row in full.rows.items() for c in row}
     cells |= {(r, c) for r, row in cut.rows.items() for c in row}
     for r, c in cells:
-        assert cut.entry(r, c) == ent_mod(full.entry(r, c), cut.order), (r, c)
+        expected = ent_mod(ent_scalar_poly_mul(full.entry(r, c), phi_num), cut.order)
+        assert cut.entry(r, c) == expected, (r, c)
 
 
 def test_truncated_products_multiply_like_the_full_ones():
@@ -769,16 +769,20 @@ def test_truncated_products_multiply_like_the_full_ones():
 
 @pytest.mark.parametrize("ctx,k,shape", [
     pytest.param(c, k, shape, id=f"{c.family}{c.N}-k{k}-{shape}")
-    for c, k, shape in [(SO2, 1, "row"), (SO2, 2, "row"), (SP2, 1, "column"), (SO3, 1, "row")]])
+    for c in (SO2, SP2, SO3) for k in (1, 2) for shape in ("column", "row")
+    if shape == "row" or 2 * k <= c.N])
 def test_a_chain_one_order_short_changes_the_value(ctx, k, shape, monkeypatch):
-    # the nonzero values whose normalizing factor phi is 1; where phi's
-    # numerator is eps, the read reaches one order less deep than D
+    # every nonzero thm-3.2/3.3 case with N <= 3, those where phi's
+    # numerator is eps (so columns, sp rows) included: the chain is kept
+    # mod eps^(D+1), and a chain kept mod eps^D reads a different value
     expected = fusion_capelli(ctx, k, shape)
     assert not expected.is_zero()
     chain = tensor._chain
 
-    def short(first, factors, read_order=None):
-        return chain(first, factors, None if read_order is None else read_order - 1)
+    def short(first, factors, normalized=False):
+        if normalized:
+            first = first.mod(sum(order_at_zero(x.den) for x in (first, *factors)))
+        return chain(first, factors)
 
     monkeypatch.setattr(tensor, "_chain", short)
     try:
