@@ -3,13 +3,15 @@
 `capelli verify <suite> [--N ...] [--m ...] [--k ...] [--K ...]
 [--seed ...] [--format json|md|text] [--out path]` runs one named suite
 and emits a machine- or human-readable report; `capelli list-suites`
-prints the registry with each suite's parameter domains.  Exit codes:
+prints the registry with each suite's parameter domains.  Each grid
+parameter takes the values of its declared set and each series order a
+value from 1 to its bound (`thm-5.3` k and `prop-5.2` K at most 3,
+`series-inversion` K at most 4, `prop-2.3` K at most 16).  Exit codes:
 0 all checks pass, 1 at least one check failed, 2 usage error (a bad
-argument, an unwritable `--out` path or a VERIFY_MAX_CELLS value that is
-not a positive integer), 3 internal fault (a consistency, division or
-pole error or any other unexpected exception, reported on stderr without
-a traceback).  The environment variable VERIFY_MAX_CELLS adjusts the
-tensor-space size guard.
+argument, a value outside the suite's domain or an unwritable `--out`
+path), 3 internal fault (a consistency, dimension, division or pole
+error or any other unexpected exception, reported on stderr without a
+traceback).
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ import argparse
 import json
 import sys
 
-from .core import DimensionError
-from .suites import SUITES, CheckResult, UsageError, run_suite
+from .suites import SUITES, CheckResult, UsageError, domain_text, run_suite
 
 REPORT_VERSION = "1"
 
@@ -60,12 +61,6 @@ def _check_json(c: CheckResult):
     return out
 
 
-def _domain_text(domains):
-    """`N∈{2,3}` for a grid parameter, `K≥1 (default 3)` for a series order."""
-    return " ".join(f"{key}∈{{{','.join(map(str, d))}}}" if isinstance(d, tuple)
-                    else f"{key}≥1 (default {d})" for key, d in domains.items())
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="capelli",
@@ -98,7 +93,7 @@ def main(argv=None) -> int:
         for name in sorted(SUITES):
             desc, domains, _fn = SUITES[name]
             print(f"{name:<{width}}  {desc:<{desc_width}}  "
-                  f"{_domain_text(domains)}".rstrip())
+                  f"{domain_text(domains)}".rstrip())
         return 0
     if args.command != "verify":
         parser.print_usage()
@@ -106,7 +101,7 @@ def main(argv=None) -> int:
     params = {"N": args.N, "m": args.m, "k": args.k, "K": args.K}
     try:
         checks = run_suite(args.suite, params, seed=args.seed)
-    except (UsageError, DimensionError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -219,8 +219,8 @@ suite_thm_33 = _fusion_suite("D", "row")
 
 
 # -- exchange-matrix identities --------------------------------------------------
-# Each battery is computed as a whole, so its first selected check carries
-# the battery's time.
+# `verify_relations` computes one algebra's selected checks before it
+# returns them, so the first of them carries the time of all of them.
 
 
 def _relation_suite(selector):
@@ -477,10 +477,23 @@ def suite_thm_21(p, rng):
 
 # Each entry is (description, domains, callable).  A domain is a tuple of
 # the values a grid parameter may take (all of them by default), or an
-# int: the default of a series order, which may be set to any value >= 1.
-# The callable is a generator function of (resolved domains, rng): it gets
-# a tuple of values per grid parameter and an int per order, and yields
-# one (check id, witness) pair per check, with witness None on a pass.
+# `Order`: a series order with its default and its largest value.  The
+# callable is a generator function of (resolved domains, rng): it gets a
+# tuple of values per grid parameter and an int per order, and yields one
+# (check id, witness) pair per check, with witness None on a pass.
+
+
+@dataclass(frozen=True)
+class Order:
+    """A series order: any value from 1 to `top`, `default` when none is
+    given.  `top` is the largest order that has been timed at the
+    costliest point of the suite's grid."""
+    default: int
+    top: int
+
+    def __contains__(self, value):
+        return 1 <= value <= self.top
+
 
 SUITES = {
     "capelli-gl": ("classical determinant-type identity over gl_N",
@@ -520,41 +533,45 @@ SUITES = {
     "cor-4.6": ("identity transfer at the balanced rank",
                 {"N": (4,), "m": (1,), "k": (1,)}, suite_cor_46),
     "thm-5.3": ("dual-pair transfer of the unsigned family",
-                {"N": (2, 4), "m": (1, 2), "k": 2}, suite_thm_53),
+                {"N": (2, 4), "m": (1, 2), "k": Order(2, top=3)}, suite_thm_53),
     "prop-5.2": ("generating-function transfer, symplectic inner action",
-                 {"N": (2, 4), "m": (1, 2), "K": 2}, suite_prop_52),
+                 {"N": (2, 4), "m": (1, 2), "K": Order(2, top=3)}, suite_prop_52),
     "cor-5.4": ("identity transfer at the balanced unsigned rank",
                 {"N": (2,), "m": (2,), "k": (1, 2)}, suite_cor_54),
     "cor-4.2": ("top element as the square of the full Pfaffian",
                 {"N": (2, 4)}, suite_cor_42),
     "prop-2.2": ("explicit sums for the factorial e and h polynomials",
                  {}, suite_prop_22),
-    "prop-2.3": ("generating series of the factorial families", {"K": 4}, suite_prop_23),
+    "prop-2.3": ("generating series of the factorial families",
+                 {"K": Order(4, top=16)}, suite_prop_23),
     "thm-2.1": ("interpolation characterization grid", {}, suite_thm_21),
     "series-inversion": ("the two generating functions are inverse series",
-                         {"N": (2, 3), "K": 3}, suite_series_inversion),
+                         {"N": (2, 3), "K": Order(3, top=4)}, suite_series_inversion),
 }
+
+
+def domain_text(domains):
+    """`N∈{2,3}` for a grid parameter, `K∈{1..4} (default 3)` for a series
+    order, one entry per parameter of `domains`."""
+    return " ".join(f"{key}∈{{1..{d.top}}} (default {d.default})" if isinstance(d, Order)
+                    else f"{key}∈{{{','.join(map(str, d))}}}" for key, d in domains.items())
 
 
 def _resolve(domains, given):
     """Resolve the `given` parameters against `domains`, or raise
-    UsageError: a suite must not pass while ignoring a parameter."""
+    UsageError: a suite must not pass while ignoring a parameter, nor run
+    outside its declared domain."""
     undeclared = [key for key in given if key not in domains]
     if undeclared:
         reads = "/".join(domains) or "none"
         raise UsageError(f"this suite takes no {'/'.join(undeclared)} parameter "
                          f"(it reads {reads})")
-    resolved = dict(domains)
+    resolved = {key: d.default if isinstance(d, Order) else d for key, d in domains.items()}
     for key, value in given.items():
         domain = domains[key]
-        if isinstance(domain, tuple):
-            if value not in domain:
-                raise UsageError(f"{key}={value} is outside the supported set {domain}")
-            resolved[key] = (value,)
-        else:
-            if value < 1:
-                raise UsageError(f"{key}={value} must be at least 1")
-            resolved[key] = value
+        if value not in domain:
+            raise UsageError(f"{key}={value} is outside {domain_text({key: domain})}")
+        resolved[key] = value if isinstance(domain, Order) else (value,)
     return resolved
 
 

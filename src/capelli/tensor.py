@@ -72,7 +72,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import os
 from fractions import Fraction
 
 from .core import (
@@ -498,24 +497,6 @@ def tm_E(ctx, space, vars, q, arg, eps_family=None):
     return _slot_factor(ctx, space, vars, q, cell, arg)
 
 
-def guard_cells(N, m):
-    """Raise `DimensionError` if the tensor space N^m has more cells than
-    the environment variable VERIFY_MAX_CELLS (256 when unset), which
-    must be a positive integer."""
-    raw = os.environ.get("VERIFY_MAX_CELLS", "256")
-    try:
-        max_cells = int(raw)
-    except ValueError:
-        max_cells = 0
-    if max_cells < 1:
-        raise DimensionError(
-            f"VERIFY_MAX_CELLS must be a positive integer, got {raw!r}")
-    if N ** m > max_cells:
-        raise DimensionError(
-            f"tensor space {N}^{m} exceeds the {max_cells}-cell guard")
-    return True
-
-
 # -- fusion ---------------------------------------------------------------------
 
 
@@ -593,7 +574,6 @@ def fused_F(ctx: LieContext, m: int, shape: str, origin, *, phi=None) -> TMat:
     agreement of the Laurent expansions of phi * F through eps^0, every
     polar term and the value read.
     """
-    guard_cells(ctx.N, m)
     space = TensorSpace(ctx.N, m)
     vars = ("u",)
     signed = shape == "column"

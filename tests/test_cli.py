@@ -1,12 +1,13 @@
 import inspect
 import json
+import time
 
 import pytest
 
 from capelli.cli import main, report_emit
-from capelli.core import ConsistencyError
+from capelli.core import ConsistencyError, DimensionError
 from capelli import suites
-from capelli.suites import SUITES, CheckResult, UsageError, run_suite
+from capelli.suites import SUITES, CheckResult, Order, UsageError, run_suite
 from capelli.uea import LieContext, UEAElement
 
 
@@ -17,7 +18,10 @@ def test_list_suites_exits_zero(capsys):
         assert name in out
     lines = {line.split()[0]: line for line in out.splitlines()}
     assert "N∈{2,3} m∈{2,3} k∈{1,2,3}" in lines["capelli-gl"]
-    assert lines["series-inversion"].endswith("N∈{2,3} K≥1 (default 3)")
+    assert lines["series-inversion"].endswith("N∈{2,3} K∈{1..4} (default 3)")
+    assert lines["thm-5.3"].endswith("k∈{1..3} (default 2)")
+    assert lines["prop-5.2"].endswith("K∈{1..3} (default 2)")
+    assert lines["prop-2.3"].endswith("K∈{1..16} (default 4)")
     assert lines["prop-2.2"].endswith("polynomials")
 
 
@@ -112,24 +116,6 @@ def test_unwritable_out_path_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_max_cells_guard(monkeypatch, capsys):
-    monkeypatch.setenv("VERIFY_MAX_CELLS", "4")
-    assert main(["verify", "thm-3.2", "--N", "3", "--k", "1"]) == 2
-    assert "tensor space 3^2 exceeds the 4-cell guard" in capsys.readouterr().err
-    for raw in ("abc", "0", "-3", ""):
-        monkeypatch.setenv("VERIFY_MAX_CELLS", raw)
-        assert main(["verify", "thm-3.2", "--N", "2", "--k", "1"]) == 2
-        err = capsys.readouterr().err
-        assert f"error: VERIFY_MAX_CELLS must be a positive integer, got {raw!r}" in err
-
-
-def test_max_cells_guard_spares_suites_without_a_tensor_space(monkeypatch, capsys):
-    # capelli-gl builds no tensor space, so a 4-cell guard does not stop it
-    monkeypatch.setenv("VERIFY_MAX_CELLS", "4")
-    assert main(["verify", "capelli-gl", "--N", "3", "--m", "3"]) == 0
-    assert "FAIL" not in capsys.readouterr().out
-
-
 def test_run_suite_rejects_unknown():
     with pytest.raises(UsageError):
         run_suite("nope", {}, seed=0)
@@ -156,10 +142,25 @@ def test_run_suite_rejects_unknown():
     ["thm-3.2", "--m", "9"],
     ["thm-4.1", "--K", "3"],
     ["prop-3.10", "--k", "4"],
+    ["series-inversion", "--K", "8"],
+    ["series-inversion", "--K", "5"],
+    ["thm-5.3", "--k", "4"],
+    ["prop-5.2", "--K", "4"],
 ])
 def test_bad_order_or_empty_run_is_usage_error(argv, capsys):
     assert main(["verify", *argv]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_an_order_past_its_bound_exits_two_at_once(capsys):
+    # each of these runs for many seconds if it is let through
+    for argv in (["series-inversion", "--K", "8"], ["series-inversion", "--K", "5"],
+                 ["thm-5.3", "--k", "4"], ["prop-5.2", "--K", "4"]):
+        start = time.monotonic()
+        assert main(["verify", *argv]) == 2
+        assert time.monotonic() - start < 1.0, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "is outside" in err, err
 
 
 def test_fixed_parameters_at_their_values_pass(capsys):
@@ -173,10 +174,11 @@ def _bad_params(domains):
         domain = domains.get(key)
         if domain is None:
             yield {key: 2}
-        elif isinstance(domain, tuple):
-            yield {key: max(domain) + 1}
-        else:
+        elif isinstance(domain, Order):
             yield {key: 0}
+            yield {key: domain.top + 1}
+        else:
+            yield {key: max(domain) + 1}
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -192,14 +194,18 @@ def test_registry_rejects_bad_params_before_the_body(name, monkeypatch):
             run_suite(name, params, seed=0)
 
 
-def test_internal_fault_exits_three(monkeypatch, capsys):
+@pytest.mark.parametrize("fault", [ConsistencyError, DimensionError],
+                         ids=lambda fault: fault.__name__)
+def test_internal_fault_exits_three(fault, monkeypatch, capsys):
+    # parameters are validated before the body runs, so a fault inside it
+    # is internal, a DimensionError as much as any other
     def broken_suite(p, rng):
-        raise ConsistencyError("generator images break the symmetry")
+        raise fault("generator images break the symmetry")
 
     monkeypatch.setitem(SUITES, "broken", ("internal fault", {}, broken_suite))
     assert main(["verify", "broken"]) == 3
     err = capsys.readouterr().err
-    assert "error: internal: ConsistencyError: generator images" in err
+    assert f"error: internal: {fault.__name__}: generator images" in err
     assert "Traceback" not in err
 
 

@@ -24,8 +24,7 @@ ENTRIES = [entry for part in PARTS.values() for entry in part["entries"]]
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=entry_key)
-def test_report_matches_golden_copy(entry, tmp_path, monkeypatch):
-    monkeypatch.setenv("VERIFY_MAX_CELLS", "256")
+def test_report_matches_golden_copy(entry, tmp_path):
     out = tmp_path / "report.json"
     code = main(["verify", *entry, "--seed", "0", "--format", "json", "--out", str(out)])
     assert out.exists(), f"{entry} exited {code} without a report"
