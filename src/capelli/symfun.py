@@ -122,7 +122,7 @@ class ShiftSequence:
         return cls(lambda k: 0, name="0")
 
     @classmethod
-    def from_values(cls, values, tail_step=1):
+    def from_values(cls, values):
         """Finite list, extended past the end by consecutive integers to
         keep the sequence multiplicity-free."""
         values = [scal(v) for v in values]
@@ -131,7 +131,7 @@ class ShiftSequence:
         def rule(k):
             if k <= len(values):
                 return values[k - 1]
-            return top + tail_step * (k - len(values))
+            return top + k - len(values)
 
         return cls(rule, name=f"list({', '.join(map(str, values))})")
 

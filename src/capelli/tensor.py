@@ -961,28 +961,24 @@ def check_gl_exchange_relations(N: int, eps_family: str):
     return None
 
 
-def verify_relations(ctx: LieContext, m_max=3, select=None):
-    """Run the operator-identity battery for one algebra; returns a list
-    of (check id, witness) pairs, the witness None on a pass.  With
-    `select`, a predicate on the check id, only the selected checks are
-    computed."""
-    out = []
-
-    def record(cid, check, *args):
-        if select is None or select(cid):
-            out.append((cid, check(*args)))
-
-    record(f"exchange-relation[{ctx.family}{ctx.N}]", check_exchange_relation, ctx)
-    record(f"rrr-relation[{ctx.family}{ctx.N}]", check_rrr_relation, ctx)
-    record(f"boundary-regularity[{ctx.family}{ctx.N}]", check_boundary_regularity, ctx)
-    for m in range(2, m_max + 1):
-        record(f"projected-products[{ctx.family}{ctx.N},m={m}]",
-               check_projected_products, ctx, m)
-        record(f"symmetrizer-decompositions[N={ctx.N},m={m}]",
-               check_symmetrizer_decompositions, ctx.N, m)
-    record(f"gl-exchange[N={ctx.N},eps={ctx.family}]",
-           check_gl_exchange_relations, ctx.N, ctx.family)
-    return out
+def verify_relations(ctx: LieContext, relation=None):
+    """Yield the operator-identity battery for one algebra as (check id,
+    witness) pairs, the witness None on a pass, each check computed as it
+    is yielded.  With `relation`, the id up to its bracket (such as
+    "exchange-relation"), only that relation's checks run."""
+    alg = f"{ctx.family}{ctx.N}"
+    table = [("exchange-relation", alg, check_exchange_relation, (ctx,)),
+             ("rrr-relation", alg, check_rrr_relation, (ctx,)),
+             ("boundary-regularity", alg, check_boundary_regularity, (ctx,))]
+    for m in (2, 3):
+        table += [("projected-products", f"{alg},m={m}", check_projected_products, (ctx, m)),
+                  ("symmetrizer-decompositions", f"N={ctx.N},m={m}",
+                   check_symmetrizer_decompositions, (ctx.N, m))]
+    table.append(("gl-exchange", f"N={ctx.N},eps={ctx.family}",
+                  check_gl_exchange_relations, (ctx.N, ctx.family)))
+    for name, suffix, check, args in table:
+        if relation in (None, name):
+            yield f"{name}[{suffix}]", check(*args)
 
 
 # -- vanishing suites ---------------------------------------------------------
@@ -1005,8 +1001,9 @@ def _image_factor(space_big, m, l, q, const, family=None):
 def verify_vanishing(m: int, l: int, N: int, family: str, signed: bool):
     """Exact matrix checks of the annihilation statements for the two
     ordered products of spectral factors under the antisymmetrizer
-    (signed) or the symmetrizer, represented on l extra slots; returns a
-    list of (check id, witness) pairs, the witness None on a pass.
+    (signed) or the symmetrizer, represented on l extra slots; yields
+    (check id, witness) pairs, the witness None on a pass, each check
+    computed as it is yielded.
 
     The products are (anti)symmetrizer * prod_q image(q), one plain and
     one twisted: plain factors E_q(-+(q-1)) act by +-(q-1) + sum P,
@@ -1018,14 +1015,9 @@ def verify_vanishing(m: int, l: int, N: int, family: str, signed: bool):
     distinct-index exchange sum.  Every check is linear in the projector,
     so it is the integral m! * A of `symmetrizer`.
     """
-    out = []
     space = TensorSpace(N, m + l)
     proj = symmetrizer(space, signed, width=m)
     step = 1 if signed else -1
-
-    def record(cid, ok, detail):
-        out.append((cid, None if ok else detail))
-
     tag = f"m={m},l={l},N={N},{family}"
     for twisted in (False, True):
         prod = proj
@@ -1038,14 +1030,16 @@ def verify_vanishing(m: int, l: int, N: int, family: str, signed: bool):
         name = ("anti" if signed else "") + "sym" + ("-twisted" if twisted else "")
         what = ("twisted " if twisted else "") + ("anti" if signed else "") + "symmetrized product"
         if l < m and (signed or m >= 2):
-            record(f"{name}-vanishes-small[{tag}]", not prod,
-                   f"the {what} failed to vanish" + ("" if twisted else " on the small power"))
+            yield (f"{name}-vanishes-small[{tag}]",
+                   f"the {what} failed to vanish" + ("" if twisted else " on the small power")
+                   if prod else None)
         if l >= m >= 2:
             shape = "row" if signed else "column"
             component = smat_embed(symmetrizer(TensorSpace(N, l), not signed), N ** l,
                                    left=N ** m)
-            record(f"{name}-kills-{shape}[{tag}]", not smat_mul(prod, component),
-                   f"{what} does not kill the one-{shape} component")
+            yield (f"{name}-kills-{shape}[{tag}]",
+                   f"{what} does not kill the one-{shape} component"
+                   if smat_mul(prod, component) else None)
     if signed and l >= m:
         distinct = {}
         for rs in itertools.permutations(range(1, l + 1), m):
@@ -1053,7 +1047,7 @@ def verify_vanishing(m: int, l: int, N: int, family: str, signed: bool):
             for q, r in enumerate(rs, start=1):
                 term = smat_mul(term, exchange_P(space, q, m + r))
             add_into(distinct, term)
-        record(f"antisym-distinct-sum[{tag}]", smat_eq(plain, distinct),
+        yield (f"antisym-distinct-sum[{tag}]", None if smat_eq(plain, distinct) else
                "antisymmetrized product differs from the distinct-index sum")
     if signed and m == 1:
         # sum_r P_{1,1+r} = sum_ij pi_1(E_ij) * sum_r pi_{1+r}(E_ji), from
@@ -1064,6 +1058,5 @@ def verify_vanishing(m: int, l: int, N: int, family: str, signed: bool):
             for j in space.indices:
                 add_into(expect, smat_mul(slot_action(space, i, j, (1,)),
                                           slot_action(space, j, i, range(2, l + 2))))
-        record(f"antisym-single-factor-base[{tag}]", smat_eq(base, expect),
+        yield (f"antisym-single-factor-base[{tag}]", None if smat_eq(base, expect) else
                "single-factor image is not the exchange sum")
-    return out

@@ -6,7 +6,7 @@ import pytest
 
 from capelli.cli import main, report_emit
 from capelli.core import ConsistencyError, DimensionError
-from capelli import suites
+from capelli import suites, tensor
 from capelli.suites import SUITES, CheckResult, Order, UsageError, run_suite
 from capelli.uea import LieContext, UEAElement
 
@@ -212,6 +212,9 @@ def test_internal_fault_exits_three(fault, monkeypatch, capsys):
 def test_every_suite_is_a_generator_of_checks():
     for name, (_desc, _domains, fn) in SUITES.items():
         assert inspect.isgeneratorfunction(fn), name
+    # the batteries that the relation and vanishing suites read, too
+    assert inspect.isgeneratorfunction(tensor.verify_relations)
+    assert inspect.isgeneratorfunction(tensor.verify_vanishing)
 
 
 def test_ms_is_the_gap_since_the_previous_check(monkeypatch):
@@ -229,6 +232,32 @@ def test_ms_is_the_gap_since_the_previous_check(monkeypatch):
     assert [(c.id, c.status, c.ms) for c in checks] == [
         ("first", "pass", 500.0), ("second", "fail", 250.0), ("third", "pass", 2000.0)]
     assert sum(c.ms for c in checks) == (clock[0] - 100.0) * 1000.0
+
+
+@pytest.mark.parametrize("suite,check", [("prop-3.6", "check_projected_products"),
+                                         ("dec-3.04", "check_symmetrizer_decompositions")])
+def test_each_battery_check_reports_its_own_ms(suite, check, monkeypatch):
+    # every check of the battery advances the clock by its own cost
+    clock = [100.0]
+    monkeypatch.setattr(suites.time, "monotonic", lambda: clock[0])
+    costs = []
+
+    def timed(*args):
+        costs.append(0.5 + 0.25 * len(costs))
+        clock[0] += costs[-1]
+
+    monkeypatch.setattr(tensor, check, timed)
+    checks = run_suite(suite, {}, seed=0)
+    assert len(checks) == len(costs) == 6
+    assert [c.ms for c in checks] == [1000.0 * cost for cost in costs]
+
+
+@pytest.mark.parametrize("args", [["--seed", "12988"], ["--K", "3", "--seed", "17805"],
+                                  ["--K", "16", "--seed", "214"]])
+def test_prop_23_redraws_a_z_value_that_hits_the_sequence(args, capsys):
+    # each seed draws a z-value equal to an entry of its shift sequence
+    assert main(["verify", "prop-2.3", *args]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_generator_with_no_checks_is_usage_error(monkeypatch, capsys):

@@ -177,7 +177,7 @@ def test_verify_vanishing_fails_on_the_symmetric_projector(monkeypatch):
 
 @pytest.mark.parametrize("check", [
     lambda: tensor.check_symmetrizer_decompositions(3, 3),
-    lambda: verify_vanishing(2, 2, 2, "sp", False),
+    lambda: list(verify_vanishing(2, 2, 2, "sp", False)),
     lambda: eigenvalue_check_gl(2, (1, 1), quantum_det_gl(2)),
 ], ids=["dec-3.04", "vanishing", "eigenvalue"])
 def test_scalar_matrix_checks_are_integral(check, monkeypatch):
@@ -285,7 +285,7 @@ def test_trace_invariance_surrogate():
 
 def test_verify_relations_all_pass():
     for ctx in (SO2, SP2):
-        for cid, witness in verify_relations(ctx, m_max=3):
+        for cid, witness in verify_relations(ctx):
             assert witness is None, cid
 
 
@@ -306,13 +306,28 @@ def test_exchange_relation_fails_without_the_twist(ctx, monkeypatch):
 
 
 def test_verify_relations_computes_only_selected_checks(monkeypatch):
-    full = verify_relations(SP2, m_max=3)
+    full = list(verify_relations(SP2))
     for name in ("check_exchange_relation", "check_rrr_relation", "check_boundary_regularity",
                  "check_symmetrizer_decompositions", "check_gl_exchange_relations"):
         monkeypatch.setattr(tensor, name, lambda *args: pytest.fail("an unselected check ran"))
-    picked = verify_relations(SP2, m_max=3, select=lambda cid: cid.startswith("projected"))
+    picked = list(verify_relations(SP2, "projected-products"))
     assert picked == [r for r in full if r[0].startswith("projected")]
     assert len(picked) == 2
+
+
+def test_verify_relations_computes_each_check_as_it_yields_it(monkeypatch):
+    build = tensor.check_projected_products
+    calls = []
+
+    def counted(ctx, m):
+        calls.append(m)
+        return build(ctx, m)
+
+    monkeypatch.setattr(tensor, "check_projected_products", counted)
+    checks = verify_relations(SP2, "projected-products")
+    assert calls == []
+    assert next(checks) == ("projected-products[sp2,m=2]", None)
+    assert calls == [2]
 
 
 def test_verify_vanishing_all_pass():
