@@ -1,17 +1,15 @@
 """Command-line verification harness.
 
-`capelli verify <suite> [--N ...] [--m ...] [--k ...] [--K ...]
-[--seed ...] [--format json|md|text] [--out path]` runs one named suite
-and emits a machine- or human-readable report; `capelli list-suites`
-prints the registry with each suite's parameter domains.  Each grid
-parameter takes the values of its declared set and each series order a
-value from 1 to its bound (`thm-5.3` k and `prop-5.2` K at most 3,
-`series-inversion` K at most 4, `prop-2.3` K at most 16).  Exit codes:
-0 all checks pass, 1 at least one check failed, 2 usage error (a bad
-argument, a value outside the suite's domain or an unwritable `--out`
-path), 3 internal fault (a consistency, dimension, division or pole
-error or any other unexpected exception, reported on stderr without a
-traceback).
+`capelli verify <suite> [--seed ...] [--format json|md|text] [--out
+path]`, with one flag per parameter that some suite declares
+(`suites.PARAMS`), runs one named suite and emits a machine- or
+human-readable report; `capelli list-suites` prints the registry with
+each suite's parameter domains, and a flag must name a value in the
+suite's domain.  Exit codes: 0 all checks pass, 1 at least one check
+failed, 2 usage error (a bad argument, a value outside the suite's
+domain or an unwritable `--out` path), 3 internal fault (a consistency,
+dimension, division or pole error or any other unexpected exception,
+reported on stderr without a traceback).
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .suites import SUITES, CheckResult, UsageError, domain_text, run_suite
+from .suites import PARAMS, SUITES, CheckResult, UsageError, domain_text, run_suite
 
 REPORT_VERSION = "1"
 
@@ -69,10 +67,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command")
     v = sub.add_parser("verify", help="run one named suite")
     v.add_argument("suite")
-    v.add_argument("--N", type=int, default=None)
-    v.add_argument("--m", type=int, default=None)
-    v.add_argument("--k", type=int, default=None)
-    v.add_argument("--K", type=int, default=None)
+    for key in PARAMS:
+        v.add_argument(f"--{key}", type=int)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--format", dest="fmt", default="text",
                    choices=["json", "md", "text"])
@@ -89,18 +85,18 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     if args.command == "list-suites":
         width = max(len(n) for n in SUITES)
-        desc_width = max(len(desc) for desc, _d, _f in SUITES.values())
+        desc_width = max(len(suite.description) for suite in SUITES.values())
         for name in sorted(SUITES):
-            desc, domains, _fn = SUITES[name]
-            print(f"{name:<{width}}  {desc:<{desc_width}}  "
-                  f"{domain_text(domains)}".rstrip())
+            suite = SUITES[name]
+            print(f"{name:<{width}}  {suite.description:<{desc_width}}  "
+                  f"{domain_text(suite.domains)}".rstrip())
         return 0
     if args.command != "verify":
         parser.print_usage()
         return 2
-    params = {"N": args.N, "m": args.m, "k": args.k, "K": args.K}
+    given = {key: getattr(args, key) for key in PARAMS if getattr(args, key) is not None}
     try:
-        checks = run_suite(args.suite, params, seed=args.seed)
+        checks = run_suite(args.suite, given, seed=args.seed)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -108,9 +104,7 @@ def main(argv=None) -> int:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     checks.sort(key=lambda c: c.id)
-    shown = {k: v for k, v in params.items() if v is not None}
-    shown["seed"] = args.seed
-    blob = report_emit(args.suite, shown, checks, args.fmt)
+    blob = report_emit(args.suite, {**given, "seed": args.seed}, checks, args.fmt)
     if args.out:
         try:
             with open(args.out, "wb") as fh:

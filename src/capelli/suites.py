@@ -7,13 +7,13 @@ operator-identity battery for the exchange matrices, the quantum
 determinant formula, the dual-pair transfer, the symmetric-function
 groundwork, and the generating-series inversion.
 
-Suites are data: a registry mapping the suite name to a description, its
-parameter domains and a callable; adding a statement means adding an
-entry.  The callable is a generator of `(check id, witness)` pairs, where
-the witness is None on a pass.  `run_suite` resolves the given N/m/k/K
-against the declared domains before the body runs, so no suite reads raw
-parameters, and it is the one place that reads the clock and builds the
-`CheckResult`s.
+Suites are data: `SUITES` maps each suite name to one `Suite` row, its
+description, its parameter domains and its body; adding a statement
+means adding a row.  The body is a generator of `(check id, witness)`
+pairs, where the witness is None on a pass.  `run_suite` resolves the
+given parameters against the declared domains before the body runs, so
+no suite reads raw parameters, and it is the one place that reads the
+clock and builds the `CheckResult`s.
 
 Twin statements about the signed family C (Pfaffians over so_N, det,
 strictly increasing choices) and the unsigned family D (Hafnians over
@@ -32,6 +32,8 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .core import (
     SymPoly,
@@ -90,9 +92,13 @@ from .weyl import WeylContext, WeylOperator, _paired_blocks, cayley_omega, cayle
 @dataclass
 class CheckResult:
     id: str
-    status: str
     witness: str | None
     ms: float
+
+    @property
+    def status(self):
+        """"pass" exactly when the check carries no witness."""
+        return "pass" if self.witness is None else "fail"
 
 
 class UsageError(ValueError):
@@ -146,111 +152,71 @@ def _families(N):
 # -- gl_N: the two classical identities ---------------------------------------
 
 
-def _capelli_suite(element, cayley, prefix):
-    def run(p, rng):
-        for N in p["N"]:
-            for m in p["m"]:
-                for k in p["k"]:
-                    if k <= min(m, N):
-                        yield (f"{prefix}-capelli[N={N},m={m},k={k}]",
-                               gamma(element(k, N), m).first_difference(cayley(k, m, N)))
-
-    return run
-
-
-suite_capelli_gl = _capelli_suite(capelli_element_e, cayley_omega, "det")
-suite_capelli_gl_perm = _capelli_suite(capelli_element_h, cayley_theta, "per")
+def _capelli_suite(p, rng, element, cayley, prefix):
+    for N in p["N"]:
+        for m in p["m"]:
+            for k in p["k"]:
+                if k <= min(m, N):
+                    yield (f"{prefix}-capelli[N={N},m={m},k={k}]",
+                           gamma(element(k, N), m).first_difference(cayley(k, m, N)))
 
 
 # -- so_N and sp_N: the Pfaffian and Hafnian formulas ----------------------------
 
 
-def _formula_suite(signed):
+def _formula_suite(p, rng, signed):
     """thm-4.1 (signed: the Pfaffian sums C_k over so_N, empty past the
     rank n) or thm-5.1 (unsigned: the Hafnian sums D_k over sp_N): each
     element is central, has the Harish-Chandra image `hc_target` and acts
     on the m-fold grid as the sum of the paired blocks."""
     family, kind, name = ("so", "C", "pfaffian") if signed else ("sp", "D", "hafnian")
-
-    def run(p, rng):
-        for N in p["N"]:
-            ctx = LieContext(family, N)
+    for N in p["N"]:
+        ctx = LieContext(family, N)
+        for k in p["k"]:
+            z = c_k_pfaffian(ctx, k) if signed else d_k_hafnian(ctx, k)
+            if signed and k > ctx.n:
+                yield (f"pfaffian-vanishes[N={N},k={k}]",
+                       None if z.is_zero() else "nonzero past the rank")
+                continue
+            yield (f"{name}-central[N={N},k={k}]",
+                   None if is_central(z) else "element is not central")
+            yield (f"{name}-hc-image[N={N},k={k}]",
+                   _hc_witness(z, k, hc_target(ctx, kind, k)))
+        for m in p["m"]:
             for k in p["k"]:
-                z = c_k_pfaffian(ctx, k) if signed else d_k_hafnian(ctx, k)
-                if signed and k > ctx.n:
-                    yield (f"pfaffian-vanishes[N={N},k={k}]",
-                           None if z.is_zero() else "nonzero past the rank")
-                    continue
-                yield (f"{name}-central[N={N},k={k}]",
-                       None if is_central(z) else "element is not central")
-                yield (f"{name}-hc-image[N={N},k={k}]",
-                       _hc_witness(z, k, hc_target(ctx, kind, k)))
-            for m in p["m"]:
-                for k in p["k"]:
-                    if not (signed and k > ctx.n):
-                        yield (f"{name}-image[N={N},m={m},k={k}]",
-                               _image_witness(ctx, m, k, signed))
-
-    return run
-
-
-suite_thm_41 = _formula_suite(signed=True)
-suite_thm_51 = _formula_suite(signed=False)
+                if not (signed and k > ctx.n):
+                    yield (f"{name}-image[N={N},m={m},k={k}]",
+                           _image_witness(ctx, m, k, signed))
 
 
 # -- fusion --------------------------------------------------------------------
 
 
-def _fusion_suite(kind, shape):
-    def run(p, rng):
-        for N in p["N"]:
-            for family in _families(N):
-                for k in p["k"]:
-                    ctx = LieContext(family, N)
-                    expected = central_series(ctx, kind, k)[k].evaluate(uea_ring(ctx))
-                    yield (f"fusion-{shape}[{family}{N},k={k}]",
-                           fusion_capelli(ctx, k, shape).first_difference(expected))
-
-    return run
-
-
-suite_thm_32 = _fusion_suite("C", "column")
-suite_thm_33 = _fusion_suite("D", "row")
+def _fusion_suite(p, rng, kind, shape):
+    for N in p["N"]:
+        for family in _families(N):
+            for k in p["k"]:
+                ctx = LieContext(family, N)
+                expected = central_series(ctx, kind, k)[k].evaluate(uea_ring(ctx))
+                yield (f"fusion-{shape}[{family}{N},k={k}]",
+                       fusion_capelli(ctx, k, shape).first_difference(expected))
 
 
 # -- exchange-matrix identities --------------------------------------------------
 
 
-def _relation_suite(relation):
-    def run(p, rng):
-        for N in p["N"]:
-            for family in _families(N):
-                yield from verify_relations(LieContext(family, N), relation)
-
-    return run
+def _relation_suite(p, rng, relation):
+    for N in p["N"]:
+        for family in _families(N):
+            yield from verify_relations(LieContext(family, N), relation)
 
 
-suite_prop_31 = _relation_suite("exchange-relation")
-suite_rel_303 = _relation_suite("rrr-relation")
-suite_lem_35 = _relation_suite("boundary-regularity")
-suite_prop_36 = _relation_suite("projected-products")
-suite_dec_304 = _relation_suite("symmetrizer-decompositions")
-suite_prop_39 = _relation_suite("gl-exchange")
-
-
-def _vanishing_suite(signed):
-    def run(p, rng):
-        for N in p["N"]:
-            for family in ("so", "sp"):
-                for m in p["m"]:
-                    for l in range(0, 3):
-                        yield from verify_vanishing(m, l, N, family, signed)
-
-    return run
-
-
-suite_prop_310 = _vanishing_suite(signed=True)
-suite_prop_311 = _vanishing_suite(signed=False)
+def _vanishing_suite(p, rng, signed):
+    for N in p["N"]:
+        for family in ("so", "sp"):
+            for m in p["m"]:
+                for l in range(0, 3):
+                    yield from verify_vanishing(m, l, N, family, signed)
 
 
 # -- quantum determinant ----------------------------------------------------------
@@ -287,88 +253,71 @@ def _dual_pair(N, m, signed):
     return LieContext("sp", N), LieContext("so", 2 * m), "D"
 
 
-def _transfer_suite(signed):
+def _transfer_suite(p, rng, signed):
     """thm-4.4 (signed: the grid's k up to m, both series to order m) or
     thm-5.3 (unsigned: k = 1..K, both series to order K): the dual action
     of the k-th dual element is the combination of the inner elements'
     images with the coefficients `dual_pair_coeffs`."""
-    def run(p, rng):
-        for N in p["N"]:
-            for m in p["m"]:
-                inner, dual, kind = _dual_pair(N, m, signed)
-                order = m if signed else p["k"]
-                series_inner = central_series(inner, kind, order)
-                series_dual = central_series(dual, kind, order)
-                for k in p["k"] if signed else range(1, order + 1):
-                    if k <= order:
-                        yield (f"transfer-{kind}[N={N},m={m},k={k}]",
-                               _transfer_witness(kind, k, m, N, inner, series_inner,
-                                                 dual, series_dual))
-
-    return run
+    for N in p["N"]:
+        for m in p["m"]:
+            inner, dual, kind = _dual_pair(N, m, signed)
+            order = m if signed else p["k"]
+            series_inner = central_series(inner, kind, order)
+            series_dual = central_series(dual, kind, order)
+            for k in p["k"] if signed else range(1, order + 1):
+                if k <= order:
+                    yield (f"transfer-{kind}[N={N},m={m},k={k}]",
+                           _transfer_witness(kind, k, m, N, inner, series_inner,
+                                             dual, series_dual))
 
 
-def _generating_suite(signed):
+def _generating_suite(p, rng, signed):
     """prop-4.3 (signed: the inner series to the rank n and the dual one
     to m, compared exactly) or prop-5.2 (unsigned: both to order K,
     compared to O(t^{-K-1})): in t = u^2, the series of the inner images
     times the quotient of two ladders of m roots (orthogonal over
     symplectic) is the series of the dual images."""
-    def run(p, rng):
-        K = p.get("K")
-        for N in p["N"]:
-            for m in p["m"]:
-                inner, dual, kind = _dual_pair(N, m, signed)
-                inner_order, dual_order = (inner.n, m) if signed else (K, K)
-                one = WeylOperator.scalar(WeylContext(m, N), 1)
-                series_inner = central_series(inner, kind, inner_order)
-                series_dual = central_series(dual, kind, dual_order)
-                lhs_num, lhs_den = series_as_fraction(
-                    [one] + [x.evaluate(gamma_ring(inner, m)) for x in series_inner[1:]],
-                    linear_ladder(ladder_roots(inner, signed, inner_order)))
-                rhs = series_as_fraction(
-                    [one] + [x.evaluate(dual_ring(dual, m, N)) for x in series_dual[1:]],
-                    linear_ladder(ladder_roots(dual, signed, dual_order)))
-                top, bottom = (dense_prod(linear_ladder(ladder_roots(ctx, True, m)))
-                               for ctx in ((inner, dual) if signed else (dual, inner)))
-                lhs = (dense_mul(lhs_num, top), dense_mul(lhs_den, bottom))
-                if signed:
-                    yield (f"generating-transfer-C[N={N},m={m}]", dense_first_difference(
-                        dense_mul(lhs[0], rhs[1]), dense_mul(rhs[0], lhs[1]), "t"))
-                else:
-                    deg, bound = series_defect(lhs, rhs, K)
-                    yield (f"generating-transfer-D[N={N},m={m},K={K}]",
-                           None if deg <= bound else
-                           f"defect degree {deg} exceeds the truncation bound {bound}")
-
-    return run
+    K = p.get("K")
+    for N in p["N"]:
+        for m in p["m"]:
+            inner, dual, kind = _dual_pair(N, m, signed)
+            inner_order, dual_order = (inner.n, m) if signed else (K, K)
+            one = WeylOperator.scalar(WeylContext(m, N), 1)
+            series_inner = central_series(inner, kind, inner_order)
+            series_dual = central_series(dual, kind, dual_order)
+            lhs_num, lhs_den = series_as_fraction(
+                [one] + [x.evaluate(gamma_ring(inner, m)) for x in series_inner[1:]],
+                linear_ladder(ladder_roots(inner, signed, inner_order)))
+            rhs = series_as_fraction(
+                [one] + [x.evaluate(dual_ring(dual, m, N)) for x in series_dual[1:]],
+                linear_ladder(ladder_roots(dual, signed, dual_order)))
+            top, bottom = (dense_prod(linear_ladder(ladder_roots(ctx, True, m)))
+                           for ctx in ((inner, dual) if signed else (dual, inner)))
+            lhs = (dense_mul(lhs_num, top), dense_mul(lhs_den, bottom))
+            if signed:
+                yield (f"generating-transfer-C[N={N},m={m}]", dense_first_difference(
+                    dense_mul(lhs[0], rhs[1]), dense_mul(rhs[0], lhs[1]), "t"))
+            else:
+                deg, bound = series_defect(lhs, rhs, K)
+                yield (f"generating-transfer-D[N={N},m={m},K={K}]",
+                       None if deg <= bound else
+                       f"defect degree {deg} exceeds the truncation bound {bound}")
 
 
-def _identity_suite(signed):
+def _identity_suite(p, rng, signed):
     """cor-4.6 (signed, N = 2n and m = n - 1) or cor-5.4 (unsigned,
     n = m - 1): the transfer is the identity map, so the dual action of
     the k-th dual element is the image of the k-th inner element; both
     series are built to order m (k <= m on both domains)."""
-    def run(p, rng):
-        for N in p["N"]:
-            for m in p["m"]:
-                inner, dual, kind = _dual_pair(N, m, signed)
-                series_inner = central_series(inner, kind, m)
-                series_dual = central_series(dual, kind, m)
-                for k in p["k"]:
-                    yield (f"transfer-identity-{kind}[N={N},m={m},k={k}]",
-                           series_dual[k].evaluate(dual_ring(dual, m, N)).first_difference(
-                               series_inner[k].evaluate(gamma_ring(inner, m))))
-
-    return run
-
-
-suite_thm_44 = _transfer_suite(signed=True)
-suite_thm_53 = _transfer_suite(signed=False)
-suite_prop_43 = _generating_suite(signed=True)
-suite_prop_52 = _generating_suite(signed=False)
-suite_cor_46 = _identity_suite(signed=True)
-suite_cor_54 = _identity_suite(signed=False)
+    for N in p["N"]:
+        for m in p["m"]:
+            inner, dual, kind = _dual_pair(N, m, signed)
+            series_inner = central_series(inner, kind, m)
+            series_dual = central_series(dual, kind, m)
+            for k in p["k"]:
+                yield (f"transfer-identity-{kind}[N={N},m={m},k={k}]",
+                       series_dual[k].evaluate(dual_ring(dual, m, N)).first_difference(
+                           series_inner[k].evaluate(gamma_ring(inner, m))))
 
 
 def suite_cor_45(p, rng):
@@ -393,6 +342,14 @@ def suite_cor_42(p, rng):
 
 
 def suite_series_inversion(p, rng):
+    """The generating functions of the signed and unsigned families are
+    inverse series up to O(t^{-K-1}), over so_3 and sp_2.
+
+    Only the sp_2 half sees a wrong native element.  Over so_3 (rank 1)
+    `central_series` builds the unsigned family as polynomials in C_1
+    (`express_in_family`), so the inversion holds for every value of
+    C_1: with `_family_expr` returning C_1 + 1, or C_1 + 7, the so_3
+    check still passes at every K in 1..4."""
     K = p["K"]
     for family, N in (("so", 3), ("sp", 2)):
         if N not in p["N"]:
@@ -477,13 +434,6 @@ def suite_thm_21(p, rng):
 
 # -- registry ------------------------------------------------------------------------
 
-# Each entry is (description, domains, callable).  A domain is a tuple of
-# the values a grid parameter may take (all of them by default), or an
-# `Order`: a series order with its default and its largest value.  The
-# callable is a generator function of (resolved domains, rng): it gets a
-# tuple of values per grid parameter and an int per order, and yields one
-# (check id, witness) pair per check, with witness None on a pass.
-
 
 @dataclass(frozen=True)
 class Order:
@@ -497,59 +447,84 @@ class Order:
         return 1 <= value <= self.top
 
 
+class Suite(NamedTuple):
+    """One registry row.  A domain is a tuple of the values a grid
+    parameter may take (all of them by default), or an `Order`.  The body
+    is a generator function of (resolved domains, rng): it gets a tuple of
+    values per grid parameter and an int per order, and yields one
+    (check id, witness) pair per check, with witness None on a pass."""
+    description: str
+    domains: dict
+    body: Callable
+
+
 SUITES = {
-    "capelli-gl": ("classical determinant-type identity over gl_N",
-                   {"N": (2, 3), "m": (2, 3), "k": (1, 2, 3)}, suite_capelli_gl),
-    "capelli-gl-perm": ("permanent-type identity over gl_N",
-                        {"N": (2, 3), "m": (2, 3), "k": (1, 2, 3)}, suite_capelli_gl_perm),
-    "thm-4.1": ("Pfaffian formula for the signed family over so_N",
-                {"N": (2, 3, 4), "m": (1, 2, 3), "k": (1, 2)}, suite_thm_41),
-    "thm-5.1": ("Hafnian formula for the unsigned family over sp_N",
-                {"N": (2, 4), "m": (1, 2), "k": (1, 2)}, suite_thm_51),
-    "thm-3.2": ("fused column evaluates to the signed family",
-                {"N": (2, 3), "k": (1, 2)}, suite_thm_32),
-    "thm-3.3": ("fused row evaluates to the unsigned family",
-                {"N": (2, 3), "k": (1, 2)}, suite_thm_33),
-    "prop-3.1": ("exchange relation for the generator matrix",
-                 {"N": (2, 3)}, suite_prop_31),
-    "prop-3.6": ("projected twisted-factor collapse", {"N": (2, 3)}, suite_prop_36),
-    "prop-3.9": ("exchange relations for the gl_N generator matrices",
-                 {"N": (2, 3)}, suite_prop_39),
-    "rel-3.03": ("mixed triple product relation", {"N": (2, 3)}, suite_rel_303),
-    "lem-3.5": ("boundary regularity on the shifted lines", {"N": (2, 3)}, suite_lem_35),
-    "dec-3.04": ("product decompositions of the (anti)symmetrizers",
-                 {"N": (2, 3)}, suite_dec_304),
-    "prop-3.10": ("annihilation by the antisymmetrized spectral product",
-                  {"N": (2,), "m": (1, 2)}, suite_prop_310),
-    "prop-3.11": ("annihilation by the symmetrized spectral product",
-                  {"N": (2,), "m": (1, 2)}, suite_prop_311),
-    "thm-6.2": ("quantum determinant formula for the generating function",
-                {"N": (2, 3)}, suite_thm_62),
-    "prop-6.1": ("eigenvalue of the gl_N quantum determinant", {"N": (2,)}, suite_prop_61),
-    "thm-4.4": ("dual-pair transfer of the signed family",
-                {"N": (2, 3, 4), "m": (1, 2), "k": (1, 2)}, suite_thm_44),
-    "prop-4.3": ("generating-function transfer, orthogonal inner action",
-                 {"N": (2, 3, 4), "m": (1, 2)}, suite_prop_43),
-    "cor-4.5": ("vanishing of high dual elements",
-                {"N": (2,), "m": (2,), "k": (2,)}, suite_cor_45),
-    "cor-4.6": ("identity transfer at the balanced rank",
-                {"N": (4,), "m": (1,), "k": (1,)}, suite_cor_46),
-    "thm-5.3": ("dual-pair transfer of the unsigned family",
-                {"N": (2, 4), "m": (1, 2), "k": Order(2, top=3)}, suite_thm_53),
-    "prop-5.2": ("generating-function transfer, symplectic inner action",
-                 {"N": (2, 4), "m": (1, 2), "K": Order(2, top=3)}, suite_prop_52),
-    "cor-5.4": ("identity transfer at the balanced unsigned rank",
-                {"N": (2,), "m": (2,), "k": (1, 2)}, suite_cor_54),
-    "cor-4.2": ("top element as the square of the full Pfaffian",
-                {"N": (2, 4)}, suite_cor_42),
-    "prop-2.2": ("explicit sums for the factorial e and h polynomials",
-                 {}, suite_prop_22),
-    "prop-2.3": ("generating series of the factorial families",
-                 {"K": Order(4, top=16)}, suite_prop_23),
-    "thm-2.1": ("interpolation characterization grid", {}, suite_thm_21),
-    "series-inversion": ("the two generating functions are inverse series",
-                         {"N": (2, 3), "K": Order(3, top=4)}, suite_series_inversion),
+    "capelli-gl": Suite("classical determinant-type identity over gl_N",
+                        {"N": (2, 3), "m": (2, 3), "k": (1, 2, 3)},
+                        partial(_capelli_suite, element=capelli_element_e,
+                                cayley=cayley_omega, prefix="det")),
+    "capelli-gl-perm": Suite("permanent-type identity over gl_N",
+                             {"N": (2, 3), "m": (2, 3), "k": (1, 2, 3)},
+                             partial(_capelli_suite, element=capelli_element_h,
+                                     cayley=cayley_theta, prefix="per")),
+    "thm-4.1": Suite("Pfaffian formula for the signed family over so_N",
+                     {"N": (2, 3, 4), "m": (1, 2, 3), "k": (1, 2)},
+                     partial(_formula_suite, signed=True)),
+    "thm-5.1": Suite("Hafnian formula for the unsigned family over sp_N",
+                     {"N": (2, 4), "m": (1, 2), "k": (1, 2)},
+                     partial(_formula_suite, signed=False)),
+    "thm-3.2": Suite("fused column evaluates to the signed family",
+                     {"N": (2, 3), "k": (1, 2)}, partial(_fusion_suite, kind="C", shape="column")),
+    "thm-3.3": Suite("fused row evaluates to the unsigned family",
+                     {"N": (2, 3), "k": (1, 2)}, partial(_fusion_suite, kind="D", shape="row")),
+    "prop-3.1": Suite("exchange relation for the generator matrix",
+                      {"N": (2, 3)}, partial(_relation_suite, relation="exchange-relation")),
+    "prop-3.6": Suite("projected twisted-factor collapse",
+                      {"N": (2, 3)}, partial(_relation_suite, relation="projected-products")),
+    "prop-3.9": Suite("exchange relations for the gl_N generator matrices",
+                      {"N": (2, 3)}, partial(_relation_suite, relation="gl-exchange")),
+    "rel-3.03": Suite("mixed triple product relation",
+                      {"N": (2, 3)}, partial(_relation_suite, relation="rrr-relation")),
+    "lem-3.5": Suite("boundary regularity on the shifted lines",
+                     {"N": (2, 3)}, partial(_relation_suite, relation="boundary-regularity")),
+    "dec-3.04": Suite("product decompositions of the (anti)symmetrizers", {"N": (2, 3)},
+                      partial(_relation_suite, relation="symmetrizer-decompositions")),
+    "prop-3.10": Suite("annihilation by the antisymmetrized spectral product",
+                       {"N": (2,), "m": (1, 2)}, partial(_vanishing_suite, signed=True)),
+    "prop-3.11": Suite("annihilation by the symmetrized spectral product",
+                       {"N": (2,), "m": (1, 2)}, partial(_vanishing_suite, signed=False)),
+    "thm-6.2": Suite("quantum determinant formula for the generating function",
+                     {"N": (2, 3)}, suite_thm_62),
+    "prop-6.1": Suite("eigenvalue of the gl_N quantum determinant", {"N": (2,)}, suite_prop_61),
+    "thm-4.4": Suite("dual-pair transfer of the signed family",
+                     {"N": (2, 3, 4), "m": (1, 2), "k": (1, 2)},
+                     partial(_transfer_suite, signed=True)),
+    "prop-4.3": Suite("generating-function transfer, orthogonal inner action",
+                      {"N": (2, 3, 4), "m": (1, 2)}, partial(_generating_suite, signed=True)),
+    "cor-4.5": Suite("vanishing of high dual elements",
+                     {"N": (2,), "m": (2,), "k": (2,)}, suite_cor_45),
+    "cor-4.6": Suite("identity transfer at the balanced rank",
+                     {"N": (4,), "m": (1,), "k": (1,)}, partial(_identity_suite, signed=True)),
+    "thm-5.3": Suite("dual-pair transfer of the unsigned family",
+                     {"N": (2, 4), "m": (1, 2), "k": Order(2, top=3)},
+                     partial(_transfer_suite, signed=False)),
+    "prop-5.2": Suite("generating-function transfer, symplectic inner action",
+                      {"N": (2, 4), "m": (1, 2), "K": Order(2, top=3)},
+                      partial(_generating_suite, signed=False)),
+    "cor-5.4": Suite("identity transfer at the balanced unsigned rank",
+                     {"N": (2,), "m": (2,), "k": (1, 2)}, partial(_identity_suite, signed=False)),
+    "cor-4.2": Suite("top element as the square of the full Pfaffian",
+                     {"N": (2, 4)}, suite_cor_42),
+    "prop-2.2": Suite("explicit sums for the factorial e and h polynomials", {}, suite_prop_22),
+    "prop-2.3": Suite("generating series of the factorial families",
+                      {"K": Order(4, top=16)}, suite_prop_23),
+    "thm-2.1": Suite("interpolation characterization grid", {}, suite_thm_21),
+    "series-inversion": Suite("the two generating functions are inverse series",
+                              {"N": (2, 3), "K": Order(3, top=4)}, suite_series_inversion),
 }
+
+# The parameters a suite may declare: every domain key, in registry order.
+PARAMS = tuple(dict.fromkeys(key for suite in SUITES.values() for key in suite.domains))
 
 
 def domain_text(domains):
@@ -571,27 +546,27 @@ def _resolve(domains, given):
     resolved = {key: d.default if isinstance(d, Order) else d for key, d in domains.items()}
     for key, value in given.items():
         domain = domains[key]
-        if value not in domain:
-            raise UsageError(f"{key}={value} is outside {domain_text({key: domain})}")
+        if type(value) is not int or value not in domain:
+            raise UsageError(f"{key}={value!r} is outside {domain_text({key: domain})}")
         resolved[key] = value if isinstance(domain, Order) else (value,)
     return resolved
 
 
 def run_suite(name, params=None, seed=0):
-    """Run one suite and time its checks.  A check's `ms` is the time since
+    """Run one suite on the given `params` (a name absent from them takes
+    its declared default) and time its checks.  A check's `ms` is the time since
     the previous check was yielded (since the body started, for the first
     one), so the values add up to the time the body ran."""
     if name not in SUITES:
         raise UsageError(f"unknown suite {name!r}")
-    given = {key: value for key, value in (params or {}).items() if value is not None}
-    _desc, domains, fn = SUITES[name]
-    checks = fn(_resolve(domains, given), random.Random(seed))
+    given = params or {}
+    suite = SUITES[name]
+    checks = suite.body(_resolve(suite.domains, given), random.Random(seed))
     results = []
     last = time.monotonic()
     for cid, witness in checks:
         now = time.monotonic()
-        results.append(CheckResult(id=cid, status="pass" if witness is None else "fail",
-                                   witness=witness, ms=(now - last) * 1000.0))
+        results.append(CheckResult(cid, witness, (now - last) * 1000.0))
         last = now
     if not results:
         raise UsageError(f"no check of {name!r} matches the parameters {given}")

@@ -7,7 +7,7 @@ import pytest
 from capelli.cli import main, report_emit
 from capelli.core import ConsistencyError, DimensionError
 from capelli import suites, tensor
-from capelli.suites import SUITES, CheckResult, Order, UsageError, run_suite
+from capelli.suites import PARAMS, SUITES, CheckResult, Order, Suite, UsageError, run_suite
 from capelli.uea import LieContext, UEAElement
 
 
@@ -23,6 +23,13 @@ def test_list_suites_exits_zero(capsys):
     assert lines["prop-5.2"].endswith("K∈{1..3} (default 2)")
     assert lines["prop-2.3"].endswith("K∈{1..16} (default 4)")
     assert lines["prop-2.2"].endswith("polynomials")
+
+
+def test_verify_flags_are_the_declared_parameters_in_registry_order(capsys):
+    assert PARAMS == ("N", "m", "k", "K")
+    assert main(["verify", "--help"]) == 0
+    usage = " ".join(capsys.readouterr().out.split())
+    assert usage.startswith("usage: capelli verify [-h] [--N N] [--m M] [--k K] [--K K] [--seed")
 
 
 def test_unknown_suite_usage_error(capsys):
@@ -78,7 +85,7 @@ def test_failing_check_carries_pbw_witness(monkeypatch, capsys):
     def fake_suite(params, rng):
         yield "injected", lhs.first_difference(rhs)
 
-    monkeypatch.setitem(SUITES, "injected-failure", ("failure injection", {}, fake_suite))
+    monkeypatch.setitem(SUITES, "injected-failure", Suite("failure injection", {}, fake_suite))
     assert main(["verify", "injected-failure", "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     check = doc["suites"][0]["checks"][0]
@@ -94,9 +101,11 @@ def test_markdown_emission(capsys):
 
 
 def test_report_emit_keeps_the_given_order_and_rejects_an_unknown_format():
-    checks = [CheckResult("b", "fail", "E[1,1]", 1.0), CheckResult("a", "pass", None, 2.0)]
+    checks = [CheckResult("b", "E[1,1]", 1.0), CheckResult("a", None, 2.0)]
     text = report_emit("demo", {"N": 2, "seed": 0}, checks, "text").decode()
     assert text == "FAIL demo:b  [E[1,1]]\nPASS demo:a\ndemo: 1/2 checks passed\n"
+    with pytest.raises(AttributeError):  # the status is read from the witness
+        checks[0].status = "pass"
     with pytest.raises(UsageError):
         report_emit("demo", {}, checks, "yaml")
 
@@ -169,27 +178,33 @@ def test_fixed_parameters_at_their_values_pass(capsys):
 
 
 def _bad_params(domains):
-    """One parameter dict per way of misusing `domains`."""
-    for key in ("N", "m", "k", "K"):
+    """One parameter dict per way of misusing `domains`: an undeclared
+    parameter, a value outside a domain, and a value that is not an int
+    (one that equals a member of the domain, a fraction, a bool or a
+    string)."""
+    for key in PARAMS:
         domain = domains.get(key)
         if domain is None:
             yield {key: 2}
-        elif isinstance(domain, Order):
+            continue
+        if isinstance(domain, Order):
             yield {key: 0}
             yield {key: domain.top + 1}
+            inside = domain.default
         else:
             yield {key: max(domain) + 1}
+            inside = min(domain)
+        for value in (float(inside), inside + 0.5, True, str(inside)):
+            yield {key: value}
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_registry_rejects_bad_params_before_the_body(name, monkeypatch):
-    desc, domains, _fn = SUITES[name]
-
     def must_not_run(p, rng):
         raise AssertionError("the suite body ran on invalid parameters")
 
-    monkeypatch.setitem(SUITES, name, (desc, domains, must_not_run))
-    for params in _bad_params(domains):
+    monkeypatch.setitem(SUITES, name, SUITES[name]._replace(body=must_not_run))
+    for params in _bad_params(SUITES[name].domains):
         with pytest.raises(UsageError):
             run_suite(name, params, seed=0)
 
@@ -202,7 +217,7 @@ def test_internal_fault_exits_three(fault, monkeypatch, capsys):
     def broken_suite(p, rng):
         raise fault("generator images break the symmetry")
 
-    monkeypatch.setitem(SUITES, "broken", ("internal fault", {}, broken_suite))
+    monkeypatch.setitem(SUITES, "broken", Suite("internal fault", {}, broken_suite))
     assert main(["verify", "broken"]) == 3
     err = capsys.readouterr().err
     assert f"error: internal: {fault.__name__}: generator images" in err
@@ -210,8 +225,8 @@ def test_internal_fault_exits_three(fault, monkeypatch, capsys):
 
 
 def test_every_suite_is_a_generator_of_checks():
-    for name, (_desc, _domains, fn) in SUITES.items():
-        assert inspect.isgeneratorfunction(fn), name
+    for name, suite in SUITES.items():
+        assert isinstance(suite, Suite) and inspect.isgeneratorfunction(suite.body), name
     # the batteries that the relation and vanishing suites read, too
     assert inspect.isgeneratorfunction(tensor.verify_relations)
     assert inspect.isgeneratorfunction(tensor.verify_vanishing)
@@ -227,7 +242,7 @@ def test_ms_is_the_gap_since_the_previous_check(monkeypatch):
             clock[0] += cost
             yield cid, None if cid != "second" else "injected"
 
-    monkeypatch.setitem(SUITES, "timed", ("fake clock", {}, timed_suite))
+    monkeypatch.setitem(SUITES, "timed", Suite("fake clock", {}, timed_suite))
     checks = run_suite("timed", {}, seed=0)
     assert [(c.id, c.status, c.ms) for c in checks] == [
         ("first", "pass", 500.0), ("second", "fail", 250.0), ("third", "pass", 2000.0)]
@@ -264,7 +279,7 @@ def test_generator_with_no_checks_is_usage_error(monkeypatch, capsys):
     def empty_suite(p, rng):
         yield from ()
 
-    monkeypatch.setitem(SUITES, "empty", ("yields nothing", {}, empty_suite))
+    monkeypatch.setitem(SUITES, "empty", Suite("yields nothing", {}, empty_suite))
     with pytest.raises(UsageError):
         run_suite("empty", {}, seed=0)
     assert main(["verify", "empty"]) == 2

@@ -2,15 +2,21 @@
 suite, one library function it reaches with the defective version that
 replaces it, and the smallest parameters at which a check sees the
 defect; `run_suite` must then report a failure with a witness, and must
-neither raise nor pass.  This guards against a suite, or a battery it
-reads, that yields its checks without computing them."""
+neither raise nor pass.  Each defect reaches one side of a comparison
+only, so this guards against a suite, or a battery it reads, that yields
+its checks without computing them, and against two sides built from one
+shared helper."""
 
 import pytest
 
-from capelli import tensor
-from capelli.suites import run_suite
+from capelli import suites, symfun, tensor, uea
+from capelli.suites import SUITES, run_suite
 
 _symmetrizer, _exchange_P = tensor.symmetrizer, tensor.exchange_P
+_capelli_sum, _family_expr = uea._capelli_sum, uea._family_expr
+_slot_action, _ladder_roots = tensor.slot_action, tensor.ladder_roots
+_dual_pair_coeffs, _dual_gamma_gen = suites.dual_pair_coeffs, uea.dual_gamma_gen
+_factorial_sum, _a_lambda = symfun._factorial_sum, suites.a_lambda
 
 
 def untwisted_Rt(ctx, space, vars, p, q, arg_u, arg_v):
@@ -46,7 +52,71 @@ def wrong_sign_projector(space, signed, width=None, rows=None):
     return _symmetrizer(space, not signed, width, rows)
 
 
+def shifted_capelli_sum(k, N, signed):
+    """The gl_N Capelli element plus 1."""
+    return _capelli_sum(k, N, signed) + 1
+
+
+def shifted_family_expr(ctx, k, signed):
+    """The k-th formula element (Pfaffian or Hafnian sum) plus 1."""
+    return _family_expr(ctx, k, signed) + 1
+
+
+def transposed_slot_action(space, i, j, slots):
+    """E_ji acting where E_ij should."""
+    return _slot_action(space, j, i, slots)
+
+
+def shifted_dual_pair_coeffs(kind, k, l, m, N):
+    """The transfer coefficient in front of the identity (l = 0) plus 1."""
+    return _dual_pair_coeffs(kind, k, l, m, N) + (l == 0)
+
+
+def shifted_dual_gamma_gen(dual_family, A, B, m, N):
+    """The dual image of F'_AA plus 1, and so of F'_{-A,-A} minus 1."""
+    out = _dual_gamma_gen(dual_family, A, B, m, N)
+    return out + (1 if A > 0 else -1) if A == B else out
+
+
+def shifted_factorial_sum(k, n, a, signed):
+    """The factorial e_k or h_k plus 1 for k >= 1."""
+    out = _factorial_sum(k, n, a, signed)
+    return out + 1 if k >= 1 else out
+
+
+def shifted_a_lambda(lam, n, a):
+    """The evaluation point of lam with every coordinate plus 1."""
+    return tuple(x + 1 for x in _a_lambda(lam, n, a))
+
+
+def shifted_ladder_roots(ctx, signed, K):
+    """The unsigned family's ladder roots, each plus 1."""
+    roots = _ladder_roots(ctx, signed, K)
+    return roots if signed else [r + 1 for r in roots]
+
+
 DEFECTS = {
+    "capelli-gl": (uea, "_capelli_sum", shifted_capelli_sum, {"N": 2, "m": 2, "k": 1}),
+    "capelli-gl-perm": (uea, "_capelli_sum", shifted_capelli_sum, {"N": 2, "m": 2, "k": 1}),
+    "thm-4.1": (uea, "_family_expr", shifted_family_expr, {"N": 2, "m": 1, "k": 1}),
+    "thm-5.1": (uea, "_family_expr", shifted_family_expr, {"N": 2, "m": 1, "k": 1}),
+    "thm-3.2": (uea, "_family_expr", shifted_family_expr, {"N": 2, "k": 1}),
+    "thm-3.3": (uea, "_family_expr", shifted_family_expr, {"N": 2, "k": 1}),
+    "thm-6.2": (uea, "_family_expr", shifted_family_expr, {"N": 2}),
+    "cor-4.2": (uea, "_family_expr", shifted_family_expr, {"N": 2}),
+    "prop-6.1": (tensor, "slot_action", transposed_slot_action, {"N": 2}),
+    "thm-4.4": (suites, "dual_pair_coeffs", shifted_dual_pair_coeffs, {"N": 2, "m": 1, "k": 1}),
+    "thm-5.3": (suites, "dual_pair_coeffs", shifted_dual_pair_coeffs, {"N": 2, "m": 1, "k": 1}),
+    "prop-4.3": (uea, "dual_gamma_gen", shifted_dual_gamma_gen, {"N": 2, "m": 1}),
+    "prop-5.2": (uea, "dual_gamma_gen", shifted_dual_gamma_gen, {"N": 2, "m": 1, "K": 1}),
+    "cor-4.5": (uea, "dual_gamma_gen", shifted_dual_gamma_gen, {}),
+    "cor-4.6": (uea, "dual_gamma_gen", shifted_dual_gamma_gen, {}),
+    "cor-5.4": (uea, "dual_gamma_gen", shifted_dual_gamma_gen, {"k": 1}),
+    "prop-2.2": (symfun, "_factorial_sum", shifted_factorial_sum, {}),
+    "prop-2.3": (symfun, "_factorial_sum", shifted_factorial_sum, {"K": 1}),
+    "thm-2.1": (suites, "a_lambda", shifted_a_lambda, {}),
+    # at K = 1 the shifted root lies past the order the check compares
+    "series-inversion": (tensor, "ladder_roots", shifted_ladder_roots, {"N": 2, "K": 2}),
     "prop-3.1": (tensor, "tm_Rt", untwisted_Rt, {"N": 2}),
     "rel-3.03": (tensor, "tm_Rt", flipped_Rt, {"N": 2}),
     "lem-3.5": (tensor, "tm_Rt", untwisted_Rt, {"N": 2}),
@@ -61,6 +131,11 @@ DEFECTS = {
 @pytest.mark.parametrize("suite", list(DEFECTS))
 def test_suite_fails_on_its_planted_defect(suite, monkeypatch):
     module, name, defect, params = DEFECTS[suite]
+    monkeypatch.setattr(uea, "_RINGS", {})  # a ring keeps the images it built
     monkeypatch.setattr(module, name, defect)
     checks = run_suite(suite, params)
     assert any(c.status == "fail" and c.witness for c in checks)
+
+
+def test_every_suite_has_a_planted_defect():
+    assert set(DEFECTS) == set(SUITES)
