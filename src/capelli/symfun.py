@@ -19,7 +19,6 @@ from .core import (
     add_into,
     dense_mul,
     dense_prod,
-    dense_trim,
     det,
     linear_ladder,
     scal,
@@ -295,10 +294,11 @@ class PoleCollision(ArithmeticError):
     """z-values collided with sequence entries; resample and retry."""
 
 
-def check_generating_series(n: int, K: int, a: ShiftSequence, zvals) -> bool:
+def check_generating_series(n: int, K: int, a: ShiftSequence, zvals):
     """Both generating-series identities for the factorial e- and
     h-families at concrete rational z-values, against the interpolation
-    kernel X(t) = prod(t - z_p) / prod(t - a_p), p = 1..n.
+    kernel X(t) = prod(t - z_p) / prod(t - a_p), p = 1..n; returns None
+    or a witness that names the failing side.
 
     The e-side sums (-1)^k e_k over the ladder (t - a_n), ..., (t - a_1);
     it is a rational identity in t and is decided exactly, by
@@ -321,9 +321,12 @@ def check_generating_series(n: int, K: int, a: ShiftSequence, zvals) -> bool:
     e_num, e_den = series_as_fraction(
         [(-1) ** k * value(e_factorial, k) for k in range(n + 1)],
         linear_ladder(a[j] for j in range(n, 0, -1)))
-    if dense_trim(dense_mul(e_num, x_den)) != dense_trim(dense_mul(x_num, e_den)):
-        return False
+    e_sides = itertools.zip_longest(dense_mul(e_num, x_den), dense_mul(x_num, e_den),
+                                    fillvalue=0)
+    d = next((d for d, (lhs, rhs) in enumerate(e_sides) if lhs != rhs), None)
+    if d is not None:
+        return f"e-side: the coefficients of t^{d} differ"
     h = series_as_fraction([value(h_factorial, k) for k in range(K + 1)],
                            linear_ladder(a[j] for j in range(n + 1, n + K + 1)))
     deg, bound = series_defect(h, (x_den, x_num), K)
-    return deg <= bound
+    return None if deg <= bound else f"h-side: defect degree {deg} exceeds {bound}"

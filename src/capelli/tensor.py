@@ -8,7 +8,7 @@ by clearing denominators.  A fused product is read at one point u0: the
 classical point for the fused column and row, (N-1)/2 for the Sklyanin
 determinant.  Its chain runs in the variable eps = u - u0 from the start,
 since the spectral arguments carry the origin u0 (`_spectral_args`; the
-variable keeps the name "u" in the variable tuples), and u -> eps + u0
+variable keeps the name "u"), and u -> eps + u0
 is a ring homomorphism, so every identity of the chain holds in eps as
 it does in u.  The value at u0, where the denominator vanishes, is a
 quotient of Taylor coefficients at eps = 0, read at the pole order.
@@ -60,11 +60,15 @@ divides out (`fusion_capelli`, `_extract_proportional`).
 
 A flag `signed` picks one of the two twin constructions throughout:
 signed means the antisymmetrizer (permutation signs, distinct indices,
-spectral shifts u - (q-1), the signed family C), unsigned the
-symmetrizer (no signs, repeated indices, shifts u + (q-1), the unsigned
-family D).  `symmetrizer`, `orbit_sign`, `projector_rows`,
-`projected_trace`, `_spectral_args`, `ladder_roots` and
-`verify_vanishing` all take it.
+spectral shifts u - (q-1), the fused column, the signed family C),
+unsigned the symmetrizer (no signs, repeated indices, shifts u + (q-1),
+the fused row, the unsigned family D).  `symmetrizer`, `orbit_sign`,
+`projector_rows`, `projected_trace`, `_spectral_args`,
+`classical_point`, `phi_normalizer`, `fused_F`, `fusion_capelli`,
+`ladder_roots` and `verify_vanishing` all take it.
+
+A matrix's variables are those of its denominator, and every factor
+constructor reads them from its `SymPoly` arguments.
 """
 
 from __future__ import annotations
@@ -287,7 +291,8 @@ def ent_to_ucoeffs(ctx, e):
 
 class TMat:
     """Sparse N^m x N^m matrix of UEA-coefficient polynomials over a
-    common scalar denominator polynomial (a `SymPoly`, 1 by default).
+    common scalar denominator polynomial `den` (a `SymPoly`, whose
+    variable tuple is the matrix's).
 
     `order` None means the entries are the full polynomials; an int T
     means they are kept mod eps^T, the terms of total degree T or more
@@ -296,29 +301,27 @@ class TMat:
     the smaller of its factors' orders.  The denominator is always kept
     in full."""
 
-    __slots__ = ("ctx", "space", "vars", "rows", "den", "order")
+    __slots__ = ("ctx", "space", "rows", "den", "order")
 
-    def __init__(self, ctx: LieContext, space: TensorSpace, vars, rows, den=None,
-                 order=None):
+    def __init__(self, ctx: LieContext, space: TensorSpace, rows, den: SymPoly, order=None):
         self.ctx = ctx
         self.space = space
-        self.vars = tuple(vars)
         self.rows = rows
-        self.den = den if den is not None else SymPoly.scalar(self.vars, 1)
+        self.den = den
         self.order = order
 
     @classmethod
-    def from_scalar(cls, ctx, space, vars, smat, den=None):
-        zero = (0,) * len(vars)
+    def from_scalar(cls, ctx, space, smat, den: SymPoly):
+        zero = (0,) * len(den.vars)
         rows = {}
         for (r, c), v in smat.items():
             rows.setdefault(r, {})[c] = {(zero, ()): v}
-        return cls(ctx, space, vars, rows, den)
+        return cls(ctx, space, rows, den)
 
     def __mul__(self, other):
         if not isinstance(other, TMat):
             raise TypeError("TMat multiplies TMat")
-        if (self.ctx, self.space, self.vars) != (other.ctx, other.space, other.vars):
+        if (self.ctx, self.space, self.den.vars) != (other.ctx, other.space, other.den.vars):
             raise DimensionError("tensor matrices over different setups")
         order = min((x for x in (self.order, other.order) if x is not None), default=None)
         rows = {}
@@ -337,7 +340,7 @@ class TMat:
             acc = {q: e for q, e in acc.items() if e}
             if acc:
                 rows[r] = acc
-        return TMat(self.ctx, self.space, self.vars, rows, self.den * other.den, order)
+        return TMat(self.ctx, self.space, rows, self.den * other.den, order)
 
     def entry(self, r, c):
         return self.rows.get(r, {}).get(c, {})
@@ -349,7 +352,7 @@ class TMat:
             kept = {c: t for c, e in row.items() if (t := ent_mod(e, order))}
             if kept:
                 rows[r] = kept
-        return TMat(self.ctx, self.space, self.vars, rows, self.den, order)
+        return TMat(self.ctx, self.space, rows, self.den, order)
 
 
 def cross_equal(a: TMat, b: TMat):
@@ -369,7 +372,7 @@ def cross_equal(a: TMat, b: TMat):
     the two Laurent expansions at eps = 0 through eps^0, every polar term
     and the value read there.  With equal denominators the same bound
     is the smaller of the two orders."""
-    if (a.space, a.vars) != (b.space, b.vars):
+    if (a.space, a.den.vars) != (b.space, b.den.vars):
         return "shape mismatch"
     same = a.den == b.den
     order = min((x.order + (0 if same else order_at_zero(y.den))
@@ -390,17 +393,18 @@ def cross_equal(a: TMat, b: TMat):
 # -- projected products: one row per orbit -----------------------------------
 
 
-def projector_rows(ctx, space: TensorSpace, vars, signed, width=None):
+def projector_rows(ctx, space: TensorSpace, signed, width=None):
     """The representative rows of `symmetrizer(space, signed, width)`
     (those whose first `width` indices are sorted, and distinct when
-    `signed`) as a `TMat` over the scalar denominator width!, which makes
-    it the projector A itself.  The rows are integral, so a chain that
-    starts with it stays in `int` wherever its factors are integral."""
+    `signed`) as a `TMat` in the one variable u over the scalar
+    denominator width!, which makes it the projector A itself.  The rows
+    are integral, so a chain that starts with it stays in `int` wherever
+    its factors are integral."""
     width = space.m if width is None else width
     reps = [r for r, t in enumerate(space.tuples)
             if orbit_sign(t[:width], signed) == (t[:width], 1)]
-    return TMat.from_scalar(ctx, space, vars, symmetrizer(space, signed, width, reps),
-                            SymPoly.scalar(vars, math.factorial(width)))
+    return TMat.from_scalar(ctx, space, symmetrizer(space, signed, width, reps),
+                            SymPoly.scalar(("u",), math.factorial(width)))
 
 
 def projected_trace(mat, signed):
@@ -421,42 +425,41 @@ def projected_trace(mat, signed):
 # -- factor constructors -------------------------------------------------------
 
 
-def tm_one_plus(ctx, space, vars, smat, den: SymPoly) -> TMat:
+def tm_one_plus(ctx, space, smat, den: SymPoly) -> TMat:
     """The factor 1 + smat/den for a scalar matrix `smat`, over the
     denominator `den`: den on the diagonal plus smat."""
-    zero = (0,) * len(vars)
+    zero = (0,) * len(den.vars)
     rows = {r: {r: ent_from_scalar_poly(den)} for r in range(space.size)}
     for (r, c), v in smat.items():
         if not add_into(rows[r].setdefault(c, {}), {(zero, ()): v}):
             del rows[r][c]
-    return TMat(ctx, space, vars, rows, den)
+    return TMat(ctx, space, rows, den)
 
 
-def tm_R(ctx, space, vars, p, q, arg_u, arg_v):
+def tm_R(ctx, space, p, q, arg_u, arg_v):
     """Yang R-matrix 1 - P_pq/(arg_u - arg_v)."""
-    return tm_one_plus(ctx, space, vars, smat_scale(exchange_P(space, p, q), -1),
-                       arg_u - arg_v)
+    return tm_one_plus(ctx, space, smat_scale(exchange_P(space, p, q), -1), arg_u - arg_v)
 
 
-def tm_Rt(ctx, space, vars, p, q, arg_u, arg_v):
+def tm_Rt(ctx, space, p, q, arg_u, arg_v):
     """Twisted counterpart 1 + Q_pq/(arg_u + arg_v)."""
-    return tm_one_plus(ctx, space, vars, twist_Q(space, p, q, ctx.family), arg_u + arg_v)
+    return tm_one_plus(ctx, space, twist_Q(space, p, q, ctx.family), arg_u + arg_v)
 
 
-def tm_q_correction(ctx, space, vars, q, denom):
+def tm_q_correction(ctx, space, q, denom):
     """Factor 1 + (Q_{1q} + ... + Q_{q-1,q}) / denom."""
     total = {}
     for p in range(1, q):
         add_into(total, twist_Q(space, p, q, ctx.family))
-    return tm_one_plus(ctx, space, vars, total, denom)
+    return tm_one_plus(ctx, space, total, denom)
 
 
-def _slot_factor(ctx, space, vars, q, cell, shift: SymPoly) -> TMat:
+def _slot_factor(ctx, space, q, cell, shift: SymPoly) -> TMat:
     """The factor -shift + sum_ij e_ij (x) cell(i, j) with e_ij acting in
     tensor slot q: the matrix cell whose slot-q row and column indices
     are (i, j) carries the element cell(i, j), minus `shift` on the
     diagonal."""
-    zero = (0,) * len(vars)
+    zero = (0,) * len(shift.vars)
     rows = {}
     for r, t in enumerate(space.tuples):
         row = {}
@@ -471,17 +474,16 @@ def _slot_factor(ctx, space, vars, q, cell, shift: SymPoly) -> TMat:
                 row[space.code[tuple(s)]] = entry
         if row:
             rows[r] = row
-    return TMat(ctx, space, vars, rows)
+    return TMat(ctx, space, rows, SymPoly.scalar(shift.vars, 1))
 
 
-def tm_F(ctx, space, vars, q, arg):
+def tm_F(ctx, space, q, arg):
     """Factor F_q(arg) = F - arg - eta in tensor slot q: the (i, j) cell
     of sum E_ij (x) F_ji carries F_ji."""
-    return _slot_factor(ctx, space, vars, q, lambda i, j: UEAElement.F(ctx, j, i),
-                        arg + ctx.eta)
+    return _slot_factor(ctx, space, q, lambda i, j: UEAElement.F(ctx, j, i), arg + ctx.eta)
 
 
-def tm_E(ctx, space, vars, q, arg, eps_family=None):
+def tm_E(ctx, space, q, arg, eps_family=None):
     """Factor E_q(arg) = -arg + sum E_ij (x) E_ji in slot q over U(gl_N).
     With `eps_family` ("so" or "sp") the form-transposed factor, whose
     (i, j) cell carries eps_ij E_{-i,-j} with the sign table of that
@@ -494,30 +496,26 @@ def tm_E(ctx, space, vars, q, arg, eps_family=None):
 
         def cell(i, j):
             return UEAElement.E(ctx, -i, -j) * eps_ij(form, i, j)
-    return _slot_factor(ctx, space, vars, q, cell, arg)
+    return _slot_factor(ctx, space, q, cell, arg)
 
 
 # -- fusion ---------------------------------------------------------------------
 
 
-def classical_point(ctx: LieContext, shape: str, m: int) -> Fraction:
-    if shape == "column":
-        return Fraction(m, 2) - ctx.eta
-    if shape == "row":
-        return -Fraction(m, 2) - ctx.eta
-    raise ValueError("shape is 'column' (1^m) or 'row' ((m))")
+def classical_point(ctx: LieContext, signed: bool, m: int) -> Fraction:
+    """The point u0 = m/2 - eta of the fused column (signed) of height
+    m, or -m/2 - eta of the fused row of length m."""
+    return Fraction(m if signed else -m, 2) - ctx.eta
 
 
-def phi_normalizer(ctx: LieContext, shape: str, m: int):
+def phi_normalizer(ctx: LieContext, signed: bool, m: int):
     """Normalizing rational factor (numerator, denominator) making the
     fused matrix regular at the classical point, in eps = u - u0:
-    eps / (eps + m/2) for an orthogonal column, eps / (eps - m/2) for a
-    symplectic row, and 1 otherwise."""
+    eps / (eps + m/2) for an orthogonal column (signed), eps / (eps - m/2)
+    for a symplectic row, and 1 otherwise."""
     eps = SymPoly.variable(("u",), "u")
-    if shape == "column" and ctx.family == "so":
-        return eps, eps + Fraction(m, 2)
-    if shape == "row" and ctx.family == "sp":
-        return eps, eps - Fraction(m, 2)
+    if signed == (ctx.family == "so"):
+        return eps, eps + Fraction(m if signed else -m, 2)
     one = SymPoly.scalar(("u",), 1)
     return one, one
 
@@ -531,10 +529,10 @@ def _spectral_args(signed, origin):
     return lambda q: eps + origin + step * (q - 1)
 
 
-def _rt_chain(ctx, space, vars, q, arg):
+def _rt_chain(ctx, space, q, arg):
     """The twisted factors Rt_pq(arg(p), arg(q)) for p = 1 .. q-1, in
     product order."""
-    return [tm_Rt(ctx, space, vars, p, q, arg(p), arg(q)) for p in range(1, q)]
+    return [tm_Rt(ctx, space, p, q, arg(p), arg(q)) for p in range(1, q)]
 
 
 def _chain(first, factors, normalized=False):
@@ -551,11 +549,12 @@ def _chain(first, factors, normalized=False):
     return mat
 
 
-def fused_F(ctx: LieContext, m: int, shape: str, origin, *, phi=None) -> TMat:
+def fused_F(ctx: LieContext, m: int, signed: bool, origin, *, phi=None) -> TMat:
     """Ordered fused product over the variable eps = u - origin.
 
-    `shape` "column" builds the antisymmetrized product with arguments
-    u, u-1, ..., and "row" the symmetrized one with u, u+1, ....  The
+    `signed` builds the fused column, the antisymmetrized product with
+    arguments u, u-1, ..., and unsigned the fused row, the symmetrized
+    one with u, u+1, ....  The
     chain runs on the representative rows of the projector, C(N, m) for a
     column and C(N+m-1, m) for a row, and returns only those rows; every
     other row is a signed copy of one of them (P_tau * A = sign(tau) * A).
@@ -575,33 +574,31 @@ def fused_F(ctx: LieContext, m: int, shape: str, origin, *, phi=None) -> TMat:
     polar term and the value read.
     """
     space = TensorSpace(ctx.N, m)
-    vars = ("u",)
-    signed = shape == "column"
     arg = _spectral_args(signed, origin)
-    first = projector_rows(ctx, space, vars, signed)
+    first = projector_rows(ctx, space, signed)
     if phi is not None:
         rows = {r: {c: ent_scalar_poly_mul(e, phi[0]) for c, e in row.items()}
                 for r, row in first.rows.items()}
-        first = TMat(ctx, space, vars, rows, first.den * phi[1])
-    F = [tm_F(ctx, space, vars, q, arg(q)) for q in range(1, m + 1)]
+        first = TMat(ctx, space, rows, first.den * phi[1])
+    F = [tm_F(ctx, space, q, arg(q)) for q in range(1, m + 1)]
     factors = [F[0]]
     for q in range(2, m + 1):
-        factors += [tm_q_correction(ctx, space, vars, q, arg(1) + arg(q)), F[q - 1]]
+        factors += [tm_q_correction(ctx, space, q, arg(1) + arg(q)), F[q - 1]]
     mat = _chain(first, factors, phi is not None)
     if space.size <= 32:
         factors = []
         for q in range(1, m + 1):
-            factors += _rt_chain(ctx, space, vars, q, arg) + [F[q - 1]]
+            factors += _rt_chain(ctx, space, q, arg) + [F[q - 1]]
         witness = cross_equal(mat, _chain(first, factors, phi is not None))
         if witness is not None:
             raise ConsistencyError(f"fused product forms disagree: {witness}")
     return mat
 
 
-def fusion_capelli(ctx: LieContext, k: int, shape: str) -> UEAElement:
+def fusion_capelli(ctx: LieContext, k: int, signed: bool) -> UEAElement:
     """Value of the normalized partial trace of the fused matrix at the
-    classical point u0: the k-th element of the signed family for shape
-    "column", of the unsigned family for shape "row".
+    classical point u0: the k-th element of the signed family for the
+    fused column (signed), of the unsigned family for the fused row.
 
     The normalized chain phi * F is built in eps = u - u0 and kept mod
     eps^(D+1), D the order at 0 of its denominator (the pole order at
@@ -612,10 +609,10 @@ def fusion_capelli(ctx: LieContext, k: int, shape: str) -> UEAElement:
     eps^D.
     """
     m = 2 * k
-    u0 = classical_point(ctx, shape, m)
-    mat = fused_F(ctx, m, shape, u0, phi=phi_normalizer(ctx, shape, m))
+    u0 = classical_point(ctx, signed, m)
+    mat = fused_F(ctx, m, signed, u0, phi=phi_normalizer(ctx, signed, m))
     order = order_at_zero(mat.den)
-    trace = projected_trace(mat, shape == "column")
+    trace = projected_trace(mat, signed)
     if any(d < order for ((d,), _w) in trace):
         raise ConsistencyError(f"the pole of order {order} at u = {u0} does not cancel")
     value = UEAElement(ctx, {w: c for ((d,), w), c in trace.items() if d == order})
@@ -661,13 +658,12 @@ def quantum_det_gl(N: int, eps_family="so"):
     `test_transposed_E_factor_sign_table`."""
     ctx = LieContext("gl", N)
     space = TensorSpace(N, N)
-    vars = ("u",)
     arg = _spectral_args(True, 0)
-    proj = projector_rows(ctx, space, vars, signed=True)
+    proj = projector_rows(ctx, space, signed=True)
     mat = twisted = proj
     for q in range(1, N + 1):
-        mat = mat * tm_E(ctx, space, vars, q, arg(q))
-        twisted = twisted * tm_E(ctx, space, vars, q, arg(N + 1 - q), eps_family)
+        mat = mat * tm_E(ctx, space, q, arg(q))
+        twisted = twisted * tm_E(ctx, space, q, arg(N + 1 - q), eps_family)
     # the E factors carry no denominator, so each quotient's is 1
     h = ent_to_ucoeffs(ctx, _extract_proportional(mat, proj)[0])
     h2 = ent_to_ucoeffs(ctx, _extract_proportional(twisted, proj)[0])
@@ -697,8 +693,8 @@ def sklyanin_det(ctx: LieContext):
     silently renormalized.
     """
     N = ctx.N
-    mat = fused_F(ctx, N, "column", Fraction(N - 1, 2))
-    entry, den = _extract_proportional(mat, projector_rows(ctx, mat.space, mat.vars, signed=True))
+    mat = fused_F(ctx, N, True, Fraction(N - 1, 2))
+    entry, den = _extract_proportional(mat, projector_rows(ctx, mat.space, signed=True))
     num = ent_to_ucoeffs(ctx, entry)
     den = to_dense(den)
     if ctx.family == "sp":
@@ -722,13 +718,13 @@ def ladder_roots(ctx: LieContext, signed: bool, K: int):
     return [(b - j) ** 2 if signed else (b + j - 1) ** 2 for j in range(1, K + 1)]
 
 
-def generating_functions(ctx: LieContext, K: int, series_c, series_d):
-    """Package the two generating functions in t = u^2 of the formula
-    series `series_c` and `series_d` (from `central_series`, read in
-    U(gl_N)) and assert that their product is 1 + O(t^{-K-1}), by
-    `series_defect`."""
-    n = ctx.n
-    kc = min(K, n)
+def generating_functions(ctx: LieContext, series_c, series_d):
+    """Whether the two generating functions in t = u^2 of the formula
+    series `series_c` and `series_d` = (1, D_1, ..., D_K) (from
+    `central_series`, read in U(gl_N)) have the product 1 + O(t^{-K-1}),
+    by `series_defect`; returns None or a witness string."""
+    K = len(series_d) - 1
+    kc = min(K, ctx.n)
     ring = uea_ring(ctx)
     c_elems = [series_c[k].evaluate(ring) for k in range(0, kc + 1)]
     d_elems = [series_d[k].evaluate(ring) for k in range(0, K + 1)]
@@ -737,13 +733,7 @@ def generating_functions(ctx: LieContext, K: int, series_c, series_d):
     one = [1]
     deg, bound = series_defect((dense_mul(c_num, d_num), dense_mul(c_den, d_den)),
                                (one, one), K)
-    return {
-        "C": (c_num, c_den),
-        "D": (d_num, d_den),
-        "inverse_ok": deg <= bound,
-        "defect_degree": deg,
-        "allowed_degree": bound,
-    }
+    return None if deg <= bound else f"defect degree {deg} exceeds {bound}"
 
 
 # -- the section-6 identity -------------------------------------------------------
@@ -779,20 +769,22 @@ def slot_action(space: TensorSpace, i, j, slots):
     return out
 
 
-def eigenvalue_check_gl(N: int, nu, h_coeffs):
-    """The quantum determinant acts on the irreducible with highest
+def eigenvalue_check_gl(nu, h_coeffs):
+    """The quantum determinant of gl_N, given by its coefficients
+    `h_coeffs` in U(gl_N), acts on the irreducible with highest
     weight nu by prod_q (nu_q + N - q - u); checked on the isotypic
     component inside the |nu|-th tensor power, cut out by the integral
     symmetrizer for one row and antisymmetrizer for one column of at most
     N boxes (any other weight raises DimensionError); the check
     H * A' = c * A' does not depend on the scale of A'.  Returns None or a
     witness."""
+    ctx = h_coeffs[0].ctx
+    N = ctx.N
     nu = nu if isinstance(nu, Partition) else Partition(nu)
     if len(nu) > N or (len(nu) > 1 and nu[1] > 1):
         raise DimensionError(f"only one-row and one-column gl_{N} weights are wired up")
     s = nu.weight()
     space = TensorSpace(N, s)
-    ctx = h_coeffs[0].ctx
 
     def pi_word(word):
         acc = smat_identity(space.size)
@@ -825,12 +817,11 @@ def check_exchange_relation(ctx: LieContext):
     and V as it does in u and v, and every factor is integral there (F's
     shift is U, R's denominator U - V, Rt's U + V - 2 eta = U + V -+ 1)."""
     space = TensorSpace(ctx.N, 2)
-    vars = ("u", "v")
-    u, v = (x - ctx.eta for x in SymPoly.gens(vars))
-    R = tm_R(ctx, space, vars, 1, 2, u, v)
-    Rt = tm_Rt(ctx, space, vars, 1, 2, u, v)
-    F1 = tm_F(ctx, space, vars, 1, u)
-    F2 = tm_F(ctx, space, vars, 2, v)
+    u, v = (x - ctx.eta for x in SymPoly.gens(("u", "v")))
+    R = tm_R(ctx, space, 1, 2, u, v)
+    Rt = tm_Rt(ctx, space, 1, 2, u, v)
+    F1 = tm_F(ctx, space, 1, u)
+    F2 = tm_F(ctx, space, 2, v)
     lhs = R * F1 * Rt * F2
     rhs = F2 * Rt * F1 * R
     return cross_equal(lhs, rhs)
@@ -840,11 +831,10 @@ def check_rrr_relation(ctx: LieContext):
     """Mixed Yang-Baxter relation among R_12, twisted R_13 and twisted
     R_23 in three spectral variables (scalar matrices)."""
     space = TensorSpace(ctx.N, 3)
-    vars = ("u", "v", "w")
-    u, v, w = SymPoly.gens(vars)
-    R12 = tm_R(ctx, space, vars, 1, 2, u, v)
-    Rt13 = tm_Rt(ctx, space, vars, 1, 3, u, w)
-    Rt23 = tm_Rt(ctx, space, vars, 2, 3, v, w)
+    u, v, w = SymPoly.gens(("u", "v", "w"))
+    R12 = tm_R(ctx, space, 1, 2, u, v)
+    Rt13 = tm_Rt(ctx, space, 1, 3, u, w)
+    Rt23 = tm_Rt(ctx, space, 2, 3, v, w)
     lhs = R12 * Rt13 * Rt23
     rhs = Rt23 * Rt13 * R12
     return cross_equal(lhs, rhs)
@@ -855,13 +845,12 @@ def check_boundary_regularity(ctx: LieContext):
     the numerator vanishes identically on that line, and the product
     collapses to (1 +- P_12)(1 + (Q_13+Q_23)/(u+w))."""
     space = TensorSpace(ctx.N, 3)
-    vars = ("u", "w")
-    u, w = SymPoly.gens(vars)
+    u, w = SymPoly.gens(("u", "w"))
     for pm in (1, -1):
         v = u + pm
-        R12 = tm_R(ctx, space, vars, 1, 2, u, v)
-        Rt13 = tm_Rt(ctx, space, vars, 1, 3, u, w)
-        Rt23 = tm_Rt(ctx, space, vars, 2, 3, v, w)
+        R12 = tm_R(ctx, space, 1, 2, u, v)
+        Rt13 = tm_Rt(ctx, space, 1, 3, u, w)
+        Rt23 = tm_Rt(ctx, space, 2, 3, v, w)
         prod = R12 * Rt13 * Rt23
         # numerator must vanish on w = -u -+ 1, word by word
         line = {"u": u, "w": -u - pm}
@@ -870,13 +859,13 @@ def check_boundary_regularity(ctx: LieContext):
                 by_word = {}
                 for (ev, word), x in e.items():
                     by_word.setdefault(word, {})[ev] = x
-                if any(SymPoly(vars, t).evaluate(line) for t in by_word.values()):
+                if any(SymPoly(u.vars, t).evaluate(line) for t in by_word.values()):
                     return f"entry ({r},{c}) does not vanish on the polar line (v=u{pm:+d})"
         # collapsed form
         psum = add_into(smat_identity(space.size), exchange_P(space, 1, 2), pm)
         qsum = add_into(twist_Q(space, 1, 3, ctx.family), twist_Q(space, 2, 3, ctx.family))
-        collapsed = (TMat.from_scalar(ctx, space, vars, psum)
-                     * tm_one_plus(ctx, space, vars, qsum, u + w))
+        collapsed = (TMat.from_scalar(ctx, space, psum, SymPoly.scalar(u.vars, 1))
+                     * tm_one_plus(ctx, space, qsum, u + w))
         witness = cross_equal(prod, collapsed)
         if witness is not None:
             return f"collapsed form mismatch (v=u{pm:+d}): {witness}"
@@ -889,14 +878,13 @@ def check_projected_products(ctx: LieContext, m: int):
     start with that projector, so they are compared on its
     representative rows (orbits of S_{m-1} on the first m-1 slots)."""
     space = TensorSpace(ctx.N, m)
-    vars = ("u",)
     for signed in (True, False):
         arg = _spectral_args(signed, 0)
-        projm = projector_rows(ctx, space, vars, signed, width=m - 1)
+        projm = projector_rows(ctx, space, signed, width=m - 1)
         lhs = projm
-        for factor in _rt_chain(ctx, space, vars, m, arg):
+        for factor in _rt_chain(ctx, space, m, arg):
             lhs = lhs * factor
-        rhs = projm * tm_q_correction(ctx, space, vars, m, arg(1) + arg(m))
+        rhs = projm * tm_q_correction(ctx, space, m, arg(1) + arg(m))
         witness = cross_equal(lhs, rhs)
         if witness is not None:
             return f"{'anti' if signed else ''}symmetrized collapse failed: {witness}"
@@ -941,14 +929,13 @@ def check_gl_exchange_relations(N: int, eps_family: str):
     generator matrices of gl_N."""
     ctx = LieContext(eps_family, N)
     space = TensorSpace(N, 2)
-    vars = ("u", "v")
-    u, v = SymPoly.gens(vars)
-    R = tm_R(ctx, space, vars, 1, 2, u, v)
-    Rt = tm_Rt(ctx, space, vars, 1, 2, u, v)
-    E1u = tm_E(ctx, space, vars, 1, u)
-    E2v = tm_E(ctx, space, vars, 2, v)
-    Et1 = tm_E(ctx, space, vars, 1, -u, eps_family)
-    Et2 = tm_E(ctx, space, vars, 2, -v, eps_family)
+    u, v = SymPoly.gens(("u", "v"))
+    R = tm_R(ctx, space, 1, 2, u, v)
+    Rt = tm_Rt(ctx, space, 1, 2, u, v)
+    E1u = tm_E(ctx, space, 1, u)
+    E2v = tm_E(ctx, space, 2, v)
+    Et1 = tm_E(ctx, space, 1, -u, eps_family)
+    Et2 = tm_E(ctx, space, 2, -v, eps_family)
     w = cross_equal(R * E1u * E2v, E2v * E1u * R)
     if w is not None:
         return f"plain exchange: {w}"
@@ -984,17 +971,16 @@ def verify_relations(ctx: LieContext, relation=None):
 # -- vanishing suites ---------------------------------------------------------
 
 
-def _image_factor(space_big, m, l, q, const, family=None):
-    """Image of the q-th spectral factor under the representation on l
-    extra tensor slots: const + sum_r P_{q,m+r} (plain) or with the
-    twisted operator Q (family set)."""
-    size = space_big.size
-    total = smat_scale(smat_identity(size), const)
-    for r in range(1, l + 1):
+def _image_factor(space, m, q, const, family=None):
+    """Image of the q-th spectral factor under the representation on the
+    slots m+1, m+2, ... of `space` past the first m: const + sum_r
+    P_{q,m+r} (plain) or with the twisted operator Q (family set)."""
+    total = smat_scale(smat_identity(space.size), const)
+    for slot in range(m + 1, space.m + 1):
         if family is None:
-            add_into(total, exchange_P(space_big, q, m + r))
+            add_into(total, exchange_P(space, q, slot))
         else:
-            add_into(total, twist_Q(space_big, q, m + r, family))
+            add_into(total, twist_Q(space, q, slot, family))
     return total
 
 
@@ -1023,8 +1009,7 @@ def verify_vanishing(m: int, l: int, N: int, family: str, signed: bool):
         prod = proj
         for q in range(1, m + 1):
             const = step * (m - q if twisted else q - 1)
-            prod = smat_mul(prod, _image_factor(space, m, l, q, const,
-                                                family if twisted else None))
+            prod = smat_mul(prod, _image_factor(space, m, q, const, family if twisted else None))
         if not twisted:
             plain = prod
         name = ("anti" if signed else "") + "sym" + ("-twisted" if twisted else "")
@@ -1052,7 +1037,7 @@ def verify_vanishing(m: int, l: int, N: int, family: str, signed: bool):
     if signed and m == 1:
         # sum_r P_{1,1+r} = sum_ij pi_1(E_ij) * sum_r pi_{1+r}(E_ji), from
         # the generator matrices rather than from `exchange_P`
-        base = _image_factor(space, 1, l, 1, 0, None)
+        base = _image_factor(space, 1, 1, 0, None)
         expect = {}
         for i in space.indices:
             for j in space.indices:

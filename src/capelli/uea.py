@@ -17,6 +17,13 @@ Since F_{-j,-i} = -eps_ij F_ij, the formulas keep one canonical spelling
 of each symbol (`canonical_symbol`).  A target ring is valid only if its
 generator images satisfy the same relation; each ring checks this when
 it is built and raises ConsistencyError otherwise.
+
+A flag `signed` picks one of the twin constructions throughout: signed
+means the determinant-type Capelli element and the family C (Pfaffians
+over so_N, strictly increasing choices, the factorial e_k), unsigned the
+permanent-type element and the family D (Hafnians over sp_N, weakly
+increasing choices, the factorial h_k).  `_capelli_sum`, `_family_expr`,
+`hc_target`, `central_series` and `dual_pair_coeffs` all take it.
 """
 
 from __future__ import annotations
@@ -332,14 +339,12 @@ class GammaRing(_TargetRing):
 
 class DualRing(_TargetRing):
     """Target ring PD on the m x N grid under the dual (oscillator)
-    action of the commutant algebra of rank m."""
+    action of the commutant algebra of rank m, m = dual_ctx.N / 2."""
 
-    def __init__(self, dual_ctx: LieContext, m: int, N: int):
-        if dual_ctx.N != 2 * m:
-            raise DimensionError("dual algebra rank must match the row count")
-        self.m = m
+    def __init__(self, dual_ctx: LieContext, N: int):
+        self.m = dual_ctx.N // 2
         self.N = N
-        self.wctx = WeylContext(m, N)
+        self.wctx = WeylContext(self.m, N)
         super().__init__(dual_ctx)
 
     def scalar(self, c):
@@ -369,16 +374,17 @@ def gamma_ring(ctx, m) -> GammaRing:
     return _ring(GammaRing, ctx, m)
 
 
-def dual_ring(dual_ctx, m, N) -> DualRing:
-    return _ring(DualRing, dual_ctx, m, N)
+def dual_ring(dual_ctx, N) -> DualRing:
+    return _ring(DualRing, dual_ctx, N)
 
 
 def clear_caches():
-    """Empty the memoized images of every target ring and the
-    straightening memos of every Lie context.  The rings, the contexts
-    and their generator images stay."""
+    """Drop every target ring, with its generator and expression images,
+    and empty the straightening memos of every Lie context.  The contexts
+    stay: they are singletons compared by identity."""
     for ring in _RINGS.values():
         ring._words.clear()
+    _RINGS.clear()
     for ctx in LieContext._cache.values():
         ctx._nf.clear()
         ctx._bracket.clear()
@@ -598,9 +604,9 @@ def eigenvalue_on_hwv(z: UEAElement, lam, *, check_central=True) -> Scalar:
     return ratio
 
 
-def _monomial_symmetric(vs, mu, n):
-    """Monomial symmetric polynomial m_mu in n variables."""
-    mu = tuple(mu.parts) + (0,) * (n - len(mu))
+def _monomial_symmetric(vs, mu):
+    """Monomial symmetric polynomial m_mu in the variables vs."""
+    mu = tuple(mu.parts) + (0,) * (len(vs) - len(mu))
     exps = set(itertools.permutations(mu))
     return SymPoly(vs, {e: 1 for e in exps})
 
@@ -650,7 +656,7 @@ def hc_polynomial(z: UEAElement, degree_bound: int, *, in_l_squared=False) -> Sy
     n = ctx.n
     basis = list(partitions_with(n, max_weight=degree_bound))
     yvars = tuple(f"y{p}" for p in range(1, n + 1))
-    basis_polys = [_monomial_symmetric(yvars, mu, n) for mu in basis]
+    basis_polys = [_monomial_symmetric(yvars, mu) for mu in basis]
     grid = list(partitions_with(n, max_part=2 * degree_bound + 1))
     rows, rhs = [], []
     first = True
@@ -676,10 +682,12 @@ def hc_polynomial(z: UEAElement, degree_bound: int, *, in_l_squared=False) -> Sy
 # -- the two central families -------------------------------------------------
 
 
-def express_in_family(target: SymPoly, gens, gen_degrees, n: int):
+def express_in_family(target: SymPoly, gens):
     """Coefficients writing a symmetric polynomial as a polynomial in the
-    given algebraically independent symmetric generators."""
+    given algebraically independent symmetric generators, as a map from
+    exponent tuples (one exponent per generator) to nonzero scalars."""
     d = max(target.total_degree(), 0)
+    gen_degrees = [g.total_degree() for g in gens]
     alphas = []
     for alpha in itertools.product(*(range(d // gd + 1) for gd in gen_degrees)):
         if sum(a * gd for a, gd in zip(alpha, gen_degrees)) <= d:
@@ -700,21 +708,22 @@ def express_in_family(target: SymPoly, gens, gen_degrees, n: int):
     return {alpha: c for alpha, c in zip(alphas, sol) if c != 0}
 
 
-def hc_target(ctx: LieContext, kind: str, k: int) -> SymPoly:
-    """Harish-Chandra image of the k-th element of kind "C" or "D", in the
-    squared variables l_p^2: (-1)^k e_k or h_k, the factorial elementary
-    or complete symmetric polynomial over the shift sequence of ctx."""
-    if kind == "C":
+def hc_target(ctx: LieContext, signed: bool, k: int) -> SymPoly:
+    """Harish-Chandra image of the k-th element of the signed family C or
+    the unsigned family D, in the squared variables l_p^2: (-1)^k e_k or
+    h_k, the factorial elementary or complete symmetric polynomial over
+    the shift sequence of ctx."""
+    if signed:
         return e_factorial(k, ctx.n, ctx.shift_sequence) * Fraction((-1) ** k)
     return h_factorial(k, ctx.n, ctx.shift_sequence)
 
 
-def central_series(ctx: LieContext, kind: str, K: int) -> tuple[FExpr, ...]:
+def central_series(ctx: LieContext, signed: bool, K: int) -> tuple[FExpr, ...]:
     """The formulas (X_0, X_1, ..., X_K) of the first K coefficients of
-    the requested family, kind "C" (signed, zero past the rank) or kind
-    "D" (unsigned), with X_0 = 1.  Each is read in a target ring by
+    the signed family C (zero past the rank) or the unsigned family D,
+    with X_0 = 1.  Each is read in a target ring by
     `X.evaluate(uea_ring(ctx))`, `gamma_ring(ctx, m)` or
-    `dual_ring(ctx, m, N)`, whose memo holds the image.
+    `dual_ring(ctx, N)`, whose memo holds the image.
 
     The native constructions are the Pfaffian sums (signed family over
     so_N) and the Hafnian sums (unsigned family over sp_N).  The
@@ -725,16 +734,14 @@ def central_series(ctx: LieContext, kind: str, K: int) -> tuple[FExpr, ...]:
     """
     if ctx.family not in ("so", "sp"):
         raise DimensionError("central families live in so_N or sp_N")
-    signed = ctx.family == "so"
-    native_kind = "C" if signed else "D"
-    top = K if kind == native_kind else min(K, ctx.n)
-    exprs = [_family_expr(ctx, k, signed) for k in range(1, top + 1)]
-    if kind != native_kind:
-        gen_imgs = [hc_target(ctx, native_kind, j) for j in range(1, top + 1)]
+    native = ctx.family == "so"
+    top = K if signed == native else min(K, ctx.n)
+    exprs = [_family_expr(ctx, k, native) for k in range(1, top + 1)]
+    if signed != native:
+        gen_imgs = [hc_target(ctx, native, j) for j in range(1, top + 1)]
         gens, exprs = exprs, []
         for k in range(1, K + 1):
-            combo = express_in_family(hc_target(ctx, kind, k), gen_imgs,
-                                      list(range(1, top + 1)), ctx.n)
+            combo = express_in_family(hc_target(ctx, signed, k), gen_imgs)
             pairs = []
             for alpha, c in combo.items():
                 prod = FExpr.one()
@@ -757,22 +764,20 @@ def d_k_hafnian(ctx: LieContext, k: int) -> UEAElement:
 # -- dual pair transfer coefficients ------------------------------------------
 
 
-def dual_pair_coeffs(kind: str, k: int, l: int, m: int, N: int) -> Fraction:
-    """Transfer coefficient in front of gamma(C_l) (kind "C") or
-    gamma(D_l) (kind "D") in the expansion of the dual image of the k-th
-    element of the commutant algebra."""
+def dual_pair_coeffs(signed: bool, k: int, l: int, m: int, N: int) -> Fraction:
+    """Transfer coefficient in front of gamma(C_l) (signed) or gamma(D_l)
+    in the expansion of the dual image of the k-th element of the
+    commutant algebra."""
     if not 0 <= l <= k:
         raise DimensionError("need 0 <= l <= k")
     out = Fraction(1)
-    if kind == "C":
+    if signed:
         d = Fraction(m) - Fraction(N, 2) + 1
         for s in range(l, k):
             out *= Fraction(m - s) * (Fraction(N, 2) - s) * (d + l - s) / (k - s)
-    elif kind == "D":
+    else:
         n = N // 2
         d = n - m + 1
         for s in range(l, k):
             out *= Fraction((m + s) * (n + s) * (d - k + s + 1), s - l + 1)
-    else:
-        raise ValueError("kind must be 'C' or 'D'")
     return out

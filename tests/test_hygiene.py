@@ -1,4 +1,6 @@
-"""Source hygiene: every imported name is read somewhere in its module."""
+"""Source hygiene: every imported name is read somewhere in its module,
+every library function somewhere in the library, and every parameter of
+a library function in its body."""
 
 import ast
 from pathlib import Path
@@ -108,3 +110,83 @@ def test_every_library_function_is_read_or_exported():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in LIBRARY}
     found = unread_functions(sources, package_exports())
     assert not found, "defined but never read by the library:\n" + "\n".join(found)
+
+
+def names_read(node, shadowed=frozenset()):
+    """The names loaded inside `node`, in functions nested in it too,
+    except where such a function rebinds the name (`local_names`)."""
+    read = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            if child.id not in shadowed:
+                read.add(child.id)
+        inner = shadowed | local_names(child) if isinstance(child, FUNCTIONS) else shadowed
+        read |= names_read(child, inner)
+    return read
+
+
+def unread_parameters(sources, exempt):
+    """Parameters of the functions defined in `sources` (a map from a
+    file name to its text) that their body never reads, as
+    "file:line: function(parameter)".  Left out are the (function name,
+    parameter) pairs in `exempt`, lambdas, the receiver (`self`, `cls`)
+    of a method, and the methods that override a method of a base class
+    defined in `sources`, whose signature is the base's."""
+    trees = {where: ast.parse(source) for where, source in sources.items()}
+    classes = {node.name: node for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+
+    def overrides(cls, name):
+        bases = [classes[b.id] for b in cls.bases if isinstance(b, ast.Name) and b.id in classes]
+        return any(any(isinstance(f, ast.FunctionDef) and f.name == name for f in base.body)
+                   or overrides(base, name) for base in bases)
+
+    found = []
+
+    def scan(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if cls is None or not overrides(cls, child.name):
+                    args = child.args
+                    params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                              args.vararg, args.kwarg) if a is not None]
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in child.decorator_list)
+                    if cls is not None and not static:
+                        params = params[1:]
+                    read = names_read(child)
+                    found.extend(f"{where}:{child.lineno}: {child.name}({param})"
+                                 for param in params
+                                 if param not in read and (child.name, param) not in exempt)
+            scan(child, child if isinstance(child, ast.ClassDef) else None)
+
+    for where, tree in trees.items():
+        scan(tree, None)
+    return sorted(found)
+
+
+def test_scan_sees_an_unread_parameter():
+    source = ("class Base:\n    def zero(self, home):\n        return home\n\n\n"
+              "class Child(Base):\n    def zero(self, home=None):\n        return self\n\n\n"
+              "def f(a, b, c):\n    g = lambda unread: a\n\n    def inner(c):\n"
+              "        return c\n    return g, inner\n\n\n"
+              "class Other:\n    def one(self, x):\n        return 1\n")
+    assert unread_parameters({"m.py": source}, set()) == [
+        "m.py:11: f(b)", "m.py:11: f(c)", "m.py:20: one(x)"]
+    assert unread_parameters({"m.py": source}, {("f", "b"), ("f", "c"), ("one", "x")}) == []
+
+
+def suite_protocol():
+    """(body, parameter) for the `(p, rng)` parameters of every body
+    registered in `SUITES`, which `run_suite` passes whether or not the
+    body reads them."""
+    from capelli.suites import SUITES
+
+    bodies = {getattr(suite.body, "func", suite.body).__name__ for suite in SUITES.values()}
+    return {(body, param) for body in bodies for param in ("p", "rng")}
+
+
+def test_every_library_parameter_is_read():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in LIBRARY}
+    found = unread_parameters(sources, suite_protocol())
+    assert not found, "parameters never read:\n" + "\n".join(found)

@@ -19,15 +19,15 @@ _dual_pair_coeffs, _dual_gamma_gen = suites.dual_pair_coeffs, uea.dual_gamma_gen
 _factorial_sum, _a_lambda = symfun._factorial_sum, suites.a_lambda
 
 
-def untwisted_Rt(ctx, space, vars, p, q, arg_u, arg_v):
+def untwisted_Rt(ctx, space, p, q, arg_u, arg_v):
     """`tm_Rt` stripped of Q: the identity over arg_u + arg_v."""
-    return tensor.tm_one_plus(ctx, space, vars, {}, arg_u + arg_v)
+    return tensor.tm_one_plus(ctx, space, {}, arg_u + arg_v)
 
 
-def flipped_Rt(ctx, space, vars, p, q, arg_u, arg_v):
+def flipped_Rt(ctx, space, p, q, arg_u, arg_v):
     """`tm_Rt` with the wrong sign: 1 - Q_pq/(arg_u + arg_v)."""
     twist = tensor.smat_scale(tensor.twist_Q(space, p, q, ctx.family), -1)
-    return tensor.tm_one_plus(ctx, space, vars, twist, arg_u + arg_v)
+    return tensor.tm_one_plus(ctx, space, twist, arg_u + arg_v)
 
 
 def corrupted_P(space, p, q):
@@ -67,9 +67,9 @@ def transposed_slot_action(space, i, j, slots):
     return _slot_action(space, j, i, slots)
 
 
-def shifted_dual_pair_coeffs(kind, k, l, m, N):
+def shifted_dual_pair_coeffs(signed, k, l, m, N):
     """The transfer coefficient in front of the identity (l = 0) plus 1."""
-    return _dual_pair_coeffs(kind, k, l, m, N) + (l == 0)
+    return _dual_pair_coeffs(signed, k, l, m, N) + (l == 0)
 
 
 def shifted_dual_gamma_gen(dual_family, A, B, m, N):

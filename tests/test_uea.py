@@ -14,7 +14,7 @@ from capelli.core import (
     common_denominator,
     perm_sign,
 )
-from capelli.symfun import e_factorial, h_factorial
+from capelli.symfun import ShiftSequence, e_factorial, h_factorial
 from capelli.uea import (
     DualRing,
     FExpr,
@@ -261,9 +261,9 @@ def _oracle_rings(ctx):
     images carry the fractional shift N/2."""
     rings = [uea_ring(ctx), gamma_ring(ctx, 1), gamma_ring(ctx, 2)]
     if ctx.N % 2 == 0:
-        rings.append(dual_ring(ctx, ctx.N // 2, 2))
+        rings.append(dual_ring(ctx, 2))
     if ctx.family == "sp":
-        rings.append(dual_ring(ctx, ctx.N // 2, 3))
+        rings.append(dual_ring(ctx, 3))
     return rings
 
 
@@ -284,14 +284,14 @@ def test_canonical_words_match_expanded_oracle(ctx):
 def test_central_families_match_expanded_oracle(ctx, monkeypatch):
     # both families, the complementary one through the Harish-Chandra
     # route, rebuilt from the expanded Pfaffian/Hafnian words
-    got = {kind: central_series(ctx, kind, 2) for kind in "CD"}
+    got = {signed: central_series(ctx, signed, 2) for signed in (True, False)}
     monkeypatch.setattr(uea, "pfaffian_phi_expr", lambda I: _expanded_matching_expr(I, True))
     monkeypatch.setattr(uea, "hafnian_psi_expr", lambda I: _expanded_matching_expr(I, False))
-    oracle = {kind: central_series(ctx, kind, 2) for kind in "CD"}
+    oracle = {signed: central_series(ctx, signed, 2) for signed in (True, False)}
     ring = uea_ring(ctx)
-    for kind in "CD":
+    for signed in (True, False):
         for k in (1, 2):
-            assert got[kind][k].evaluate(ring) == oracle[kind][k].evaluate(ring)
+            assert got[signed][k].evaluate(ring) == oracle[signed][k].evaluate(ring)
 
 
 # -- one common denominator against the per-coefficient Fraction route ------------
@@ -317,12 +317,12 @@ def _fraction_image(ring, terms):
 
 @pytest.mark.parametrize("ctx", [SO3, SO4, SP4], ids=repr)
 def test_evaluation_over_one_denominator_matches_fraction_oracle(ctx):
-    # the rings include dual_ring(SP4, 2, 3), where sp_4's 408-word C_2 is
+    # the rings include dual_ring(SP4, 3), where sp_4's 408-word C_2 is
     # summed from fractional word images
     rings = _oracle_rings(ctx)
     fractional = False  # some coefficient has a denominator to clear
-    for kind in "CD":
-        series = central_series(ctx, kind, 2)
+    for signed in (True, False):
+        series = central_series(ctx, signed, 2)
         for k in (1, 2):
             expr = series[k]
             fractional |= common_denominator(expr.terms.values()) > 1
@@ -356,8 +356,8 @@ def test_stored_coefficients_are_ints_or_proper_fractions(suite, params, algebra
     checks = run_suite(suite, params)
     assert checks and all(c.status == "pass" for c in checks)
     for ctx in algebras:
-        for kind in "CD":
-            series = central_series(ctx, kind, 2)
+        for signed in (True, False):
+            series = central_series(ctx, signed, 2)
             for k in (1, 2):
                 series[k].evaluate(uea_ring(ctx))
     assert {type(x) for x in built} >= {UEAElement, WeylOperator, FExpr}
@@ -367,21 +367,23 @@ def test_stored_coefficients_are_ints_or_proper_fractions(suite, params, algebra
 
 
 def test_images_are_memoized_until_cleared():
-    expr = central_series(SP2, "D", 2)[2]
-    ring = dual_ring(SP2, 1, 3)
+    expr = central_series(SP2, False, 2)[2]
+    ring = dual_ring(SP2, 3)
     first = expr.evaluate(ring)
     assert FExpr(dict(expr.terms)).evaluate(ring) is first
     uea.clear_caches()
-    assert not ring._words
+    assert not ring._words and not uea._RINGS
     assert not any(ctx._nf or ctx._bracket for ctx in LieContext._cache.values())
-    again = expr.evaluate(ring)
+    fresh = dual_ring(SP2, 3)
+    assert fresh is not ring
+    again = expr.evaluate(fresh)
     assert again is not first and again == first
 
 
 def test_canonical_word_counts():
-    assert len(central_series(SO4, "C", 2)[2].terms) == 36
-    assert len(central_series(SP4, "D", 2)[2].terms) == 334
-    assert len(central_series(SP4, "C", 2)[2].terms) == 408
+    assert len(central_series(SO4, True, 2)[2].terms) == 36
+    assert len(central_series(SP4, False, 2)[2].terms) == 334
+    assert len(central_series(SP4, True, 2)[2].terms) == 408
 
 
 def test_canonical_symbol():
@@ -397,7 +399,7 @@ def test_canonical_symbol():
 def _ring_kinds(ctx):
     kinds = [lambda: UEARing(ctx), lambda: GammaRing(ctx, 2)]
     if ctx.N % 2 == 0:
-        kinds.append(lambda: DualRing(ctx, ctx.N // 2, 3 if ctx.family == "sp" else 4))
+        kinds.append(lambda: DualRing(ctx, 3 if ctx.family == "sp" else 4))
     return kinds
 
 
@@ -479,7 +481,7 @@ def test_hc_in_lambda_variables():
 
 
 def test_complementary_family_so():
-    series = central_series(SO3, "D", 3)
+    series = central_series(SO3, False, 3)
     for k in (1, 2, 3):
         dk = series[k].evaluate(uea_ring(SO3))
         assert is_central(dk)
@@ -491,18 +493,17 @@ def test_complementary_family_so():
 def test_complementary_family_needs_only_the_generators_up_to_K():
     # K = 1 below the rank n = 2 builds the complementary family from the
     # first native generator alone and must agree with the K = 2 build
-    ring = uea_ring(SP4)
-    assert central_series(SP4, "C", 1)[1].evaluate(ring) == central_series(SP4, "C", 2)[1].evaluate(ring)
-    so5 = LieContext("so", 5)
-    ring = uea_ring(so5)
-    assert central_series(so5, "D", 1)[1].evaluate(ring) == central_series(so5, "D", 2)[1].evaluate(ring)
+    for ctx, signed in ((SP4, True), (LieContext("so", 5), False)):
+        ring = uea_ring(ctx)
+        first, second = (central_series(ctx, signed, K)[1].evaluate(ring) for K in (1, 2))
+        assert first == second
 
 
 def test_complementary_family_sp():
-    c1, c2, c3 = (x.evaluate(uea_ring(SP2)) for x in central_series(SP2, "C", 3)[1:])
+    c1, c2, c3 = (x.evaluate(uea_ring(SP2)) for x in central_series(SP2, True, 3)[1:])
     assert c1 == -d_k_hafnian(SP2, 1)
     assert c2.is_zero() and c3.is_zero()
-    series4 = central_series(SP4, "C", 2)
+    series4 = central_series(SP4, True, 2)
     for k in (1, 2):
         ck = series4[k].evaluate(uea_ring(SP4))
         assert is_central(ck)
@@ -512,16 +513,26 @@ def test_complementary_family_sp():
 
 
 def test_express_in_family():
-    from capelli.symfun import ShiftSequence
-
     a = ShiftSequence.squares(1)
     e1 = e_factorial(1, 2, a)
     e2 = e_factorial(2, 2, a)
-    combo = express_in_family(h_factorial(2, 2, a), [e1, e2], [1, 2], 2)
+    combo = express_in_family(h_factorial(2, 2, a), [e1, e2])
     rebuilt = SymPoly.zero(e1.vars)
     for (a1, a2), c in combo.items():
         rebuilt = rebuilt + c * (e1 ** a1) * (e2 ** a2)
     assert rebuilt == h_factorial(2, 2, a)
+
+
+def test_express_in_family_reads_each_generator_degree():
+    # the degrees come from the generators, so their order is free, and a
+    # target outside their span has no combination
+    a = ShiftSequence.squares(1)
+    e1, e2 = e_factorial(1, 2, a), e_factorial(2, 2, a)
+    combo = express_in_family(h_factorial(2, 2, a), [e1, e2])
+    swapped = express_in_family(h_factorial(2, 2, a), [e2, e1])
+    assert swapped == {(a2, a1): c for (a1, a2), c in combo.items()}
+    with pytest.raises(ConsistencyError):
+        express_in_family(h_factorial(3, 2, a), [e1])
 
 
 # -- representations ---------------------------------------------------------
@@ -544,10 +555,10 @@ def test_gamma_of_so_element_restricts_gl_action():
     assert got == expected
 
 
-def check_dual_bracket_compatibility(dual_ctx: LieContext, m: int, N: int):
+def check_dual_bracket_compatibility(dual_ctx: LieContext, N: int):
     """The dual generator images satisfy the structure relations of the
     commutant algebra: [g'(X), g'(Y)] = g'([X, Y]) on all generators."""
-    ring = dual_ring(dual_ctx, m, N)
+    ring = dual_ring(dual_ctx, N)
     pairs = dual_ctx.f_pairs()
     for p1 in pairs:
         for p2 in pairs:
@@ -562,11 +573,11 @@ def check_dual_bracket_compatibility(dual_ctx: LieContext, m: int, N: int):
 
 
 def test_dual_bracket_compatibility():
-    assert check_dual_bracket_compatibility(SP2, 1, 2)
-    assert check_dual_bracket_compatibility(SP2, 1, 3)
-    assert check_dual_bracket_compatibility(SO2, 1, 2)
-    assert check_dual_bracket_compatibility(SP4, 2, 2)
-    assert check_dual_bracket_compatibility(SO4, 2, 2)
+    assert check_dual_bracket_compatibility(SP2, 2)
+    assert check_dual_bracket_compatibility(SP2, 3)
+    assert check_dual_bracket_compatibility(SO2, 2)
+    assert check_dual_bracket_compatibility(SP4, 2)
+    assert check_dual_bracket_compatibility(SO4, 2)
 
 
 @pytest.mark.parametrize("ctx", [SO4, SP4], ids=repr)
@@ -577,7 +588,7 @@ def test_integral_eps_and_rho_are_ints(ctx):
 
 
 def test_central_series_has_no_index_past_its_order():
-    series = central_series(SO4, "C", 2)
+    series = central_series(SO4, True, 2)
     assert len(series) == 3 and series[0] == FExpr.one()
     assert series[2].evaluate(uea_ring(SO4)) == c_k_pfaffian(SO4, 2)
     with pytest.raises(IndexError):
@@ -585,7 +596,7 @@ def test_central_series_has_no_index_past_its_order():
 
 
 def test_central_element_gamma_routes_agree():
-    elt = central_series(SO3, "C", 1)[1]
+    elt = central_series(SO3, True, 1)[1]
     assert elt.evaluate(gamma_ring(SO3, 2)) == gamma(elt.evaluate(uea_ring(SO3)), 2)
 
 
@@ -593,11 +604,11 @@ def test_central_element_gamma_routes_agree():
 
 
 def test_dual_pair_coeffs_edges():
-    assert dual_pair_coeffs("C", 2, 2, 2, 3) == 1
-    assert dual_pair_coeffs("D", 2, 2, 2, 4) == 1
+    assert dual_pair_coeffs(True, 2, 2, 2, 3) == 1
+    assert dual_pair_coeffs(False, 2, 2, 2, 4) == 1
     for m, N in ((1, 2), (2, 3), (2, 4)):
         d = Fraction(m) - Fraction(N, 2) + 1
-        assert dual_pair_coeffs("C", 1, 0, m, N) == m * Fraction(N, 2) * d
+        assert dual_pair_coeffs(True, 1, 0, m, N) == m * Fraction(N, 2) * d
 
 
 def test_dual_pair_coeffs_g_vanishing():
@@ -607,7 +618,7 @@ def test_dual_pair_coeffs_g_vanishing():
     for k in range(1, 5):
         for l in range(0, k + 1):
             if k > d + l:
-                assert dual_pair_coeffs("D", k, l, m, N) == 0
+                assert dual_pair_coeffs(False, k, l, m, N) == 0
 
 
 def test_first_difference_witness():
