@@ -25,28 +25,24 @@ from .symfun import (
 from .weyl import (
     WeylContext,
     WeylOperator,
-    cayley_omega,
-    cayley_theta,
-    omega_AI,
+    cayley,
+    paired_blocks,
     singular_vector,
-    theta_AI,
 )
 from .uea import (
     LieContext,
     UEAElement,
-    c_k_pfaffian,
-    capelli_element_e,
-    capelli_element_h,
+    block_expr,
+    capelli_element,
     central_series,
     clear_caches,
-    d_k_hafnian,
     dual_pair_coeffs,
     eigenvalue_on_hwv,
+    family_expr,
     gamma,
-    hafnian_psi,
     hc_polynomial,
     pbw_normal_form,
-    pfaffian_phi,
+    uea_ring,
 )
 from .tensor import (
     TMat,

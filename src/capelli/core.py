@@ -22,6 +22,11 @@ lists).  A series in one variable is a fraction of two such lists
 (`series_as_fraction`), and `series_defect` is the one rule that decides
 a one-variable rational identity, exactly or up to a truncation order,
 by cross-multiplying.
+
+The flag `signed` picks one of the twin constructions of the paper
+throughout the library; here it picks det or per (`_laplace`) and the
+strictly or weakly increasing index choices (`increasing`), the one
+choice rule every twin body draws its tuples from.
 """
 
 from __future__ import annotations
@@ -48,7 +53,10 @@ class ConsistencyError(RuntimeError):
 
 def scal(x) -> Scalar:
     """Coerce an int/str/Fraction into an exact rational: an `int` when
-    it is integral, otherwise a `Fraction`."""
+    it is integral, otherwise a `Fraction`.  A float is a TypeError: its
+    binary value is not the decimal the caller wrote."""
+    if isinstance(x, float):
+        raise TypeError(f"float {x!r} is not an exact scalar")
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
@@ -119,6 +127,13 @@ def multiplicity_factorial(seq):
     for _, grp in itertools.groupby(seq):
         out *= math.factorial(sum(1 for _ in grp))
     return out
+
+
+def increasing(seq, k, signed):
+    """The strictly (signed) or weakly increasing k-tuples of the entries
+    of the sorted `seq`: the index choices of det or of per."""
+    choose = itertools.combinations if signed else itertools.combinations_with_replacement
+    return choose(seq, k)
 
 
 def perm_sign(perm):

@@ -18,17 +18,19 @@ clock and builds the `CheckResult`s.
 Twin statements about the signed family C (Pfaffians over so_N, det,
 strictly increasing choices) and the unsigned family D (Hafnians over
 sp_N, per, weakly increasing choices) share one body that takes
-`signed`: `_formula_suite` (thm-4.1/5.1), `_fusion_suite` (thm-3.2/3.3),
+`signed`: `_capelli_suite` (capelli-gl/capelli-gl-perm),
+`_formula_suite` (thm-4.1/5.1), `_fusion_suite` (thm-3.2/3.3),
 `_vanishing_suite` (prop-3.10/3.11) and the three dual-pair bodies over
 `_dual_pair` (so_N against sp_2m for C, sp_N against so_2m for D):
 `_transfer_suite` (thm-4.4/5.3), `_generating_suite` (prop-4.3/5.2) and
 `_identity_suite` (cor-4.6/5.4).  The suites alone turn the flag into
-the names in check ids (`transfer-C`, `fusion-row`, ...).
+the names in check ids (`det-capelli`, `transfer-C`, `fusion-row`, ...);
+the library's Pfaffian and Hafnian builders read the twin from the
+algebra instead.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -42,6 +44,7 @@ from .core import (
     dense_first_difference,
     dense_mul,
     dense_prod,
+    increasing,
     linear_ladder,
     multiplicity_factorial,
     series_as_fraction,
@@ -61,20 +64,17 @@ from .symfun import (
 )
 from .uea import (
     LieContext,
-    c_k_pfaffian,
-    capelli_element_e,
-    capelli_element_h,
+    block_expr,
+    capelli_element,
     central_series,
-    d_k_hafnian,
     dual_pair_coeffs,
     dual_ring,
+    family_expr,
     gamma,
     gamma_ring,
-    hafnian_psi_expr,
     hc_polynomial,
     hc_target,
     is_central,
-    pfaffian_phi_expr,
     uea_ring,
 )
 from .tensor import (
@@ -87,7 +87,7 @@ from .tensor import (
     verify_relations,
     verify_vanishing,
 )
-from .weyl import WeylContext, WeylOperator, _paired_blocks, cayley_omega, cayley_theta
+from .weyl import WeylContext, WeylOperator, cayley, paired_blocks
 
 
 @dataclass
@@ -112,19 +112,18 @@ def _hc_witness(element, k, target):
     return None if hc == SymPoly(hc.vars, target.terms) else f"harish-chandra image is {hc!r}"
 
 
-def _image_witness(ctx, m, k, signed):
-    """The first I at which the Pfaffian (signed) or Hafnian of I acts on
-    the m-fold grid differently from the sum over A of
-    omega_AI (signed) or theta_AI / multiplicity_factorial(A), or None.
-    I and A run over the strictly (signed) or weakly increasing choices
-    of 2k indices and of k rows."""
-    choose = itertools.combinations if signed else itertools.combinations_with_replacement
-    expr = pfaffian_phi_expr if signed else hafnian_psi_expr
-    for I in choose(ctx.indices, 2 * k):
-        lhs = expr(I).evaluate(gamma_ring(ctx, m))
+def _image_witness(ctx, m, k):
+    """The first I at which the Pfaffian (so_N) or Hafnian (sp_N) of I
+    acts on the m-fold grid differently from the sum over A of
+    omega_AI (so_N) or theta_AI / multiplicity_factorial(A), or None.
+    I and A run over the strictly (so_N) or weakly increasing choices of
+    2k indices and of k rows."""
+    signed = ctx.family == "so"
+    for I in increasing(ctx.indices, 2 * k, signed):
+        lhs = block_expr(ctx, I).evaluate(gamma_ring(ctx, m))
         rhs = WeylOperator(WeylContext(m, ctx.N), combine(
-            (Fraction(1, multiplicity_factorial(A)), _paired_blocks(A, I, m, ctx.N, signed).terms)
-            for A in choose(range(1, m + 1), k)))
+            (Fraction(1, multiplicity_factorial(A)), paired_blocks(A, I, m, ctx.N, signed).terms)
+            for A in increasing(range(1, m + 1), k, signed)))
         witness = lhs.first_difference(rhs)
         if witness is not None:
             return f"I={I}: {witness}"
@@ -155,13 +154,17 @@ def _families(N):
 # -- gl_N: the two classical identities ---------------------------------------
 
 
-def _capelli_suite(p, rng, element, cayley, prefix):
+def _capelli_suite(p, rng, signed):
+    """The determinant-type (signed) or permanent-type Capelli identity:
+    the natural action of the Capelli element is the Cayley operator."""
+    prefix = "det" if signed else "per"
     for N in p["N"]:
         for m in p["m"]:
             for k in p["k"]:
                 if k <= min(m, N):
                     yield (f"{prefix}-capelli[N={N},m={m},k={k}]",
-                           gamma(element(k, N), m).first_difference(cayley(k, m, N)))
+                           gamma(capelli_element(k, N, signed), m).first_difference(
+                               cayley(k, m, N, signed)))
 
 
 # -- so_N and sp_N: the Pfaffian and Hafnian formulas ----------------------------
@@ -176,7 +179,7 @@ def _formula_suite(p, rng, signed):
     for N in p["N"]:
         ctx = LieContext(family, N)
         for k in p["k"]:
-            z = c_k_pfaffian(ctx, k) if signed else d_k_hafnian(ctx, k)
+            z = family_expr(ctx, k).evaluate(uea_ring(ctx))
             if signed and k > ctx.n:
                 yield (f"pfaffian-vanishes[N={N},k={k}]",
                        None if z.is_zero() else "nonzero past the rank")
@@ -189,7 +192,7 @@ def _formula_suite(p, rng, signed):
             for k in p["k"]:
                 if not (signed and k > ctx.n):
                     yield (f"{name}-image[N={N},m={m},k={k}]",
-                           _image_witness(ctx, m, k, signed))
+                           _image_witness(ctx, m, k))
 
 
 # -- fusion --------------------------------------------------------------------
@@ -343,8 +346,8 @@ def suite_cor_42(p, rng):
     for N in p["N"]:
         n = N // 2
         ctx = LieContext("so", N)
-        pf = pfaffian_phi_expr(ctx.indices).evaluate(uea_ring(ctx))
-        lhs = c_k_pfaffian(ctx, n)
+        pf = block_expr(ctx, ctx.indices).evaluate(uea_ring(ctx))
+        lhs = family_expr(ctx, n).evaluate(uea_ring(ctx))
         yield f"top-pfaffian-square[N={N}]", lhs.first_difference((pf * pf) * (-1) ** n)
 
 
@@ -355,7 +358,7 @@ def suite_series_inversion(p, rng):
     Only the sp_2 half sees a wrong native element.  Over so_3 (rank 1)
     `central_series` builds the unsigned family as polynomials in C_1
     (`express_in_family`), so the inversion holds for every value of
-    C_1: with `_family_expr` returning C_1 + 1, or C_1 + 7, the so_3
+    C_1: with `family_expr` returning C_1 + 1, or C_1 + 7, the so_3
     check still passes at every K in 1..4."""
     K = p["K"]
     for family, N in (("so", 3), ("sp", 2)):
@@ -466,12 +469,10 @@ class Suite(NamedTuple):
 SUITES = {
     "capelli-gl": Suite("classical determinant-type identity over gl_N",
                         {"N": (2, 3), "m": (2, 3), "k": (1, 2, 3)},
-                        partial(_capelli_suite, element=capelli_element_e,
-                                cayley=cayley_omega, prefix="det")),
+                        partial(_capelli_suite, signed=True)),
     "capelli-gl-perm": Suite("permanent-type identity over gl_N",
                              {"N": (2, 3), "m": (2, 3), "k": (1, 2, 3)},
-                             partial(_capelli_suite, element=capelli_element_h,
-                                     cayley=cayley_theta, prefix="per")),
+                             partial(_capelli_suite, signed=False)),
     "thm-4.1": Suite("Pfaffian formula for the signed family over so_N",
                      {"N": (2, 3, 4), "m": (1, 2, 3), "k": (1, 2)},
                      partial(_formula_suite, signed=True)),

@@ -20,6 +20,7 @@ from .core import (
     dense_mul,
     dense_prod,
     det,
+    increasing,
     linear_ladder,
     scal,
     series_as_fraction,
@@ -34,7 +35,9 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
+        if not all(isinstance(p, int) for p in parts):
+            raise TypeError(f"partition parts must be ints, not {parts!r}")
         if any(p < 0 for p in parts):
             raise ValueError("negative part")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -204,9 +207,8 @@ def _factorial_sum(k, n, a, signed):
     (z_{p_t} - a_{p_t + t - 1})."""
     vs = zvars(n)
     gens = SymPoly.gens(vs)
-    choose = itertools.combinations if signed else itertools.combinations_with_replacement
     total = {}
-    for ps in choose(range(1, n + 1), k):
+    for ps in increasing(range(1, n + 1), k, signed):
         term = SymPoly.scalar(vs, 1)
         for t, p in enumerate(ps, start=1):
             term = term * (gens[p - 1] - a[p - t + 1 if signed else p + t - 1])

@@ -22,8 +22,11 @@ A flag `signed` picks one of the twin constructions throughout: signed
 means the determinant-type Capelli element and the family C (Pfaffians
 over so_N, strictly increasing choices, the factorial e_k), unsigned the
 permanent-type element and the family D (Hafnians over sp_N, weakly
-increasing choices, the factorial h_k).  `_capelli_sum`, `_family_expr`,
-`hc_target`, `central_series` and `dual_pair_coeffs` all take it.
+increasing choices, the factorial h_k).  `capelli_element`,
+`hc_target`, `central_series` and `dual_pair_coeffs` take it.  The
+Pfaffian and Hafnian constructions live in one algebra each, so
+`block_expr` and `family_expr` read the twin from their context: so_N
+gives Pfaffians and sp_N Hafnians.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .core import (
     combine,
     common_denominator,
     exact_terms,
+    increasing,
     multiplicity_factorial,
     perm_sign,
     scal,
@@ -430,12 +434,6 @@ class FExpr(Sparse):
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        out = FExpr.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     def evaluate(self, ring):
         return ring.image(self.terms)
 
@@ -449,19 +447,11 @@ class FExpr(Sparse):
 # -- Capelli elements of U(gl_N) ----------------------------------------------
 
 
-def capelli_element_e(k: int, N: int) -> UEAElement:
-    """Row-ordered symmetrized sum with +(s-1) diagonal shifts whose
-    image under the natural action is the k-th antisymmetric Cayley
-    operator."""
-    return _capelli_sum(k, N, signed=True)
-
-
-def capelli_element_h(k: int, N: int) -> UEAElement:
-    """The permanental counterpart, with -(s-1) shifts and no signs."""
-    return _capelli_sum(k, N, signed=False)
-
-
-def _capelli_sum(k, N, signed):
+def capelli_element(k: int, N: int, signed: bool) -> UEAElement:
+    """Row-ordered symmetrized sum with +(s-1) diagonal shifts (signed)
+    whose image under the natural action is the k-th antisymmetric Cayley
+    operator, or its permanental counterpart with -(s-1) shifts and no
+    signs."""
     ctx = LieContext("gl", N)
     total = {}
     for sigma in itertools.permutations(range(k)):
@@ -480,6 +470,15 @@ def _capelli_sum(k, N, signed):
 # -- Pfaffians, Hafnians and the central families -----------------------------
 
 
+def _native_signed(ctx: LieContext) -> bool:
+    """The twin an algebra builds from its own symbols: signed (Pfaffians,
+    the family C) over so_N, unsigned (Hafnians, the family D) over
+    sp_N."""
+    if ctx.family not in ("so", "sp"):
+        raise DimensionError("Pfaffians, Hafnians and the central families live in so_N or sp_N")
+    return ctx.family == "so"
+
+
 def _ordered_matchings(k):
     """The (2k)!/2^k sequences of k disjoint pairs (p, q), p < q, that
     cover range(2k)."""
@@ -495,76 +494,51 @@ def _ordered_matchings(k):
     return grow(tuple(range(2 * k)))
 
 
-def _matching_expr(family, I, weight) -> FExpr:
-    """Sum over the ordered matchings of the positions of I of
-    weight(pairs) / k! times the word of symbols (I_p, -I_q), spelled
+def block_expr(ctx: LieContext, I) -> FExpr:
+    """The Pfaffian Phi_I of [F_{i_p, -i_q}] over a set of 2k distinct
+    indices (so_N) or the Hafnian Psi_I of [sgn(i_p) F_{i_p, -i_q}] over
+    a weakly increasing index sequence of even length (sp_N), as a
+    noncommutative polynomial in the symbols of ctx.
+
+    It is the sum over the ordered matchings of the positions of I of
+    the sign of the matching (so) or sgn(i_p ...) over its first entries
+    (sp), divided by k!, times the word of symbols (I_p, -I_q), spelled
     canonically.  The 2^k orders inside the pairs of a permutation give
     one canonical word with one coefficient, so this is the average over
     all (2k)! permutations."""
+    signed = _native_signed(ctx)
+    I = tuple(sorted(I))
+    if signed and len(set(I)) != len(I):
+        raise DimensionError("Pfaffian index set must not repeat entries")
+    if len(I) % 2:
+        raise DimensionError("a Pfaffian or Hafnian needs an even number of indices")
     k = len(I) // 2
     terms = {}
     for pairs in _ordered_matchings(k):
-        c = weight(pairs)
+        c = (perm_sign([p for pair in pairs for p in pair]) if signed
+             else math.prod(sgn(I[p]) for p, _ in pairs))
         word = []
         for p, q in pairs:
-            s, symbol = canonical_symbol(family, I[p], -I[q])
+            s, symbol = canonical_symbol(ctx.family, I[p], -I[q])
             c *= s
             word.append(symbol)
         add_into(terms, {tuple(word): c})
     return FExpr(terms) * Fraction(1, math.factorial(k))
 
 
-def pfaffian_phi_expr(I) -> FExpr:
-    """Pfaffian of [F_{i_p, -i_q}] over a sorted set of 2k distinct
-    indices, as a noncommutative polynomial in the so symbols."""
-    I = tuple(sorted(I))
-    if len(set(I)) != len(I):
-        raise DimensionError("Pfaffian index set must not repeat entries")
-    if len(I) % 2:
-        raise DimensionError("Pfaffian needs an even number of indices")
-    return _matching_expr("so", I, lambda pairs: perm_sign([p for pair in pairs for p in pair]))
-
-
-def hafnian_psi_expr(I) -> FExpr:
-    """Hafnian of [sgn(i_p) F_{i_p, -i_q}] over a weakly increasing index
-    sequence of even length, as a noncommutative polynomial in the sp
-    symbols."""
-    I = tuple(sorted(I))
-    if len(I) % 2:
-        raise DimensionError("Hafnian needs an even number of indices")
-    return _matching_expr("sp", I, lambda pairs: math.prod(sgn(I[p]) for p, _ in pairs))
-
-
-def pfaffian_phi(ctx: LieContext, I) -> UEAElement:
-    if ctx.family != "so":
-        raise DimensionError("Pfaffian generators live in the orthogonal algebra")
-    return pfaffian_phi_expr(I).evaluate(uea_ring(ctx))
-
-
-def hafnian_psi(ctx: LieContext, I) -> UEAElement:
-    if ctx.family != "sp":
-        raise DimensionError("Hafnian generators live in the symplectic algebra")
-    return hafnian_psi_expr(I).evaluate(uea_ring(ctx))
-
-
-def _family_expr(ctx: LieContext, k: int, signed: bool) -> FExpr:
-    """The k-th element of the signed family over so_N,
-    (-1)^k sum over 2k-subsets I of Phi_I Phi_{I*}, or of the unsigned
-    family over sp_N, (-1)^k sum over weakly increasing 2k-sequences I of
-    sgn(i_1...i_{2k}) Psi_I Psi_{I*} / (f_1! f_{-1}! ... f_n! f_{-n}!).
-    Past the rank n the signed sum is empty."""
-    if signed and ctx.family != "so":
-        raise DimensionError("the signed family is built from Pfaffians over so_N")
-    if not signed and ctx.family != "sp":
-        raise DimensionError("the unsigned family is built from Hafnians over sp_N")
-    choose = itertools.combinations if signed else itertools.combinations_with_replacement
-    block = pfaffian_phi_expr if signed else hafnian_psi_expr
+def family_expr(ctx: LieContext, k: int) -> FExpr:
+    """The k-th element of the family the algebra builds natively: over
+    so_N, C_k = (-1)^k sum over 2k-subsets I of Phi_I Phi_{I*}, empty past
+    the rank n; over sp_N, D_k = (-1)^k sum over weakly increasing
+    2k-sequences I of sgn(i_1...i_{2k}) Psi_I Psi_{I*} /
+    (f_1! f_{-1}! ... f_n! f_{-n}!)."""
+    signed = _native_signed(ctx)
     pairs = []
-    for I in choose(ctx.indices, 2 * k):
+    for I in increasing(ctx.indices, 2 * k, signed):
         Istar = tuple(sorted(-i for i in I))
         weight = (-1) ** k if signed else Fraction((-1) ** k * math.prod(sgn(i) for i in I),
                                                    multiplicity_factorial(I))
-        pairs.append((weight, (block(I) * block(Istar)).terms))
+        pairs.append((weight, (block_expr(ctx, I) * block_expr(ctx, Istar)).terms))
     return FExpr(combine(pairs))
 
 
@@ -682,6 +656,14 @@ def hc_polynomial(z: UEAElement, degree_bound: int, *, in_l_squared=False) -> Sy
 # -- the two central families -------------------------------------------------
 
 
+def _power_product(gens, alpha, one):
+    """one * g_1^a_1 * g_2^a_2 * ..., multiplied in one factor at a time.
+    That takes fewer products than multiplying in powers from `**`:
+    `SymPoly.__pow__` squares by halves and computes one square it never
+    uses, and each power costs one more product to multiply in."""
+    return math.prod((g for g, a in zip(gens, alpha) for _ in range(a)), start=one)
+
+
 def express_in_family(target: SymPoly, gens):
     """Coefficients writing a symmetric polynomial as a polynomial in the
     given algebraically independent symmetric generators, as a map from
@@ -693,13 +675,7 @@ def express_in_family(target: SymPoly, gens):
         if sum(a * gd for a, gd in zip(alpha, gen_degrees)) <= d:
             alphas.append(alpha)
     vs = target.vars
-    products = []
-    for alpha in alphas:
-        p = SymPoly.scalar(vs, 1)
-        for g, a in zip(gens, alpha):
-            for _ in range(a):
-                p = p * g
-        products.append(p)
+    products = [_power_product(gens, alpha, SymPoly.scalar(vs, 1)) for alpha in alphas]
     monomials = sorted({ev for p in products for ev in p.terms}
                        | set(target.terms))
     rows = [[p.coefficient(ev) for p in products] for ev in monomials]
@@ -732,33 +708,17 @@ def central_series(ctx: LieContext, signed: bool, K: int) -> tuple[FExpr, ...]:
     expressed in the images of the native generators 1..min(K, n), and
     the same polynomial is taken in the elements themselves.
     """
-    if ctx.family not in ("so", "sp"):
-        raise DimensionError("central families live in so_N or sp_N")
-    native = ctx.family == "so"
+    native = _native_signed(ctx)
     top = K if signed == native else min(K, ctx.n)
-    exprs = [_family_expr(ctx, k, native) for k in range(1, top + 1)]
+    exprs = [family_expr(ctx, k) for k in range(1, top + 1)]
     if signed != native:
         gen_imgs = [hc_target(ctx, native, j) for j in range(1, top + 1)]
         gens, exprs = exprs, []
         for k in range(1, K + 1):
             combo = express_in_family(hc_target(ctx, signed, k), gen_imgs)
-            pairs = []
-            for alpha, c in combo.items():
-                prod = FExpr.one()
-                for g, e in zip(gens, alpha):
-                    for _ in range(e):
-                        prod = prod * g
-                pairs.append((c, prod.terms))
-            exprs.append(FExpr(combine(pairs)))
+            exprs.append(FExpr(combine((c, _power_product(gens, alpha, FExpr.one()).terms)
+                                       for alpha, c in combo.items())))
     return (FExpr.one(), *exprs)
-
-
-def c_k_pfaffian(ctx: LieContext, k: int) -> UEAElement:
-    return _family_expr(ctx, k, signed=True).evaluate(uea_ring(ctx))
-
-
-def d_k_hafnian(ctx: LieContext, k: int) -> UEAElement:
-    return _family_expr(ctx, k, signed=False).evaluate(uea_ring(ctx))
 
 
 # -- dual pair transfer coefficients ------------------------------------------

@@ -8,10 +8,10 @@ the polynomial ring, and the images of the Lie algebra generators under
 the natural and the dual (oscillator) actions.
 
 The Cayley operators and the paired blocks come in two forms, built by
-one body that takes `signed`: signed uses det over strictly increasing
-(distinct) choices, unsigned uses per over weakly increasing ones.
-`_cayley` serves `cayley_omega`/`cayley_theta`, and `_paired_blocks`
-serves `omega_AI`/`theta_AI`.
+one function that takes `signed`: signed uses det over strictly
+increasing (distinct) choices, unsigned uses per over weakly increasing
+ones.  `cayley` gives Omega_k or Theta_k, and `paired_blocks` gives
+omega_AI or theta_AI.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .core import (
     combine,
     det,
     exact_terms,
+    increasing,
     multiplicity_factorial,
     per,
     perm_sign,
@@ -265,13 +266,13 @@ def dual_gamma_gen(dual_family: str, A: int, B: int, m: int, N: int) -> WeylOper
 # -- Cayley operators --------------------------------------------------------
 
 
-def _cayley(k, m, N, signed):
-    """k-th antisymmetric (signed) or symmetric Cayley operator: the
-    symmetrized sum over permutations, cross-checked before returning
-    against the sum of block[x]*block[d] over the chosen rows and columns,
-    where the block is det over strictly increasing choices or per over
-    weakly increasing ones, weighted by the inverse multiplicity
-    factorials (1 on strictly increasing choices)."""
+def cayley(k: int, m: int, N: int, signed: bool) -> WeylOperator:
+    """k-th antisymmetric (signed, Omega_k) or symmetric (Theta_k) Cayley
+    operator: the symmetrized sum over permutations, cross-checked before
+    returning against the sum of block[x]*block[d] over the chosen rows
+    and columns, where the block is det over strictly increasing choices
+    or per over weakly increasing ones, weighted by the inverse
+    multiplicity factorials (1 on strictly increasing choices)."""
     ctx = WeylContext(m, N)
     terms = {}
     for sigma in itertools.permutations(range(k)):
@@ -285,11 +286,10 @@ def _cayley(k, m, N, signed):
                     beta[ctx.slot(avec[t], ivec[sigma[t]])] += 1
                 add_into(terms, {(tuple(alpha), tuple(beta)): c0})
     op = WeylOperator(ctx, terms) * Fraction(1, math.factorial(k))
-    block, choose = ((det, itertools.combinations) if signed
-                     else (per, itertools.combinations_with_replacement))
+    block = det if signed else per
     pairs = []
-    for avec in choose(range(1, m + 1), k):
-        for ivec in choose(ctx.indices, k):
+    for avec in increasing(range(1, m + 1), k, signed):
+        for ivec in increasing(ctx.indices, k, signed):
             xblock = block([[WeylOperator.x(ctx, a, i) for i in ivec] for a in avec])
             dblock = block([[WeylOperator.d(ctx, a, i) for i in ivec] for a in avec])
             weight = Fraction(1, multiplicity_factorial(avec) * multiplicity_factorial(ivec))
@@ -301,23 +301,13 @@ def _cayley(k, m, N, signed):
     return op
 
 
-def cayley_omega(k: int, m: int, N: int) -> WeylOperator:
-    """k-th antisymmetric Cayley operator (sum of det[x]*det[d])."""
-    return _cayley(k, m, N, signed=True)
-
-
-def cayley_theta(k: int, m: int, N: int) -> WeylOperator:
-    """k-th symmetric Cayley operator (weighted sum of per[x]*per[d])."""
-    return _cayley(k, m, N, signed=False)
-
-
 # -- paired determinant/permanent blocks -------------------------------------
 
 
-def _paired_blocks(A, I, m, N, signed):
-    """Sum over the splittings of the sorted index sequence I into two
-    subsequences J, J' of length k = |I|/2 of
-    sign * block[x_{a_p j_q}] * block[d_{a_p, -j'_q}], a in A.
+def paired_blocks(A, I, m: int, N: int, signed: bool) -> WeylOperator:
+    """omega_AI (signed) or theta_AI: the sum over the splittings of the
+    sorted index sequence I into two subsequences J, J' of length
+    k = |I|/2 of sign * block[x_{a_p j_q}] * block[d_{a_p, -j'_q}], a in A.
 
     Signed: I has distinct entries, A has k distinct rows, the block is
     det and the sign is that of the interleaving j_1 j'_1 ... j_k j'_k.
@@ -352,19 +342,6 @@ def _paired_blocks(A, I, m, N, signed):
         dblock = block([[WeylOperator.d(ctx, a, -I[p]) for p in rest] for a in A])
         add_into(total.terms, total._coerce(xblock * dblock).terms, sign)
     return total
-
-
-def omega_AI(A, I, m: int, N: int) -> WeylOperator:
-    """Signed sum over the splittings of the 2k distinct indices I into
-    two k-subsets J, J' of det[x_{a_p j_q}] * det[d_{a_p, -j'_q}]."""
-    return _paired_blocks(A, I, m, N, signed=True)
-
-
-def theta_AI(A, I, m: int, N: int) -> WeylOperator:
-    """Sum over the splittings of the weakly increasing index sequence I
-    into two weakly increasing subsequences J, J' of
-    sgn(j_1...j_k) * per[x_{a_p j_q}] * per[d_{a_p,-j'_q}]."""
-    return _paired_blocks(A, I, m, N, signed=False)
 
 
 # -- highest-weight vectors ---------------------------------------------------

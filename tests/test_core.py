@@ -158,6 +158,15 @@ def test_scalar_field_axioms_randomized():
     assert scal("3/4") == Fraction(3, 4)
 
 
+def test_scal_rejects_floats():
+    # a float's binary value is not the decimal written: 0.1 would become
+    # 3602879701896397/36028797018963968
+    for value in (0.1, 2.0, float("inf")):
+        with pytest.raises(TypeError):
+            scal(value)
+    assert scal("0.1") == Fraction(1, 10)
+
+
 def test_integral_scalars_are_stored_as_int():
     for value, expected in ((Fraction(6, 3), 2), ("-4/2", -2), (True, 1), (7, 7)):
         assert type(scal(value)) is int and scal(value) == expected

@@ -1,6 +1,7 @@
 """Source hygiene: every imported name is read somewhere in its module,
-every library function somewhere in the library, and every parameter of
-a library function in its body."""
+every library function somewhere in the library, every parameter of a
+library function in its body, and no library function only fixes a flag
+of another."""
 
 import ast
 from pathlib import Path
@@ -190,3 +191,50 @@ def test_every_library_parameter_is_read():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in LIBRARY}
     found = unread_parameters(sources, suite_protocol())
     assert not found, "parameters never read:\n" + "\n".join(found)
+
+
+def flag_only_wrappers(sources):
+    """Functions defined in `sources` (a map from a file name to its text)
+    whose body, after its docstring, is one `return` holding a call with
+    a literal True or False argument: a wrapper that only fixes a flag of
+    another function, as "file:line: function"."""
+    found = []
+    for where, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            body = node.body
+            if ast.get_docstring(node) is not None:
+                body = body[1:]
+            if len(body) != 1 or not isinstance(body[0], ast.Return) or body[0].value is None:
+                continue
+            if any(isinstance(arg, ast.Constant) and type(arg.value) is bool
+                   for call in ast.walk(body[0].value) if isinstance(call, ast.Call)
+                   for arg in (*call.args, *(kw.value for kw in call.keywords))):
+                found.append(f"{where}:{node.lineno}: {node.name}")
+    return sorted(found)
+
+
+def test_scan_sees_a_flag_only_wrapper():
+    source = ('def body(x, signed):\n    return x if signed else -x\n\n\n'
+              'def wrapper(x):\n    """Doc."""\n    return body(x, signed=True)\n\n\n'
+              'def nested(x):\n    return abs(body(x, False))\n\n\n'
+              'def works(x):\n    y = body(x, True)\n    return y\n\n\n'
+              'def no_flag(x):\n    return body(x, 1)\n')
+    assert flag_only_wrappers({"m.py": source}) == ["m.py:10: nested", "m.py:5: wrapper"]
+
+
+# The named twins that stay, each a wrapper that fixes `signed`:
+# - det and per are the textbook names, and `symfun.schur_factorial` and
+#   `weyl.minor_delta` call det with no flag;
+# - e_factorial and h_factorial are called with no flag by `suite_prop_22`
+#   and `check_generating_series`, and `perfbench/layers.py` traces them
+#   by name.
+NAMED_TWINS = {"det", "per", "e_factorial", "h_factorial"}
+
+
+def test_no_library_function_only_fixes_a_flag():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in LIBRARY}
+    found = [entry for entry in flag_only_wrappers(sources)
+             if entry.rpartition(" ")[2] not in NAMED_TWINS]
+    assert not found, "functions that only fix a flag:\n" + "\n".join(found)

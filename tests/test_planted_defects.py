@@ -13,7 +13,7 @@ from capelli import suites, symfun, tensor, uea
 from capelli.suites import SUITES, run_suite
 
 _symmetrizer, _exchange_P = tensor.symmetrizer, tensor.exchange_P
-_capelli_sum, _family_expr = uea._capelli_sum, uea._family_expr
+_capelli_element, _family_expr = uea.capelli_element, uea.family_expr
 _slot_action, _ladder_roots = tensor.slot_action, tensor.ladder_roots
 _dual_pair_coeffs, _dual_gamma_gen = suites.dual_pair_coeffs, uea.dual_gamma_gen
 _factorial_sum, _a_lambda = symfun._factorial_sum, suites.a_lambda
@@ -52,14 +52,14 @@ def wrong_sign_projector(space, signed, width=None, rows=None):
     return _symmetrizer(space, not signed, width, rows)
 
 
-def shifted_capelli_sum(k, N, signed):
+def shifted_capelli_element(k, N, signed):
     """The gl_N Capelli element plus 1."""
-    return _capelli_sum(k, N, signed) + 1
+    return _capelli_element(k, N, signed) + 1
 
 
-def shifted_family_expr(ctx, k, signed):
+def shifted_family_expr(ctx, k):
     """The k-th formula element (Pfaffian or Hafnian sum) plus 1."""
-    return _family_expr(ctx, k, signed) + 1
+    return _family_expr(ctx, k) + 1
 
 
 def transposed_slot_action(space, i, j, slots):
@@ -96,14 +96,18 @@ def shifted_ladder_roots(ctx, signed, K):
 
 
 DEFECTS = {
-    "capelli-gl": (uea, "_capelli_sum", shifted_capelli_sum, {"N": 2, "m": 2, "k": 1}),
-    "capelli-gl-perm": (uea, "_capelli_sum", shifted_capelli_sum, {"N": 2, "m": 2, "k": 1}),
-    "thm-4.1": (uea, "_family_expr", shifted_family_expr, {"N": 2, "m": 1, "k": 1}),
-    "thm-5.1": (uea, "_family_expr", shifted_family_expr, {"N": 2, "m": 1, "k": 1}),
-    "thm-3.2": (uea, "_family_expr", shifted_family_expr, {"N": 2, "k": 1}),
-    "thm-3.3": (uea, "_family_expr", shifted_family_expr, {"N": 2, "k": 1}),
-    "thm-6.2": (uea, "_family_expr", shifted_family_expr, {"N": 2}),
-    "cor-4.2": (uea, "_family_expr", shifted_family_expr, {"N": 2}),
+    "capelli-gl": (suites, "capelli_element", shifted_capelli_element,
+                   {"N": 2, "m": 2, "k": 1}),
+    "capelli-gl-perm": (suites, "capelli_element", shifted_capelli_element,
+                        {"N": 2, "m": 2, "k": 1}),
+    # the formula suites read family_expr themselves; the fusion and
+    # determinant suites reach it through uea.central_series
+    "thm-4.1": (suites, "family_expr", shifted_family_expr, {"N": 2, "m": 1, "k": 1}),
+    "thm-5.1": (suites, "family_expr", shifted_family_expr, {"N": 2, "m": 1, "k": 1}),
+    "thm-3.2": (uea, "family_expr", shifted_family_expr, {"N": 2, "k": 1}),
+    "thm-3.3": (uea, "family_expr", shifted_family_expr, {"N": 2, "k": 1}),
+    "thm-6.2": (uea, "family_expr", shifted_family_expr, {"N": 2}),
+    "cor-4.2": (suites, "family_expr", shifted_family_expr, {"N": 2}),
     "prop-6.1": (tensor, "slot_action", transposed_slot_action, {"N": 2}),
     "thm-4.4": (suites, "dual_pair_coeffs", shifted_dual_pair_coeffs, {"N": 2, "m": 1, "k": 1}),
     "thm-5.3": (suites, "dual_pair_coeffs", shifted_dual_pair_coeffs, {"N": 2, "m": 1, "k": 1}),

@@ -44,6 +44,13 @@ def test_partition_basics():
         Partition((1, 2))
 
 
+@pytest.mark.parametrize("parts", [(2.9,), (2.0,), (Fraction(2),), ("2",), (3, 1.0)])
+def test_partition_rejects_parts_that_are_not_ints(parts):
+    # int() would truncate 2.9 to the partition (2,)
+    with pytest.raises(TypeError):
+        Partition(parts)
+
+
 def test_factorial_power():
     assert factorial_power(Fraction(3), SQ0, 0) == 1
     assert factorial_power(Fraction(3), SQ0, 2) == 6  # (3-0)(3-1)

@@ -12,6 +12,7 @@ from capelli.core import (
     SymPoly,
     add_into,
     common_denominator,
+    increasing,
     perm_sign,
 )
 from capelli.symfun import ShiftSequence, e_factorial, h_factorial
@@ -22,25 +23,20 @@ from capelli.uea import (
     LieContext,
     UEAElement,
     UEARing,
+    block_expr,
     canonical_symbol,
-    c_k_pfaffian,
-    capelli_element_e,
-    capelli_element_h,
+    capelli_element,
     central_series,
-    d_k_hafnian,
     dual_pair_coeffs,
     dual_ring,
     eigenvalue_on_hwv,
     express_in_family,
+    family_expr,
     gamma,
     gamma_ring,
-    hafnian_psi,
-    hafnian_psi_expr,
     hc_polynomial,
     is_central,
     pbw_normal_form,
-    pfaffian_phi,
-    pfaffian_phi_expr,
     uea_ring,
 )
 from capelli.suites import run_suite
@@ -168,8 +164,8 @@ def test_capelli_k1():
         expected = UEAElement.zero(ctx)
         for i in ctx.indices:
             expected = expected + E(ctx, i, i)
-        assert capelli_element_e(1, ctx.N) == expected
-        assert capelli_element_h(1, ctx.N) == expected
+        assert capelli_element(1, ctx.N, True) == expected
+        assert capelli_element(1, ctx.N, False) == expected
 
 
 def test_capelli_e_2_2_hand_expansion():
@@ -177,7 +173,7 @@ def test_capelli_e_2_2_hand_expansion():
     # straightened by hand
     a, b = -1, 1
     expected = E(GL2, a, a) * E(GL2, b, b) - E(GL2, a, b) * E(GL2, b, a) + E(GL2, a, a)
-    assert capelli_element_e(2, 2) == expected
+    assert capelli_element(2, 2, True) == expected
 
 
 def test_capelli_h_2_2_hand_expansion():
@@ -185,23 +181,23 @@ def test_capelli_h_2_2_hand_expansion():
     expected = (E(GL2, a, a) * E(GL2, a, a) + E(GL2, a, a) * E(GL2, b, b)
                 + E(GL2, b, b) * E(GL2, b, b) + E(GL2, a, b) * E(GL2, b, a)
                 - 2 * E(GL2, a, a) - E(GL2, b, b))
-    assert capelli_element_h(2, 2) == expected
+    assert capelli_element(2, 2, False) == expected
 
 
 @pytest.mark.parametrize("k,N", [(1, 2), (2, 2), (1, 3), (2, 3)])
 def test_capelli_central(k, N):
-    assert is_central(capelli_element_e(k, N))
-    assert is_central(capelli_element_h(k, N))
+    assert is_central(capelli_element(k, N, True))
+    assert is_central(capelli_element(k, N, False))
 
 
 # -- Pfaffians and Hafnians --------------------------------------------------
 
 
 def test_pfaffian_k1():
-    assert pfaffian_phi(SO4, (-2, 1)) == F(SO4, -2, -1)
-    assert pfaffian_phi(SO2, (-1, 1)) == F(SO2, -1, -1)
+    assert block_expr(SO4, (-2, 1)).evaluate(uea_ring(SO4)) == F(SO4, -2, -1)
+    assert block_expr(SO2, (-1, 1)).evaluate(uea_ring(SO2)) == F(SO2, -1, -1)
     with pytest.raises(DimensionError):
-        pfaffian_phi(SO4, (1, 1))
+        block_expr(SO4, (1, 1))
 
 
 def test_pfaffian_k2_matching_expansion():
@@ -213,14 +209,14 @@ def test_pfaffian_k2_matching_expansion():
         m[(1, 2)] * m[(3, 4)] + m[(3, 4)] * m[(1, 2)]
         - m[(1, 3)] * m[(2, 4)] - m[(2, 4)] * m[(1, 3)]
         + m[(1, 4)] * m[(2, 3)] + m[(2, 3)] * m[(1, 4)])
-    assert pfaffian_phi(SO4, I) == sym
+    assert block_expr(SO4, I).evaluate(uea_ring(SO4)) == sym
 
 
 def test_hafnian_k1():
-    assert hafnian_psi(SP2, (1, 1)) == F(SP2, 1, -1)  # sgn(1) * F
-    assert hafnian_psi(SP4, (-1, 2)) == -F(SP4, -1, -2)
+    assert block_expr(SP2, (1, 1)).evaluate(uea_ring(SP2)) == F(SP2, 1, -1)  # sgn(1) * F
+    assert block_expr(SP4, (-1, 2)).evaluate(uea_ring(SP4)) == -F(SP4, -1, -2)
     tilde = lambda i, j: Fraction(sgn(i)) * F(SP4, i, j)
-    assert hafnian_psi(SP4, (-1, 2)) == tilde(-1, -2)
+    assert block_expr(SP4, (-1, 2)).evaluate(uea_ring(SP4)) == tilde(-1, -2)
     # symmetric matrix: tilde F_{i,-j} = tilde F_{j,-i}
     assert tilde(-1, -2) == tilde(2, 1)
 
@@ -233,7 +229,7 @@ def test_hafnian_k2_matching_expansion():
         t[(1, 2)] * t[(3, 4)] + t[(3, 4)] * t[(1, 2)]
         + t[(1, 3)] * t[(2, 4)] + t[(2, 4)] * t[(1, 3)]
         + t[(1, 4)] * t[(2, 3)] + t[(2, 3)] * t[(1, 4)])
-    assert hafnian_psi(SP4, I) == sym
+    assert block_expr(SP4, I).evaluate(uea_ring(SP4)) == sym
 
 
 # -- canonical symbols against the expanded words ---------------------------
@@ -270,10 +266,8 @@ def _oracle_rings(ctx):
 @pytest.mark.parametrize("ctx", [SO3, SO4, SP2, SP4], ids=repr)
 def test_canonical_words_match_expanded_oracle(ctx):
     signed = ctx.family == "so"
-    build = pfaffian_phi_expr if signed else hafnian_psi_expr
-    subsets = itertools.combinations if signed else itertools.combinations_with_replacement
-    exprs = [(build(I), _expanded_matching_expr(I, signed))
-             for k in (1, 2) for I in subsets(ctx.indices, 2 * k)]
+    exprs = [(block_expr(ctx, I), _expanded_matching_expr(I, signed))
+             for k in (1, 2) for I in increasing(ctx.indices, 2 * k, signed)]
     for ring in _oracle_rings(ctx):
         for got, oracle in exprs:
             assert len(got.terms) <= len(oracle.terms)
@@ -285,8 +279,8 @@ def test_central_families_match_expanded_oracle(ctx, monkeypatch):
     # both families, the complementary one through the Harish-Chandra
     # route, rebuilt from the expanded Pfaffian/Hafnian words
     got = {signed: central_series(ctx, signed, 2) for signed in (True, False)}
-    monkeypatch.setattr(uea, "pfaffian_phi_expr", lambda I: _expanded_matching_expr(I, True))
-    monkeypatch.setattr(uea, "hafnian_psi_expr", lambda I: _expanded_matching_expr(I, False))
+    monkeypatch.setattr(uea, "block_expr",
+                        lambda ctx, I: _expanded_matching_expr(I, ctx.family == "so"))
     oracle = {signed: central_series(ctx, signed, 2) for signed in (True, False)}
     ring = uea_ring(ctx)
     for signed in (True, False):
@@ -429,18 +423,34 @@ def test_ring_breaking_symbol_symmetry_is_rejected(monkeypatch):
 
 def test_c1_so2_frozen():
     f = F(SO2, -1, -1)
-    assert c_k_pfaffian(SO2, 1) == -(f * f)
-    assert c_k_pfaffian(SO2, 2).is_zero()  # k > n
+    assert family_expr(SO2, 1).evaluate(uea_ring(SO2)) == -(f * f)
+    assert family_expr(SO2, 2).evaluate(uea_ring(SO2)).is_zero()  # k > n
 
 
 def test_c1_so3_eigenvalues():
-    C1 = c_k_pfaffian(SO3, 1)
+    C1 = family_expr(SO3, 1).evaluate(uea_ring(SO3))
     for lam in range(5):
         assert eigenvalue_on_hwv(C1, (lam,)) == -lam * (lam + 1)
 
 
+def test_eigenvalue_rejects_a_weight_that_is_not_integral():
+    # truncated to (2,), the weight would give the eigenvalue -6 of (2,)
+    C1 = family_expr(SO3, 1).evaluate(uea_ring(SO3))
+    with pytest.raises(TypeError):
+        eigenvalue_on_hwv(C1, (2.9,))
+
+
+def test_pfaffian_and_hafnian_builders_need_so_or_sp():
+    with pytest.raises(DimensionError, match="live in so_N or sp_N"):
+        block_expr(GL2, (-1, 1))
+    with pytest.raises(DimensionError, match="live in so_N or sp_N"):
+        family_expr(GL2, 1)
+    with pytest.raises(DimensionError, match="live in so_N or sp_N"):
+        central_series(GL2, True, 1)
+
+
 def test_d1_sp2_eigenvalue():
-    D1 = d_k_hafnian(SP2, 1)
+    D1 = family_expr(SP2, 1).evaluate(uea_ring(SP2))
     assert eigenvalue_on_hwv(D1, (1,)) == 3  # (1+1)^2 - 1
 
 
@@ -456,14 +466,14 @@ def test_eigenvalue_rejects_noncentral():
 
 @pytest.mark.parametrize("ctx,k", [(SO3, 1), (SO4, 1), (SO4, 2)])
 def test_hc_of_c_family(ctx, k):
-    hc = hc_polynomial(c_k_pfaffian(ctx, k), k, in_l_squared=True)
+    hc = hc_polynomial(family_expr(ctx, k).evaluate(uea_ring(ctx)), k, in_l_squared=True)
     target = e_factorial(k, ctx.n, ctx.shift_sequence) * Fraction((-1) ** k)
     assert hc == SymPoly(hc.vars, target.terms)
 
 
 @pytest.mark.parametrize("ctx,k", [(SP2, 1), (SP4, 1), (SP4, 2)])
 def test_hc_of_d_family(ctx, k):
-    hc = hc_polynomial(d_k_hafnian(ctx, k), k, in_l_squared=True)
+    hc = hc_polynomial(family_expr(ctx, k).evaluate(uea_ring(ctx)), k, in_l_squared=True)
     target = h_factorial(k, ctx.n, ctx.shift_sequence)
     assert hc == SymPoly(hc.vars, target.terms)
 
@@ -475,7 +485,7 @@ def test_hc_of_identity():
 
 def test_hc_in_lambda_variables():
     # so_3: hc(C_1) = -(lam+1/2)^2 + 1/4 = -lam^2 - lam
-    hc = hc_polynomial(c_k_pfaffian(SO3, 1), 1)
+    hc = hc_polynomial(family_expr(SO3, 1).evaluate(uea_ring(SO3)), 1)
     lam = SymPoly.variable(("lam1",), "lam1")
     assert hc == -(lam * lam) - lam
 
@@ -501,7 +511,7 @@ def test_complementary_family_needs_only_the_generators_up_to_K():
 
 def test_complementary_family_sp():
     c1, c2, c3 = (x.evaluate(uea_ring(SP2)) for x in central_series(SP2, True, 3)[1:])
-    assert c1 == -d_k_hafnian(SP2, 1)
+    assert c1 == -family_expr(SP2, 1).evaluate(uea_ring(SP2))
     assert c2.is_zero() and c3.is_zero()
     series4 = central_series(SP4, True, 2)
     for k in (1, 2):
@@ -590,7 +600,7 @@ def test_integral_eps_and_rho_are_ints(ctx):
 def test_central_series_has_no_index_past_its_order():
     series = central_series(SO4, True, 2)
     assert len(series) == 3 and series[0] == FExpr.one()
-    assert series[2].evaluate(uea_ring(SO4)) == c_k_pfaffian(SO4, 2)
+    assert series[2].evaluate(uea_ring(SO4)) == family_expr(SO4, 2).evaluate(uea_ring(SO4))
     with pytest.raises(IndexError):
         series[3]
 

@@ -9,15 +9,13 @@ from capelli.symfun import Partition
 from capelli.weyl import (
     WeylContext,
     WeylOperator,
-    cayley_omega,
-    cayley_theta,
+    cayley,
     dual_gamma_gen,
     gamma_gen,
     index_set,
     minor_delta,
-    omega_AI,
+    paired_blocks,
     singular_vector,
-    theta_AI,
 )
 
 
@@ -113,13 +111,13 @@ def test_cayley_omega_theta_k1(m, N):
     for a in range(1, m + 1):
         for i in ctx.indices:
             expected = expected + WeylOperator.x(ctx, a, i) * WeylOperator.d(ctx, a, i)
-    assert cayley_omega(1, m, N) == expected
-    assert cayley_theta(1, m, N) == expected
+    assert cayley(1, m, N, True) == expected
+    assert cayley(1, m, N, False) == expected
 
 
 def test_cayley_omega_vanishes_above_rank():
-    assert cayley_omega(3, 2, 2).is_zero()  # k > min(m,N)
-    assert cayley_omega(3, 2, 3).is_zero()
+    assert cayley(3, 2, 2, True).is_zero()  # k > min(m,N)
+    assert cayley(3, 2, 3, True).is_zero()
 
 
 def test_cayley_omega_2x2_single_block():
@@ -129,14 +127,14 @@ def test_cayley_omega_2x2_single_block():
 
     xdet = det([[WeylOperator.x(ctx, a, i) for i in (i1, i2)] for a in (1, 2)])
     ddet = det([[WeylOperator.d(ctx, a, i) for i in (i1, i2)] for a in (1, 2)])
-    assert cayley_omega(2, 2, 2) == xdet * ddet
+    assert cayley(2, 2, 2, True) == xdet * ddet
 
 
 @pytest.mark.parametrize("k,m,N", [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 3, 3)])
 def test_cayley_kills_low_degree(k, m, N):
     ctx = WeylContext(m, N)
-    omega = cayley_omega(k, m, N)
-    theta = cayley_theta(k, m, N)
+    omega = cayley(k, m, N, True)
+    theta = cayley(k, m, N, False)
     for deg in range(k):
         for combo in itertools.combinations_with_replacement(range(ctx.nvars), deg):
             ev = [0] * ctx.nvars
@@ -150,46 +148,46 @@ def test_cayley_kills_low_degree(k, m, N):
 def test_omega_AI_k1():
     m, N = 2, 4
     i1, i2 = -2, 1
-    got = omega_AI((1,), (i1, i2), m, N)
+    got = paired_blocks((1,), (i1, i2), m, N, True)
     ctx = WeylContext(m, N)
     expected = (
         WeylOperator.x(ctx, 1, i1) * WeylOperator.d(ctx, 1, -i2)
         - WeylOperator.x(ctx, 1, i2) * WeylOperator.d(ctx, 1, -i1)
     )
     assert got == expected
-    assert omega_AI((1,), (i2, i1), m, N) == expected  # I is a set
-    assert omega_AI((), (), m, N) == WeylOperator.scalar(ctx, 1)
+    assert paired_blocks((1,), (i2, i1), m, N, True) == expected  # I is a set
+    assert paired_blocks((), (), m, N, True) == WeylOperator.scalar(ctx, 1)
     with pytest.raises(DimensionError):
-        omega_AI((1,), (1, 1), m, N)
+        paired_blocks((1,), (1, 1), m, N, True)
 
 
 def test_theta_AI_k1_and_repeats():
     m, N = 2, 2
     ctx = WeylContext(m, N)
-    got = theta_AI((1,), (-1, 1), m, N)
+    got = paired_blocks((1,), (-1, 1), m, N, False)
     expected = (
         -WeylOperator.x(ctx, 1, -1) * WeylOperator.d(ctx, 1, -1)
         + WeylOperator.x(ctx, 1, 1) * WeylOperator.d(ctx, 1, 1)
     )
     assert got == expected
     # repeated entry: the two positional splits coincide and are both kept
-    got = theta_AI((1,), (1, 1), m, N)
+    got = paired_blocks((1,), (1, 1), m, N, False)
     assert got == 2 * WeylOperator.x(ctx, 1, 1) * WeylOperator.d(ctx, 1, -1)
-    assert theta_AI((), (), m, N) == WeylOperator.scalar(ctx, 1)
+    assert paired_blocks((), (), m, N, False) == WeylOperator.scalar(ctx, 1)
 
 
-@pytest.mark.parametrize("build,A,I,message", [
-    (omega_AI, (1,), (1, 1), "index set I must not repeat entries"),
-    (omega_AI, (1,), (-2, -1, 1), "I must have even size"),
-    (theta_AI, (1,), (-1, 1, 1), "I must have even size"),
-    (omega_AI, (1, 1), (-2, -1, 1, 2), "A must consist of k distinct rows"),
-    (omega_AI, (1,), (-2, -1, 1, 2), "A must consist of k distinct rows"),
-    (theta_AI, (1,), (-1, -1, 1, 1), "A must consist of k rows"),
+@pytest.mark.parametrize("signed,A,I,message", [
+    (True, (1,), (1, 1), "index set I must not repeat entries"),
+    (True, (1,), (-2, -1, 1), "I must have even size"),
+    (False, (1,), (-1, 1, 1), "I must have even size"),
+    (True, (1, 1), (-2, -1, 1, 2), "A must consist of k distinct rows"),
+    (True, (1,), (-2, -1, 1, 2), "A must consist of k distinct rows"),
+    (False, (1,), (-1, -1, 1, 1), "A must consist of k rows"),
 ], ids=["omega-repeated-I", "omega-odd-I", "theta-odd-I", "omega-repeated-A",
         "omega-short-A", "theta-short-A"])
-def test_paired_blocks_reject_bad_input(build, A, I, message):
+def test_paired_blocks_reject_bad_input(signed, A, I, message):
     with pytest.raises(DimensionError, match=f"^{message}$"):
-        build(A, I, 2, 4)
+        paired_blocks(A, I, 2, 4, signed)
 
 
 def test_singular_vector_small():
