@@ -4,11 +4,12 @@ generating series in one variable.
 
 Every coefficient in the library is an exact rational: an `int` when it
 is integral, otherwise a `fractions.Fraction` (`scal` and `exact_terms`
-hold this one rule); there is no floating point anywhere.  A sum with
-fractional weights runs over one common denominator (`combine`), so a
-`Fraction` appears only where a true division happens.  Polynomials are
-stored sparsely as a map from dense exponent vectors to nonzero
-coefficients, over a fixed ordered variable tuple.
+hold this one rule); there is no floating point anywhere.  A linear
+combination of elements is one `combine`: elements in, an element out,
+over one common denominator, so a `Fraction` appears only where a true
+division happens.  Polynomials are stored sparsely as a map from dense
+exponent vectors to nonzero coefficients, over a fixed ordered variable
+tuple.
 
 The module also holds the shared building blocks of the other layers:
 `add_into`, the one in-place accumulation for sparse maps; `Sparse`, the
@@ -102,22 +103,23 @@ def common_denominator(values):
     return math.lcm(*(v.denominator for v in values))
 
 
-def combine(pairs):
-    """The sparse map sum of c * terms over the (c, terms) pairs, for
-    exact rationals c and sparse maps `terms`, over one common
-    denominator: each c is scaled by the lcm D of their denominators to
-    an int, so the products and sums stay in int where the terms are
-    integral, and the total is divided by D once at the end.  The result
-    may hold integral `Fraction` values; pass it to a constructor (or
-    `exact_terms`) to store it."""
-    pairs = list(pairs)
+def combine(pairs, start):
+    """start + sum of c * x over the (c, x) pairs, an element of the class
+    and home of the `Sparse` element `start`; a scalar x is coerced into
+    it.  The sum runs over one common denominator: each exact rational c
+    is scaled by the lcm D of their denominators to an int, so the
+    products and sums stay in int where the elements are integral, and
+    the sum is divided by D once at the end.  Every sum of elements in
+    the library is `combine` or `+`; only `_TargetRing._horner` and the
+    product loops accumulate raw terms with `add_into`."""
+    pairs = [(c, start._coerce(x)) for c, x in pairs]
     den = common_denominator(c for c, _ in pairs)
     out = {}
-    for c, terms in pairs:
-        add_into(out, terms, c.numerator * (den // c.denominator))
-    if den == 1:
-        return out
-    return {k: Fraction(v, den) for k, v in out.items()}
+    for c, x in pairs:
+        add_into(out, x.terms, c.numerator * (den // c.denominator))
+    if den != 1:
+        out = {k: Fraction(v, den) for k, v in out.items()}
+    return start._like(add_into(out, start.terms))
 
 
 def multiplicity_factorial(seq):
@@ -345,15 +347,17 @@ class SymPoly(Sparse):
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        """The k-th power by squaring from the top bit down: bit_length +
+        popcount - 2 products for k >= 1, none for k = 1."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = SymPoly.scalar(self.vars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        if k == 0:
+            return SymPoly.scalar(self.vars, 1)
+        result = self
+        for bit in bin(k)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other):

@@ -87,7 +87,7 @@ from .tensor import (
     verify_relations,
     verify_vanishing,
 )
-from .weyl import WeylContext, WeylOperator, cayley, paired_blocks
+from .weyl import cayley, paired_blocks
 
 
 @dataclass
@@ -119,32 +119,15 @@ def _image_witness(ctx, m, k):
     I and A run over the strictly (so_N) or weakly increasing choices of
     2k indices and of k rows."""
     signed = ctx.family == "so"
+    ring = gamma_ring(ctx, m)
     for I in increasing(ctx.indices, 2 * k, signed):
-        lhs = block_expr(ctx, I).evaluate(gamma_ring(ctx, m))
-        rhs = WeylOperator(WeylContext(m, ctx.N), combine(
-            (Fraction(1, multiplicity_factorial(A)), paired_blocks(A, I, m, ctx.N, signed).terms)
-            for A in increasing(range(1, m + 1), k, signed)))
-        witness = lhs.first_difference(rhs)
+        lhs = block_expr(ctx, I).evaluate(ring)
+        blocks = ((Fraction(1, multiplicity_factorial(A)), paired_blocks(A, I, m, ctx.N, signed))
+                  for A in increasing(range(1, m + 1), k, signed))
+        witness = lhs.first_difference(combine(blocks, ring.scalar(0)))
         if witness is not None:
             return f"I={I}: {witness}"
     return None
-
-
-def _transfer_witness(signed, k, inner, series_inner, dual, series_dual):
-    """The dual-pair transfer at order k: the dual action of the k-th dual
-    element against the combination of the inner elements' images, on
-    the m x N grid of the inner so_N or sp_N and the dual rank-m algebra."""
-    N, m = inner.N, dual.N // 2
-    wctx = WeylContext(m, N)
-    lhs = series_dual[k].evaluate(dual_ring(dual, N))
-    pairs = []
-    for l in range(0, k + 1):
-        f = dual_pair_coeffs(signed, k, l, m, N)
-        if f == 0:
-            continue
-        cl = series_inner[l].evaluate(gamma_ring(inner, m)) if l else WeylOperator.scalar(wctx, 1)
-        pairs.append((f, cl.terms))
-    return lhs.first_difference(WeylOperator(wctx, combine(pairs)))
 
 
 def _families(N):
@@ -266,18 +249,23 @@ def _transfer_suite(p, rng, signed):
     """thm-4.4 (signed: the grid's k up to m, both series to order m) or
     thm-5.3 (unsigned: k = 1..K, both series to order K): the dual action
     of the k-th dual element is the combination of the inner elements'
-    images with the coefficients `dual_pair_coeffs`."""
+    images with the coefficients `dual_pair_coeffs`; only the images
+    with a nonzero coefficient are evaluated."""
     kind = "C" if signed else "D"
     for N in p["N"]:
         for m in p["m"]:
             inner, dual = _dual_pair(N, m, signed)
+            ring = gamma_ring(inner, m)
             order = m if signed else p["k"]
             series_inner = central_series(inner, signed, order)
             series_dual = central_series(dual, signed, order)
             for k in p["k"] if signed else range(1, order + 1):
                 if k <= order:
-                    yield (f"transfer-{kind}[N={N},m={m},k={k}]",
-                           _transfer_witness(signed, k, inner, series_inner, dual, series_dual))
+                    lhs = series_dual[k].evaluate(dual_ring(dual, N))
+                    coeffs = [(dual_pair_coeffs(signed, k, l, m, N), l) for l in range(k + 1)]
+                    rhs = combine(((f, series_inner[l].evaluate(ring)) for f, l in coeffs if f),
+                                  ring.scalar(0))
+                    yield f"transfer-{kind}[N={N},m={m},k={k}]", lhs.first_difference(rhs)
 
 
 def _generating_suite(p, rng, signed):
@@ -291,15 +279,13 @@ def _generating_suite(p, rng, signed):
         for m in p["m"]:
             inner, dual = _dual_pair(N, m, signed)
             inner_order, dual_order = (inner.n, m) if signed else (K, K)
-            one = WeylOperator.scalar(WeylContext(m, N), 1)
             series_inner = central_series(inner, signed, inner_order)
             series_dual = central_series(dual, signed, dual_order)
             lhs_num, lhs_den = series_as_fraction(
-                [one] + [x.evaluate(gamma_ring(inner, m)) for x in series_inner[1:]],
+                [x.evaluate(gamma_ring(inner, m)) for x in series_inner],
                 linear_ladder(ladder_roots(inner, signed, inner_order)))
-            rhs = series_as_fraction(
-                [one] + [x.evaluate(dual_ring(dual, N)) for x in series_dual[1:]],
-                linear_ladder(ladder_roots(dual, signed, dual_order)))
+            rhs = series_as_fraction([x.evaluate(dual_ring(dual, N)) for x in series_dual],
+                                     linear_ladder(ladder_roots(dual, signed, dual_order)))
             top, bottom = (dense_prod(linear_ladder(ladder_roots(ctx, True, m)))
                            for ctx in ((inner, dual) if signed else (dual, inner)))
             lhs = (dense_mul(lhs_num, top), dense_mul(lhs_den, bottom))

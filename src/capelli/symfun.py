@@ -9,15 +9,14 @@ the e- and h-families.
 
 from __future__ import annotations
 
-import itertools
+import math
 from fractions import Fraction
 
 from .core import (
     DimensionError,
     Scalar,
     SymPoly,
-    add_into,
-    dense_mul,
+    combine,
     dense_prod,
     det,
     increasing,
@@ -207,13 +206,10 @@ def _factorial_sum(k, n, a, signed):
     (z_{p_t} - a_{p_t + t - 1})."""
     vs = zvars(n)
     gens = SymPoly.gens(vs)
-    total = {}
-    for ps in increasing(range(1, n + 1), k, signed):
-        term = SymPoly.scalar(vs, 1)
-        for t, p in enumerate(ps, start=1):
-            term = term * (gens[p - 1] - a[p - t + 1 if signed else p + t - 1])
-        add_into(total, term.terms)
-    return SymPoly(vs, total)
+    one = SymPoly.scalar(vs, 1)
+    return combine(((1, math.prod((gens[p - 1] - a[p - t + 1 if signed else p + t - 1]
+                                   for t, p in enumerate(ps, start=1)), start=one))
+                    for ps in increasing(range(1, n + 1), k, signed)), SymPoly.zero(vs))
 
 
 def a_lambda(lam: Partition, n: int, a: ShiftSequence):
@@ -303,8 +299,8 @@ def check_generating_series(n: int, K: int, a: ShiftSequence, zvals):
     or a witness that names the failing side.
 
     The e-side sums (-1)^k e_k over the ladder (t - a_n), ..., (t - a_1);
-    it is a rational identity in t and is decided exactly, by
-    cross-multiplying.  The h-side sums h_k over the ladder (t - a_{n+1}),
+    it is a rational identity in t and holds exactly when `series_defect`
+    reports degree -1.  The h-side sums h_k over the ladder (t - a_{n+1}),
     (t - a_{n+2}), ...; it is an identity of power series in 1/t, and its
     truncation at K terms must equal 1/X up to O(t^{-K-1}), which
     `series_defect` decides.
@@ -320,14 +316,11 @@ def check_generating_series(n: int, K: int, a: ShiftSequence, zvals):
 
     x_num = dense_prod(linear_ladder(zvals))
     x_den = dense_prod(linear_ladder(a.prefix(n)))
-    e_num, e_den = series_as_fraction(
-        [(-1) ** k * value(e_factorial, k) for k in range(n + 1)],
-        linear_ladder(a[j] for j in range(n, 0, -1)))
-    e_sides = itertools.zip_longest(dense_mul(e_num, x_den), dense_mul(x_num, e_den),
-                                    fillvalue=0)
-    d = next((d for d, (lhs, rhs) in enumerate(e_sides) if lhs != rhs), None)
-    if d is not None:
-        return f"e-side: the coefficients of t^{d} differ"
+    e = series_as_fraction([(-1) ** k * value(e_factorial, k) for k in range(n + 1)],
+                           linear_ladder(a[j] for j in range(n, 0, -1)))
+    deg, _ = series_defect(e, (x_num, x_den), K)
+    if deg != -1:
+        return f"e-side: the coefficients of t^{deg} differ"
     h = series_as_fraction([value(h_factorial, k) for k in range(K + 1)],
                            linear_ladder(a[j] for j in range(n + 1, n + K + 1)))
     deg, bound = series_defect(h, (x_den, x_num), K)

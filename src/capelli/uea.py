@@ -453,18 +453,16 @@ def capelli_element(k: int, N: int, signed: bool) -> UEAElement:
     operator, or its permanental counterpart with -(s-1) shifts and no
     signs."""
     ctx = LieContext("gl", N)
-    total = {}
-    for sigma in itertools.permutations(range(k)):
-        sign = perm_sign(sigma) if signed else 1
-        for ivec in itertools.product(ctx.indices, repeat=k):
-            prod = UEAElement.one(ctx)
-            for s in range(k):
-                i, j = ivec[s], ivec[sigma[s]]
-                factor = UEAElement.E(ctx, i, j) + UEAElement.scalar(
-                    ctx, (s if signed else -s) * (1 if i == j else 0))
-                prod = prod * factor
-            add_into(total, prod.terms, sign)
-    return UEAElement(ctx, total) * Fraction(1, math.factorial(k))
+
+    def factor(s, i, j):
+        return UEAElement.E(ctx, i, j) + UEAElement.scalar(ctx, (s if signed else -s) * (i == j))
+
+    pairs = ((perm_sign(sigma) if signed else 1,
+              math.prod((factor(s, ivec[s], ivec[sigma[s]]) for s in range(k)),
+                        start=UEAElement.one(ctx)))
+             for sigma in itertools.permutations(range(k))
+             for ivec in itertools.product(ctx.indices, repeat=k))
+    return combine(pairs, UEAElement.zero(ctx)) * Fraction(1, math.factorial(k))
 
 
 # -- Pfaffians, Hafnians and the central families -----------------------------
@@ -538,8 +536,8 @@ def family_expr(ctx: LieContext, k: int) -> FExpr:
         Istar = tuple(sorted(-i for i in I))
         weight = (-1) ** k if signed else Fraction((-1) ** k * math.prod(sgn(i) for i in I),
                                                    multiplicity_factorial(I))
-        pairs.append((weight, (block_expr(ctx, I) * block_expr(ctx, Istar)).terms))
-    return FExpr(combine(pairs))
+        pairs.append((weight, block_expr(ctx, I) * block_expr(ctx, Istar)))
+    return combine(pairs, FExpr.zero())
 
 
 def gamma(x: UEAElement, m: int) -> WeylOperator:
@@ -641,7 +639,7 @@ def hc_polynomial(z: UEAElement, degree_bound: int, *, in_l_squared=False) -> Sy
         rhs.append(eigenvalue_on_hwv(z, lam, check_central=first))
         first = False
     coeffs = _solve_exact(rows, rhs, len(basis))
-    result = SymPoly(yvars, combine((c, bp.terms) for c, bp in zip(coeffs, basis_polys)))
+    result = combine(zip(coeffs, basis_polys), SymPoly.zero(yvars))
     if in_l_squared:
         return result
     lamvars = tuple(f"lam{p}" for p in range(1, n + 1))
@@ -657,10 +655,7 @@ def hc_polynomial(z: UEAElement, degree_bound: int, *, in_l_squared=False) -> Sy
 
 
 def _power_product(gens, alpha, one):
-    """one * g_1^a_1 * g_2^a_2 * ..., multiplied in one factor at a time.
-    That takes fewer products than multiplying in powers from `**`:
-    `SymPoly.__pow__` squares by halves and computes one square it never
-    uses, and each power costs one more product to multiply in."""
+    """one * g_1^a_1 * g_2^a_2 * ..., multiplied in one factor at a time."""
     return math.prod((g for g, a in zip(gens, alpha) for _ in range(a)), start=one)
 
 
@@ -716,8 +711,8 @@ def central_series(ctx: LieContext, signed: bool, K: int) -> tuple[FExpr, ...]:
         gens, exprs = exprs, []
         for k in range(1, K + 1):
             combo = express_in_family(hc_target(ctx, signed, k), gen_imgs)
-            exprs.append(FExpr(combine((c, _power_product(gens, alpha, FExpr.one()).terms)
-                                       for alpha, c in combo.items())))
+            exprs.append(combine(((c, _power_product(gens, alpha, FExpr.one()))
+                                  for alpha, c in combo.items()), FExpr.zero()))
     return (FExpr.one(), *exprs)
 
 

@@ -293,9 +293,8 @@ def cayley(k: int, m: int, N: int, signed: bool) -> WeylOperator:
             xblock = block([[WeylOperator.x(ctx, a, i) for i in ivec] for a in avec])
             dblock = block([[WeylOperator.d(ctx, a, i) for i in ivec] for a in avec])
             weight = Fraction(1, multiplicity_factorial(avec) * multiplicity_factorial(ivec))
-            pairs.append((weight, op._coerce(xblock * dblock).terms))
-    alt = WeylOperator(ctx, combine(pairs))
-    if not op == alt:
+            pairs.append((weight, xblock * dblock))
+    if not op == combine(pairs, WeylOperator.zero(ctx)):
         form = "determinantal" if signed else "permanental"
         raise ConsistencyError(f"symmetrized and {form} forms disagree")
     return op
@@ -330,7 +329,7 @@ def paired_blocks(A, I, m: int, N: int, signed: bool) -> WeylOperator:
     if len(A) != k:
         raise DimensionError("A must consist of k rows")
     block = det if signed else per
-    total = WeylOperator.zero(ctx)
+    pairs = []
     for positions in itertools.combinations(range(2 * k), k):
         rest = [p for p in range(2 * k) if p not in positions]
         J = [I[p] for p in positions]
@@ -340,8 +339,8 @@ def paired_blocks(A, I, m: int, N: int, signed: bool) -> WeylOperator:
             sign = math.prod(sgn(j) for j in J)
         xblock = block([[WeylOperator.x(ctx, a, j) for j in J] for a in A])
         dblock = block([[WeylOperator.d(ctx, a, -I[p]) for p in rest] for a in A])
-        add_into(total.terms, total._coerce(xblock * dblock).terms, sign)
-    return total
+        pairs.append((sign, xblock * dblock))
+    return combine(pairs, WeylOperator.zero(ctx))
 
 
 # -- highest-weight vectors ---------------------------------------------------

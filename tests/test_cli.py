@@ -284,3 +284,14 @@ def test_generator_with_no_checks_is_usage_error(monkeypatch, capsys):
         run_suite("empty", {}, seed=0)
     assert main(["verify", "empty"]) == 2
     assert "error: no check of 'empty'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite, params", [("thm-4.4", {"N": 4, "m": 2}), ("cor-5.4", {})])
+def test_a_single_k_run_reports_the_k_checks_of_the_full_run(suite, params):
+    def reported(checks):
+        return [(c.id, c.status, c.witness) for c in checks]
+
+    full = reported(run_suite(suite, params))
+    for k in SUITES[suite].domains["k"]:
+        expected = [check for check in full if check[0].endswith(f"k={k}]")]
+        assert expected and reported(run_suite(suite, {**params, "k": k})) == expected

@@ -184,18 +184,51 @@ def test_common_denominator():
 
 
 def test_combine_matches_per_coefficient_fractions():
-    a = {"x": 1, "y": 2}
-    b = {"y": Fraction(1, 2), "z": 3}
+    x, y, z = poly_vars("x", "y", "z")
+    zero = SymPoly.zero(x.vars)
+    a = x + 2 * y
+    b = Fraction(1, 2) * y + 3 * z
     pairs = [(Fraction(1, 3), a), (2, b), (Fraction(-1, 6), a), (Fraction(1, 4), b)]
     expected = {}
-    for c, terms in pairs:
-        add_into(expected, terms, Fraction(c))
-    assert combine(pairs) == expected
-    assert combine(iter(pairs)) == expected
-    assert combine([]) == {}
-    assert combine([(Fraction(1, 2), a), (Fraction(-1, 2), a)]) == {}
-    integral = combine([(2, a), (-1, {"x": 2})])
-    assert integral == {"y": 4} and type(integral["y"]) is int
+    for c, p in pairs:
+        add_into(expected, p.terms, Fraction(c))
+    assert combine(pairs, zero).terms == expected
+    assert combine(iter(pairs), zero).terms == expected
+    assert combine([], zero) == zero
+    assert combine([(Fraction(1, 2), a), (Fraction(-1, 2), a)], zero).is_zero()
+    integral = combine([(2, a), (-1, 2 * x)], zero)
+    assert integral == 4 * y and type(integral.terms[(0, 1, 0)]) is int
+
+
+def test_combine_adds_to_its_start_and_coerces_scalars():
+    x, y = poly_vars("x", "y")
+    total = combine([(Fraction(1, 2), x), (3, 1)], y)
+    assert type(total) is SymPoly and total.vars == ("x", "y")
+    assert total == Fraction(1, 2) * x + y + 3
+    with pytest.raises(DimensionError):
+        combine([(1, poly_vars("z")[0])], y)
+
+
+def test_power_by_squaring_spends_bit_length_plus_popcount_minus_two_products(monkeypatch):
+    x, y = poly_vars("x", "y")
+    g = x + 2 * y + 1
+    products = []
+    multiply = SymPoly.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return multiply(self, other)
+
+    expected = SymPoly.scalar(g.vars, 1)
+    for e in range(1, 10):
+        expected = multiply(expected, g)
+        products.clear()
+        monkeypatch.setattr(SymPoly, "__mul__", counted)
+        power = g ** e
+        monkeypatch.setattr(SymPoly, "__mul__", multiply)
+        assert power == expected
+        assert len(products) == e.bit_length() + bin(e).count("1") - 2, e
+    assert g ** 0 == 1
 
 
 # -- the sparse accumulation kernel ----------------------------------------

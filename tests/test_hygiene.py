@@ -1,7 +1,7 @@
 """Source hygiene: every imported name is read somewhere in its module,
 every library function somewhere in the library, every parameter of a
-library function in its body, and no library function only fixes a flag
-of another."""
+library function in its body; no library function only fixes a flag of
+another, and no library `add_into` edits an element in place."""
 
 import ast
 from pathlib import Path
@@ -238,3 +238,37 @@ def test_no_library_function_only_fixes_a_flag():
     found = [entry for entry in flag_only_wrappers(sources)
              if entry.rpartition(" ")[2] not in NAMED_TWINS]
     assert not found, "functions that only fix a flag:\n" + "\n".join(found)
+
+
+def in_place_element_edits(sources):
+    """Calls `add_into(x.terms, ...)` in `sources` (a map from a file name
+    to its text): an in-place edit of an element, whose terms are
+    immutable, as "file:line: function"."""
+    found = []
+
+    def scan(node, function, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "add_into" and child.args
+                    and isinstance(child.args[0], ast.Attribute)
+                    and child.args[0].attr == "terms"):
+                found.append(f"{where}:{child.lineno}: {function}")
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            scan(child, child.name if named else function, where)
+
+    for where, source in sources.items():
+        scan(ast.parse(source), "<module>", where)
+    return sorted(found)
+
+
+def test_scan_sees_an_in_place_element_edit():
+    source = ("def edits(total, x):\n    add_into(total.terms, x.terms, -1)\n\n\n"
+              "def builds(x):\n    out = {}\n    add_into(out, x.terms)\n\n    def nested(y):\n"
+              "        return add_into(y.terms, {})\n    return out, nested\n")
+    assert in_place_element_edits({"m.py": source}) == ["m.py:10: nested", "m.py:2: edits"]
+
+
+def test_no_library_add_into_edits_an_element():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in LIBRARY}
+    found = in_place_element_edits(sources)
+    assert not found, "add_into on an element's terms:\n" + "\n".join(found)

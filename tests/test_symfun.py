@@ -90,6 +90,11 @@ def test_vandermonde_quotient_is_made_in_int(monkeypatch):
     assert q.terms and all(type(c) is int for c in q.terms.values())
 
 
+def test_from_values_reads_its_list_then_counts_on_from_the_top():
+    a = ShiftSequence.from_values([Fraction(1, 2), 2, 5])
+    assert a.prefix(5) == (Fraction(1, 2), 2, 5, 6, 7)
+
+
 def test_schur_zero_sequence_is_ordinary_schur():
     # against the classical bialternant for mu=(2,1), n=2
     z1, z2 = SymPoly.gens(zvars(2))

@@ -11,6 +11,7 @@ from capelli.core import (
     DimensionError,
     SymPoly,
     add_into,
+    combine,
     common_denominator,
     increasing,
     perm_sign,
@@ -122,7 +123,7 @@ def as_f_combination(elem: UEAElement):
     for (i, j) in ctx.f_pairs():
         c = residue.get((ctx.gen_id(i, j),), Fraction(0))
         if j == -i and ctx.family == "sp":
-            c = c / 2
+            c = Fraction(c, 2)
         if c == 0:
             continue
         combo[(i, j)] = c
@@ -574,9 +575,8 @@ def check_dual_bracket_compatibility(dual_ctx: LieContext, N: int):
         for p2 in pairs:
             lhs = ring.f_gen(*p1).bracket(ring.f_gen(*p2))
             _, combo = generator_bracket(dual_ctx, p1, p2)
-            rhs = WeylOperator.zero(ring.wctx)
-            for pair, c in combo.items():
-                add_into(rhs.terms, ring.f_gen(*pair).terms, c)
+            rhs = combine(((c, ring.f_gen(*pair)) for pair, c in combo.items()),
+                          WeylOperator.zero(ring.wctx))
             if not lhs == rhs:
                 raise ConsistencyError(f"dual bracket mismatch on {p1}, {p2}")
     return True
