@@ -17,12 +17,12 @@ one base class of the four exact linear combinations (`SymPoly`,
 `UEAElement`, `WeylOperator`, `FExpr`), which holds their linear
 structure, equality and mismatch witness once; and the functions on
 coefficient lists in one variable: `dense_add`, `dense_mul`,
-`dense_prod`, `dense_trim`, `to_dense` (a `SymPoly` in one variable as
-such a list) and `dense_first_difference` (the mismatch witness of two
-lists).  A series in one variable is a fraction of two such lists
-(`series_as_fraction`), and `series_defect` is the one rule that decides
+`dense_prod`, `dense_trim` and `to_dense` (a `SymPoly` in one variable as
+such a list).  A series in one variable is a fraction of two such lists
+(`series_as_fraction`), and `series_witness` is the one rule that decides
 a one-variable rational identity, exactly or up to a truncation order,
-by cross-multiplying.
+by cross-multiplying; it names the lowest power whose coefficients
+differ.
 
 The flag `signed` picks one of the twin constructions of the paper
 throughout the library; here it picks det or per (`_laplace`) and the
@@ -491,20 +491,6 @@ def dense_prod(factors):
     return out
 
 
-def dense_first_difference(a, b, var):
-    """Witness "<var>^d: <witness>" for the lowest power d at which the
-    coefficient lists a and b of `Sparse` elements differ, or None when
-    they agree; the shorter list is padded with a zero of the other
-    side's type."""
-    for d in range(max(len(a), len(b))):
-        x = a[d] if d < len(a) else b[d]._like({})
-        y = b[d] if d < len(b) else x._like({})
-        witness = x.first_difference(y)
-        if witness is not None:
-            return f"{var}^{d}: {witness}"
-    return None
-
-
 def dense_trim(a):
     """The list without its trailing zero coefficients."""
     a = list(a)
@@ -548,13 +534,25 @@ def series_as_fraction(elements, ladder):
     return num, dense_prod(ladder)
 
 
-def series_defect(a, b, K):
-    """How far the series a = (num_a, den_a) and b = (num_b, den_b) in t
-    agree, as (deg, bound): deg is the degree of num_a * den_b - num_b *
-    den_a (-1 when a = b exactly) and bound is deg(den_a * den_b) - (K+1).
-    a = b + O(t^{-K-1}) exactly when deg <= bound.  The denominators are
-    scalar coefficient lists; products keep num_a and num_b on the left."""
+def series_witness(a, b, var, K=None):
+    """Whether the series a = (num_a, den_a) and b = (num_b, den_b) in
+    `var` agree, exactly (K None) or up to O(var^{-K-1}): None, or
+    "<var>^d: <witness>" for the lowest power d, among those that must
+    agree, at which num_a * den_b and num_b * den_a differ.  Up to order
+    K these are the powers from deg den_a + deg den_b - K on.  The
+    witness is the element's `first_difference` for a `Sparse`
+    coefficient, or "a != b" for a scalar one.  Products keep num_a and
+    num_b on the left."""
     (num_a, den_a), (num_b, den_b) = a, b
-    diff = dense_add(dense_mul(num_a, den_b), [-x for x in dense_mul(num_b, den_a)])
-    bound = len(dense_trim(dense_mul(den_a, den_b))) - 1 - (K + 1)
-    return len(dense_trim(diff)) - 1, bound
+    lhs, rhs = dense_mul(num_a, den_b), dense_mul(num_b, den_a)
+    low = 0 if K is None else len(dense_trim(den_a)) + len(dense_trim(den_b)) - 2 - K
+    for d in range(max(low, 0), max(len(lhs), len(rhs))):
+        x = lhs[d] if d < len(lhs) else 0
+        y = rhs[d] if d < len(rhs) else 0
+        if isinstance(y, Sparse) and not isinstance(x, Sparse):
+            x = y._coerce(x)
+        witness = (x.first_difference(y) if isinstance(x, Sparse)
+                   else None if x == y else f"{x} != {y}")
+        if witness is not None:
+            return f"{var}^{d}: {witness}"
+    return None

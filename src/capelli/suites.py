@@ -41,14 +41,13 @@ from typing import Callable, NamedTuple
 from .core import (
     SymPoly,
     combine,
-    dense_first_difference,
     dense_mul,
     dense_prod,
     increasing,
     linear_ladder,
     multiplicity_factorial,
     series_as_fraction,
-    series_defect,
+    series_witness,
 )
 from .symfun import (
     Partition,
@@ -274,7 +273,7 @@ def _generating_suite(p, rng, signed):
     compared to O(t^{-K-1})): in t = u^2, the series of the inner images
     times the quotient of two ladders of m roots (orthogonal over
     symplectic) is the series of the dual images."""
-    K = p.get("K")
+    K, kind = p.get("K"), "C" if signed else "D"
     for N in p["N"]:
         for m in p["m"]:
             inner, dual = _dual_pair(N, m, signed)
@@ -289,14 +288,9 @@ def _generating_suite(p, rng, signed):
             top, bottom = (dense_prod(linear_ladder(ladder_roots(ctx, True, m)))
                            for ctx in ((inner, dual) if signed else (dual, inner)))
             lhs = (dense_mul(lhs_num, top), dense_mul(lhs_den, bottom))
-            if signed:
-                yield (f"generating-transfer-C[N={N},m={m}]", dense_first_difference(
-                    dense_mul(lhs[0], rhs[1]), dense_mul(rhs[0], lhs[1]), "t"))
-            else:
-                deg, bound = series_defect(lhs, rhs, K)
-                yield (f"generating-transfer-D[N={N},m={m},K={K}]",
-                       None if deg <= bound else
-                       f"defect degree {deg} exceeds the truncation bound {bound}")
+            order = "" if K is None else f",K={K}"
+            yield (f"generating-transfer-{kind}[N={N},m={m}{order}]",
+                   series_witness(lhs, rhs, "t", K))
 
 
 def _identity_suite(p, rng, signed):

@@ -23,7 +23,7 @@ from .core import (
     linear_ladder,
     scal,
     series_as_fraction,
-    series_defect,
+    series_witness,
 )
 
 
@@ -124,17 +124,10 @@ class ShiftSequence:
 
     @classmethod
     def from_values(cls, values):
-        """Finite list, extended past the end by consecutive integers to
-        keep the sequence multiplicity-free."""
+        """The finite sequence a_1, ..., a_len(values); reading past its
+        end raises IndexError."""
         values = [scal(v) for v in values]
-        top = max(values, default=0)
-
-        def rule(k):
-            if k <= len(values):
-                return values[k - 1]
-            return top + k - len(values)
-
-        return cls(rule, name=f"list({', '.join(map(str, values))})")
+        return cls(lambda k: values[k - 1], name=f"list({', '.join(map(str, values))})")
 
     @classmethod
     def squares(cls, eps):
@@ -299,11 +292,11 @@ def check_generating_series(n: int, K: int, a: ShiftSequence, zvals):
     or a witness that names the failing side.
 
     The e-side sums (-1)^k e_k over the ladder (t - a_n), ..., (t - a_1);
-    it is a rational identity in t and holds exactly when `series_defect`
-    reports degree -1.  The h-side sums h_k over the ladder (t - a_{n+1}),
-    (t - a_{n+2}), ...; it is an identity of power series in 1/t, and its
-    truncation at K terms must equal 1/X up to O(t^{-K-1}), which
-    `series_defect` decides.
+    it is a rational identity in t, decided exactly.  The h-side sums h_k
+    over the ladder (t - a_{n+1}), (t - a_{n+2}), ...; it is an identity
+    of power series in 1/t, and its truncation at K terms must equal 1/X
+    up to O(t^{-K-1}).  `series_witness` decides both and names the power
+    of t whose coefficients differ.
     """
     if not a.multiplicity_free(n + K):
         raise PoleCollision("shift sequence has repeated entries on the needed prefix")
@@ -318,10 +311,10 @@ def check_generating_series(n: int, K: int, a: ShiftSequence, zvals):
     x_den = dense_prod(linear_ladder(a.prefix(n)))
     e = series_as_fraction([(-1) ** k * value(e_factorial, k) for k in range(n + 1)],
                            linear_ladder(a[j] for j in range(n, 0, -1)))
-    deg, _ = series_defect(e, (x_num, x_den), K)
-    if deg != -1:
-        return f"e-side: the coefficients of t^{deg} differ"
+    witness = series_witness(e, (x_num, x_den), "t")
+    if witness is not None:
+        return f"e-side: {witness}"
     h = series_as_fraction([value(h_factorial, k) for k in range(K + 1)],
                            linear_ladder(a[j] for j in range(n + 1, n + K + 1)))
-    deg, bound = series_defect(h, (x_den, x_num), K)
-    return None if deg <= bound else f"h-side: defect degree {deg} exceeds {bound}"
+    witness = series_witness(h, (x_den, x_num), "t", K)
+    return None if witness is None else f"h-side: {witness}"

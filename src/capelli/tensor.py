@@ -36,7 +36,9 @@ that add through `core.add_into`.  Every factor is built by `tm_one_plus`
 Polynomials in one variable are read out as dense coefficient lists for
 the `core.dense_*` functions, with scalar or U(gl_N) coefficients alike;
 the generating functions are `core.series_as_fraction` fractions of such
-lists, and their inversion is decided by `core.series_defect`.
+lists, and `core.series_witness` decides every identity between them:
+their inversion, Theorem 6.2 and the scalar part of the quantum
+determinant.
 
 Every projected product (the fused row and column, the quantum
 determinants, the projected twisted chain) starts with an
@@ -83,16 +85,14 @@ from .core import (
     DimensionError,
     SymPoly,
     add_into,
-    dense_first_difference,
     dense_mul,
     dense_prod,
-    dense_trim,
     exact_terms,
     linear_ladder,
     perm_sign,
     scal,
     series_as_fraction,
-    series_defect,
+    series_witness,
     to_dense,
 )
 from .symfun import Partition
@@ -700,10 +700,11 @@ def sklyanin_det(ctx: LieContext):
     if ctx.family == "sp":
         num = dense_mul(num, [0, 1])
         den = dense_mul(den, [Fraction(N, 2), 1])
-    scalar = [c.scalar_part() for c in num]
-    if dense_trim(scalar) != dense_trim(dense_mul(_sklyanin_scalar(ctx), den)):
+    witness = series_witness(([c.scalar_part() for c in num], den),
+                             (_sklyanin_scalar(ctx), [1]), "u")
+    if witness is not None:
         raise ConsistencyError("scalar part of the quantum determinant is off: "
-                               "normalizing factor mismatch")
+                               f"normalizing factor mismatch at {witness}")
     return num, den
 
 
@@ -722,7 +723,8 @@ def generating_functions(ctx: LieContext, series_c, series_d):
     """Whether the two generating functions in t = u^2 of the formula
     series `series_c` and `series_d` = (1, D_1, ..., D_K) (from
     `central_series`, read in U(gl_N)) have the product 1 + O(t^{-K-1}),
-    by `series_defect`; returns None or a witness string."""
+    that is C(t) = 1/D(t) + O(t^{-K-1}) (D(t) = 1 + O(1/t)), by
+    `series_witness`; returns None or its witness."""
     K = len(series_d) - 1
     kc = min(K, ctx.n)
     ring = uea_ring(ctx)
@@ -730,10 +732,7 @@ def generating_functions(ctx: LieContext, series_c, series_d):
     d_elems = [series_d[k].evaluate(ring) for k in range(0, K + 1)]
     c_num, c_den = series_as_fraction(c_elems, linear_ladder(ladder_roots(ctx, True, kc)))
     d_num, d_den = series_as_fraction(d_elems, linear_ladder(ladder_roots(ctx, False, K)))
-    one = [1]
-    deg, bound = series_defect((dense_mul(c_num, d_num), dense_mul(c_den, d_den)),
-                               (one, one), K)
-    return None if deg <= bound else f"defect degree {deg} exceeds {bound}"
+    return series_witness((c_num, c_den), (d_den, d_num), "t", K)
 
 
 # -- the section-6 identity -------------------------------------------------------
@@ -751,8 +750,8 @@ def theorem_62_check(ctx: LieContext, series_c):
     ladder = [[-r, 0, 1] for r in ladder_roots(ctx, True, n)]
     ring = uea_ring(ctx)
     cnum, cden = series_as_fraction([series_c[k].evaluate(ring) for k in range(n + 1)], ladder)
-    lhs = dense_mul(cnum, dense_mul(_sklyanin_scalar(ctx), cbar_den))
-    return dense_first_difference(lhs, dense_mul(cbar_num, cden), "u")
+    return series_witness((cnum, cden),
+                          (cbar_num, dense_mul(_sklyanin_scalar(ctx), cbar_den)), "u")
 
 
 def slot_action(space: TensorSpace, i, j, slots):

@@ -10,7 +10,8 @@ from capelli.core import (
     add_into,
     combine,
     common_denominator,
-    dense_first_difference,
+    dense_add,
+    dense_mul,
     dense_trim,
     det,
     exact_terms,
@@ -19,7 +20,7 @@ from capelli.core import (
     perm_sign,
     scal,
     series_as_fraction,
-    series_defect,
+    series_witness,
 )
 
 
@@ -264,17 +265,21 @@ def test_perm_sign():
 # -- dense coefficient lists -------------------------------------------------
 
 
-def test_dense_first_difference_names_the_lowest_differing_power():
+def test_series_witness_names_the_lowest_differing_power():
     from capelli.uea import LieContext, UEAElement
 
     ctx = LieContext("gl", 2)
     e, f = UEAElement.E(ctx, 1, 1), UEAElement.E(ctx, -1, 1)
     a = [e, e + f, e]
-    assert dense_first_difference(a, list(a), "u") is None
-    assert dense_first_difference(a + [e - e], a, "u") is None
-    assert dense_first_difference(a, [e, e + 2 * f, e], "u") == "u^1: E[-1,1]: 1 != 2"
-    assert dense_first_difference(a, a[:2], "u") == "u^2: E[1,1]: 1 != 0"
-    assert dense_first_difference(a[:2], a, "t") == "t^2: E[1,1]: 0 != 1"
+
+    def witness(x, y, var):
+        return series_witness((x, [1]), (y, [1]), var)
+
+    assert witness(a, list(a), "u") is None
+    assert witness(a + [e - e], a, "u") is None
+    assert witness(a, [e, e + 2 * f, e], "u") == "u^1: E[-1,1]: 1 != 2"
+    assert witness(a, a[:2], "u") == "u^2: E[1,1]: 1 != 0"
+    assert witness(a[:2], a, "t") == "t^2: E[1,1]: 0 != 1"
 
 
 # -- polynomials ----------------------------------------------------------
@@ -351,14 +356,88 @@ def test_series_as_fraction_two_step_ladder():
     assert den == [6, -5, 1]
 
 
-def test_series_defect_at_the_truncation_bound():
+def test_series_witness_at_the_truncation_bound():
     # sum_{k<=K} (r/t)^k agrees with t/(t - r) up to r^{K+1}/t^{K+1}
-    # exactly: it passes at order K and fails one order above.
+    # exactly: it passes at order K and fails one order above, at the
+    # constant term of the cross-multiplied numerators.
     r, K = Fraction(3, 2), 4
     truncated = series_as_fraction([r ** k for k in range(K + 1)],
                                    linear_ladder([Fraction(0)] * K))
     exact = ([Fraction(0), Fraction(1)], [-r, Fraction(1)])
-    deg, bound = series_defect(truncated, exact, K)
-    assert deg == bound == 0
-    deg, bound = series_defect(truncated, exact, K + 1)
-    assert deg > bound
+    assert series_witness(truncated, exact, "t", K) is None
+    assert series_witness(truncated, exact, "t", K + 1) == "t^0: -243/32 != 0"
+    assert series_witness(truncated, exact, "t") == "t^0: -243/32 != 0"
+
+
+def defect_oracle(a, b, K):
+    """The degree form of the rule, as an independent oracle: a = b +
+    O(t^{-K-1}) exactly when num_a * den_b - num_b * den_a has degree at
+    most deg den_a + deg den_b - (K+1); K None asks for degree -1.  Equal
+    series agree to every order, also where that bound is below -1,
+    which the bare degree comparison would reject."""
+    (num_a, den_a), (num_b, den_b) = a, b
+    lhs, rhs = dense_mul(num_a, den_b), dense_mul(num_b, den_a)
+    diff = [(lhs[d] if d < len(lhs) else 0) - (rhs[d] if d < len(rhs) else 0)
+            for d in range(max(len(lhs), len(rhs)))]
+    degree = len(dense_trim(diff)) - 1
+    if K is None:
+        return degree == -1
+    bound = len(dense_trim(den_a)) - 1 + len(dense_trim(den_b)) - 1 - (K + 1)
+    return degree <= max(bound, -1)
+
+
+def random_list(rng, degree, monic=False):
+    out = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(degree + 1)]
+    if monic or not out[-1]:
+        out[-1] = Fraction(1)
+    return out
+
+
+def series_agreeing_to(rng, b, j):
+    """b + c for a random series c of exact order t^{-j-1}, or b itself
+    when j is None."""
+    num_b, den_b = b
+    if j is None:
+        return list(num_b), list(den_b)
+    c_num = random_list(rng, rng.randint(0, 2))
+    c_den = random_list(rng, len(c_num) + j, monic=True)
+    return (dense_add(dense_mul(num_b, c_den), dense_mul(c_num, den_b)),
+            dense_mul(den_b, c_den))
+
+
+@pytest.mark.parametrize("K", [*range(7), None])
+def test_series_witness_agrees_with_the_degree_bound(K):
+    rng = random.Random(100 + (K or 0) + 50 * (K is None))
+    # c of exact order t^{-j-1}: j = -1 is a constant, and j >= K passes
+    orders = [None] + ([-1, 0, 1, 2] if K is None else [j for j in range(K - 2, K + 3) if j >= -1])
+    for _ in range(4):
+        den_b = random_list(rng, rng.randint(1, 4), monic=True)
+        b = (random_list(rng, len(den_b) - 1 + rng.randint(-1, 1)), den_b)
+        for j in orders:
+            a = series_agreeing_to(rng, b, j)
+            expected = j is None or (K is not None and j >= K)
+            assert defect_oracle(a, b, K) == expected
+            for x, y in ((a, b), (b, a)):
+                witness = series_witness(x, y, "t", K)
+                assert (witness is None) == expected, (x, y, witness)
+                assert witness is None or witness.startswith("t^")
+
+
+@pytest.mark.parametrize("K", [0, 2, 5, None])
+def test_series_witness_compares_elements_with_scalars(K):
+    # the shape generating_functions compares: element numerators (with
+    # trailing zeros) against scalar lists, the differing power alike
+    from capelli.uea import LieContext, UEAElement
+
+    one = UEAElement.scalar(LieContext("gl", 2), 1)
+    rng = random.Random(7 + (K or 0))
+    for j in [None, -1, 0, 1, 2, 3, 5, 6]:
+        den_b = random_list(rng, rng.randint(1, 3), monic=True)
+        b = (random_list(rng, len(den_b) - 1), den_b)
+        num_a, den_a = series_agreeing_to(rng, b, j)
+        lifted = ([one * c for c in num_a] + [one - one] * rng.randint(1, 2), den_a)
+        scalar = series_witness((num_a, den_a), b, "t", K)
+        for x, y in ((lifted, b), (b, lifted)):
+            witness = series_witness(x, y, "t", K)
+            assert (witness is None) == (scalar is None)
+            assert witness is None or witness.split(":")[0] == scalar.split(":")[0]

@@ -7,6 +7,8 @@ only, so this guards against a suite, or a battery it reads, that yields
 its checks without computing them, and against two sides built from one
 shared helper."""
 
+import re
+
 import pytest
 
 from capelli import suites, symfun, tensor, uea
@@ -143,3 +145,14 @@ def test_suite_fails_on_its_planted_defect(suite, monkeypatch):
 
 def test_every_suite_has_a_planted_defect():
     assert set(DEFECTS) == set(SUITES)
+
+
+@pytest.mark.parametrize("suite", ["prop-5.2", "series-inversion"])
+def test_a_truncated_identity_names_the_power_that_differs(suite, monkeypatch):
+    # a truncated comparison prints the differing coefficient, like an
+    # exact one, not only the degree of the difference
+    module, name, defect, params = DEFECTS[suite]
+    monkeypatch.setattr(uea, "_RINGS", {})
+    monkeypatch.setattr(module, name, defect)
+    failed = [c.witness for c in run_suite(suite, params) if c.status == "fail"]
+    assert failed and all(re.match(r"^t\^\d+: ", w) for w in failed), failed

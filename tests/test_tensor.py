@@ -393,6 +393,15 @@ def test_sklyanin_scalar_normalization():
     assert dense_trim(scalar) == dense_trim(dense_mul(expected, den))
 
 
+def test_sklyanin_scalar_mismatch_names_the_coefficient(monkeypatch):
+    # eps(1 + 2 eps) in place of eps(1 + eps): the error names the power
+    # of eps (the variable "u") at which the two sides differ once
+    # multiplied by the denominator, 2 eps
+    monkeypatch.setattr(tensor, "_sklyanin_scalar", lambda ctx: [0, 1, 2])
+    with pytest.raises(ConsistencyError, match=r"normalizing factor mismatch at u\^3: 2 != 4$"):
+        sklyanin_det(SO2)
+
+
 @pytest.mark.parametrize("ctx", [SO2, SP2, SO4, SP4])
 def test_theorem_62(ctx):
     series = central_series(ctx, True, ctx.n)
