@@ -96,7 +96,7 @@ from .core import (
     to_dense,
 )
 from .symfun import Partition
-from .uea import LieContext, UEAElement, _normal_form, uea_ring
+from .uea import LieContext, UEAElement, _word_times, uea_ring
 from .weyl import eps_ij, index_set
 
 
@@ -243,7 +243,7 @@ def ent_mul(ctx, a, b, *, order=None):
                 continue
             ev = tuple(map(operator.add, e1, e2))
             c12 = c1 * c2
-            for w, c in _normal_form(ctx, w1 + w2).items():
+            for w, c in _word_times(ctx, w1, w2).items():
                 k = (ev, w)
                 s = out.get(k, 0) + c12 * c
                 if s:

@@ -4,9 +4,12 @@ from it.
 Everything is computed inside U(gl_N): elements of the orthogonal and
 symplectic subalgebras are expanded through F_ij = E_ij - eps_ij E_{-j,-i}
 and normal-ordered against a single straightening engine for the E
-generators.  Noncommutative polynomials in the F symbols are kept as
-`FExpr` objects, and a central element is its formula: one `FExpr` (a
-Pfaffian, a Hafnian, a product of central elements), read inside
+generators: a product of two weakly increasing words moves the letters of
+the shorter word into the longer one, one at a time, and each context
+memoizes those single-letter moves that are not already sorted.
+Noncommutative polynomials in the F symbols are kept as `FExpr` objects,
+and a central element is its formula: one `FExpr` (a Pfaffian, a
+Hafnian, a product of central elements), read inside
 U(gl_N), through the natural action on polynomials, or through the dual
 (oscillator) action by evaluating it in `uea_ring`, `gamma_ring` or
 `dual_ring`.  Each target ring is built once per parameter set and
@@ -104,7 +107,11 @@ class LieContext:
         return self
 
     def gen_id(self, i, j):
-        return self._pos[i] * self.N + self._pos[j]
+        try:
+            return self._pos[i] * self.N + self._pos[j]
+        except KeyError as e:
+            raise DimensionError(f"index {e.args[0]} of E[{i},{j}] is not an index of "
+                                 f"{self.family}_{self.N}") from None
 
     def gen_pair(self, gid):
         p, q = divmod(gid, self.N)
@@ -133,6 +140,11 @@ def canonical_symbol(family, i, j):
 
 
 # -- straightening engine ----------------------------------------------------
+#
+# nf(x) is the expansion of x over the PBW basis of weakly increasing words
+# of generator ids.  Every product is built from single-letter moves, the
+# rewriting rule of Bergman's diamond lemma (Adv. Math. 29, 1978): a letter
+# passes a larger (or smaller) neighbour at the cost of their bracket.
 
 
 def _gl_bracket_ids(ctx: LieContext, g1, g2):
@@ -152,26 +164,71 @@ def _gl_bracket_ids(ctx: LieContext, g1, g2):
     return out
 
 
-def _normal_form(ctx: LieContext, word):
-    """Expansion of an arbitrary word of E generators over the PBW basis
-    of weakly increasing words; memoized on the context."""
-    cached = ctx._nf.get(word)
+def _times_letter(ctx: LieContext, u, g):
+    """nf(u E_g) for a weakly increasing word u, by p h g = (p g) h +
+    p [h, g]: the letter moves left past the larger letters of u.  A
+    product that is already sorted is returned as it is; every other is
+    memoized on the context by (word, letter)."""
+    if not u or u[-1] <= g:
+        return {u + (g,): 1}
+    key = (u, g)
+    cached = ctx._nf.get(key)
     if cached is not None:
         return cached
-    for t in range(len(word) - 1):
-        if word[t] > word[t + 1]:
-            break
-    else:
-        res = {word: 1}
-        ctx._nf[word] = res
-        return res
-    g1, g2 = word[t], word[t + 1]
-    swapped = word[:t] + (g2, g1) + word[t + 2:]
-    out = dict(_normal_form(ctx, swapped))
-    for g, c in _gl_bracket_ids(ctx, g1, g2).items():
-        add_into(out, _normal_form(ctx, word[:t] + (g,) + word[t + 2:]), c)
-    ctx._nf[word] = out
+    p, h = u[:-1], u[-1]
+    out = {}
+    for v, c in _times_letter(ctx, p, g).items():
+        add_into(out, _times_letter(ctx, v, h), c)
+    for x, c in _gl_bracket_ids(ctx, h, g).items():
+        add_into(out, _times_letter(ctx, p, x), c)
+    ctx._nf[key] = out
     return out
+
+
+def _letter_times(ctx: LieContext, g, u):
+    """nf(E_g u) for a weakly increasing word u, the mirror of
+    `_times_letter`: g h s = h (g s) + [g, h] s, memoized by (letter,
+    word)."""
+    if not u or g <= u[0]:
+        return {(g,) + u: 1}
+    key = (g, u)
+    cached = ctx._nf.get(key)
+    if cached is not None:
+        return cached
+    h, s = u[0], u[1:]
+    out = {}
+    for v, c in _letter_times(ctx, g, s).items():
+        add_into(out, _letter_times(ctx, h, v), c)
+    for x, c in _gl_bracket_ids(ctx, g, h).items():
+        add_into(out, _letter_times(ctx, x, s), c)
+    ctx._nf[key] = out
+    return out
+
+
+def _insert(ctx: LieContext, terms, letters, left):
+    """nf of the sum c * v over the (v, c) items of `terms`, a map of
+    weakly increasing words, multiplied by each of `letters` in turn: on
+    the left (the next letter goes in front) or on the right."""
+    for g in letters:
+        out = {}
+        for v, c in terms.items():
+            add_into(out, _letter_times(ctx, g, v) if left else _times_letter(ctx, v, g), c)
+        terms = out
+    return terms
+
+
+def _word_times(ctx: LieContext, u, w):
+    """nf(u w) for two weakly increasing words: their concatenation when
+    it is sorted, and otherwise the letters of the shorter word moved
+    into the longer one, one at a time.  The result may be a memoized
+    map, so callers read it and never change it."""
+    if not u or not w or u[-1] <= w[0]:
+        return {u + w: 1}
+    if len(u) < len(w):
+        out = _letter_times(ctx, u[-1], w)
+        return _insert(ctx, out, reversed(u[:-1]), True) if len(u) > 1 else out
+    out = _times_letter(ctx, u, w[0])
+    return _insert(ctx, out, w[1:], False) if len(w) > 1 else out
 
 
 class UEAElement(Sparse):
@@ -221,7 +278,7 @@ class UEAElement(Sparse):
         ctx = self.ctx
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                add_into(out, _normal_form(ctx, w1 + w2), c1 * c2)
+                add_into(out, _word_times(ctx, w1, w2), c1 * c2)
         return UEAElement(self.ctx, out)
 
     __rmul__ = __mul__
@@ -238,8 +295,8 @@ class UEAElement(Sparse):
 def pbw_normal_form(ctx: LieContext, pairs) -> UEAElement:
     """Normal form of an arbitrary product of E generators given as a
     sequence of (i, j) pairs."""
-    word = tuple(ctx.gen_id(i, j) for i, j in pairs)
-    return UEAElement(ctx, dict(_normal_form(ctx, word)))
+    word = [ctx.gen_id(i, j) for i, j in pairs]
+    return UEAElement(ctx, _insert(ctx, {(): 1}, word, False))
 
 
 # -- evaluation rings ---------------------------------------------------------

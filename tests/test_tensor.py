@@ -221,6 +221,28 @@ def test_transposed_E_factor_sign_table(family, N):
             assert mat.entry(space.code[(i,)], space.code[(j,)]) == expected
 
 
+def matrix_words(mat):
+    return [w for row in mat.rows.values() for entry in row.values() for _ev, w in entry]
+
+
+@pytest.mark.parametrize("family,N", [("so", 3), ("sp", 2), ("sp", 4)])
+def test_factor_and_product_entries_hold_weakly_increasing_words(family, N):
+    # the entry product moves letters into sorted words, so every factor
+    # and every product must keep its words weakly increasing
+    ctx, gl = LieContext(family, N), LieContext("gl", N)
+    space = TensorSpace(N, 2)
+    u = SymPoly.variable(("u",), "u")
+    mats = [tm_E(gl, space, 1, u), tm_E(gl, space, 2, u - 1, eps_family=family),
+            tensor._slot_factor(gl, space, 2,
+                                lambda i, j: UEAElement.E(gl, i, j) * UEAElement.E(gl, j, i), u),
+            tm_F(ctx, space, 1, u), tm_F(ctx, space, 2, u + 1)]
+    mats += [mats[0] * mats[1] * mats[2], mats[3] * mats[4]]
+    for mat in mats:
+        words = matrix_words(mat)
+        assert words and all(list(w) == sorted(w) for w in words)
+    assert any(len(w) == 3 for w in matrix_words(mats[5]))
+
+
 def test_fused_single_factor_is_generator_matrix():
     mat = fused_F(SO3, 1, True, 0)
     space = TensorSpace(3, 1)

@@ -41,11 +41,13 @@ from capelli.uea import (
     uea_ring,
 )
 from capelli.suites import run_suite
+from capelli.tensor import ent_mul
 from capelli.weyl import WeylContext, WeylOperator, sgn
 
 
 GL2 = LieContext("gl", 2)
 GL3 = LieContext("gl", 3)
+GL4 = LieContext("gl", 4)
 SO2 = LieContext("so", 2)
 SO3 = LieContext("so", 3)
 SO4 = LieContext("so", 4)
@@ -95,6 +97,159 @@ def test_pbw_associativity_randomized():
 def test_cartan_commutes():
     assert F(SO3, -1, -1).bracket(F(SO3, 0, 0)).is_zero()
     assert F(SP4, -2, -2).bracket(F(SP4, -1, -1)).is_zero()
+
+
+def test_a_generator_outside_the_index_set_is_a_dimension_error():
+    with pytest.raises(DimensionError, match=r"^index 5 of E\[5,1\] is not an index of gl_2$"):
+        pbw_normal_form(GL2, [(5, 1)])
+    with pytest.raises(DimensionError, match=r"^index 0 of E\[0,1\] is not an index of gl_2$"):
+        E(GL2, 0, 1)
+    with pytest.raises(DimensionError, match=r"^index 3 of E\[1,3\] is not an index of so_4$"):
+        F(SO4, 1, 3)
+
+
+# -- letter insertion against the first-descent oracle -------------------------
+
+
+def first_descent_normal_form(ctx, word, memo):
+    """Reference straightening of an arbitrary word of generator ids:
+    swap its first descent, add the bracket of the swapped pair,
+    [E_ij, E_kl] = d_jk E_il - d_li E_kj, and recurse; memoized in `memo`,
+    not on the context."""
+    if word in memo:
+        return memo[word]
+    t = next((t for t in range(len(word) - 1) if word[t] > word[t + 1]), None)
+    if t is None:
+        memo[word] = {word: 1}
+        return memo[word]
+    (i, j), (k, l) = ctx.gen_pair(word[t]), ctx.gen_pair(word[t + 1])
+    head, tail = word[:t], word[t + 2:]
+    out = dict(first_descent_normal_form(ctx, head + (word[t + 1], word[t]) + tail, memo))
+    for holds, pair, c in ((j == k, (i, l), 1), (l == i, (k, j), -1)):
+        if holds:
+            word_with_bracket = head + (ctx.gen_id(*pair),) + tail
+            add_into(out, first_descent_normal_form(ctx, word_with_bracket, memo), c)
+    memo[word] = out
+    return out
+
+
+def random_word(rng, ctx, length):
+    return tuple(rng.randrange(ctx.N ** 2) for _ in range(length))
+
+
+def random_sorted_terms(rng, ctx, lengths):
+    """A map of 1 to 3 weakly increasing words, with lengths drawn from
+    `lengths`, to small nonzero integers or halves."""
+    return {tuple(sorted(random_word(rng, ctx, rng.choice(lengths)))):
+            Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
+            for _ in range(rng.randint(1, 3))}
+
+
+def oracle_product(ctx, a, b, memo):
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            add_into(out, first_descent_normal_form(ctx, w1 + w2, memo), c1 * c2)
+    return out
+
+
+ALGEBRAS = [GL2, GL3, GL4]
+
+
+@pytest.mark.parametrize("ctx", ALGEBRAS, ids=repr)
+def test_unsorted_words_match_the_first_descent_oracle(ctx):
+    rng = random.Random(ctx.N)
+    memo = {}
+    for length in range(7):
+        for _ in range(12):
+            word = random_word(rng, ctx, length)
+            got = pbw_normal_form(ctx, [ctx.gen_pair(g) for g in word])
+            expected = UEAElement(ctx, first_descent_normal_form(ctx, word, memo))
+            assert got == expected, (word, got.first_difference(expected))
+
+
+SHORT, LONG = (0, 1, 2), (3, 4, 5, 6)
+
+
+@pytest.mark.parametrize("ctx", ALGEBRAS, ids=repr)
+@pytest.mark.parametrize("left, right", [(SHORT, LONG), (LONG, SHORT), (LONG, LONG)],
+                         ids=["short-long", "long-short", "long-long"])
+def test_products_match_the_first_descent_oracle(ctx, left, right):
+    # short x long moves letters in from the left, long x short from the
+    # right, and long x long either way
+    rng = random.Random(10 * ctx.N + len(left) + 2 * len(right))
+    memo = {}
+    for _ in range(15):
+        a, b = random_sorted_terms(rng, ctx, left), random_sorted_terms(rng, ctx, right)
+        got = UEAElement(ctx, a) * UEAElement(ctx, b)
+        expected = UEAElement(ctx, oracle_product(ctx, a, b, memo))
+        assert got == expected, (a, b, got.first_difference(expected))
+
+
+@pytest.mark.parametrize("ctx", ALGEBRAS, ids=repr)
+@pytest.mark.parametrize("order", [None, 2])
+def test_entry_products_match_the_first_descent_oracle(ctx, order):
+    # an entry maps (exponent vector, word) to a scalar; with an order T a
+    # pair of terms of total degree T or more is dropped
+    rng = random.Random(ctx.N)
+    memo = {}
+    limit = math.inf if order is None else order
+
+    def entry():
+        return {((rng.randint(0, 2), rng.randint(0, 1)), w): c
+                for w, c in random_sorted_terms(rng, ctx, range(5)).items()}
+
+    for _ in range(15):
+        a, b = entry(), entry()
+        expected = {}
+        for (e1, w1), c1 in a.items():
+            for (e2, w2), c2 in b.items():
+                if sum(e1) + sum(e2) < limit:
+                    ev = (e1[0] + e2[0], e1[1] + e2[1])
+                    nf = first_descent_normal_form(ctx, w1 + w2, memo)
+                    add_into(expected, {(ev, w): c for w, c in nf.items()}, c1 * c2)
+        assert ent_mul(ctx, a, b, order=order) == expected, (a, b)
+
+
+def weakly_increasing(word):
+    return all(a <= b for a, b in zip(word, word[1:]))
+
+
+@pytest.mark.parametrize("ctx", [GL3, SO3, SO4, SP4], ids=repr)
+def test_public_constructors_build_weakly_increasing_words(ctx):
+    # letter insertion assumes every operand word is sorted
+    elements = [UEAElement.one(ctx), UEAElement.scalar(ctx, 3), UEAElement.zero(ctx)]
+    for i in ctx.indices:
+        for j in ctx.indices:
+            elements += [E(ctx, i, j), F(ctx, i, j)]
+    top, bottom = ctx.indices[-1], ctx.indices[0]
+    elements.append(pbw_normal_form(ctx, [(top, bottom), (bottom, top)]))
+    if ctx.family == "gl":
+        elements.append(capelli_element(2, ctx.N, True))
+    for x in elements:
+        assert all(weakly_increasing(w) for w in x.terms), x
+
+
+def test_memo_stores_only_nontrivial_insertions():
+    # a product that is already sorted is never stored; every stored key
+    # is a descent and every stored word is sorted
+    uea.clear_caches()
+    x = central_series(SO4, True, 2)[2].evaluate(uea_ring(SO4))
+    assert is_central(x)
+    assert len(SO4._nf) == 3705  # pinned: (word, letter) and (letter, word) entries
+    for key, value in SO4._nf.items():
+        if isinstance(key[1], int):  # (word, letter): the letter goes on the right
+            u, g = key
+            assert u and u[-1] > g and value != {u + (g,): 1}, key
+        else:  # (letter, word): the letter goes on the left
+            g, u = key
+            assert u and g > u[0] and value != {(g,) + u: 1}, key
+        assert weakly_increasing(u) and all(weakly_increasing(w) for w in value), key
+    square = x * x
+    uea.clear_caches()
+    assert not SO4._nf
+    fresh = central_series(SO4, True, 2)[2].evaluate(uea_ring(SO4))
+    assert fresh == x and fresh * fresh == square
 
 
 def generator_bracket(ctx: LieContext, pair1, pair2):
