@@ -27,7 +27,6 @@ from .weyl import (
     WeylOperator,
     cayley,
     paired_blocks,
-    singular_vector,
 )
 from .uea import (
     LieContext,
@@ -42,6 +41,7 @@ from .uea import (
     gamma,
     hc_polynomial,
     pbw_normal_form,
+    singular_vector,
     uea_ring,
 )
 from .tensor import (

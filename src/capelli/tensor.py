@@ -243,6 +243,15 @@ def ent_mul(ctx, a, b, *, order=None):
                 continue
             ev = tuple(map(operator.add, e1, e2))
             c12 = c1 * c2
+            if not w1 or not w2 or w1[-1] <= w2[0]:
+                # a sorted concatenation is its own normal form
+                k = (ev, w1 + w2)
+                s = out.get(k, 0) + c12
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+                continue
             for w, c in _word_times(ctx, w1, w2).items():
                 k = (ev, w)
                 s = out.get(k, 0) + c12 * c

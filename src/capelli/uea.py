@@ -12,9 +12,14 @@ and a central element is its formula: one `FExpr` (a Pfaffian, a
 Hafnian, a product of central elements), read inside
 U(gl_N), through the natural action on polynomials, or through the dual
 (oscillator) action by evaluating it in `uea_ring`, `gamma_ring` or
-`dual_ring`.  Each target ring is built once per parameter set and
-memoizes the image of every expression it has evaluated; that memo is
-the only cache of images.
+`dual_ring`.  Each context builds each of its central formulas once:
+`family_expr`'s C_k or D_k and `central_series`'s complementary elements
+share one formula memo per context, keyed by (signed, k), so every
+caller reads the same `FExpr`.  Each target ring is built once per
+parameter set and memoizes the image of every expression it has
+evaluated; a `gamma_ring` also keeps the highest-weight vectors that
+`singular_vector` builds on its grid for the Harish-Chandra oracle.
+`clear_caches` drops the rings and empties every context's memos.
 
 Since F_{-j,-i} = -eps_ij F_ij, the formulas keep one canonical spelling
 of each symbol (`canonical_symbol`).  A target ring is valid only if its
@@ -61,8 +66,8 @@ from .weyl import (
     eps_ij,
     gamma_gen,
     index_set,
+    minor_delta,
     sgn,
-    singular_vector,
 )
 
 
@@ -103,6 +108,7 @@ class LieContext:
             self.shift_sequence = None
         self._nf = {}
         self._bracket = {}
+        self._formulas = {}
         cls._cache[key] = self
         return self
 
@@ -384,11 +390,14 @@ class UEARing(_TargetRing):
 
 
 class GammaRing(_TargetRing):
-    """Target ring PD on the m x N grid under the natural action."""
+    """Target ring PD on the m x N grid under the natural action.  It
+    also keeps the highest-weight vectors `singular_vector` builds on its
+    grid, in `_vectors`."""
 
     def __init__(self, ctx: LieContext, m: int):
         self.m = m
         self.wctx = WeylContext(m, ctx.N)
+        self._vectors = {}
         super().__init__(ctx)
 
     def scalar(self, c):
@@ -440,15 +449,19 @@ def dual_ring(dual_ctx, N) -> DualRing:
 
 
 def clear_caches():
-    """Drop every target ring, with its generator and expression images,
-    and empty the straightening memos of every Lie context.  The contexts
-    stay: they are singletons compared by identity."""
+    """Drop every target ring, with its generator and expression images
+    and its highest-weight vectors, and empty the straightening and
+    formula memos of every Lie context.  The contexts stay: they are
+    singletons compared by identity."""
     for ring in _RINGS.values():
         ring._words.clear()
+        if isinstance(ring, GammaRing):
+            ring._vectors.clear()
     _RINGS.clear()
     for ctx in LieContext._cache.values():
         ctx._nf.clear()
         ctx._bracket.clear()
+        ctx._formulas.clear()
 
 
 class FExpr(Sparse):
@@ -586,15 +599,23 @@ def family_expr(ctx: LieContext, k: int) -> FExpr:
     so_N, C_k = (-1)^k sum over 2k-subsets I of Phi_I Phi_{I*}, empty past
     the rank n; over sp_N, D_k = (-1)^k sum over weakly increasing
     2k-sequences I of sgn(i_1...i_{2k}) Psi_I Psi_{I*} /
-    (f_1! f_{-1}! ... f_n! f_{-n}!)."""
+    (f_1! f_{-1}! ... f_n! f_{-n}!).
+
+    The formula is built once per context and kept in its formula memo
+    under (signed, k), so every caller gets the same object."""
     signed = _native_signed(ctx)
+    key = (signed, k)
+    cached = ctx._formulas.get(key)
+    if cached is not None:
+        return cached
     pairs = []
     for I in increasing(ctx.indices, 2 * k, signed):
         Istar = tuple(sorted(-i for i in I))
         weight = (-1) ** k if signed else Fraction((-1) ** k * math.prod(sgn(i) for i in I),
                                                    multiplicity_factorial(I))
         pairs.append((weight, block_expr(ctx, I) * block_expr(ctx, Istar)))
-    return combine(pairs, FExpr.zero())
+    ctx._formulas[key] = out = combine(pairs, FExpr.zero())
+    return out
 
 
 def gamma(x: UEAElement, m: int) -> WeylOperator:
@@ -615,22 +636,63 @@ def is_central(x: UEAElement) -> bool:
     return all(x.bracket(make(ctx, i, j)).is_zero() for i, j in gens)
 
 
+def singular_vector(lam, m: int, n: int, family: str, N: int) -> SymPoly:
+    """Product of powers of the corner minors realizing a highest-weight
+    vector of weight lam on the m x N grid; the defining annihilation and
+    weight conditions are asserted under the natural action of family_N
+    before returning.  The generator images are those of
+    `gamma_ring(LieContext(family, N), m)`, and each vector is built once
+    and kept on that ring."""
+    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    if not (m >= n >= len(lam)):
+        raise DimensionError("need m >= n >= len(lam)")
+    ring = gamma_ring(LieContext(family, N), m)
+    key = (lam, n)
+    cached = ring._vectors.get(key)
+    if cached is not None:
+        return cached
+    v = SymPoly.scalar(ring.wctx.var_names, 1)
+    for p in range(1, n + 1):
+        e = lam[p] - lam[p + 1] if p < n else lam[n]
+        if e:
+            v = v * minor_delta(p, m, N) ** e
+    idx = ring.ctx.indices
+    for i in idx:
+        for j in idx:
+            if i < j and not ring.f_gen(i, j).apply(v).is_zero():
+                raise ConsistencyError(f"F[{i},{j}] does not annihilate v_lambda")
+    for p in range(1, n + 1):
+        if not (ring.f_gen(-p, -p).apply(v) - lam[n - p + 1] * v).is_zero():
+            raise ConsistencyError(f"wrong weight on F[{-p},{-p}]")
+    ring._vectors[key] = v
+    return v
+
+
+def _require_central(z: UEAElement):
+    if not is_central(z):
+        raise ConsistencyError("element is not invariant (or the engine is broken)")
+
+
+def _hwv_eigenvalue(ctx: LieContext, image: WeylOperator, lam) -> Scalar:
+    """The eigenvalue of `image`, the natural action gamma(z, n) of a
+    central element z of U(ctx) on the grid with n rows, on the
+    highest-weight vector of weight lam."""
+    v = singular_vector(lam, ctx.n, ctx.n, ctx.family, ctx.N)
+    out = image.apply(v)
+    ev0, c0 = next(iter(v.terms.items()))
+    ratio = scal(Fraction(out.coefficient(ev0), c0))
+    if not (out - ratio * v).is_zero():
+        raise ConsistencyError("image of the highest-weight vector is not proportional to it")
+    return ratio
+
+
 def eigenvalue_on_hwv(z: UEAElement, lam, *, check_central=True) -> Scalar:
     """Eigenvalue of a central element on the irreducible with highest
     weight lam, read off from its action on the explicit highest-weight
     vector in the polynomial ring with m = n rows."""
-    ctx = z.ctx
-    if check_central and not is_central(z):
-        raise ConsistencyError("element is not invariant (or the engine is broken)")
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    n = ctx.n
-    v = singular_vector(lam, n, n, ctx.family, ctx.N)
-    image = gamma(z, n).apply(v)
-    ev0, c0 = next(iter(v.terms.items()))
-    ratio = scal(Fraction(image.coefficient(ev0), c0))
-    if not (image - ratio * v).is_zero():
-        raise ConsistencyError("image of the highest-weight vector is not proportional to it")
-    return ratio
+    if check_central:
+        _require_central(z)
+    return _hwv_eigenvalue(z.ctx, gamma(z, z.ctx.n), lam)
 
 
 def _monomial_symmetric(vs, mu):
@@ -681,20 +743,20 @@ def hc_polynomial(z: UEAElement, degree_bound: int, *, in_l_squared=False) -> Sy
     eigenvalue; returned in the lam variables, or in the squared-l
     variables when `in_l_squared` is set.
     """
+    _require_central(z)
     ctx = z.ctx
     n = ctx.n
     basis = list(partitions_with(n, max_weight=degree_bound))
     yvars = tuple(f"y{p}" for p in range(1, n + 1))
     basis_polys = [_monomial_symmetric(yvars, mu) for mu in basis]
     grid = list(partitions_with(n, max_part=2 * degree_bound + 1))
+    image = gamma(z, n)
     rows, rhs = [], []
-    first = True
     for lam in grid:
         ls = [lam[p] + ctx.rho[p - 1] for p in range(1, n + 1)]
         ys = {f"y{p}": ls[p - 1] ** 2 for p in range(1, n + 1)}
         rows.append([bp.evaluate(ys) for bp in basis_polys])
-        rhs.append(eigenvalue_on_hwv(z, lam, check_central=first))
-        first = False
+        rhs.append(_hwv_eigenvalue(ctx, image, lam))
     coeffs = _solve_exact(rows, rhs, len(basis))
     result = combine(zip(coeffs, basis_polys), SymPoly.zero(yvars))
     if in_l_squared:
@@ -758,19 +820,40 @@ def central_series(ctx: LieContext, signed: bool, K: int) -> tuple[FExpr, ...]:
     complementary family in each algebra is assembled through the
     Harish-Chandra characterization: its target symmetric polynomial is
     expressed in the images of the native generators 1..min(K, n), and
-    the same polynomial is taken in the elements themselves.
+    the same polynomial is taken in the elements themselves.  X_k needs
+    only the generators up to k, so it does not depend on K.
+
+    The native formulas come from `family_expr`, which memoizes them;
+    each complementary X_k joins them in the context's formula memo
+    under (signed, k).  The memo serves X_k only while `family_expr`
+    hands back the memoized generators it was built from, so a
+    replaced `family_expr` always reaches the complementary family too.
     """
     native = _native_signed(ctx)
     top = K if signed == native else min(K, ctx.n)
     exprs = [family_expr(ctx, k) for k in range(1, top + 1)]
     if signed != native:
-        gen_imgs = [hc_target(ctx, native, j) for j in range(1, top + 1)]
+        memo = ctx._formulas
+        memoized = all(x is memo.get((native, j)) for j, x in enumerate(exprs, 1))
         gens, exprs = exprs, []
         for k in range(1, K + 1):
-            combo = express_in_family(hc_target(ctx, signed, k), gen_imgs)
-            exprs.append(combine(((c, _power_product(gens, alpha, FExpr.one()))
-                                  for alpha, c in combo.items()), FExpr.zero()))
+            x = memo.get((signed, k)) if memoized else None
+            if x is None:
+                x = _complementary_expr(ctx, signed, k, gens)
+                if memoized:
+                    memo[signed, k] = x
+            exprs.append(x)
     return (FExpr.one(), *exprs)
+
+
+def _complementary_expr(ctx: LieContext, signed: bool, k: int, gens) -> FExpr:
+    """X_k of the family that ctx does not build natively: the polynomial
+    in the native formulas `gens` (X_1, X_2, ... of the other family)
+    that its Harish-Chandra target is in the targets of theirs."""
+    gen_imgs = [hc_target(ctx, not signed, j) for j in range(1, len(gens) + 1)]
+    combo = express_in_family(hc_target(ctx, signed, k), gen_imgs)
+    return combine(((c, _power_product(gens, alpha, FExpr.one()))
+                    for alpha, c in combo.items()), FExpr.zero())
 
 
 # -- dual pair transfer coefficients ------------------------------------------

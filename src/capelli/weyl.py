@@ -3,9 +3,9 @@
 Operators are kept in normal order (every multiplication operator to the
 left of every differentiation) as a sparse map from exponent-vector pairs
 to exact scalars.  The module also houses the invariant Cayley operators,
-their determinant/permanent building blocks, highest-weight vectors in
-the polynomial ring, and the images of the Lie algebra generators under
-the natural and the dual (oscillator) actions.
+their determinant/permanent building blocks, the corner minors that
+highest-weight vectors are built from, and the images of the Lie algebra
+generators under the natural and the dual (oscillator) actions.
 
 The Cayley operators and the paired blocks come in two forms, built by
 one function that takes `signed`: signed uses det over strictly
@@ -343,7 +343,7 @@ def paired_blocks(A, I, m: int, N: int, signed: bool) -> WeylOperator:
     return combine(pairs, WeylOperator.zero(ctx))
 
 
-# -- highest-weight vectors ---------------------------------------------------
+# -- corner minors -----------------------------------------------------------
 
 
 def minor_delta(p: int, m: int, N: int) -> SymPoly:
@@ -352,32 +352,3 @@ def minor_delta(p: int, m: int, N: int) -> SymPoly:
     ctx = WeylContext(m, N)
     cols = ctx.indices[:p]
     return det([[ctx.poly_x(a, i) for i in cols] for a in range(1, p + 1)])
-
-
-def singular_vector(lam, m: int, n: int, family: str, N: int) -> SymPoly:
-    """Product of powers of the corner minors realizing a highest-weight
-    vector of weight lam; the defining annihilation and weight conditions
-    are asserted under the requested action before returning."""
-    from .symfun import Partition
-
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    if not (m >= n >= len(lam)):
-        raise DimensionError("need m >= n >= len(lam)")
-    ctx = WeylContext(m, N)
-    v = SymPoly.scalar(ctx.var_names, 1)
-    for p in range(1, n + 1):
-        e = lam[p] - lam[p + 1] if p < n else lam[n]
-        if e:
-            v = v * minor_delta(p, m, N) ** e
-    idx = ctx.indices
-    for i in idx:
-        for j in idx:
-            if i < j:
-                img = gamma_gen(family, i, j, m, N).apply(v)
-                if not img.is_zero():
-                    raise ConsistencyError(f"F[{i},{j}] does not annihilate v_lambda")
-    for p in range(1, n + 1):
-        img = gamma_gen(family, -p, -p, m, N).apply(v)
-        if not (img - lam[n - p + 1] * v).is_zero():
-            raise ConsistencyError(f"wrong weight on F[{-p},{-p}]")
-    return v

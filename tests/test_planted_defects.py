@@ -134,13 +134,35 @@ DEFECTS = {
 }
 
 
+def plant(monkeypatch, suite):
+    """Plant the defect of `suite` and return the suite's parameters.  The
+    rings built under the defect, which keep the images and vectors they
+    built, are dropped with the test."""
+    module, name, defect, params = DEFECTS[suite]
+    monkeypatch.setattr(uea, "_RINGS", {})
+    monkeypatch.setattr(module, name, defect)
+    return params
+
+
 @pytest.mark.parametrize("suite", list(DEFECTS))
 def test_suite_fails_on_its_planted_defect(suite, monkeypatch):
-    module, name, defect, params = DEFECTS[suite]
-    monkeypatch.setattr(uea, "_RINGS", {})  # a ring keeps the images it built
-    monkeypatch.setattr(module, name, defect)
-    checks = run_suite(suite, params)
+    uea.clear_caches()  # no memoized formula, image or vector predates the defect
+    checks = run_suite(suite, plant(monkeypatch, suite))
     assert any(c.status == "fail" and c.witness for c in checks)
+
+
+def test_a_planted_formula_reaches_past_the_formula_memo(monkeypatch):
+    # the formula memo holds both families of so_2 and sp_2 before the
+    # defect is planted; the native and the complementary family, built
+    # from the native formulas, must both see it
+    uea.clear_caches()
+    for family in ("so", "sp"):
+        for signed in (True, False):
+            uea.central_series(uea.LieContext(family, 2), signed, 2)
+    for suite in ("thm-3.3", "thm-6.2"):
+        checks = run_suite(suite, plant(monkeypatch, suite))
+        assert len(checks) == 2, checks  # so_2 and sp_2
+        assert all(c.status == "fail" and c.witness for c in checks), (suite, checks)
 
 
 def test_every_suite_has_a_planted_defect():
@@ -151,8 +173,6 @@ def test_every_suite_has_a_planted_defect():
 def test_a_truncated_identity_names_the_power_that_differs(suite, monkeypatch):
     # a truncated comparison prints the differing coefficient, like an
     # exact one, not only the degree of the difference
-    module, name, defect, params = DEFECTS[suite]
-    monkeypatch.setattr(uea, "_RINGS", {})
-    monkeypatch.setattr(module, name, defect)
-    failed = [c.witness for c in run_suite(suite, params) if c.status == "fail"]
+    uea.clear_caches()
+    failed = [c.witness for c in run_suite(suite, plant(monkeypatch, suite)) if c.status == "fail"]
     assert failed and all(re.match(r"^t\^\d+: ", w) for w in failed), failed

@@ -38,6 +38,7 @@ from capelli.uea import (
     hc_polynomial,
     is_central,
     pbw_normal_form,
+    singular_vector,
     uea_ring,
 )
 from capelli.suites import run_suite
@@ -437,6 +438,7 @@ def test_central_families_match_expanded_oracle(ctx, monkeypatch):
     got = {signed: central_series(ctx, signed, 2) for signed in (True, False)}
     monkeypatch.setattr(uea, "block_expr",
                         lambda ctx, I: _expanded_matching_expr(I, ctx.family == "so"))
+    monkeypatch.setattr(ctx, "_formulas", {})  # the oracle builds its own formulas
     oracle = {signed: central_series(ctx, signed, 2) for signed in (True, False)}
     ring = uea_ring(ctx)
     for signed in (True, False):
@@ -521,13 +523,74 @@ def test_images_are_memoized_until_cleared():
     ring = dual_ring(SP2, 3)
     first = expr.evaluate(ring)
     assert FExpr(dict(expr.terms)).evaluate(ring) is first
+    vector = singular_vector((1,), 1, 1, "so", 3)
+    vectors = gamma_ring(SO3, 1)
+    assert singular_vector((1,), 1, 1, "so", 3) is vector
+    assert vectors._vectors and SP2._formulas
     uea.clear_caches()
-    assert not ring._words and not uea._RINGS
-    assert not any(ctx._nf or ctx._bracket for ctx in LieContext._cache.values())
+    assert not ring._words and not vectors._vectors and not uea._RINGS
+    assert not any(ctx._nf or ctx._bracket or ctx._formulas
+                   for ctx in LieContext._cache.values())
     fresh = dual_ring(SP2, 3)
     assert fresh is not ring
     again = expr.evaluate(fresh)
     assert again is not first and again == first
+
+
+@pytest.mark.parametrize("ctx", [SO3, SO4, SP2, SP4], ids=repr)
+def test_central_series_hands_out_the_same_formulas(ctx):
+    for signed in (True, False):
+        first = central_series(ctx, signed, 2)
+        second = central_series(ctx, signed, 2)
+        assert all(a is b for a, b in zip(first[1:], second[1:])), (ctx, signed)
+        assert central_series(ctx, signed, 1)[1] is first[1]
+
+
+def test_memoized_formulas_equal_fresh_builds():
+    # the suites read the memoized formulas; none of them may change one
+    for suite, params in (("thm-3.2", {"N": 2}), ("thm-3.3", {"N": 2}), ("thm-4.4", {"N": 2}),
+                          ("thm-5.3", {"N": 2}), ("thm-6.2", {}), ("series-inversion", {})):
+        assert all(c.status == "pass" for c in run_suite(suite, params))
+    memos = {ctx: dict(ctx._formulas) for ctx in LieContext._cache.values() if ctx._formulas}
+    assert {SO2, SO3, SO4, SP2, SP4} <= set(memos)
+    uea.clear_caches()
+    for ctx, memo in memos.items():
+        for (signed, k), x in memo.items():
+            fresh = central_series(ctx, signed, k)[k]
+            assert fresh is not x and fresh == x, (ctx, signed, k)
+
+
+def test_hc_polynomial_builds_its_image_and_each_vector_once(monkeypatch):
+    uea.clear_caches()
+    c1, c2 = (family_expr(SO4, k).evaluate(uea_ring(SO4)) for k in (1, 2))
+    calls = {"gamma": 0, "minors": 0}
+
+    def counted(name, original):
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    monkeypatch.setattr(uea, "gamma", counted("gamma", uea.gamma))
+    monkeypatch.setattr(uea, "minor_delta", counted("minors", uea.minor_delta))
+    hc_polynomial(c2, 2)
+    vectors = gamma_ring(SO4, 2)._vectors
+    built = calls["minors"]
+    assert calls["gamma"] == 1 and built and len(vectors) == 21  # the weights with parts <= 5
+    hc_polynomial(c1, 1)  # its grid, parts <= 3, lies inside the first one
+    assert calls == {"gamma": 2, "minors": built} and len(vectors) == 21
+
+
+@pytest.mark.parametrize("minor, message", [
+    (lambda p, m, N: WeylContext(m, N).poly_x(1, 1), "F\\[-1,0\\] does not annihilate"),
+    (lambda p, m, N: WeylContext(m, N).poly_x(1, -1) ** 2, "wrong weight on F\\[-1,-1\\]"),
+], ids=["not-annihilated", "wrong-weight"])
+def test_a_vector_that_fails_its_checks_is_rejected_and_not_kept(minor, message, monkeypatch):
+    monkeypatch.setattr(uea, "_RINGS", {})
+    monkeypatch.setattr(uea, "minor_delta", minor)
+    with pytest.raises(ConsistencyError, match=message):
+        singular_vector((1,), 1, 1, "so", 3)
+    assert not gamma_ring(SO3, 1)._vectors
 
 
 def test_canonical_word_counts():

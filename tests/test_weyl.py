@@ -6,6 +6,7 @@ import pytest
 
 from capelli.core import DimensionError, SymPoly
 from capelli.symfun import Partition
+from capelli.uea import singular_vector
 from capelli.weyl import (
     WeylContext,
     WeylOperator,
@@ -15,7 +16,6 @@ from capelli.weyl import (
     index_set,
     minor_delta,
     paired_blocks,
-    singular_vector,
 )
 
 
