@@ -61,8 +61,10 @@ class Partition:
         return sum(self.parts)
 
     def __eq__(self, other):
-        if not isinstance(other, Partition):
+        if isinstance(other, (tuple, list)):
             other = Partition(other)
+        elif not isinstance(other, Partition):
+            return NotImplemented
         return self.parts == other.parts
 
     def __hash__(self):

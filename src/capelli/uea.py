@@ -4,9 +4,9 @@ from it.
 Everything is computed inside U(gl_N): elements of the orthogonal and
 symplectic subalgebras are expanded through F_ij = E_ij - eps_ij E_{-j,-i}
 and normal-ordered against a single straightening engine for the E
-generators: a product of two weakly increasing words moves the letters of
-the shorter word into the longer one, one at a time, and each context
-memoizes those single-letter moves that are not already sorted.
+generators: a product u w of two weakly increasing words moves the letters
+of w into u from the right, one at a time, and each context memoizes those
+single-letter moves that are not already sorted.
 Noncommutative polynomials in the F symbols are kept as `FExpr` objects,
 and a central element is its formula: one `FExpr` (a Pfaffian, a
 Hafnian, a product of central elements), read inside
@@ -107,7 +107,6 @@ class LieContext:
             self.rho = None
             self.shift_sequence = None
         self._nf = {}
-        self._bracket = {}
         self._formulas = {}
         cls._cache[key] = self
         return self
@@ -148,33 +147,17 @@ def canonical_symbol(family, i, j):
 # -- straightening engine ----------------------------------------------------
 #
 # nf(x) is the expansion of x over the PBW basis of weakly increasing words
-# of generator ids.  Every product is built from single-letter moves, the
-# rewriting rule of Bergman's diamond lemma (Adv. Math. 29, 1978): a letter
-# passes a larger (or smaller) neighbour at the cost of their bracket.
-
-
-def _gl_bracket_ids(ctx: LieContext, g1, g2):
-    """[E_{g1}, E_{g2}] as a map generator id -> coefficient."""
-    key = (g1, g2)
-    cached = ctx._bracket.get(key)
-    if cached is not None:
-        return cached
-    i, j = ctx.gen_pair(g1)
-    k, l = ctx.gen_pair(g2)
-    out = {}
-    if j == k:
-        add_into(out, {ctx.gen_id(i, l): 1})
-    if l == i:
-        add_into(out, {ctx.gen_id(k, j): 1}, -1)
-    ctx._bracket[key] = out
-    return out
+# of generator ids.  Every product is built from single-letter moves on the
+# right, the rewriting rule of Bergman's diamond lemma (Adv. Math. 29, 1978):
+# a letter passes a larger neighbour at the cost of their bracket.
 
 
 def _times_letter(ctx: LieContext, u, g):
     """nf(u E_g) for a weakly increasing word u, by p h g = (p g) h +
-    p [h, g]: the letter moves left past the larger letters of u.  A
-    product that is already sorted is returned as it is; every other is
-    memoized on the context by (word, letter)."""
+    p [h, g] with [E_ij, E_kl] = d_jk E_il - d_li E_kj: the letter moves
+    left past the larger letters of u.  A product that is already sorted
+    is returned as it is; every other is memoized on the context by
+    (word, letter)."""
     if not u or u[-1] <= g:
         return {u + (g,): 1}
     key = (u, g)
@@ -185,56 +168,35 @@ def _times_letter(ctx: LieContext, u, g):
     out = {}
     for v, c in _times_letter(ctx, p, g).items():
         add_into(out, _times_letter(ctx, v, h), c)
-    for x, c in _gl_bracket_ids(ctx, h, g).items():
-        add_into(out, _times_letter(ctx, p, x), c)
+    (i, j), (k, l) = ctx.gen_pair(h), ctx.gen_pair(g)
+    if j == k:
+        add_into(out, _times_letter(ctx, p, ctx.gen_id(i, l)))
+    if l == i:
+        add_into(out, _times_letter(ctx, p, ctx.gen_id(k, j)), -1)
     ctx._nf[key] = out
     return out
 
 
-def _letter_times(ctx: LieContext, g, u):
-    """nf(E_g u) for a weakly increasing word u, the mirror of
-    `_times_letter`: g h s = h (g s) + [g, h] s, memoized by (letter,
-    word)."""
-    if not u or g <= u[0]:
-        return {(g,) + u: 1}
-    key = (g, u)
-    cached = ctx._nf.get(key)
-    if cached is not None:
-        return cached
-    h, s = u[0], u[1:]
-    out = {}
-    for v, c in _letter_times(ctx, g, s).items():
-        add_into(out, _letter_times(ctx, h, v), c)
-    for x, c in _gl_bracket_ids(ctx, g, h).items():
-        add_into(out, _letter_times(ctx, x, s), c)
-    ctx._nf[key] = out
-    return out
-
-
-def _insert(ctx: LieContext, terms, letters, left):
+def _insert(ctx: LieContext, terms, letters):
     """nf of the sum c * v over the (v, c) items of `terms`, a map of
-    weakly increasing words, multiplied by each of `letters` in turn: on
-    the left (the next letter goes in front) or on the right."""
+    weakly increasing words, multiplied on the right by each of `letters`
+    in turn."""
     for g in letters:
         out = {}
         for v, c in terms.items():
-            add_into(out, _letter_times(ctx, g, v) if left else _times_letter(ctx, v, g), c)
+            add_into(out, _times_letter(ctx, v, g), c)
         terms = out
     return terms
 
 
 def _word_times(ctx: LieContext, u, w):
     """nf(u w) for two weakly increasing words: their concatenation when
-    it is sorted, and otherwise the letters of the shorter word moved
-    into the longer one, one at a time.  The result may be a memoized
-    map, so callers read it and never change it."""
+    it is sorted, and otherwise the letters of w moved into u from the
+    right, one at a time.  The result may be a memoized map, so callers
+    read it and never change it."""
     if not u or not w or u[-1] <= w[0]:
         return {u + w: 1}
-    if len(u) < len(w):
-        out = _letter_times(ctx, u[-1], w)
-        return _insert(ctx, out, reversed(u[:-1]), True) if len(u) > 1 else out
-    out = _times_letter(ctx, u, w[0])
-    return _insert(ctx, out, w[1:], False) if len(w) > 1 else out
+    return _insert(ctx, _times_letter(ctx, u, w[0]), w[1:])
 
 
 class UEAElement(Sparse):
@@ -302,7 +264,7 @@ def pbw_normal_form(ctx: LieContext, pairs) -> UEAElement:
     """Normal form of an arbitrary product of E generators given as a
     sequence of (i, j) pairs."""
     word = [ctx.gen_id(i, j) for i, j in pairs]
-    return UEAElement(ctx, _insert(ctx, {(): 1}, word, False))
+    return UEAElement(ctx, _insert(ctx, {(): 1}, word))
 
 
 # -- evaluation rings ---------------------------------------------------------
@@ -460,7 +422,6 @@ def clear_caches():
     _RINGS.clear()
     for ctx in LieContext._cache.values():
         ctx._nf.clear()
-        ctx._bracket.clear()
         ctx._formulas.clear()
 
 
@@ -686,12 +647,12 @@ def _hwv_eigenvalue(ctx: LieContext, image: WeylOperator, lam) -> Scalar:
     return ratio
 
 
-def eigenvalue_on_hwv(z: UEAElement, lam, *, check_central=True) -> Scalar:
+def eigenvalue_on_hwv(z: UEAElement, lam) -> Scalar:
     """Eigenvalue of a central element on the irreducible with highest
     weight lam, read off from its action on the explicit highest-weight
-    vector in the polynomial ring with m = n rows."""
-    if check_central:
-        _require_central(z)
+    vector in the polynomial ring with m = n rows; raises
+    ConsistencyError unless z is central."""
+    _require_central(z)
     return _hwv_eigenvalue(z.ctx, gamma(z, z.ctx.n), lam)
 
 

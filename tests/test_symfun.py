@@ -45,6 +45,13 @@ def test_partition_basics():
         Partition((1, 2))
 
 
+def test_partition_equality_with_a_foreign_object_is_false():
+    mu = Partition((2, 1))
+    assert mu == (2, 1, 0) and mu == [2, 1] and mu != (2,)
+    assert mu != None and mu != 3 and mu != "21"  # noqa: E711
+    assert mu not in [None, 3] and mu in [None, (2, 1)]
+
+
 @pytest.mark.parametrize("parts", [(2.9,), (2.0,), (Fraction(2),), ("2",), (3, 1.0)])
 def test_partition_rejects_parts_that_are_not_ints(parts):
     # int() would truncate 2.9 to the partition (2,)

@@ -176,8 +176,8 @@ SHORT, LONG = (0, 1, 2), (3, 4, 5, 6)
 @pytest.mark.parametrize("left, right", [(SHORT, LONG), (LONG, SHORT), (LONG, LONG)],
                          ids=["short-long", "long-short", "long-long"])
 def test_products_match_the_first_descent_oracle(ctx, left, right):
-    # short x long moves letters in from the left, long x short from the
-    # right, and long x long either way
+    # every product moves the letters of the right operand into the left
+    # one from the right, whichever operand is longer
     rng = random.Random(10 * ctx.N + len(left) + 2 * len(right))
     memo = {}
     for _ in range(15):
@@ -232,19 +232,17 @@ def test_public_constructors_build_weakly_increasing_words(ctx):
 
 
 def test_memo_stores_only_nontrivial_insertions():
-    # a product that is already sorted is never stored; every stored key
-    # is a descent and every stored word is sorted
+    # every stored key is (sorted word, letter) with a descent at the
+    # join, so a product that is already sorted is never stored, and
+    # every stored word is sorted
     uea.clear_caches()
     x = central_series(SO4, True, 2)[2].evaluate(uea_ring(SO4))
     assert is_central(x)
-    assert len(SO4._nf) == 3705  # pinned: (word, letter) and (letter, word) entries
+    assert len(SO4._nf) == 2465  # pinned
     for key, value in SO4._nf.items():
-        if isinstance(key[1], int):  # (word, letter): the letter goes on the right
-            u, g = key
-            assert u and u[-1] > g and value != {u + (g,): 1}, key
-        else:  # (letter, word): the letter goes on the left
-            g, u = key
-            assert u and g > u[0] and value != {(g,) + u: 1}, key
+        u, g = key
+        assert type(u) is tuple and type(g) is int, key
+        assert u and u[-1] > g and value != {u + (g,): 1}, key
         assert weakly_increasing(u) and all(weakly_increasing(w) for w in value), key
     square = x * x
     uea.clear_caches()
@@ -529,7 +527,7 @@ def test_images_are_memoized_until_cleared():
     assert vectors._vectors and SP2._formulas
     uea.clear_caches()
     assert not ring._words and not vectors._vectors and not uea._RINGS
-    assert not any(ctx._nf or ctx._bracket or ctx._formulas
+    assert not any(ctx._nf or ctx._formulas
                    for ctx in LieContext._cache.values())
     fresh = dual_ring(SP2, 3)
     assert fresh is not ring
