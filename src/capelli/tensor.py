@@ -934,12 +934,13 @@ def check_symmetrizer_decompositions(N: int, m: int):
 
 def check_gl_exchange_relations(N: int, eps_family: str):
     """The three exchange relations among the plain and form-transposed
-    generator matrices of gl_N."""
-    ctx = LieContext(eps_family, N)
+    generator matrices of gl_N; `eps_family` ("so" or "sp") names the
+    sign table of the twisted R-matrix and of the transposition."""
+    ctx = LieContext("gl", N)
     space = TensorSpace(N, 2)
     u, v = SymPoly.gens(("u", "v"))
     R = tm_R(ctx, space, 1, 2, u, v)
-    Rt = tm_Rt(ctx, space, 1, 2, u, v)
+    Rt = tm_one_plus(ctx, space, twist_Q(space, 1, 2, eps_family), u + v)
     E1u = tm_E(ctx, space, 1, u)
     E2v = tm_E(ctx, space, 2, v)
     Et1 = tm_E(ctx, space, 1, -u, eps_family)

@@ -1,16 +1,20 @@
 """PBW arithmetic in enveloping algebras and the central elements built
 from it.
 
-Everything is computed inside U(gl_N): elements of the orthogonal and
-symplectic subalgebras are expanded through F_ij = E_ij - eps_ij E_{-j,-i}
-and normal-ordered against a single straightening engine for the E
-generators: a product u w of two weakly increasing words moves the letters
-of w into u from the right, one at a time, and each context memoizes those
-single-letter moves that are not already sorted.
+Each algebra is computed in its own basis: U(gl_N) in the E_ij, U(so_N)
+and U(sp_N) in the F_ij = E_ij - eps_ij E_{-j,-i}, one letter for each
+canonical spelling.  A context numbers its letters once and derives a
+fixed table of their brackets from the rule of gl_N, checked on every
+entry and on the Jacobi identity when the context is built.  One
+straightening engine reads that table for every family: a product u w
+of two weakly increasing words moves the letters of w into u from the
+right, one at a time, and each context memoizes those single-letter
+moves that are not already sorted.
+
 Noncommutative polynomials in the F symbols are kept as `FExpr` objects,
 and a central element is its formula: one `FExpr` (a Pfaffian, a
-Hafnian, a product of central elements), read inside
-U(gl_N), through the natural action on polynomials, or through the dual
+Hafnian, a product of central elements), read inside the enveloping
+algebra, through the natural action on polynomials, or through the dual
 (oscillator) action by evaluating it in `uea_ring`, `gamma_ring` or
 `dual_ring`.  Each context builds each of its central formulas once:
 `family_expr`'s C_k or D_k and `central_series`'s complementary elements
@@ -19,7 +23,8 @@ caller reads the same `FExpr`.  Each target ring is built once per
 parameter set and memoizes the image of every expression it has
 evaluated; a `gamma_ring` also keeps the highest-weight vectors that
 `singular_vector` builds on its grid for the Harish-Chandra oracle.
-`clear_caches` drops the rings and empties every context's memos.
+`clear_caches` drops the rings and empties every context's memos; the
+bracket tables stay.
 
 Since F_{-j,-i} = -eps_ij F_ij, the formulas keep one canonical spelling
 of each symbol (`canonical_symbol`).  A target ring is valid only if its
@@ -106,27 +111,34 @@ class LieContext:
         else:
             self.rho = None
             self.shift_sequence = None
+        pairs = [(i, j) for i in self.indices for j in self.indices]
+        if family != "gl":
+            # lowering (i > j), then Cartan (i = j), then raising (i < j)
+            pairs = sorted((p for p in pairs if canonical_symbol(family, *p) == (1, p)),
+                           key=lambda p: (-(p[0] > p[1]), p[0] != p[1], p))
+        self.letters = tuple(pairs)
+        self._symbol = "E" if family == "gl" else "F"
+        self._ids = {p: g for g, p in enumerate(self.letters)}
+        self._table = _bracket_table(self)
         self._nf = {}
         self._formulas = {}
         cls._cache[key] = self
         return self
 
-    def gen_id(self, i, j):
-        try:
-            return self._pos[i] * self.N + self._pos[j]
-        except KeyError as e:
-            raise DimensionError(f"index {e.args[0]} of E[{i},{j}] is not an index of "
-                                 f"{self.family}_{self.N}") from None
+    def letter(self, i, j):
+        """(c, g) with the generator (i, j) equal to c times the letter g:
+        E_ij over gl_N; over so_N and sp_N, F_ij spelled by its
+        `canonical_symbol` (c = 0 and g None for the vanishing F_{i,-i}
+        of so)."""
+        for x in (i, j):
+            if x not in self._pos:
+                raise DimensionError(f"index {x} of {self._symbol}[{i},{j}] is not an index of "
+                                     f"{self.family}_{self.N}")
+        c, pair = (1, (i, j)) if self.family == "gl" else canonical_symbol(self.family, i, j)
+        return c, self._ids.get(pair)
 
-    def gen_pair(self, gid):
-        p, q = divmod(gid, self.N)
-        return self.indices[p], self.indices[q]
-
-    def f_pairs(self):
-        """Canonical representatives (i,j) of the nonzero generators F_ij
-        under F_{-j,-i} = -eps_ij F_ij."""
-        return [(i, j) for i in self.indices for j in self.indices
-                if canonical_symbol(self.family, i, j) == (1, (i, j))]
+    def gen_pair(self, g):
+        return self.letters[g]
 
     def __repr__(self):
         return f"LieContext({self.family}_{self.N})"
@@ -144,19 +156,91 @@ def canonical_symbol(family, i, j):
     return -eps_ij(family, i, j), (-j, -i)
 
 
+# -- the bracket table --------------------------------------------------------
+
+
+def _gl_bracket(a, b):
+    """[E_a, E_b] in gl_N for index pairs a = (i, j), b = (k, l):
+    d_jk E_il - d_li E_kj, as a map from index pairs to coefficients."""
+    (i, j), (k, l) = a, b
+    out = {}
+    if j == k:
+        add_into(out, {(i, l): 1})
+    if l == i:
+        add_into(out, {(k, j): -1})
+    return out
+
+
+def _embedding(ctx: LieContext, g):
+    """The letter g of ctx in gl_N, as a map from index pairs to
+    coefficients: E_ij itself, or F_ij = E_ij - eps_ij E_{-j,-i}."""
+    i, j = ctx.letters[g]
+    out = {(i, j): 1}
+    if ctx.family != "gl":
+        add_into(out, {(-j, -i): 1}, -eps_ij(ctx.family, i, j))
+    return out
+
+
+def _bracket_table(ctx: LieContext):
+    """The structure constants {(h, g): [F_h, F_g]} for letters h > g,
+    each bracket a map from letters to coefficients, derived from
+    `_gl_bracket` through `_embedding`.  Raises ConsistencyError unless
+    each entry, mapped back into gl_N, is the gl bracket it was read from,
+    and unless the table satisfies the Jacobi identity on every triple of
+    letters."""
+    emb = [_embedding(ctx, g) for g in range(len(ctx.letters))]
+    name = [f"{ctx._symbol}[{i},{j}]" for i, j in ctx.letters]
+    table = {}
+    for g, h in itertools.combinations(range(len(emb)), 2):
+        target = {}
+        for a, x in emb[h].items():
+            for b, y in emb[g].items():
+                add_into(target, _gl_bracket(a, b), x * y)
+        entry, rebuilt = {}, {}
+        for pair, x in target.items():
+            f = ctx._ids.get(pair)
+            if f is not None:
+                entry[f] = scal(Fraction(x, emb[f][pair]))
+                add_into(rebuilt, emb[f], entry[f])
+        if rebuilt != target:
+            raise ConsistencyError(f"{ctx}: [{name[h]}, {name[g]}] is not a combination "
+                                   "of letters")
+        table[h, g] = entry
+
+    def bracket(h, x):
+        """[F_h, x] for a map x from letters to coefficients."""
+        out = {}
+        for g, c in x.items():
+            if h > g:
+                add_into(out, table[h, g], c)
+            elif h < g:
+                add_into(out, table[g, h], -c)
+        return out
+
+    for f, g, h in itertools.combinations(range(len(emb)), 3):
+        jacobi = bracket(h, table[g, f])
+        add_into(jacobi, bracket(g, table[h, f]), -1)
+        add_into(jacobi, bracket(f, table[h, g]))
+        if jacobi:
+            raise ConsistencyError(f"{ctx}: the bracket table fails the Jacobi identity on "
+                                   f"{name[h]}, {name[g]}, {name[f]}")
+    return table
+
+
 # -- straightening engine ----------------------------------------------------
 #
 # nf(x) is the expansion of x over the PBW basis of weakly increasing words
-# of generator ids.  Every product is built from single-letter moves on the
+# of letters.  Every product is built from single-letter moves on the
 # right, the rewriting rule of Bergman's diamond lemma (Adv. Math. 29, 1978):
-# a letter passes a larger neighbour at the cost of their bracket.
+# a letter passes a larger neighbour at the cost of their bracket, read
+# from the context's table.
 
 
 def _times_letter(ctx: LieContext, u, g):
-    """nf(u E_g) for a weakly increasing word u, by p h g = (p g) h +
-    p [h, g] with [E_ij, E_kl] = d_jk E_il - d_li E_kj: the letter moves
-    left past the larger letters of u.  A product that is already sorted
-    is returned as it is; every other is memoized on the context by
+    """nf(u F_g) for a weakly increasing word u, by p h g = (p g) h +
+    p [h, g] with [F_h, F_g] read from `ctx._table`: the letter moves left
+    past the larger letters of u.  A product that is already sorted is
+    returned as it is; every other is memoized on the context by
     (word, letter)."""
     if not u or u[-1] <= g:
         return {u + (g,): 1}
@@ -168,11 +252,8 @@ def _times_letter(ctx: LieContext, u, g):
     out = {}
     for v, c in _times_letter(ctx, p, g).items():
         add_into(out, _times_letter(ctx, v, h), c)
-    (i, j), (k, l) = ctx.gen_pair(h), ctx.gen_pair(g)
-    if j == k:
-        add_into(out, _times_letter(ctx, p, ctx.gen_id(i, l)))
-    if l == i:
-        add_into(out, _times_letter(ctx, p, ctx.gen_id(k, j)), -1)
+    for f, c in ctx._table[h, g].items():
+        add_into(out, _times_letter(ctx, p, f), c)
     ctx._nf[key] = out
     return out
 
@@ -180,8 +261,14 @@ def _times_letter(ctx: LieContext, u, g):
 def _insert(ctx: LieContext, terms, letters):
     """nf of the sum c * v over the (v, c) items of `terms`, a map of
     weakly increasing words, multiplied on the right by each of `letters`
-    in turn."""
+    in turn.  A single word with coefficient 1 is passed to
+    `_times_letter` as it is, so the result may be a memoized map."""
     for g in letters:
+        if len(terms) == 1:
+            [(v, c)] = terms.items()
+            if c == 1:
+                terms = _times_letter(ctx, v, g)
+                continue
         out = {}
         for v, c in terms.items():
             add_into(out, _times_letter(ctx, v, g), c)
@@ -200,8 +287,9 @@ def _word_times(ctx: LieContext, u, w):
 
 
 class UEAElement(Sparse):
-    """Element of U(gl_N) in PBW normal form: a sparse map from weakly
-    increasing generator-id words to exact scalars."""
+    """Element of U(gl_N), U(so_N) or U(sp_N) in PBW normal form: a
+    sparse map from weakly increasing words of the context's letters to
+    exact scalars."""
 
     __slots__ = ("ctx", "terms")
 
@@ -219,15 +307,18 @@ class UEAElement(Sparse):
 
     @classmethod
     def E(cls, ctx, i, j):
-        return cls(ctx, {(ctx.gen_id(i, j),): 1})
+        """E_ij of gl_N."""
+        if ctx.family != "gl":
+            raise DimensionError(f"E[{i},{j}] is not an element of {ctx.family}_{ctx.N}, "
+                                 "whose generators are F")
+        return cls.F(ctx, i, j)
 
     @classmethod
     def F(cls, ctx, i, j):
-        """F_ij = E_ij - eps_ij E_{-j,-i} (zero for so when j = -i)."""
-        if ctx.family == "gl":
-            return cls.E(ctx, i, j)
-        terms = {(ctx.gen_id(i, j),): 1}
-        return cls(ctx, add_into(terms, {(ctx.gen_id(-j, -i),): 1}, -eps_ij(ctx.family, i, j)))
+        """F_ij: E_ij over gl_N; over so_N and sp_N one letter times the
+        sign of `canonical_symbol` (zero for so's F_{i,-i})."""
+        c, g = ctx.letter(i, j)
+        return cls(ctx, {(g,): c})
 
     # -- arithmetic ------------------------------------------------------
 
@@ -257,14 +348,19 @@ class UEAElement(Sparse):
     # -- display -----------------------------------------------------------
 
     def _render(self, w):
-        return "*".join("E[%d,%d]" % self.ctx.gen_pair(g) for g in w) or "1"
+        return "*".join(f"{self.ctx._symbol}[{i},{j}]"
+                        for i, j in map(self.ctx.gen_pair, w)) or "1"
 
 
 def pbw_normal_form(ctx: LieContext, pairs) -> UEAElement:
-    """Normal form of an arbitrary product of E generators given as a
-    sequence of (i, j) pairs."""
-    word = [ctx.gen_id(i, j) for i, j in pairs]
-    return UEAElement(ctx, _insert(ctx, {(): 1}, word))
+    """Normal form of an arbitrary product of the algebra's generators,
+    E_ij over gl_N and F_ij over so_N and sp_N, given as a sequence of
+    (i, j) pairs in any spelling."""
+    letters = [ctx.letter(i, j) for i, j in pairs]
+    sign = math.prod(c for c, _ in letters)
+    if not sign:
+        return UEAElement.zero(ctx)
+    return UEAElement(ctx, _insert(ctx, {(): 1}, [g for _, g in letters])) * sign
 
 
 # -- evaluation rings ---------------------------------------------------------
@@ -341,8 +437,8 @@ class _TargetRing:
 
 
 class UEARing(_TargetRing):
-    """Target ring U(gl_N), with generator symbols read as E (gl) or
-    F (so/sp) elements."""
+    """Target ring U(g) of the context's own algebra: a symbol (i, j) is
+    read as E_ij (gl) or F_ij (so/sp)."""
 
     def scalar(self, c):
         return UEAElement.scalar(self.ctx, c)
@@ -581,8 +677,8 @@ def family_expr(ctx: LieContext, k: int) -> FExpr:
 
 def gamma(x: UEAElement, m: int) -> WeylOperator:
     """Natural action on the polynomial ring, extended from the generator
-    images over the PBW words."""
-    ring = gamma_ring(LieContext("gl", x.ctx.N), m)
+    images of `gamma_ring(x.ctx, m)` over the PBW words."""
+    ring = gamma_ring(x.ctx, m)
     return ring.image({tuple(x.ctx.gen_pair(g) for g in w): c for w, c in x.terms.items()})
 
 
@@ -590,11 +686,7 @@ def gamma(x: UEAElement, m: int) -> WeylOperator:
 
 
 def is_central(x: UEAElement) -> bool:
-    ctx = x.ctx
-    gens = (ctx.f_pairs() if ctx.family != "gl"
-            else [(i, j) for i in ctx.indices for j in ctx.indices])
-    make = UEAElement.F if ctx.family != "gl" else UEAElement.E
-    return all(x.bracket(make(ctx, i, j)).is_zero() for i, j in gens)
+    return all(x.bracket(UEAElement.F(x.ctx, *pair)).is_zero() for pair in x.ctx.letters)
 
 
 def singular_vector(lam, m: int, n: int, family: str, N: int) -> SymPoly:

@@ -290,7 +290,7 @@ def check_trace_invariance(ctx, m, signed):
     coefficient in u."""
     tr = projected_trace(fused_F(ctx, m, signed, 0), signed)
     for c in ent_to_ucoeffs(ctx, tr):
-        for pair in ctx.f_pairs():
+        for pair in ctx.letters:
             if not c.bracket(UEAElement.F(ctx, *pair)).is_zero():
                 return f"coefficient fails to commute with F[{pair[0]},{pair[1]}]"
     return None

@@ -41,9 +41,10 @@ from capelli.uea import (
     singular_vector,
     uea_ring,
 )
-from capelli.suites import run_suite
-from capelli.tensor import ent_mul
-from capelli.weyl import WeylContext, WeylOperator, sgn
+from capelli import tensor
+from capelli.suites import SUITES, run_suite
+from capelli.tensor import ent_mul, fusion_capelli
+from capelli.weyl import WeylContext, WeylOperator, eps_ij, sgn
 
 
 GL2 = LieContext("gl", 2)
@@ -77,7 +78,7 @@ def test_bracket_gl():
 def test_pbw_sorted_word_fixed():
     w = pbw_normal_form(GL2, [(-1, -1), (1, 1)])
     assert w == E(GL2, -1, -1) * E(GL2, 1, 1)
-    assert list(w.terms) == [(GL2.gen_id(-1, -1), GL2.gen_id(1, 1))]
+    assert list(w.terms) == [(GL2.letter(-1, -1)[1], GL2.letter(1, 1)[1])]
 
 
 def test_pbw_one_straightening_step():
@@ -105,37 +106,58 @@ def test_a_generator_outside_the_index_set_is_a_dimension_error():
         pbw_normal_form(GL2, [(5, 1)])
     with pytest.raises(DimensionError, match=r"^index 0 of E\[0,1\] is not an index of gl_2$"):
         E(GL2, 0, 1)
-    with pytest.raises(DimensionError, match=r"^index 3 of E\[1,3\] is not an index of so_4$"):
+    with pytest.raises(DimensionError, match=r"^index 3 of F\[1,3\] is not an index of so_4$"):
         F(SO4, 1, 3)
+    with pytest.raises(DimensionError, match=r"^index 3 of F\[3,1\] is not an index of sp_4$"):
+        pbw_normal_form(SP4, [(1, 1), (3, 1)])
+
+
+def test_so_and_sp_have_no_e_generators():
+    with pytest.raises(DimensionError, match=r"^E\[1,1\] is not an element of so_4"):
+        E(SO4, 1, 1)
+    with pytest.raises(DimensionError, match=r"^E\[-1,2\] is not an element of sp_4"):
+        E(SP4, -1, 2)
+
+
+@pytest.mark.parametrize("ctx", [SO3, SP4], ids=repr)
+def test_normal_forms_accept_every_spelling_of_a_generator(ctx):
+    # F_{-j,-i} = -eps_ij F_ij, so a word may spell each letter either way
+    pairs = [(i, j) for i in ctx.indices for j in ctx.indices]
+    for a, b in itertools.product(pairs, repeat=2):
+        c, pair = canonical_symbol(ctx.family, *a)
+        d, other = canonical_symbol(ctx.family, *b)
+        got = pbw_normal_form(ctx, [a, b])
+        assert got == c * d * pbw_normal_form(ctx, [pair, other]), (a, b)
+        assert got == F(ctx, *a) * F(ctx, *b), (a, b)
+    assert pbw_normal_form(ctx, [(1, -1)]).is_zero() == (ctx.family == "so")
+    assert pbw_normal_form(ctx, [(-1, 1), (1, 1), (1, -1)]).is_zero() == (ctx.family == "so")
 
 
 # -- letter insertion against the first-descent oracle -------------------------
 
 
 def first_descent_normal_form(ctx, word, memo):
-    """Reference straightening of an arbitrary word of generator ids:
-    swap its first descent, add the bracket of the swapped pair,
-    [E_ij, E_kl] = d_jk E_il - d_li E_kj, and recurse; memoized in `memo`,
-    not on the context."""
+    """Reference straightening of an arbitrary word of letters: swap its
+    first descent h > g, add the bracket [F_h, F_g] of the swapped pair
+    from the context's table, and recurse; memoized in `memo`, not on the
+    context."""
     if word in memo:
         return memo[word]
     t = next((t for t in range(len(word) - 1) if word[t] > word[t + 1]), None)
     if t is None:
         memo[word] = {word: 1}
         return memo[word]
-    (i, j), (k, l) = ctx.gen_pair(word[t]), ctx.gen_pair(word[t + 1])
+    h, g = word[t], word[t + 1]
     head, tail = word[:t], word[t + 2:]
-    out = dict(first_descent_normal_form(ctx, head + (word[t + 1], word[t]) + tail, memo))
-    for holds, pair, c in ((j == k, (i, l), 1), (l == i, (k, j), -1)):
-        if holds:
-            word_with_bracket = head + (ctx.gen_id(*pair),) + tail
-            add_into(out, first_descent_normal_form(ctx, word_with_bracket, memo), c)
+    out = dict(first_descent_normal_form(ctx, head + (g, h) + tail, memo))
+    for f, c in ctx._table[h, g].items():
+        add_into(out, first_descent_normal_form(ctx, head + (f,) + tail, memo), c)
     memo[word] = out
     return out
 
 
 def random_word(rng, ctx, length):
-    return tuple(rng.randrange(ctx.N ** 2) for _ in range(length))
+    return tuple(rng.randrange(len(ctx.letters)) for _ in range(length))
 
 
 def random_sorted_terms(rng, ctx, lengths):
@@ -154,7 +176,7 @@ def oracle_product(ctx, a, b, memo):
     return out
 
 
-ALGEBRAS = [GL2, GL3, GL4]
+ALGEBRAS = [GL2, GL3, GL4, SO3, SO4, SP4]
 
 
 @pytest.mark.parametrize("ctx", ALGEBRAS, ids=repr)
@@ -222,7 +244,9 @@ def test_public_constructors_build_weakly_increasing_words(ctx):
     elements = [UEAElement.one(ctx), UEAElement.scalar(ctx, 3), UEAElement.zero(ctx)]
     for i in ctx.indices:
         for j in ctx.indices:
-            elements += [E(ctx, i, j), F(ctx, i, j)]
+            elements.append(F(ctx, i, j))
+            if ctx.family == "gl":
+                elements.append(E(ctx, i, j))
     top, bottom = ctx.indices[-1], ctx.indices[0]
     elements.append(pbw_normal_form(ctx, [(top, bottom), (bottom, top)]))
     if ctx.family == "gl":
@@ -238,7 +262,7 @@ def test_memo_stores_only_nontrivial_insertions():
     uea.clear_caches()
     x = central_series(SO4, True, 2)[2].evaluate(uea_ring(SO4))
     assert is_central(x)
-    assert len(SO4._nf) == 2465  # pinned
+    assert len(SO4._nf) == 149  # pinned
     for key, value in SO4._nf.items():
         u, g = key
         assert type(u) is tuple and type(g) is int, key
@@ -251,59 +275,167 @@ def test_memo_stores_only_nontrivial_insertions():
     assert fresh == x and fresh * fresh == square
 
 
-def generator_bracket(ctx: LieContext, pair1, pair2):
-    """Bracket of two subalgebra generators, with its re-expression over
-    the canonical F basis (asserted exact).
+def _gl_embedding_ring(ctx):
+    """U(gl_N) as a target ring of so_N or sp_N: the symbol (i, j) is read
+    as E_ij - eps_ij E_{-j,-i}.  One ring per context, kept in
+    `_GL_RINGS`; it is not one of the library's rings, so `clear_caches`
+    leaves it."""
+    if ctx not in _GL_RINGS:
+        gl = LieContext("gl", ctx.N)
 
-    Returns (element, combination) where combination maps canonical
-    pairs to coefficients; for gl the combination is over E pairs.
-    """
-    if ctx.family == "gl":
-        elem = UEAElement.E(ctx, *pair1).bracket(UEAElement.E(ctx, *pair2))
-        combo = {ctx.gen_pair(w[0]): c for w, c in elem.terms.items()}
-        return elem, combo
-    elem = UEAElement.F(ctx, *pair1).bracket(UEAElement.F(ctx, *pair2))
-    return elem, as_f_combination(elem)
+        class GlEmbedding(uea._TargetRing):
+            def scalar(self, c):
+                return UEAElement.scalar(gl, c)
 
+            def _gen_image(self, i, j):
+                return E(gl, i, j) - eps_ij(ctx.family, i, j) * E(gl, -j, -i)
 
-def as_f_combination(elem: UEAElement):
-    """Write a degree-one element of the subalgebra over the canonical F
-    basis; raises ConsistencyError if the element is not in the span."""
-    ctx = elem.ctx
-    if any(len(w) != 1 for w in elem.terms):
-        raise ConsistencyError("not a Lie-algebra element")
-    combo = {}
-    residue = dict(elem.terms)
-    for (i, j) in ctx.f_pairs():
-        c = residue.get((ctx.gen_id(i, j),), Fraction(0))
-        if j == -i and ctx.family == "sp":
-            c = Fraction(c, 2)
-        if c == 0:
-            continue
-        combo[(i, j)] = c
-        add_into(residue, UEAElement.F(ctx, i, j).terms, -c)
-    if residue:
-        residue = {ctx.gen_pair(w[0]): c for w, c in residue.items()}
-        raise ConsistencyError(f"element is not in the F-span: residue {residue}")
-    return combo
+        _GL_RINGS[ctx] = GlEmbedding(ctx)
+    return _GL_RINGS[ctx]
 
 
-def test_generator_bracket_so3_reexpression():
-    # F_{0,1} = -F_{-1,0}, so this bracket is zero; both it and a genuinely
-    # nonzero one must re-express exactly over the canonical basis
-    for p1, p2 in (((-1, 0), (0, 1)), ((-1, 0), (0, -1))):
-        elem, combo = generator_bracket(SO3, p1, p2)
-        rebuilt = UEAElement.zero(SO3)
-        for pair, c in combo.items():
-            rebuilt = rebuilt + c * F(SO3, *pair)
-        assert rebuilt == elem
-    elem, _ = generator_bracket(SO3, (-1, 0), (0, -1))
-    assert elem == F(SO3, -1, -1)
+_GL_RINGS = {}
 
 
-def test_as_f_combination_rejects_outside_span():
-    with pytest.raises(ConsistencyError):
-        as_f_combination(E(SO3, -1, 1))  # F_{-1,1} vanishes in so_3
+def gl_image(x):
+    """The image in U(gl_N) of an element of U(so_N) or U(sp_N), word by
+    word through F_ij = E_ij - eps_ij E_{-j,-i}: the test oracle for the
+    straightening in the F basis."""
+    return _gl_embedding_ring(x.ctx).image({tuple(map(x.ctx.gen_pair, w)): c
+                                            for w, c in x.terms.items()})
+
+
+@pytest.mark.parametrize("ctx", [SO2, SO3, SO4, SP2, SP4], ids=repr)
+def test_bracket_table_rebuilds_the_gl_brackets(ctx):
+    # each entry, read in U(gl_N), is the bracket of the two embedded
+    # letters there, and [F_h, F_g] is the table's entry
+    letters = [UEAElement(ctx, {(g,): 1}) for g in range(len(ctx.letters))]
+    assert [x.terms for x in letters] == [F(ctx, *pair).terms for pair in ctx.letters]
+    for h, g in itertools.permutations(range(len(letters)), 2):
+        entry = ctx._table[max(h, g), min(h, g)]
+        rebuilt = combine(((c if h > g else -c, letters[f]) for f, c in entry.items()),
+                          UEAElement.zero(ctx))
+        assert letters[h].bracket(letters[g]) == rebuilt
+        assert gl_image(rebuilt) == gl_image(letters[h]).bracket(gl_image(letters[g])), (h, g)
+
+
+def test_so3_brackets_reexpress_over_the_letters():
+    # F_{0,1} = -F_{-1,0}, so this bracket is zero; [F_{-1,0}, F_{0,-1}]
+    # is the Cartan letter F_{-1,-1}
+    assert F(SO3, -1, 0).bracket(F(SO3, 0, 1)).is_zero()
+    assert F(SO3, -1, 0).bracket(F(SO3, 0, -1)) == F(SO3, -1, -1)
+
+
+@pytest.fixture
+def fresh_context_key():
+    """The key ("so", 5) of the context cache, vacated for the test and
+    restored after it."""
+    key = ("so", 5)
+    saved = LieContext._cache.pop(key, None)
+    yield key
+    LieContext._cache.pop(key, None)
+    if saved is not None:
+        LieContext._cache[key] = saved
+
+
+def test_bracket_table_rejects_a_bracket_outside_the_letters(fresh_context_key, monkeypatch):
+    # a gl rule that drops the first term of every bracket with E_12 on
+    # the left gives [F_{-2,-1}, F_{-1,-2}] outside the span of the letters
+    rule = uea._gl_bracket
+
+    def broken(a, b):
+        out = rule(a, b)
+        if a == (1, 2):
+            out.pop((1, b[1]), None)
+        return out
+
+    monkeypatch.setattr(uea, "_gl_bracket", broken)
+    with pytest.raises(ConsistencyError, match=r"^LieContext\(so_5\): \[F\[-2,-1\], "
+                                               r"F\[-1,-2\]\] is not a combination of letters$"):
+        LieContext(*fresh_context_key)
+    assert fresh_context_key not in LieContext._cache
+
+
+def test_bracket_table_rejects_a_table_that_breaks_jacobi(fresh_context_key, monkeypatch):
+    # doubling both gl brackets behind [F_{-2,-1}, F_{-1,-1}] keeps that
+    # entry inside the span of the letters (it becomes 2 F_{-2,-1}) but
+    # breaks the Jacobi identity
+    rule = uea._gl_bracket
+    doubled = {((-2, -1), (-1, -1)), ((1, 2), (1, 1))}
+
+    def broken(a, b):
+        out = rule(a, b)
+        return {k: 2 * c for k, c in out.items()} if (a, b) in doubled else out
+
+    monkeypatch.setattr(uea, "_gl_bracket", broken)
+    with pytest.raises(ConsistencyError, match=r"^LieContext\(so_5\): the bracket table fails "
+                                               r"the Jacobi identity on F\[-2,-1\], "):
+        LieContext(*fresh_context_key)
+    assert fresh_context_key not in LieContext._cache
+    monkeypatch.setattr(uea, "_gl_bracket", rule)
+    assert LieContext(*fresh_context_key)._table
+
+
+def test_clear_caches_keeps_the_bracket_tables():
+    x = central_series(SP4, False, 1)[1].evaluate(uea_ring(SP4))
+    square = x * x
+    table = SP4._table
+    assert SP4._nf
+    uea.clear_caches()
+    assert not SP4._nf and SP4._table is table and table
+    fresh = central_series(SP4, False, 1)[1].evaluate(uea_ring(SP4))
+    assert fresh == x and fresh * fresh == square
+
+
+def test_every_product_the_suites_straighten_matches_the_gl_embedding(monkeypatch):
+    # every suite at its default domain (the fused columns and rows of
+    # thm-3.2/3.3 among them, at N = 2, 3); each product u w of two sorted
+    # words that is straightened over so_N or sp_N, mapped into U(gl_N),
+    # is the product of the mapped words there
+    uea.clear_caches()
+    seen = {}
+
+    def recording(ctx, u, w, _word_times=uea._word_times):
+        out = _word_times(ctx, u, w)
+        if ctx.family != "gl":
+            seen.setdefault((ctx, u, w), UEAElement(ctx, out))
+        return out
+
+    monkeypatch.setattr(uea, "_word_times", recording)
+    monkeypatch.setattr(tensor, "_word_times", recording)
+    for name in SUITES:
+        assert all(c.status == "pass" for c in run_suite(name, {})), name
+    assert {ctx.family for ctx, _, _ in seen} == {"so", "sp"} and len(seen) > 1000
+    for (ctx, u, w), out in seen.items():
+        product = gl_image(UEAElement(ctx, {u: 1})) * gl_image(UEAElement(ctx, {w: 1}))
+        assert gl_image(out) == product, (ctx, u, w)
+
+
+@pytest.mark.parametrize("ctx, signed, k", [
+    (SO2, True, 1), (SO3, True, 1), (SO3, True, 2), (SO3, False, 2), (SP2, False, 2),
+    (SP4, False, 1), (SP4, True, 2), (SP4, False, 3)],
+    ids=lambda x: repr(x) if isinstance(x, LieContext) else None)
+def test_elements_match_their_gl_embedding(ctx, signed, k):
+    # the formula read in the F basis and mapped into U(gl_N) is the
+    # formula read in U(gl_N) through F_ij = E_ij - eps_ij E_{-j,-i}, and
+    # its natural action is that of its image under the gl_N action (on
+    # one row only for k = 3, whose two-row images take a second each)
+    expr = central_series(ctx, signed, k)[k]
+    x = expr.evaluate(uea_ring(ctx))
+    image = gl_image(x)
+    assert image == expr.evaluate(_gl_embedding_ring(ctx))
+    words = {tuple(map(image.ctx.gen_pair, w)): c for w, c in image.terms.items()}
+    for m in (1,) if k == 3 else (1, 2):
+        assert gamma(x, m) == gamma_ring(image.ctx, m).image(words)
+
+
+@pytest.mark.parametrize("ctx", [SO2, SO3, SP2], ids=repr)
+@pytest.mark.parametrize("signed", [True, False])
+@pytest.mark.parametrize("k", [1, 2])
+def test_fused_elements_match_their_gl_embedding(ctx, signed, k):
+    fused = fusion_capelli(ctx, k, signed)
+    expected = central_series(ctx, signed, k)[k].evaluate(_gl_embedding_ring(ctx))
+    assert gl_image(fused) == expected
 
 
 def test_f_vanishes_for_so_self_pair():
@@ -481,8 +613,7 @@ def test_evaluation_over_one_denominator_matches_fraction_oracle(ctx):
             x = expr.evaluate(uea_ring(ctx))
             words = {tuple(ctx.gen_pair(g) for g in w): c for w, c in x.terms.items()}
             for m in (1, 2):
-                ring = gamma_ring(LieContext("gl", ctx.N), m)
-                assert gamma(x, m).terms == _fraction_image(ring, words)
+                assert gamma(x, m).terms == _fraction_image(gamma_ring(ctx, m), words)
     assert fractional or ctx.n == 1  # at rank 1, C_1 and D_1, D_2 are integral
 
 
@@ -786,12 +917,13 @@ def check_dual_bracket_compatibility(dual_ctx: LieContext, N: int):
     """The dual generator images satisfy the structure relations of the
     commutant algebra: [g'(X), g'(Y)] = g'([X, Y]) on all generators."""
     ring = dual_ring(dual_ctx, N)
-    pairs = dual_ctx.f_pairs()
+    pairs = dual_ctx.letters
     for p1 in pairs:
         for p2 in pairs:
             lhs = ring.f_gen(*p1).bracket(ring.f_gen(*p2))
-            _, combo = generator_bracket(dual_ctx, p1, p2)
-            rhs = combine(((c, ring.f_gen(*pair)) for pair, c in combo.items()),
+            bracket = UEAElement.F(dual_ctx, *p1).bracket(UEAElement.F(dual_ctx, *p2))
+            rhs = combine(((c, ring.f_gen(*dual_ctx.gen_pair(g)))
+                           for (g,), c in bracket.terms.items()),
                           WeylOperator.zero(ring.wctx))
             if not lhs == rhs:
                 raise ConsistencyError(f"dual bracket mismatch on {p1}, {p2}")
