@@ -797,7 +797,7 @@ def eigenvalue_check_gl(nu, h_coeffs):
     def pi_word(word):
         acc = smat_identity(space.size)
         for gid in word:
-            acc = smat_mul(acc, slot_action(space, *ctx.gen_pair(gid), range(1, s + 1)))
+            acc = smat_mul(acc, slot_action(space, *ctx.letters[gid], range(1, s + 1)))
         return acc
 
     proj = symmetrizer(space, signed=len(nu) > 1)

@@ -11,18 +11,17 @@ of two weakly increasing words moves the letters of w into u from the
 right, one at a time, and each context memoizes those single-letter
 moves that are not already sorted.
 
-Noncommutative polynomials in the F symbols are kept as `FExpr` objects,
-and a central element is its formula: one `FExpr` (a Pfaffian, a
-Hafnian, a product of central elements), read inside the enveloping
-algebra, through the natural action on polynomials, or through the dual
-(oscillator) action by evaluating it in `uea_ring`, `gamma_ring` or
-`dual_ring`.  Each context builds each of its central formulas once:
-`family_expr`'s C_k or D_k and `central_series`'s complementary elements
-share one formula memo per context, keyed by (signed, k), so every
-caller reads the same `FExpr`.  Each target ring is built once per
-parameter set and memoizes the image of every expression it has
-evaluated; a `gamma_ring` also keeps the highest-weight vectors that
-`singular_vector` builds on its grid for the Harish-Chandra oracle.
+A central element is its formula: one `FExpr`, a noncommutative
+polynomial in the F symbols (a Pfaffian, a Hafnian, a product of central
+elements), read in the enveloping algebra, under the natural action on
+polynomials or under the dual (oscillator) action by evaluating it in
+`uea_ring`, `gamma_ring` or `dual_ring`.  Both actions are homomorphisms
+of U(g), so a Weyl ring reads the formula's normal form from `uea_ring`,
+as `gamma` reads any element: each formula is straightened once.  Each
+context builds each central formula once, in a formula memo keyed by
+(signed, k).  Each target ring is built once per parameter set and
+memoizes every image it has read; a `gamma_ring` also keeps the
+highest-weight vectors that `singular_vector` builds on its grid.
 `clear_caches` drops the rings and empties every context's memos; the
 bracket tables stay.
 
@@ -136,9 +135,6 @@ class LieContext:
                                      f"{self.family}_{self.N}")
         c, pair = (1, (i, j)) if self.family == "gl" else canonical_symbol(self.family, i, j)
         return c, self._ids.get(pair)
-
-    def gen_pair(self, g):
-        return self.letters[g]
 
     def __repr__(self):
         return f"LieContext({self.family}_{self.N})"
@@ -261,14 +257,8 @@ def _times_letter(ctx: LieContext, u, g):
 def _insert(ctx: LieContext, terms, letters):
     """nf of the sum c * v over the (v, c) items of `terms`, a map of
     weakly increasing words, multiplied on the right by each of `letters`
-    in turn.  A single word with coefficient 1 is passed to
-    `_times_letter` as it is, so the result may be a memoized map."""
+    in turn."""
     for g in letters:
-        if len(terms) == 1:
-            [(v, c)] = terms.items()
-            if c == 1:
-                terms = _times_letter(ctx, v, g)
-                continue
         out = {}
         for v, c in terms.items():
             add_into(out, _times_letter(ctx, v, g), c)
@@ -349,7 +339,7 @@ class UEAElement(Sparse):
 
     def _render(self, w):
         return "*".join(f"{self.ctx._symbol}[{i},{j}]"
-                        for i, j in map(self.ctx.gen_pair, w)) or "1"
+                        for i, j in (self.ctx.letters[g] for g in w)) or "1"
 
 
 def pbw_normal_form(ctx: LieContext, pairs) -> UEAElement:
@@ -383,14 +373,14 @@ def check_symbol_symmetry(ring):
 
 
 class _TargetRing:
-    """A ring an FExpr is evaluated in: the generator images
-    f_gen(i, j), each built once, and the images of whole expressions,
-    memoized in `_words` by their frozen term set until `clear_caches`
-    (`perfbench` reads the memo's size under that name).  An image is
+    """A ring U(g) maps to: the generator images f_gen(i, j), each built
+    once, and the images of sums of words, memoized in `_words` by their
+    frozen term set until `clear_caches` (`perfbench` reads the memo's
+    size under that name).  U(g) reads a formula's own words; a Weyl ring
+    reads PBW normal forms, through `_read_normal_form`.  An image is
     shared by every caller that asks for it, so callers never change its
-    terms.  Subclasses supply `scalar` and `_gen_image`.
-    Construction checks the symbol symmetry the canonical words rely
-    on."""
+    terms.  Subclasses supply `scalar` and `_gen_image`.  Construction
+    checks the symbol symmetry the canonical words rely on."""
 
     def __init__(self, ctx: LieContext):
         self.ctx = ctx
@@ -523,8 +513,8 @@ def clear_caches():
 
 class FExpr(Sparse):
     """Noncommutative polynomial in the generator symbols (i, j): a map
-    from words of pairs to scalars.  Evaluating in a ring sends the
-    symbol (i, j) to ring.f_gen(i, j) and extends multiplicatively.
+    from words of pairs to scalars, read in U(g) and, through its normal
+    form there, in the Weyl rings.
 
     The so/sp builders spell every symbol by its `canonical_symbol`
     representative, one of (i, j) and (-j, -i), so each word appears
@@ -562,7 +552,11 @@ class FExpr(Sparse):
     __rmul__ = __mul__
 
     def evaluate(self, ring):
-        return ring.image(self.terms)
+        """The image in `ring`: in U(g) the normal form of the words, in
+        any other ring that normal form read by `_read_normal_form`."""
+        if isinstance(ring, UEARing):
+            return ring.image(self.terms)
+        return _read_normal_form(ring, uea_ring(ring.ctx).image(self.terms))
 
     def _render(self, word):
         return "*".join(f"F[{i},{j}]" for i, j in word) or "1"
@@ -675,11 +669,15 @@ def family_expr(ctx: LieContext, k: int) -> FExpr:
     return out
 
 
+def _read_normal_form(ring, x: UEAElement):
+    """The image of x in a ring of its context: Horner over the PBW words
+    of x, each letter sent to its generator image."""
+    return ring.image({tuple(x.ctx.letters[g] for g in w): c for w, c in x.terms.items()})
+
+
 def gamma(x: UEAElement, m: int) -> WeylOperator:
-    """Natural action on the polynomial ring, extended from the generator
-    images of `gamma_ring(x.ctx, m)` over the PBW words."""
-    ring = gamma_ring(x.ctx, m)
-    return ring.image({tuple(x.ctx.gen_pair(g) for g in w): c for w, c in x.terms.items()})
+    """Natural action on the polynomial ring: x read in `gamma_ring(x.ctx, m)`."""
+    return _read_normal_form(gamma_ring(x.ctx, m), x)
 
 
 # -- eigenvalues and the Harish-Chandra oracle -------------------------------
@@ -864,9 +862,9 @@ def hc_target(ctx: LieContext, signed: bool, k: int) -> SymPoly:
 def central_series(ctx: LieContext, signed: bool, K: int) -> tuple[FExpr, ...]:
     """The formulas (X_0, X_1, ..., X_K) of the first K coefficients of
     the signed family C (zero past the rank) or the unsigned family D,
-    with X_0 = 1.  Each is read in a target ring by
-    `X.evaluate(uea_ring(ctx))`, `gamma_ring(ctx, m)` or
-    `dual_ring(ctx, N)`, whose memo holds the image.
+    with X_0 = 1.  Each is read by `X.evaluate(uea_ring(ctx))`, whose
+    memo keeps the normal form that `gamma_ring(ctx, m)` and
+    `dual_ring(ctx, N)` read.
 
     The native constructions are the Pfaffian sums (signed family over
     so_N) and the Hafnian sums (unsigned family over sp_N).  The

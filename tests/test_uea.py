@@ -186,7 +186,7 @@ def test_unsorted_words_match_the_first_descent_oracle(ctx):
     for length in range(7):
         for _ in range(12):
             word = random_word(rng, ctx, length)
-            got = pbw_normal_form(ctx, [ctx.gen_pair(g) for g in word])
+            got = pbw_normal_form(ctx, [ctx.letters[g] for g in word])
             expected = UEAElement(ctx, first_descent_normal_form(ctx, word, memo))
             assert got == expected, (word, got.first_difference(expected))
 
@@ -301,7 +301,7 @@ def gl_image(x):
     """The image in U(gl_N) of an element of U(so_N) or U(sp_N), word by
     word through F_ij = E_ij - eps_ij E_{-j,-i}: the test oracle for the
     straightening in the F basis."""
-    return _gl_embedding_ring(x.ctx).image({tuple(map(x.ctx.gen_pair, w)): c
+    return _gl_embedding_ring(x.ctx).image({tuple(x.ctx.letters[g] for g in w): c
                                             for w, c in x.terms.items()})
 
 
@@ -419,12 +419,13 @@ def test_elements_match_their_gl_embedding(ctx, signed, k):
     # the formula read in the F basis and mapped into U(gl_N) is the
     # formula read in U(gl_N) through F_ij = E_ij - eps_ij E_{-j,-i}, and
     # its natural action is that of its image under the gl_N action (on
-    # one row only for k = 3, whose two-row images take a second each)
+    # one row only for k = 3, whose two-row images take a second each);
+    # the oracle reads the formula's own words in U(gl_N)
     expr = central_series(ctx, signed, k)[k]
     x = expr.evaluate(uea_ring(ctx))
     image = gl_image(x)
-    assert image == expr.evaluate(_gl_embedding_ring(ctx))
-    words = {tuple(map(image.ctx.gen_pair, w)): c for w, c in image.terms.items()}
+    assert image == _gl_embedding_ring(ctx).image(expr.terms)
+    words = {tuple(image.ctx.letters[g] for g in w): c for w, c in image.terms.items()}
     for m in (1,) if k == 3 else (1, 2):
         assert gamma(x, m) == gamma_ring(image.ctx, m).image(words)
 
@@ -434,7 +435,7 @@ def test_elements_match_their_gl_embedding(ctx, signed, k):
 @pytest.mark.parametrize("k", [1, 2])
 def test_fused_elements_match_their_gl_embedding(ctx, signed, k):
     fused = fusion_capelli(ctx, k, signed)
-    expected = central_series(ctx, signed, k)[k].evaluate(_gl_embedding_ring(ctx))
+    expected = _gl_embedding_ring(ctx).image(central_series(ctx, signed, k)[k].terms)
     assert gl_image(fused) == expected
 
 
@@ -552,28 +553,32 @@ def _oracle_rings(ctx):
 
 @pytest.mark.parametrize("ctx", [SO3, SO4, SP2, SP4], ids=repr)
 def test_canonical_words_match_expanded_oracle(ctx):
+    # the library reads each canonical formula through its normal form in
+    # U(g); the oracle reads the expanded words themselves in each ring
     signed = ctx.family == "so"
     exprs = [(block_expr(ctx, I), _expanded_matching_expr(I, signed))
              for k in (1, 2) for I in increasing(ctx.indices, 2 * k, signed)]
     for ring in _oracle_rings(ctx):
         for got, oracle in exprs:
             assert len(got.terms) <= len(oracle.terms)
-            assert got.evaluate(ring) == oracle.evaluate(ring), (ring, oracle)
+            assert got.evaluate(ring) == ring.image(oracle.terms), (ring, oracle)
 
 
 @pytest.mark.parametrize("ctx", [SO3, SO4, SP2, SP4], ids=repr)
 def test_central_families_match_expanded_oracle(ctx, monkeypatch):
     # both families, the complementary one through the Harish-Chandra
-    # route, rebuilt from the expanded Pfaffian/Hafnian words
+    # route, rebuilt from the expanded Pfaffian/Hafnian words, whose
+    # images the oracle reads word by word in each ring
     got = {signed: central_series(ctx, signed, 2) for signed in (True, False)}
     monkeypatch.setattr(uea, "block_expr",
                         lambda ctx, I: _expanded_matching_expr(I, ctx.family == "so"))
     monkeypatch.setattr(ctx, "_formulas", {})  # the oracle builds its own formulas
     oracle = {signed: central_series(ctx, signed, 2) for signed in (True, False)}
-    ring = uea_ring(ctx)
-    for signed in (True, False):
-        for k in (1, 2):
-            assert got[signed][k].evaluate(ring) == oracle[signed][k].evaluate(ring)
+    for ring in _oracle_rings(ctx):
+        for signed in (True, False):
+            for k in (1, 2):
+                expected = ring.image(oracle[signed][k].terms)
+                assert got[signed][k].evaluate(ring) == expected, (ring, signed, k)
 
 
 # -- one common denominator against the per-coefficient Fraction route ------------
@@ -611,7 +616,7 @@ def test_evaluation_over_one_denominator_matches_fraction_oracle(ctx):
             for ring in rings:
                 assert expr.evaluate(ring).terms == _fraction_image(ring, expr.terms)
             x = expr.evaluate(uea_ring(ctx))
-            words = {tuple(ctx.gen_pair(g) for g in w): c for w, c in x.terms.items()}
+            words = {tuple(ctx.letters[g] for g in w): c for w, c in x.terms.items()}
             for m in (1, 2):
                 assert gamma(x, m).terms == _fraction_image(gamma_ring(ctx, m), words)
     assert fractional or ctx.n == 1  # at rank 1, C_1 and D_1, D_2 are integral
@@ -913,29 +918,39 @@ def test_gamma_of_so_element_restricts_gl_action():
     assert got == expected
 
 
-def check_dual_bracket_compatibility(dual_ctx: LieContext, N: int):
-    """The dual generator images satisfy the structure relations of the
-    commutant algebra: [g'(X), g'(Y)] = g'([X, Y]) on all generators."""
-    ring = dual_ring(dual_ctx, N)
-    pairs = dual_ctx.letters
-    for p1 in pairs:
-        for p2 in pairs:
-            lhs = ring.f_gen(*p1).bracket(ring.f_gen(*p2))
-            bracket = UEAElement.F(dual_ctx, *p1).bracket(UEAElement.F(dual_ctx, *p2))
-            rhs = combine(((c, ring.f_gen(*dual_ctx.gen_pair(g)))
-                           for (g,), c in bracket.terms.items()),
-                          WeylOperator.zero(ring.wctx))
-            if not lhs == rhs:
-                raise ConsistencyError(f"dual bracket mismatch on {p1}, {p2}")
+def check_bracket_compatibility(ring):
+    """The letter images of `ring` satisfy the bracket table of its
+    context: [g(F_h), g(F_g)] = g([F_h, F_g]) for all letters h > g, so
+    reading a PBW normal form in `ring` is a homomorphism."""
+    ctx = ring.ctx
+    images = [ring.f_gen(*pair) for pair in ctx.letters]
+    for (h, g), entry in ctx._table.items():
+        rhs = combine(((c, images[f]) for f, c in entry.items()), ring.scalar(0))
+        if not images[h].bracket(images[g]) == rhs:
+            raise ConsistencyError(f"{type(ring).__name__} of {ctx}: bracket mismatch on "
+                                   f"{ctx.letters[h]}, {ctx.letters[g]}")
     return True
 
 
+@pytest.mark.parametrize("ctx", [GL2, GL3, SO2, SO3, SO4, SP2, SP4], ids=repr)
+@pytest.mark.parametrize("m", [1, 2])
+def test_gamma_bracket_compatibility(ctx, m):
+    assert check_bracket_compatibility(gamma_ring(ctx, m))
+
+
 def test_dual_bracket_compatibility():
-    assert check_dual_bracket_compatibility(SP2, 2)
-    assert check_dual_bracket_compatibility(SP2, 3)
-    assert check_dual_bracket_compatibility(SO2, 2)
-    assert check_dual_bracket_compatibility(SP4, 2)
-    assert check_dual_bracket_compatibility(SO4, 2)
+    # the dual rings the suites build at their default domains: sp_2m
+    # against so_N and so_2m against sp_N, m = 1, 2
+    for dual_ctx, Ns in ((SP2, (2, 3, 4)), (SP4, (2, 3, 4)), (SO2, (2, 4)), (SO4, (2, 4))):
+        for N in Ns:
+            assert check_bracket_compatibility(dual_ring(dual_ctx, N))
+
+
+def test_bracket_compatibility_rejects_a_scaled_letter():
+    ring = GammaRing(SO3, 1)  # a ring of its own, not the cached one
+    ring._gens[SO3.letters[0]] = ring.f_gen(*SO3.letters[0]) * 2
+    with pytest.raises(ConsistencyError, match="bracket mismatch"):
+        check_bracket_compatibility(ring)
 
 
 @pytest.mark.parametrize("ctx", [SO4, SP4], ids=repr)
@@ -954,8 +969,11 @@ def test_central_series_has_no_index_past_its_order():
 
 
 def test_central_element_gamma_routes_agree():
+    # the formula read in the ring, its normal form read by `gamma`, and
+    # the oracle: the formula's own words read in the ring
     elt = central_series(SO3, True, 1)[1]
-    assert elt.evaluate(gamma_ring(SO3, 2)) == gamma(elt.evaluate(uea_ring(SO3)), 2)
+    ring = gamma_ring(SO3, 2)
+    assert elt.evaluate(ring) == gamma(elt.evaluate(uea_ring(SO3)), 2) == ring.image(elt.terms)
 
 
 # -- transfer coefficients ---------------------------------------------------
