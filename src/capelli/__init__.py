@@ -39,6 +39,7 @@ from .uea import (
     eigenvalue_on_hwv,
     family_expr,
     gamma,
+    hc_image,
     hc_polynomial,
     pbw_normal_form,
     singular_vector,

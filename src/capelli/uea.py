@@ -25,6 +25,14 @@ highest-weight vectors that `singular_vector` builds on its grid.
 `clear_caches` drops the rings and empties every context's memos; the
 bracket tables stay.
 
+The Harish-Chandra image of a central element of U(so_N) or U(sp_N) is
+read from its normal form by `hc_image`: in the letter order lowering <
+Cartan < raising it is the sum of the pure-Cartan words, each Cartan
+letter read as one coordinate of the highest weight.  The suites use
+it.  `hc_polynomial` interpolates the same image from the eigenvalues
+on highest-weight vectors under the natural action, a route that does
+not rely on the letter order; it is the test oracle.
+
 Since F_{-j,-i} = -eps_ij F_ij, the formulas keep one canonical spelling
 of each symbol (`canonical_symbol`).  A target ring is valid only if its
 generator images satisfy the same relation; each ring checks this when
@@ -785,6 +793,27 @@ def _solve_exact(rows, rhs, ncols):
     return sol
 
 
+def _variables(name, n):
+    """The variable names name1, ..., name<n>."""
+    return tuple(f"{name}{p}" for p in range(1, n + 1))
+
+
+def _substitute(poly: SymPoly, values, vars) -> SymPoly:
+    """poly with its p-th variable replaced by values[p], a polynomial
+    over `vars`."""
+    value = poly.evaluate(dict(zip(poly.vars, values)))
+    return value if isinstance(value, SymPoly) else SymPoly.scalar(vars, value)
+
+
+def lam_form(ctx: LieContext, poly: SymPoly) -> SymPoly:
+    """A polynomial in l_1^2, ..., l_n^2 (its p-th variable read as
+    l_p^2), written in the variables lam1..lamn through
+    l_p = lam_p + rho_p."""
+    lamvars = _variables("lam", ctx.n)
+    squares = [(SymPoly.variable(lamvars, v) + r) ** 2 for v, r in zip(lamvars, ctx.rho)]
+    return _substitute(poly, squares, lamvars)
+
+
 def hc_polynomial(z: UEAElement, degree_bound: int, *, in_l_squared=False) -> SymPoly:
     """Harish-Chandra image of a central element, interpolated from its
     eigenvalues on a grid of dominant weights.
@@ -793,12 +822,16 @@ def hc_polynomial(z: UEAElement, degree_bound: int, *, in_l_squared=False) -> Sy
     `degree_bound` in l_p^2 = (lam_p + rho_p)^2 matching every sampled
     eigenvalue; returned in the lam variables, or in the squared-l
     variables when `in_l_squared` is set.
+
+    This is the test oracle for `hc_image`, which the suites read: it
+    reads z through its natural action on highest-weight vectors, not
+    through the letter order of its normal form.
     """
     _require_central(z)
     ctx = z.ctx
     n = ctx.n
     basis = list(partitions_with(n, max_weight=degree_bound))
-    yvars = tuple(f"y{p}" for p in range(1, n + 1))
+    yvars = _variables("y", n)
     basis_polys = [_monomial_symmetric(yvars, mu) for mu in basis]
     grid = list(partitions_with(n, max_part=2 * degree_bound + 1))
     image = gamma(z, n)
@@ -810,15 +843,51 @@ def hc_polynomial(z: UEAElement, degree_bound: int, *, in_l_squared=False) -> Sy
         rhs.append(_hwv_eigenvalue(ctx, image, lam))
     coeffs = _solve_exact(rows, rhs, len(basis))
     result = combine(zip(coeffs, basis_polys), SymPoly.zero(yvars))
-    if in_l_squared:
-        return result
-    lamvars = tuple(f"lam{p}" for p in range(1, n + 1))
-    subs = {}
-    for p in range(1, n + 1):
-        lp = SymPoly.variable(lamvars, f"lam{p}") + ctx.rho[p - 1]
-        subs[f"y{p}"] = lp * lp
-    value = result.evaluate(subs)
-    return value if isinstance(value, SymPoly) else SymPoly.scalar(lamvars, value)
+    return result if in_l_squared else lam_form(ctx, result)
+
+
+def _cartan_letters(ctx: LieContext):
+    """The Cartan letters F_{-n,-n}, ..., F_{-1,-1} of ctx, in the order
+    of the weight: the p-th acts on a highest-weight vector of weight lam
+    by lam_p (the weight `singular_vector` asserts)."""
+    return tuple(ctx.letter(-q, -q)[1] for q in range(ctx.n, 0, -1))
+
+
+def hc_image(z: UEAElement, *, in_l_squared=False) -> SymPoly:
+    """Harish-Chandra image of a central element of U(so_N) or U(sp_N),
+    read from its normal form; the route the suites use.
+
+    In the letter order lowering < Cartan < raising, a normal-form word
+    with a raising letter ends with one and kills a highest-weight vector
+    v_lam, and a word of weight zero with a lowering letter has a raising
+    one too, so z acts on v_lam by its pure-Cartan words alone
+    (U(g) = U(h) + n^-U(g) + U(g)n^+, Dixmier 7.4).  The image keeps
+    those words with F_{-q,-q} read as lam_{n-q+1}, a polynomial in
+    lam1..lamn.  With `in_l_squared` it is rewritten through
+    lam_p = l_p - rho_p in y_p = l_p^2, the variables of
+    `hc_polynomial(..., in_l_squared=True)`, its test oracle; an odd
+    power of some l_p raises ConsistencyError.  A non-central element,
+    whose lower-weight parts this reading would drop, raises
+    ConsistencyError too."""
+    ctx = z.ctx
+    if ctx.family == "gl":
+        raise DimensionError("Harish-Chandra images are read in the triangular letter order "
+                             "of so_N and sp_N")
+    _require_central(z)
+    cartan = _cartan_letters(ctx)
+    image = SymPoly(_variables("lam", ctx.n),
+                    {tuple(map(w.count, cartan)): c for w, c in z.terms.items()
+                     if all(g in cartan for g in w)})
+    if not in_l_squared:
+        return image
+    lvars = _variables("l", ctx.n)
+    shifted = [SymPoly.variable(lvars, v) - r for v, r in zip(lvars, ctx.rho)]
+    in_l = _substitute(image, shifted, lvars)
+    if any(e % 2 for ev in in_l.terms for e in ev):
+        raise ConsistencyError(f"the Harish-Chandra image {image!r} has an odd power of some "
+                               "l_p = lam_p + rho_p")
+    return SymPoly(_variables("y", ctx.n),
+                   {tuple(e // 2 for e in ev): c for ev, c in in_l.terms.items()})
 
 
 # -- the two central families -------------------------------------------------

@@ -19,6 +19,7 @@ _capelli_element, _family_expr = uea.capelli_element, uea.family_expr
 _slot_action, _ladder_roots = tensor.slot_action, tensor.ladder_roots
 _dual_pair_coeffs, _dual_gamma_gen = suites.dual_pair_coeffs, uea.dual_gamma_gen
 _factorial_sum, _a_lambda = symfun._factorial_sum, suites.a_lambda
+_cartan_letters = uea._cartan_letters
 
 
 def untwisted_Rt(ctx, space, p, q, arg_u, arg_v):
@@ -97,6 +98,12 @@ def shifted_ladder_roots(ctx, signed, K):
     return roots if signed else [r + 1 for r in roots]
 
 
+def reversed_cartan_letters(ctx):
+    """The Cartan letters in reverse weight order: F_{-q,-q} read as
+    lam_q in place of lam_{n-q+1}."""
+    return _cartan_letters(ctx)[::-1]
+
+
 DEFECTS = {
     "capelli-gl": (suites, "capelli_element", shifted_capelli_element,
                    {"N": 2, "m": 2, "k": 1}),
@@ -167,6 +174,21 @@ def test_a_planted_formula_reaches_past_the_formula_memo(monkeypatch):
 
 def test_every_suite_has_a_planted_defect():
     assert set(DEFECTS) == set(SUITES)
+
+
+@pytest.mark.parametrize("suite", ["thm-4.1", "thm-5.1"])
+def test_a_projection_defect_fails_every_hc_image_check(suite, monkeypatch):
+    # the defect reaches the Harish-Chandra projection only: at rank 2
+    # every image check fails with a witness, not an exception, while the
+    # elements stay central
+    uea.clear_caches()
+    monkeypatch.setattr(uea, "_cartan_letters", reversed_cartan_letters)
+    checks = run_suite(suite, {"N": 4, "m": 1})
+    images = [c for c in checks if "-hc-image[" in c.id]
+    central = [c for c in checks if "-central[" in c.id]
+    assert len(images) == len(central) == 2, checks
+    assert all(c.status == "fail" and c.witness for c in images), images
+    assert all(c.status == "pass" for c in central), central
 
 
 @pytest.mark.parametrize("suite", ["prop-5.2", "series-inversion"])

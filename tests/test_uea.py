@@ -35,13 +35,15 @@ from capelli.uea import (
     family_expr,
     gamma,
     gamma_ring,
+    hc_image,
     hc_polynomial,
+    hc_target,
     is_central,
     pbw_normal_form,
     singular_vector,
     uea_ring,
 )
-from capelli import tensor
+from capelli import suites, tensor
 from capelli.suites import SUITES, run_suite
 from capelli.tensor import ent_mul, fusion_capelli
 from capelli.weyl import WeylContext, WeylOperator, eps_ij, sgn
@@ -873,6 +875,89 @@ def test_complementary_family_sp():
         hc = hc_polynomial(ck, k, in_l_squared=True)
         target = e_factorial(k, 2, SP4.shift_sequence) * Fraction((-1) ** k)
         assert hc == SymPoly(hc.vars, target.terms)
+
+
+def _hc_cases():
+    """(ctx, signed, k) of every element that thm-4.1 and thm-5.1 read at
+    their default domains, then the complementary families so_3 D_1..D_3
+    and sp_4 C_1, C_2."""
+    for suite, family in (("thm-4.1", "so"), ("thm-5.1", "sp")):
+        domains = SUITES[suite].domains
+        for N in domains["N"]:
+            for k in domains["k"]:
+                yield LieContext(family, N), family == "so", k
+    yield from ((SO3, False, k) for k in (1, 2, 3))
+    yield from ((SP4, True, k) for k in (1, 2))
+
+
+def _hc_params(cases):
+    return [pytest.param(ctx, signed, k, id=f"{ctx.family}{ctx.N}-{'C' if signed else 'D'}{k}")
+            for ctx, signed, k in cases]
+
+
+@pytest.mark.parametrize("ctx, signed, k", _hc_params(_hc_cases()))
+def test_hc_image_equals_the_grid_oracle(ctx, signed, k):
+    # the projection of the normal form against the interpolation over
+    # highest-weight vectors, in both variable sets
+    z = central_series(ctx, signed, k)[k].evaluate(uea_ring(ctx))
+    for in_l_squared in (False, True):
+        got = hc_image(z, in_l_squared=in_l_squared)
+        oracle = hc_polynomial(z, k, in_l_squared=in_l_squared)
+        assert got == oracle and repr(got) == repr(oracle), (in_l_squared, got, oracle)
+
+
+def test_hc_image_of_identity_and_of_so3_c1():
+    assert hc_image(UEAElement.one(SO3)) == SymPoly.scalar(("lam1",), 1)
+    lam = SymPoly.variable(("lam1",), "lam1")
+    assert hc_image(family_expr(SO3, 1).evaluate(uea_ring(SO3))) == -(lam * lam) - lam
+
+
+@pytest.mark.parametrize("ctx, signed, k", _hc_params(
+    (LieContext(family, N), signed, k)
+    for family, N, top in (("so", 5, 2), ("so", 6, 2), ("sp", 6, 2), ("so", 7, 1))
+    for signed in (True, False) for k in range(1, top + 1)))
+def test_hc_image_past_the_suite_domains(ctx, signed, k):
+    # ranks where the grid route is too slow to run
+    got = hc_image(central_series(ctx, signed, k)[k].evaluate(uea_ring(ctx)), in_l_squared=True)
+    assert got == SymPoly(got.vars, hc_target(ctx, signed, k).terms)
+
+
+def test_hc_image_rejects_a_noncentral_element():
+    with pytest.raises(ConsistencyError, match="not invariant"):
+        hc_image(F(SO3, -1, -1))
+
+
+def test_hc_image_rejects_an_image_with_an_odd_power_of_l(monkeypatch):
+    # past the centrality guard, F_{-1,-1} reads as lam1 = l1 - 1/2
+    monkeypatch.setattr(uea, "is_central", lambda x: True)
+    assert hc_image(F(SO3, -1, -1)) == SymPoly.variable(("lam1",), "lam1")
+    with pytest.raises(ConsistencyError, match="odd power"):
+        hc_image(F(SO3, -1, -1), in_l_squared=True)
+
+
+def test_hc_image_needs_the_triangular_order_of_so_or_sp():
+    with pytest.raises(DimensionError, match="triangular"):
+        hc_image(capelli_element(1, 2, True))
+
+
+def test_formula_suites_read_no_highest_weight_vector(monkeypatch):
+    calls = {"gamma": 0, "singular_vector": 0, "hc_polynomial": 0}
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for name in calls:
+        wrapped = counted(name, getattr(uea, name))
+        monkeypatch.setattr(uea, name, wrapped)
+        monkeypatch.setattr(suites, name, wrapped, raising=False)
+    for suite in ("thm-4.1", "thm-5.1"):
+        checks = run_suite(suite, {})
+        assert any("-hc-image[" in c.id for c in checks)
+        assert all(c.status == "pass" for c in checks)
+    assert calls == {"gamma": 0, "singular_vector": 0, "hc_polynomial": 0}
 
 
 def test_express_in_family():
