@@ -798,20 +798,14 @@ def _variables(name, n):
     return tuple(f"{name}{p}" for p in range(1, n + 1))
 
 
-def _substitute(poly: SymPoly, values, vars) -> SymPoly:
-    """poly with its p-th variable replaced by values[p], a polynomial
-    over `vars`."""
-    value = poly.evaluate(dict(zip(poly.vars, values)))
-    return value if isinstance(value, SymPoly) else SymPoly.scalar(vars, value)
-
-
 def lam_form(ctx: LieContext, poly: SymPoly) -> SymPoly:
     """A polynomial in l_1^2, ..., l_n^2 (its p-th variable read as
     l_p^2), written in the variables lam1..lamn through
     l_p = lam_p + rho_p."""
     lamvars = _variables("lam", ctx.n)
     squares = [(SymPoly.variable(lamvars, v) + r) ** 2 for v, r in zip(lamvars, ctx.rho)]
-    return _substitute(poly, squares, lamvars)
+    value = poly.evaluate(dict(zip(poly.vars, squares)))
+    return value if isinstance(value, SymPoly) else SymPoly.scalar(lamvars, value)
 
 
 def hc_polynomial(z: UEAElement, degree_bound: int, *, in_l_squared=False) -> SymPoly:
@@ -853,7 +847,7 @@ def _cartan_letters(ctx: LieContext):
     return tuple(ctx.letter(-q, -q)[1] for q in range(ctx.n, 0, -1))
 
 
-def hc_image(z: UEAElement, *, in_l_squared=False) -> SymPoly:
+def hc_image(z: UEAElement) -> SymPoly:
     """Harish-Chandra image of a central element of U(so_N) or U(sp_N),
     read from its normal form; the route the suites use.
 
@@ -863,31 +857,18 @@ def hc_image(z: UEAElement, *, in_l_squared=False) -> SymPoly:
     one too, so z acts on v_lam by its pure-Cartan words alone
     (U(g) = U(h) + n^-U(g) + U(g)n^+, Dixmier 7.4).  The image keeps
     those words with F_{-q,-q} read as lam_{n-q+1}, a polynomial in
-    lam1..lamn.  With `in_l_squared` it is rewritten through
-    lam_p = l_p - rho_p in y_p = l_p^2, the variables of
-    `hc_polynomial(..., in_l_squared=True)`, its test oracle; an odd
-    power of some l_p raises ConsistencyError.  A non-central element,
-    whose lower-weight parts this reading would drop, raises
-    ConsistencyError too."""
+    lam1..lamn, the variables of `hc_polynomial`, its test oracle.  A
+    non-central element, whose lower-weight parts this reading would
+    drop, raises ConsistencyError."""
     ctx = z.ctx
     if ctx.family == "gl":
         raise DimensionError("Harish-Chandra images are read in the triangular letter order "
                              "of so_N and sp_N")
     _require_central(z)
     cartan = _cartan_letters(ctx)
-    image = SymPoly(_variables("lam", ctx.n),
-                    {tuple(map(w.count, cartan)): c for w, c in z.terms.items()
-                     if all(g in cartan for g in w)})
-    if not in_l_squared:
-        return image
-    lvars = _variables("l", ctx.n)
-    shifted = [SymPoly.variable(lvars, v) - r for v, r in zip(lvars, ctx.rho)]
-    in_l = _substitute(image, shifted, lvars)
-    if any(e % 2 for ev in in_l.terms for e in ev):
-        raise ConsistencyError(f"the Harish-Chandra image {image!r} has an odd power of some "
-                               "l_p = lam_p + rho_p")
-    return SymPoly(_variables("y", ctx.n),
-                   {tuple(e // 2 for e in ev): c for ev, c in in_l.terms.items()})
+    return SymPoly(_variables("lam", ctx.n),
+                   {tuple(map(w.count, cartan)): c for w, c in z.terms.items()
+                    if all(g in cartan for g in w)})
 
 
 # -- the two central families -------------------------------------------------

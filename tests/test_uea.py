@@ -39,6 +39,7 @@ from capelli.uea import (
     hc_polynomial,
     hc_target,
     is_central,
+    lam_form,
     pbw_normal_form,
     singular_vector,
     uea_ring,
@@ -898,12 +899,10 @@ def _hc_params(cases):
 @pytest.mark.parametrize("ctx, signed, k", _hc_params(_hc_cases()))
 def test_hc_image_equals_the_grid_oracle(ctx, signed, k):
     # the projection of the normal form against the interpolation over
-    # highest-weight vectors, in both variable sets
+    # highest-weight vectors
     z = central_series(ctx, signed, k)[k].evaluate(uea_ring(ctx))
-    for in_l_squared in (False, True):
-        got = hc_image(z, in_l_squared=in_l_squared)
-        oracle = hc_polynomial(z, k, in_l_squared=in_l_squared)
-        assert got == oracle and repr(got) == repr(oracle), (in_l_squared, got, oracle)
+    got, oracle = hc_image(z), hc_polynomial(z, k)
+    assert got == oracle and repr(got) == repr(oracle), (got, oracle)
 
 
 def test_hc_image_of_identity_and_of_so3_c1():
@@ -918,8 +917,8 @@ def test_hc_image_of_identity_and_of_so3_c1():
     for signed in (True, False) for k in range(1, top + 1)))
 def test_hc_image_past_the_suite_domains(ctx, signed, k):
     # ranks where the grid route is too slow to run
-    got = hc_image(central_series(ctx, signed, k)[k].evaluate(uea_ring(ctx)), in_l_squared=True)
-    assert got == SymPoly(got.vars, hc_target(ctx, signed, k).terms)
+    got = hc_image(central_series(ctx, signed, k)[k].evaluate(uea_ring(ctx)))
+    assert got == lam_form(ctx, hc_target(ctx, signed, k))
 
 
 def test_hc_image_rejects_a_noncentral_element():
@@ -927,12 +926,13 @@ def test_hc_image_rejects_a_noncentral_element():
         hc_image(F(SO3, -1, -1))
 
 
-def test_hc_image_rejects_an_image_with_an_odd_power_of_l(monkeypatch):
-    # past the centrality guard, F_{-1,-1} reads as lam1 = l1 - 1/2
+def test_an_image_not_in_the_squares_of_l_fails_the_suite_check(monkeypatch):
+    # past the centrality guard, F_{-1,-1} reads as lam1 = l1 - 1/2, which
+    # no target in l1^2 matches
     monkeypatch.setattr(uea, "is_central", lambda x: True)
     assert hc_image(F(SO3, -1, -1)) == SymPoly.variable(("lam1",), "lam1")
-    with pytest.raises(ConsistencyError, match="odd power"):
-        hc_image(F(SO3, -1, -1), in_l_squared=True)
+    assert suites._hc_witness(F(SO3, -1, -1), hc_target(SO3, True, 1)) == \
+        "harish-chandra image is lam1"
 
 
 def test_hc_image_needs_the_triangular_order_of_so_or_sp():
