@@ -39,6 +39,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .core import (
+    SymPoly,
     combine,
     dense_mul,
     dense_prod,
@@ -62,6 +63,7 @@ from .symfun import (
 )
 from .uea import (
     LieContext,
+    _variables,
     block_expr,
     capelli_element,
     central_series,
@@ -77,7 +79,6 @@ from .uea import (
     uea_ring,
 )
 from .tensor import (
-    eigenvalue_check_gl,
     fusion_capelli,
     generating_functions,
     ladder_roots,
@@ -225,14 +226,19 @@ def suite_thm_62(p, rng):
 
 
 def suite_prop_61(p, rng):
+    """The quantum determinant H(u) of gl_N acts on the irreducible of
+    highest weight lam by prod_q (lam_q + N - q - u): for each sign table
+    of `quantum_det_gl`, the Harish-Chandra image of every coefficient of
+    H(u) is the coefficient of that product, for every lam at once.  A
+    coefficient that is not central fails with a witness."""
     for N in p["N"]:
+        lam = SymPoly.gens(_variables("lam", N))
+        target = dense_prod([x + N - q, -1] for q, x in enumerate(lam, 1))
         for eps_family in ("so", "sp"):
             h = quantum_det_gl(N, eps_family)
-            witness = None
-            for nu in partitions_with(N, max_weight=2):
-                witness = eigenvalue_check_gl(nu, h)
-                if witness is not None:
-                    break
+            stray = [d for d, c in enumerate(h) if not is_central(c)]
+            witness = (f"u^{stray[0]}: coefficient is not central" if stray else
+                       series_witness(([hc_image(c) for c in h], [1]), (target, [1]), "u"))
             yield f"gl-det-eigenvalue[N={N},eps={eps_family}]", witness
 
 

@@ -95,7 +95,6 @@ from .core import (
     series_witness,
     to_dense,
 )
-from .symfun import Partition
 from .uea import LieContext, UEAElement, _word_times, uea_ring
 from .weyl import eps_ij, index_set
 
@@ -775,43 +774,6 @@ def slot_action(space: TensorSpace, i, j, slots):
                 w[slot - 1] = i
                 add_into(out, {(space.code[tuple(w)], r): 1})
     return out
-
-
-def eigenvalue_check_gl(nu, h_coeffs):
-    """The quantum determinant of gl_N, given by its coefficients
-    `h_coeffs` in U(gl_N), acts on the irreducible with highest
-    weight nu by prod_q (nu_q + N - q - u); checked on the isotypic
-    component inside the |nu|-th tensor power, cut out by the integral
-    symmetrizer for one row and antisymmetrizer for one column of at most
-    N boxes (any other weight raises DimensionError); the check
-    H * A' = c * A' does not depend on the scale of A'.  Returns None or a
-    witness."""
-    ctx = h_coeffs[0].ctx
-    N = ctx.N
-    nu = nu if isinstance(nu, Partition) else Partition(nu)
-    if len(nu) > N or (len(nu) > 1 and nu[1] > 1):
-        raise DimensionError(f"only one-row and one-column gl_{N} weights are wired up")
-    s = nu.weight()
-    space = TensorSpace(N, s)
-
-    def pi_word(word):
-        acc = smat_identity(space.size)
-        for gid in word:
-            acc = smat_mul(acc, slot_action(space, *ctx.letters[gid], range(1, s + 1)))
-        return acc
-
-    proj = symmetrizer(space, signed=len(nu) > 1)
-    expected = dense_prod([nu[q] + N - q, -1] for q in range(1, N + 1))
-    for d in range(max(len(h_coeffs), len(expected))):
-        himg = {}
-        if d < len(h_coeffs):
-            for w, c in h_coeffs[d].terms.items():
-                add_into(himg, pi_word(w), c)
-        lhs = smat_mul(himg, proj)
-        rhs = smat_scale(proj, expected[d] if d < len(expected) else 0)
-        if not smat_eq(lhs, rhs):
-            return f"u^{d} mismatch on weight {tuple(nu.parts)}"
-    return None
 
 
 # -- relation suites ---------------------------------------------------------

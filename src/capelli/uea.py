@@ -3,9 +3,11 @@ from it.
 
 Each algebra is computed in its own basis: U(gl_N) in the E_ij, U(so_N)
 and U(sp_N) in the F_ij = E_ij - eps_ij E_{-j,-i}, one letter for each
-canonical spelling.  A context numbers its letters once and derives a
-fixed table of their brackets from the rule of gl_N, checked on every
-entry and on the Jacobi identity when the context is built.  One
+canonical spelling.  A context numbers its letters once, in one
+triangular order for every family: lowering (i > j), then Cartan
+(i = j), then raising (i < j).  It derives a fixed table of their
+brackets from the rule of gl_N, checked on every entry and on the
+Jacobi identity when the context is built.  One
 straightening engine reads that table for every family: a product u w
 of two weakly increasing words moves the letters of w into u from the
 right, one at a time, and each context memoizes those single-letter
@@ -25,13 +27,13 @@ highest-weight vectors that `singular_vector` builds on its grid.
 `clear_caches` drops the rings and empties every context's memos; the
 bracket tables stay.
 
-The Harish-Chandra image of a central element of U(so_N) or U(sp_N) is
-read from its normal form by `hc_image`: in the letter order lowering <
-Cartan < raising it is the sum of the pure-Cartan words, each Cartan
-letter read as one coordinate of the highest weight.  The suites use
-it.  `hc_polynomial` interpolates the same image from the eigenvalues
-on highest-weight vectors under the natural action, a route that does
-not rely on the letter order; it is the test oracle.
+The Harish-Chandra image of a central element of U(gl_N), U(so_N) or
+U(sp_N) is read from its normal form by `hc_image`: in the triangular
+letter order it is the sum of the pure-Cartan words, each Cartan letter
+read as one coordinate of the highest weight.  The suites use it.  Over
+so_N and sp_N, `hc_polynomial` interpolates the same image from the
+eigenvalues on highest-weight vectors under the natural action, a route
+that does not rely on the letter order; it is the test oracle.
 
 Since F_{-j,-i} = -eps_ij F_ij, the formulas keep one canonical spelling
 of each symbol (`canonical_symbol`).  A target ring is valid only if its
@@ -118,12 +120,10 @@ class LieContext:
         else:
             self.rho = None
             self.shift_sequence = None
-        pairs = [(i, j) for i in self.indices for j in self.indices]
-        if family != "gl":
-            # lowering (i > j), then Cartan (i = j), then raising (i < j)
-            pairs = sorted((p for p in pairs if canonical_symbol(family, *p) == (1, p)),
-                           key=lambda p: (-(p[0] > p[1]), p[0] != p[1], p))
-        self.letters = tuple(pairs)
+        # lowering (i > j), then Cartan (i = j), then raising (i < j)
+        pairs = ((i, j) for i in self.indices for j in self.indices)
+        self.letters = tuple(sorted((p for p in pairs if canonical_symbol(family, *p) == (1, p)),
+                                    key=lambda p: (-(p[0] > p[1]), p[0] != p[1], p)))
         self._symbol = "E" if family == "gl" else "F"
         self._ids = {p: g for g, p in enumerate(self.letters)}
         self._table = _bracket_table(self)
@@ -141,7 +141,7 @@ class LieContext:
             if x not in self._pos:
                 raise DimensionError(f"index {x} of {self._symbol}[{i},{j}] is not an index of "
                                      f"{self.family}_{self.N}")
-        c, pair = (1, (i, j)) if self.family == "gl" else canonical_symbol(self.family, i, j)
+        c, pair = canonical_symbol(self.family, i, j)
         return c, self._ids.get(pair)
 
     def __repr__(self):
@@ -149,10 +149,12 @@ class LieContext:
 
 
 def canonical_symbol(family, i, j):
-    """(c, pair) with F_ij = c * F_pair in so/sp: `pair` is the smaller of
-    (i, j) and (-j, -i), the two spellings related by
-    F_{-j,-i} = -eps_ij F_ij, and c is 0 for the vanishing F_{i,-i} of
-    so."""
+    """(c, pair) with F_ij = c * F_pair: over gl, (1, (i, j)); over so/sp,
+    `pair` is the smaller of (i, j) and (-j, -i), the two spellings
+    related by F_{-j,-i} = -eps_ij F_ij, and c is 0 for the vanishing
+    F_{i,-i} of so."""
+    if family == "gl":
+        return 1, (i, j)
     if family == "so" and j == -i:
         return 0, (i, j)
     if (i, j) <= (-j, -i):
@@ -367,10 +369,9 @@ def pbw_normal_form(ctx: LieContext, pairs) -> UEAElement:
 def check_symbol_symmetry(ring):
     """Raise ConsistencyError unless the generator images of `ring`
     satisfy F_{-j,-i} = -eps_ij F_ij (and F_{i,-i} = 0 for so), the
-    relation that lets an FExpr keep one spelling of each symbol."""
+    relation that lets an FExpr keep one spelling of each symbol; over
+    gl every spelling is canonical."""
     ctx = ring.ctx
-    if ctx.family == "gl":
-        return
     for i in ctx.indices:
         for j in ctx.indices:
             c, pair = canonical_symbol(ctx.family, i, j)
@@ -819,10 +820,13 @@ def hc_polynomial(z: UEAElement, degree_bound: int, *, in_l_squared=False) -> Sy
 
     This is the test oracle for `hc_image`, which the suites read: it
     reads z through its natural action on highest-weight vectors, not
-    through the letter order of its normal form.
+    through the letter order of its normal form.  The l_p^2 are those of
+    so_N and sp_N: a gl_N element raises DimensionError.
     """
-    _require_central(z)
     ctx = z.ctx
+    if ctx.rho is None:
+        raise DimensionError("the interpolation in l_p^2 is for so_N and sp_N")
+    _require_central(z)
     n = ctx.n
     basis = list(partitions_with(n, max_weight=degree_bound))
     yvars = _variables("y", n)
@@ -841,32 +845,31 @@ def hc_polynomial(z: UEAElement, degree_bound: int, *, in_l_squared=False) -> Sy
 
 
 def _cartan_letters(ctx: LieContext):
-    """The Cartan letters F_{-n,-n}, ..., F_{-1,-1} of ctx, in the order
-    of the weight: the p-th acts on a highest-weight vector of weight lam
-    by lam_p (the weight `singular_vector` asserts)."""
-    return tuple(ctx.letter(-q, -q)[1] for q in range(ctx.n, 0, -1))
+    """The diagonal letters of ctx in letter order, which is the order of
+    the weight: E_ii in index order over gl_N, F_{-n,-n}, ..., F_{-1,-1}
+    over so_N and sp_N.  The p-th acts on a highest-weight vector of
+    weight lam by lam_p (over so/sp the weight `singular_vector`
+    asserts)."""
+    return tuple(g for g, (i, j) in enumerate(ctx.letters) if i == j)
 
 
 def hc_image(z: UEAElement) -> SymPoly:
-    """Harish-Chandra image of a central element of U(so_N) or U(sp_N),
-    read from its normal form; the route the suites use.
+    """Harish-Chandra image of a central element of U(gl_N), U(so_N) or
+    U(sp_N), read from its normal form; the route the suites use.
 
     In the letter order lowering < Cartan < raising, a normal-form word
     with a raising letter ends with one and kills a highest-weight vector
     v_lam, and a word of weight zero with a lowering letter has a raising
     one too, so z acts on v_lam by its pure-Cartan words alone
     (U(g) = U(h) + n^-U(g) + U(g)n^+, Dixmier 7.4).  The image keeps
-    those words with F_{-q,-q} read as lam_{n-q+1}, a polynomial in
-    lam1..lamn, the variables of `hc_polynomial`, its test oracle.  A
-    non-central element, whose lower-weight parts this reading would
-    drop, raises ConsistencyError."""
-    ctx = z.ctx
-    if ctx.family == "gl":
-        raise DimensionError("Harish-Chandra images are read in the triangular letter order "
-                             "of so_N and sp_N")
+    those words with the p-th of `_cartan_letters` read as lam_p, a
+    polynomial in lam1..lamN over gl_N and lam1..lamn over so/sp, the
+    variables of `hc_polynomial`, its test oracle there.  A non-central
+    element, whose lower-weight parts this reading would drop, raises
+    ConsistencyError."""
     _require_central(z)
-    cartan = _cartan_letters(ctx)
-    return SymPoly(_variables("lam", ctx.n),
+    cartan = _cartan_letters(z.ctx)
+    return SymPoly(_variables("lam", len(cartan)),
                    {tuple(map(w.count, cartan)): c for w, c in z.terms.items()
                     if all(g in cartan for g in w)})
 

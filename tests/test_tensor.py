@@ -12,6 +12,7 @@ from capelli.core import (
     add_into,
     dense_add,
     dense_mul,
+    dense_prod,
     dense_trim,
     perm_sign,
     to_dense,
@@ -19,8 +20,11 @@ from capelli.core import (
 from capelli.uea import (
     LieContext,
     UEAElement,
+    capelli_element,
     central_series,
     family_expr,
+    gamma,
+    hc_image,
     is_central,
     uea_ring,
 )
@@ -29,7 +33,6 @@ from capelli.tensor import (
     TensorSpace,
     classical_point,
     cross_equal,
-    eigenvalue_check_gl,
     ent_mod,
     ent_scalar_poly_mul,
     ent_to_ucoeffs,
@@ -63,7 +66,7 @@ from capelli.tensor import (
     verify_vanishing,
 )
 from capelli.symfun import partitions_with
-from capelli.weyl import sgn
+from capelli.weyl import minor_delta, sgn
 
 SO2 = LieContext("so", 2)
 SO3 = LieContext("so", 3)
@@ -177,8 +180,7 @@ def test_verify_vanishing_fails_on_the_symmetric_projector(monkeypatch):
 @pytest.mark.parametrize("check", [
     lambda: tensor.check_symmetrizer_decompositions(3, 3),
     lambda: list(verify_vanishing(2, 2, 2, "sp", False)),
-    lambda: eigenvalue_check_gl((1, 1), quantum_det_gl(2)),
-], ids=["dec-3.04", "vanishing", "eigenvalue"])
+], ids=["dec-3.04", "vanishing"])
 def test_scalar_matrix_checks_are_integral(check, monkeypatch):
     # every scalar matrix product takes only int cells, and the check passes
     mul = tensor.smat_mul
@@ -396,14 +398,38 @@ def test_quantum_det_gl1():
     assert dense_trim(h) == dense_trim([UEAElement.E(ctx, 0, 0), UEAElement.scalar(ctx, -1)])
 
 
+def gl_eigenvalue(z, lam):
+    """The eigenvalue of a central z of U(gl_N) on the highest-weight
+    vector of weight lam under the natural action on the N x N grid: the
+    product over p of the corner minors minor_delta(p, N, N) to the power
+    lam_p - lam_{p+1}."""
+    N = z.ctx.N
+    lam = tuple(lam) + (0,) * (N + 1 - len(lam))
+    v = math.prod((minor_delta(p, N, N) ** (lam[p - 1] - lam[p]) for p in range(1, N + 1)),
+                  start=SymPoly.scalar(minor_delta(1, N, N).vars, 1))
+    out = gamma(z, N).apply(v)
+    ev, c = next(iter(v.terms.items()))
+    ratio = Fraction(out.coefficient(ev), c)
+    assert out == v * ratio, "not an eigenvector"
+    return ratio
+
+
+def shifted_product(N, lam):
+    """prod_q (lam_q + N - q - u), q = 1..N, as a coefficient list in u:
+    the eigenvalue of H(u) that Proposition 6.1 states."""
+    lam = tuple(lam) + (0,) * (N - len(lam))
+    return dense_prod([lam[q - 1] + N - q, -1] for q in range(1, N + 1))
+
+
+def assert_qdet_eigenvalues(N, eps, weights):
+    h = quantum_det_gl(N, eps)
+    for nu in weights:
+        assert [gl_eigenvalue(c, nu) for c in h] == shifted_product(N, nu), nu
+
+
 def test_quantum_det_gl2_eigenvalues():
-    h = quantum_det_gl(2, "so")
-    assert eigenvalue_check_gl((), h) is None
-    assert eigenvalue_check_gl((1,), h) is None
-    assert eigenvalue_check_gl((2,), h) is None
-    assert eigenvalue_check_gl((1, 1), h) is None
-    h = quantum_det_gl(2, "sp")
-    assert eigenvalue_check_gl((1,), h) is None
+    for eps in ("so", "sp"):
+        assert_qdet_eigenvalues(2, eps, [(), (1,), (2,), (1, 1)])
 
 
 def test_sklyanin_scalar_normalization():
@@ -742,20 +768,35 @@ def test_sklyanin_det_matches_all_cells_extraction(ctx, monkeypatch):
 
 @pytest.mark.parametrize("N,eps", [(3, "so"), (4, "so"), (4, "sp")])
 def test_quantum_det_gl_eigenvalues_on_every_wired_weight(N, eps):
-    h = quantum_det_gl(N, eps)
-    for nu in partitions_with(N, max_weight=2):
-        assert eigenvalue_check_gl(nu, h) is None, nu
+    # every weight of at most two boxes, on its highest-weight vector
+    assert_qdet_eigenvalues(N, eps, [nu.parts for nu in partitions_with(N, max_weight=2)])
 
 
 @pytest.mark.parametrize("nu", [(3,), (1, 1, 1)], ids=["row", "column"])
 def test_quantum_det_gl_eigenvalue_on_three_boxes(nu):
-    assert eigenvalue_check_gl(nu, quantum_det_gl(3, "so")) is None
+    assert_qdet_eigenvalues(3, "so", [nu])
 
 
-@pytest.mark.parametrize("nu", [(2, 1), (1, 1, 1, 1)], ids=["hook", "too-long"])
-def test_eigenvalue_check_gl_rejects_a_weight_it_cannot_project_to(nu):
-    with pytest.raises(DimensionError):
-        eigenvalue_check_gl(nu, quantum_det_gl(3, "so"))
+@pytest.mark.parametrize("N,eps", [(1, "so"), (2, "so"), (2, "sp"), (3, "so"), (4, "so"),
+                                   (4, "sp")])
+def test_quantum_det_gl_image_is_the_shifted_product(N, eps):
+    # Proposition 6.1 for every highest weight at once: the Harish-Chandra
+    # image of each coefficient of H(u)
+    lam = SymPoly.gens(tuple(f"lam{q}" for q in range(1, N + 1)))
+    assert [hc_image(c) for c in quantum_det_gl(N, eps)] == shifted_product(N, lam)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_gl_hc_image_is_the_eigenvalue_on_highest_weight_vectors(N):
+    # the projection of the normal form against the natural action, on
+    # the Capelli elements and the coefficients of H(u), parts at most 2
+    elements = [capelli_element(k, N, signed) for k in range(1, N + 1) for signed in (True, False)]
+    elements += quantum_det_gl(N)
+    for z in elements:
+        image = hc_image(z)
+        for lam in partitions_with(N, max_part=2):
+            point = {f"lam{q}": lam[q] for q in range(1, N + 1)}
+            assert gl_eigenvalue(z, lam.parts) == image.evaluate(point), (z, lam)
 
 
 def test_sp_sign_table_needs_even_rank():

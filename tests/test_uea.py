@@ -935,9 +935,32 @@ def test_an_image_not_in_the_squares_of_l_fails_the_suite_check(monkeypatch):
         "harish-chandra image is lam1"
 
 
-def test_hc_image_needs_the_triangular_order_of_so_or_sp():
-    with pytest.raises(DimensionError, match="triangular"):
-        hc_image(capelli_element(1, 2, True))
+def test_gl_letters_are_in_triangular_order():
+    # lowering, then Cartan, then raising, as over so_N and sp_N; the
+    # Cartan letters in index order carry lam1, lam2
+    assert GL2.letters == ((1, -1), (-1, -1), (1, 1), (-1, 1))
+    assert [GL2.letters[g] for g in uea._cartan_letters(GL2)] == [(-1, -1), (1, 1)]
+    lam1, lam2 = SymPoly.gens(("lam1", "lam2"))
+    assert hc_image(E(GL2, -1, -1) + E(GL2, 1, 1)) == lam1 + lam2
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("signed", [True, False], ids=["det", "per"])
+def test_hc_image_of_the_capelli_elements_is_shifted_e_or_h(N, signed):
+    # Okounkov-Olshanski: the shifted e*_k (signed, strictly increasing
+    # choices, shifts k - t) and h*_k (weakly increasing, shifts t - k)
+    vs = tuple(f"lam{q}" for q in range(1, N + 1))
+    lam = SymPoly.gens(vs)
+    for k in (1, 2, 3):
+        shift = [k - t if signed else t - k for t in range(1, k + 1)]
+        terms = (math.prod((lam[i] + s for i, s in zip(I, shift)), start=SymPoly.scalar(vs, 1))
+                 for I in increasing(range(N), k, signed))
+        assert hc_image(capelli_element(k, N, signed)) == sum(terms, SymPoly.zero(vs)), k
+
+
+def test_hc_polynomial_interpolates_only_over_so_or_sp():
+    with pytest.raises(DimensionError, match="so_N and sp_N"):
+        hc_polynomial(capelli_element(2, 2, True), 2)
 
 
 def test_formula_suites_read_no_highest_weight_vector(monkeypatch):
