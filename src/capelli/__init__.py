@@ -37,7 +37,7 @@ from .uea import (
     clear_caches,
     dual_pair_coeffs,
     eigenvalue_on_hwv,
-    family_expr,
+    family_element,
     gamma,
     hc_image,
     hc_polynomial,

@@ -15,6 +15,7 @@ reported on stderr without a traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -59,7 +60,10 @@ def _check_json(c: CheckResult):
     return out
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing reads it and
+    never changes it, so each `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="capelli",
         description="Exact verification suites for the central-element identities.",

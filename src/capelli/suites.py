@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple
@@ -69,7 +68,7 @@ from .uea import (
     central_series,
     dual_pair_coeffs,
     dual_ring,
-    family_expr,
+    family_element,
     gamma,
     gamma_ring,
     hc_image,
@@ -90,8 +89,7 @@ from .tensor import (
 from .weyl import cayley, paired_blocks
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     witness: str | None
     ms: float
@@ -165,7 +163,7 @@ def _formula_suite(p, rng, signed):
     for N in p["N"]:
         ctx = LieContext(family, N)
         for k in p["k"]:
-            z = family_expr(ctx, k).evaluate(uea_ring(ctx))
+            z = family_element(ctx, k)
             if signed and k > ctx.n:
                 yield (f"pfaffian-vanishes[N={N},k={k}]",
                        None if z.is_zero() else "nonzero past the rank")
@@ -332,12 +330,17 @@ def suite_cor_45(p, rng):
 
 
 def suite_cor_42(p, rng):
+    """C_n of so_{2n} is (-1)^n Phi^2, Phi the Pfaffian of all indices.
+    `family_element` builds C_n as (-1)^n times the square of the
+    straightened Pfaffian, so the other side squares the raw words of the
+    Pfaffian first and straightens that product."""
     for N in p["N"]:
         n = N // 2
         ctx = LieContext("so", N)
-        pf = block_expr(ctx, ctx.indices).evaluate(uea_ring(ctx))
-        lhs = family_expr(ctx, n).evaluate(uea_ring(ctx))
-        yield f"top-pfaffian-square[N={N}]", lhs.first_difference((pf * pf) * (-1) ** n)
+        top = block_expr(ctx, ctx.indices)
+        square = (top * top).evaluate(uea_ring(ctx))
+        yield (f"top-pfaffian-square[N={N}]",
+               family_element(ctx, n).first_difference(square * (-1) ** n))
 
 
 def suite_series_inversion(p, rng):
@@ -347,7 +350,7 @@ def suite_series_inversion(p, rng):
     Only the sp_2 half sees a wrong native element.  Over so_3 (rank 1)
     `central_series` builds the unsigned family as polynomials in C_1
     (`express_in_family`), so the inversion holds for every value of
-    C_1: with `family_expr` returning C_1 + 1, or C_1 + 7, the so_3
+    C_1: with `family_element` returning C_1 + 1, or C_1 + 7, the so_3
     check still passes at every K in 1..4."""
     K = p["K"]
     for family, N in (("so", 3), ("sp", 2)):
@@ -432,8 +435,7 @@ def suite_thm_21(p, rng):
 # -- registry ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Order:
+class Order(NamedTuple):
     """A series order: any value from 1 to `top`, `default` when none is
     given.  `top` is the largest order that has been timed at the
     costliest point of the suite's grid."""

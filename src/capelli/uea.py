@@ -13,15 +13,18 @@ of two weakly increasing words moves the letters of w into u from the
 right, one at a time, and each context memoizes those single-letter
 moves that are not already sorted.
 
-A central element is its formula: one `FExpr`, a noncommutative
-polynomial in the F symbols (a Pfaffian, a Hafnian, a product of central
-elements), read in the enveloping algebra, under the natural action on
-polynomials or under the dual (oscillator) action by evaluating it in
-`uea_ring`, `gamma_ring` or `dual_ring`.  Both actions are homomorphisms
-of U(g), so a Weyl ring reads the formula's normal form from `uea_ring`,
-as `gamma` reads any element: each formula is straightened once.  Each
-context builds each central formula once, in a formula memo keyed by
-(signed, k).  Each target ring is built once per parameter set and
+A central element is its PBW normal form, built from its factors: each
+Pfaffian or Hafnian block is one `FExpr`, a noncommutative polynomial in
+the F symbols, straightened alone in `uea_ring`, and the sums of
+products of blocks (`family_element`) and the polynomials in them (the
+complementary family of `central_series`) multiply those normal forms,
+never the raw words.  Any element or formula x is read in the enveloping
+algebra, under the natural action on polynomials or under the dual
+(oscillator) action by `x.evaluate(ring)` for `uea_ring`, `gamma_ring`
+or `dual_ring`.  Both actions are homomorphisms of U(g), so a Weyl ring
+reads the normal form, as `gamma` does: a formula is straightened once.
+Each context builds each central element once, in a formula memo keyed
+by (signed, k).  Each target ring is built once per parameter set and
 memoizes every image it has read; a `gamma_ring` also keeps the
 highest-weight vectors that `singular_vector` builds on its grid.
 `clear_caches` drops the rings and empties every context's memos; the
@@ -47,12 +50,13 @@ permanent-type element and the family D (Hafnians over sp_N, weakly
 increasing choices, the factorial h_k).  `capelli_element`,
 `hc_target`, `central_series` and `dual_pair_coeffs` take it.  The
 Pfaffian and Hafnian constructions live in one algebra each, so
-`block_expr` and `family_expr` read the twin from their context: so_N
+`block_expr` and `family_element` read the twin from their context: so_N
 gives Pfaffians and sp_N Hafnians.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -342,6 +346,17 @@ class UEAElement(Sparse):
 
     __rmul__ = __mul__
 
+    def evaluate(self, ring):
+        """The image in `ring`, a ring of the element's own context: the
+        element itself in U(g), and in any other ring Horner over its PBW
+        words, each letter sent to its generator image."""
+        if ring.ctx is not self.ctx:
+            raise DimensionError(self._mismatch)
+        if isinstance(ring, UEARing):
+            return self
+        letters = self.ctx.letters
+        return ring.image({tuple(letters[g] for g in w): c for w, c in self.terms.items()})
+
     def scalar_part(self):
         return self.terms.get(self._unit, 0)
 
@@ -386,7 +401,7 @@ class _TargetRing:
     once, and the images of sums of words, memoized in `_words` by their
     frozen term set until `clear_caches` (`perfbench` reads the memo's
     size under that name).  U(g) reads a formula's own words; a Weyl ring
-    reads PBW normal forms, through `_read_normal_form`.  An image is
+    reads PBW normal forms, through `UEAElement.evaluate`.  An image is
     shared by every caller that asks for it, so callers never change its
     terms.  Subclasses supply `scalar` and `_gen_image`.  Construction
     checks the symbol symmetry the canonical words rely on."""
@@ -561,11 +576,9 @@ class FExpr(Sparse):
     __rmul__ = __mul__
 
     def evaluate(self, ring):
-        """The image in `ring`: in U(g) the normal form of the words, in
-        any other ring that normal form read by `_read_normal_form`."""
-        if isinstance(ring, UEARing):
-            return ring.image(self.terms)
-        return _read_normal_form(ring, uea_ring(ring.ctx).image(self.terms))
+        """The image in `ring`: the normal form of the words in
+        `uea_ring(ring.ctx)`, read in `ring` by `UEAElement.evaluate`."""
+        return uea_ring(ring.ctx).image(self.terms).evaluate(ring)
 
     def _render(self, word):
         return "*".join(f"F[{i},{j}]" for i, j in word) or "1"
@@ -607,9 +620,10 @@ def _native_signed(ctx: LieContext) -> bool:
     return ctx.family == "so"
 
 
+@functools.cache
 def _ordered_matchings(k):
     """The (2k)!/2^k sequences of k disjoint pairs (p, q), p < q, that
-    cover range(2k)."""
+    cover range(2k), as a tuple built once per k."""
     def grow(free):
         if not free:
             yield ()
@@ -619,7 +633,7 @@ def _ordered_matchings(k):
             for tail in grow(rest):
                 yield ((p, q),) + tail
 
-    return grow(tuple(range(2 * k)))
+    return tuple(grow(tuple(range(2 * k))))
 
 
 def block_expr(ctx: LieContext, I) -> FExpr:
@@ -654,39 +668,40 @@ def block_expr(ctx: LieContext, I) -> FExpr:
     return FExpr(terms) * Fraction(1, math.factorial(k))
 
 
-def family_expr(ctx: LieContext, k: int) -> FExpr:
-    """The k-th element of the family the algebra builds natively: over
-    so_N, C_k = (-1)^k sum over 2k-subsets I of Phi_I Phi_{I*}, empty past
-    the rank n; over sp_N, D_k = (-1)^k sum over weakly increasing
-    2k-sequences I of sgn(i_1...i_{2k}) Psi_I Psi_{I*} /
-    (f_1! f_{-1}! ... f_n! f_{-n}!).
+def family_element(ctx: LieContext, k: int) -> UEAElement:
+    """The k-th element of the family the algebra builds natively, in PBW
+    normal form: over so_N, C_k = (-1)^k sum over 2k-subsets I of
+    Phi_I Phi_{I*}, empty past the rank n; over sp_N, D_k = (-1)^k sum
+    over weakly increasing 2k-sequences I of sgn(i_1...i_{2k})
+    Psi_I Psi_{I*} / (f_1! f_{-1}! ... f_n! f_{-n}!).
 
-    The formula is built once per context and kept in its formula memo
-    under (signed, k), so every caller gets the same object."""
+    Each block is built and straightened once, `block_expr(ctx, I)` read
+    in `uea_ring(ctx)`, whose image memo keeps it (I* runs over the same
+    choices as I), and each term multiplies two normal forms: straightening is a homomorphism, so this is the
+    normal form of the raw-word product, without expanding it.  The
+    element is built once per context and kept in its formula memo under
+    (signed, k), so every caller gets the same object."""
     signed = _native_signed(ctx)
     key = (signed, k)
     cached = ctx._formulas.get(key)
     if cached is not None:
         return cached
+    ring = uea_ring(ctx)
+    blocks = {I: block_expr(ctx, I).evaluate(ring)
+              for I in increasing(ctx.indices, 2 * k, signed)}
     pairs = []
-    for I in increasing(ctx.indices, 2 * k, signed):
+    for I, block in blocks.items():
         Istar = tuple(sorted(-i for i in I))
         weight = (-1) ** k if signed else Fraction((-1) ** k * math.prod(sgn(i) for i in I),
                                                    multiplicity_factorial(I))
-        pairs.append((weight, block_expr(ctx, I) * block_expr(ctx, Istar)))
-    ctx._formulas[key] = out = combine(pairs, FExpr.zero())
+        pairs.append((weight, block * blocks[Istar]))
+    ctx._formulas[key] = out = combine(pairs, UEAElement.zero(ctx))
     return out
-
-
-def _read_normal_form(ring, x: UEAElement):
-    """The image of x in a ring of its context: Horner over the PBW words
-    of x, each letter sent to its generator image."""
-    return ring.image({tuple(x.ctx.letters[g] for g in w): c for w, c in x.terms.items()})
 
 
 def gamma(x: UEAElement, m: int) -> WeylOperator:
     """Natural action on the polynomial ring: x read in `gamma_ring(x.ctx, m)`."""
-    return _read_normal_form(gamma_ring(x.ctx, m), x)
+    return x.evaluate(gamma_ring(x.ctx, m))
 
 
 # -- eigenvalues and the Harish-Chandra oracle -------------------------------
@@ -809,14 +824,13 @@ def lam_form(ctx: LieContext, poly: SymPoly) -> SymPoly:
     return value if isinstance(value, SymPoly) else SymPoly.scalar(lamvars, value)
 
 
-def hc_polynomial(z: UEAElement, degree_bound: int, *, in_l_squared=False) -> SymPoly:
+def hc_polynomial(z: UEAElement, degree_bound: int) -> SymPoly:
     """Harish-Chandra image of a central element, interpolated from its
     eigenvalues on a grid of dominant weights.
 
     The result is the unique symmetric polynomial of degree at most
     `degree_bound` in l_p^2 = (lam_p + rho_p)^2 matching every sampled
-    eigenvalue; returned in the lam variables, or in the squared-l
-    variables when `in_l_squared` is set.
+    eigenvalue, returned in the lam variables (`lam_form`).
 
     This is the test oracle for `hc_image`, which the suites read: it
     reads z through its natural action on highest-weight vectors, not
@@ -841,7 +855,7 @@ def hc_polynomial(z: UEAElement, degree_bound: int, *, in_l_squared=False) -> Sy
         rhs.append(_hwv_eigenvalue(ctx, image, lam))
     coeffs = _solve_exact(rows, rhs, len(basis))
     result = combine(zip(coeffs, basis_polys), SymPoly.zero(yvars))
-    return result if in_l_squared else lam_form(ctx, result)
+    return lam_form(ctx, result)
 
 
 def _cartan_letters(ctx: LieContext):
@@ -912,52 +926,54 @@ def hc_target(ctx: LieContext, signed: bool, k: int) -> SymPoly:
     return h_factorial(k, ctx.n, ctx.shift_sequence)
 
 
-def central_series(ctx: LieContext, signed: bool, K: int) -> tuple[FExpr, ...]:
-    """The formulas (X_0, X_1, ..., X_K) of the first K coefficients of
-    the signed family C (zero past the rank) or the unsigned family D,
-    with X_0 = 1.  Each is read by `X.evaluate(uea_ring(ctx))`, whose
-    memo keeps the normal form that `gamma_ring(ctx, m)` and
-    `dual_ring(ctx, N)` read.
+def central_series(ctx: LieContext, signed: bool, K: int) -> tuple[UEAElement, ...]:
+    """The elements (X_0, X_1, ..., X_K) of U(ctx), in PBW normal form, of
+    the first K coefficients of the signed family C (zero past the rank)
+    or the unsigned family D, with X_0 = 1.  A caller reads X in a ring
+    by `X.evaluate(ring)`: in `uea_ring(ctx)` X itself, in
+    `gamma_ring(ctx, m)` and `dual_ring(ctx, N)` the image of its words.
 
     The native constructions are the Pfaffian sums (signed family over
     so_N) and the Hafnian sums (unsigned family over sp_N).  The
     complementary family in each algebra is assembled through the
     Harish-Chandra characterization: its target symmetric polynomial is
     expressed in the images of the native generators 1..min(K, n), and
-    the same polynomial is taken in the elements themselves.  X_k needs
-    only the generators up to k, so it does not depend on K.
+    the same polynomial is taken in the elements themselves, multiplying
+    their normal forms.  X_k needs only the generators up to k, so it
+    does not depend on K.
 
-    The native formulas come from `family_expr`, which memoizes them;
+    The native elements come from `family_element`, which memoizes them;
     each complementary X_k joins them in the context's formula memo
-    under (signed, k).  The memo serves X_k only while `family_expr`
+    under (signed, k).  The memo serves X_k only while `family_element`
     hands back the memoized generators it was built from, so a
-    replaced `family_expr` always reaches the complementary family too.
+    replaced `family_element` always reaches the complementary family
+    too.
     """
     native = _native_signed(ctx)
     top = K if signed == native else min(K, ctx.n)
-    exprs = [family_expr(ctx, k) for k in range(1, top + 1)]
+    elements = [family_element(ctx, k) for k in range(1, top + 1)]
     if signed != native:
         memo = ctx._formulas
-        memoized = all(x is memo.get((native, j)) for j, x in enumerate(exprs, 1))
-        gens, exprs = exprs, []
+        memoized = all(x is memo.get((native, j)) for j, x in enumerate(elements, 1))
+        gens, elements = elements, []
         for k in range(1, K + 1):
             x = memo.get((signed, k)) if memoized else None
             if x is None:
-                x = _complementary_expr(ctx, signed, k, gens)
+                x = _complementary_element(ctx, signed, k, gens)
                 if memoized:
                     memo[signed, k] = x
-            exprs.append(x)
-    return (FExpr.one(), *exprs)
+            elements.append(x)
+    return (UEAElement.one(ctx), *elements)
 
 
-def _complementary_expr(ctx: LieContext, signed: bool, k: int, gens) -> FExpr:
+def _complementary_element(ctx: LieContext, signed: bool, k: int, gens) -> UEAElement:
     """X_k of the family that ctx does not build natively: the polynomial
-    in the native formulas `gens` (X_1, X_2, ... of the other family)
+    in the native elements `gens` (X_1, X_2, ... of the other family)
     that its Harish-Chandra target is in the targets of theirs."""
     gen_imgs = [hc_target(ctx, not signed, j) for j in range(1, len(gens) + 1)]
     combo = express_in_family(hc_target(ctx, signed, k), gen_imgs)
-    return combine(((c, _power_product(gens, alpha, FExpr.one()))
-                    for alpha, c in combo.items()), FExpr.zero())
+    return combine(((c, _power_product(gens, alpha, UEAElement.one(ctx)))
+                    for alpha, c in combo.items()), UEAElement.zero(ctx))
 
 
 # -- dual pair transfer coefficients ------------------------------------------

@@ -1,9 +1,14 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import capelli
 from capelli.cli import main, report_emit
 from capelli.core import ConsistencyError, DimensionError
 from capelli import suites, tensor
@@ -295,3 +300,32 @@ def test_a_single_k_run_reports_the_k_checks_of_the_full_run(suite, params):
     for k in SUITES[suite].domains["k"]:
         expected = [check for check in full if check[0].endswith(f"k={k}]")]
         assert expected and reported(run_suite(suite, {**params, "k": k})) == expected
+
+
+def _without_ms(report):
+    """A report with its `ms` fields dropped, when it is JSON."""
+    if not report.startswith("{"):
+        return report
+    doc = json.loads(report)
+    for suite in doc["suites"]:
+        for check in suite["checks"]:
+            check.pop("ms")
+    return doc
+
+
+def test_a_second_main_call_keeps_no_flag_of_the_first(capsys):
+    # the parser is built once per process; the second call sets neither
+    # --N nor --format, so it must read cor-4.6's own N and print text,
+    # as a run in a fresh process does
+    runs = (["verify", "capelli-gl", "--N", "2", "--m", "2", "--format", "json"],
+            ["verify", "cor-4.6"])
+    reports = []
+    for argv in runs:
+        assert main(argv) == 0
+        reports.append(capsys.readouterr().out)
+    env = {**os.environ, "PYTHONPATH": str(Path(capelli.__file__).resolve().parent.parent)}
+    for argv, report in zip(runs, reports):
+        alone = subprocess.run([sys.executable, "-m", "capelli.cli", *argv], env=env,
+                               capture_output=True, text=True, check=True)
+        assert _without_ms(report) == _without_ms(alone.stdout), argv
+    assert reports[1].startswith("PASS cor-4.6:")

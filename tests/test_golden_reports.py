@@ -32,10 +32,10 @@ def test_report_matches_golden_copy(entry, tmp_path):
     assert golden.compare(report, golden.load(entry_key(entry)), 0) is None
 
 
-def test_layer_tracer_patches_and_restores(monkeypatch):
+def test_layer_tracer_patches_and_restores():
     # The tracer replaces methods found in each class's own dict, so a
     # method moved to a base class would fail `install` or count nothing.
-    monkeypatch.setattr(uea, "_RINGS", {})  # no memoized images: the products run
+    uea.clear_caches()  # no memoized element or image: the blocks are read and multiplied
     add = WeylOperator.__dict__["__add__"]
     tracer = Tracer()
     tracer.install()

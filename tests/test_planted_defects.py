@@ -15,7 +15,7 @@ from capelli import suites, symfun, tensor, uea
 from capelli.suites import SUITES, run_suite
 
 _symmetrizer, _exchange_P = tensor.symmetrizer, tensor.exchange_P
-_capelli_element, _family_expr = uea.capelli_element, uea.family_expr
+_capelli_element, _family_element = uea.capelli_element, uea.family_element
 _ladder_roots = tensor.ladder_roots
 _dual_pair_coeffs, _dual_gamma_gen = suites.dual_pair_coeffs, uea.dual_gamma_gen
 _factorial_sum, _a_lambda = symfun._factorial_sum, suites.a_lambda
@@ -60,9 +60,9 @@ def shifted_capelli_element(k, N, signed):
     return _capelli_element(k, N, signed) + 1
 
 
-def shifted_family_expr(ctx, k):
+def shifted_family_element(ctx, k):
     """The k-th formula element (Pfaffian or Hafnian sum) plus 1."""
-    return _family_expr(ctx, k) + 1
+    return _family_element(ctx, k) + 1
 
 
 def shifted_dual_pair_coeffs(signed, k, l, m, N):
@@ -104,14 +104,14 @@ DEFECTS = {
                    {"N": 2, "m": 2, "k": 1}),
     "capelli-gl-perm": (suites, "capelli_element", shifted_capelli_element,
                         {"N": 2, "m": 2, "k": 1}),
-    # the formula suites read family_expr themselves; the fusion and
+    # the formula suites read family_element themselves; the fusion and
     # determinant suites reach it through uea.central_series
-    "thm-4.1": (suites, "family_expr", shifted_family_expr, {"N": 2, "m": 1, "k": 1}),
-    "thm-5.1": (suites, "family_expr", shifted_family_expr, {"N": 2, "m": 1, "k": 1}),
-    "thm-3.2": (uea, "family_expr", shifted_family_expr, {"N": 2, "k": 1}),
-    "thm-3.3": (uea, "family_expr", shifted_family_expr, {"N": 2, "k": 1}),
-    "thm-6.2": (uea, "family_expr", shifted_family_expr, {"N": 2}),
-    "cor-4.2": (suites, "family_expr", shifted_family_expr, {"N": 2}),
+    "thm-4.1": (suites, "family_element", shifted_family_element, {"N": 2, "m": 1, "k": 1}),
+    "thm-5.1": (suites, "family_element", shifted_family_element, {"N": 2, "m": 1, "k": 1}),
+    "thm-3.2": (uea, "family_element", shifted_family_element, {"N": 2, "k": 1}),
+    "thm-3.3": (uea, "family_element", shifted_family_element, {"N": 2, "k": 1}),
+    "thm-6.2": (uea, "family_element", shifted_family_element, {"N": 2}),
+    "cor-4.2": (suites, "family_element", shifted_family_element, {"N": 2}),
     # the defect reaches the Harish-Chandra images, not the target product
     "prop-6.1": (uea, "_cartan_letters", reversed_cartan_letters, {"N": 2}),
     "thm-4.4": (suites, "dual_pair_coeffs", shifted_dual_pair_coeffs, {"N": 2, "m": 1, "k": 1}),

@@ -22,11 +22,10 @@ from capelli.uea import (
     UEAElement,
     capelli_element,
     central_series,
-    family_expr,
+    family_element,
     gamma,
     hc_image,
     is_central,
-    uea_ring,
 )
 from capelli.tensor import (
     TMat,
@@ -269,12 +268,12 @@ def test_classical_points():
 
 @pytest.mark.parametrize("ctx,k", [(SO2, 1), (SO3, 1)])
 def test_fusion_column_equals_pfaffian_family(ctx, k):
-    assert fusion_capelli(ctx, k, True) == family_expr(ctx, k).evaluate(uea_ring(ctx))
+    assert fusion_capelli(ctx, k, True) == family_element(ctx, k)
 
 
 @pytest.mark.parametrize("ctx,k", [(SP2, 1), (SP2, 2)])
 def test_fusion_row_equals_hafnian_family(ctx, k):
-    assert fusion_capelli(ctx, k, False) == family_expr(ctx, k).evaluate(uea_ring(ctx))
+    assert fusion_capelli(ctx, k, False) == family_element(ctx, k)
 
 
 def test_fusion_column_vanishes_past_rank():
@@ -462,7 +461,7 @@ def test_theorem_62(ctx):
 def test_fusion_at_rank_four_is_the_central_series(ctx, k, signed):
     # the N = 4 frontier, beyond the thm-3.2/3.3 suite domains
     series = central_series(ctx, signed, k)
-    assert fusion_capelli(ctx, k, signed) == series[k].evaluate(uea_ring(ctx))
+    assert fusion_capelli(ctx, k, signed) == series[k]
 
 
 @pytest.mark.parametrize("family,N,signed,roots", [
@@ -921,5 +920,5 @@ def test_fusion_frontier_is_the_central_series(ctx, k, signed):
     # beyond the thm-3.2/3.3 suite domains, affordable on the truncated chain
     series = central_series(ctx, signed, k)
     value = fusion_capelli(ctx, k, signed)
-    assert value == series[k].evaluate(uea_ring(ctx))
+    assert value == series[k]
     assert value.is_zero() == (ctx is SO3)

@@ -14,6 +14,7 @@ from capelli.core import (
     combine,
     common_denominator,
     increasing,
+    multiplicity_factorial,
     perm_sign,
 )
 from capelli.symfun import ShiftSequence, e_factorial, h_factorial
@@ -32,7 +33,7 @@ from capelli.uea import (
     dual_ring,
     eigenvalue_on_hwv,
     express_in_family,
-    family_expr,
+    family_element,
     gamma,
     gamma_ring,
     hc_image,
@@ -258,12 +259,61 @@ def test_public_constructors_build_weakly_increasing_words(ctx):
         assert all(weakly_increasing(w) for w in x.terms), x
 
 
+# -- the expanded formulas, the oracle of the factored elements ---------------
+
+
+_EXPANDED = {}
+
+
+def expanded_element(ctx, signed, k, block=block_expr):
+    """Oracle: X_k of `central_series(ctx, signed, k)` as one FExpr, every
+    product of blocks multiplied out into raw words.  The native X_k is
+    the sum over I of its weight times block(ctx, I) * block(ctx, I*); a
+    complementary X_k is the polynomial in those formulas that
+    `express_in_family` gives for the Harish-Chandra targets, its power
+    products multiplied out too.  Built once per argument set; no ring is
+    read, so `clear_caches` leaves it."""
+    key = (ctx, signed, k, block)
+    if key not in _EXPANDED:
+        native = ctx.family == "so"
+        if signed == native:
+            terms = []
+            for I in increasing(ctx.indices, 2 * k, signed):
+                Istar = tuple(sorted(-i for i in I))
+                weight = (-1) ** k if signed else Fraction(
+                    (-1) ** k * math.prod(sgn(i) for i in I), multiplicity_factorial(I))
+                terms.append((weight, block(ctx, I) * block(ctx, Istar)))
+        else:
+            gens = [expanded_element(ctx, native, j, block) for j in range(1, min(k, ctx.n) + 1)]
+            targets = [hc_target(ctx, native, j) for j in range(1, len(gens) + 1)]
+            combo = express_in_family(hc_target(ctx, signed, k), targets)
+            terms = [(c, math.prod((g for g, a in zip(gens, alpha) for _ in range(a)),
+                                   start=FExpr.one())) for alpha, c in combo.items()]
+        _EXPANDED[key] = combine(terms, FExpr.zero())
+    return _EXPANDED[key]
+
+
+@pytest.mark.parametrize("ctx, signed, k", [
+    (ctx, signed, k) for ctx in (SO3, SO4, LieContext("so", 5), SP2, SP4)
+    for signed in (True, False) for k in (1, 2)] + [(SP4, False, 3)],
+    ids=lambda x: repr(x) if isinstance(x, LieContext) else None)
+def test_factored_elements_equal_the_straightened_expanded_formula(ctx, signed, k):
+    # the library multiplies the normal forms of the blocks (and, for the
+    # complementary family, of the native elements); the oracle
+    # straightens the raw words of the multiplied-out formula one by one
+    x = central_series(ctx, signed, k)[k]
+    assert x == uea_ring(ctx).image(expanded_element(ctx, signed, k).terms)
+    if signed == (ctx.family == "so"):
+        assert x is family_element(ctx, k)
+
+
 def test_memo_stores_only_nontrivial_insertions():
     # every stored key is (sorted word, letter) with a descent at the
     # join, so a product that is already sorted is never stored, and
-    # every stored word is sorted
+    # every stored word is sorted; the oracle straightens the raw words
+    # of the formula, the library multiplies the normal forms of its blocks
     uea.clear_caches()
-    x = central_series(SO4, True, 2)[2].evaluate(uea_ring(SO4))
+    x = uea_ring(SO4).image(expanded_element(SO4, True, 2).terms)
     assert is_central(x)
     assert len(SO4._nf) == 149  # pinned
     for key, value in SO4._nf.items():
@@ -274,7 +324,7 @@ def test_memo_stores_only_nontrivial_insertions():
     square = x * x
     uea.clear_caches()
     assert not SO4._nf
-    fresh = central_series(SO4, True, 2)[2].evaluate(uea_ring(SO4))
+    fresh = central_series(SO4, True, 2)[2]
     assert fresh == x and fresh * fresh == square
 
 
@@ -380,13 +430,13 @@ def test_bracket_table_rejects_a_table_that_breaks_jacobi(fresh_context_key, mon
 
 
 def test_clear_caches_keeps_the_bracket_tables():
-    x = central_series(SP4, False, 1)[1].evaluate(uea_ring(SP4))
+    x = central_series(SP4, False, 1)[1]
     square = x * x
     table = SP4._table
     assert SP4._nf
     uea.clear_caches()
     assert not SP4._nf and SP4._table is table and table
-    fresh = central_series(SP4, False, 1)[1].evaluate(uea_ring(SP4))
+    fresh = central_series(SP4, False, 1)[1]
     assert fresh == x and fresh * fresh == square
 
 
@@ -423,9 +473,9 @@ def test_elements_match_their_gl_embedding(ctx, signed, k):
     # formula read in U(gl_N) through F_ij = E_ij - eps_ij E_{-j,-i}, and
     # its natural action is that of its image under the gl_N action (on
     # one row only for k = 3, whose two-row images take a second each);
-    # the oracle reads the formula's own words in U(gl_N)
-    expr = central_series(ctx, signed, k)[k]
-    x = expr.evaluate(uea_ring(ctx))
+    # the oracle reads the expanded formula's own words in U(gl_N)
+    expr = expanded_element(ctx, signed, k)
+    x = central_series(ctx, signed, k)[k]
     image = gl_image(x)
     assert image == _gl_embedding_ring(ctx).image(expr.terms)
     words = {tuple(image.ctx.letters[g] for g in w): c for w, c in image.terms.items()}
@@ -438,7 +488,7 @@ def test_elements_match_their_gl_embedding(ctx, signed, k):
 @pytest.mark.parametrize("k", [1, 2])
 def test_fused_elements_match_their_gl_embedding(ctx, signed, k):
     fused = fusion_capelli(ctx, k, signed)
-    expected = _gl_embedding_ring(ctx).image(central_series(ctx, signed, k)[k].terms)
+    expected = _gl_embedding_ring(ctx).image(expanded_element(ctx, signed, k).terms)
     assert gl_image(fused) == expected
 
 
@@ -542,6 +592,12 @@ def _expanded_matching_expr(I, signed):
     return FExpr(terms)
 
 
+def _expanded_block(ctx, I):
+    """`block_expr` with every permutation's word kept, both spellings of
+    every symbol."""
+    return _expanded_matching_expr(I, ctx.family == "so")
+
+
 def _oracle_rings(ctx):
     """uea, gamma m = 1, 2, and dual when N is even: over the inner N = 2,
     and for sp also over the odd inner N = 3, whose diagonal generator
@@ -568,19 +624,16 @@ def test_canonical_words_match_expanded_oracle(ctx):
 
 
 @pytest.mark.parametrize("ctx", [SO3, SO4, SP2, SP4], ids=repr)
-def test_central_families_match_expanded_oracle(ctx, monkeypatch):
+def test_central_families_match_expanded_oracle(ctx):
     # both families, the complementary one through the Harish-Chandra
     # route, rebuilt from the expanded Pfaffian/Hafnian words, whose
     # images the oracle reads word by word in each ring
     got = {signed: central_series(ctx, signed, 2) for signed in (True, False)}
-    monkeypatch.setattr(uea, "block_expr",
-                        lambda ctx, I: _expanded_matching_expr(I, ctx.family == "so"))
-    monkeypatch.setattr(ctx, "_formulas", {})  # the oracle builds its own formulas
-    oracle = {signed: central_series(ctx, signed, 2) for signed in (True, False)}
     for ring in _oracle_rings(ctx):
         for signed in (True, False):
             for k in (1, 2):
-                expected = ring.image(oracle[signed][k].terms)
+                oracle = expanded_element(ctx, signed, k, block=_expanded_block)
+                expected = ring.image(oracle.terms)
                 assert got[signed][k].evaluate(ring) == expected, (ring, signed, k)
 
 
@@ -614,11 +667,12 @@ def test_evaluation_over_one_denominator_matches_fraction_oracle(ctx):
     for signed in (True, False):
         series = central_series(ctx, signed, 2)
         for k in (1, 2):
-            expr = series[k]
+            expr, x = expanded_element(ctx, signed, k), series[k]
             fractional |= common_denominator(expr.terms.values()) > 1
             for ring in rings:
-                assert expr.evaluate(ring).terms == _fraction_image(ring, expr.terms)
-            x = expr.evaluate(uea_ring(ctx))
+                expected = _fraction_image(ring, expr.terms)
+                assert expr.evaluate(ring).terms == expected
+                assert x.evaluate(ring).terms == expected
             words = {tuple(ctx.letters[g] for g in w): c for w, c in x.terms.items()}
             for m in (1, 2):
                 assert gamma(x, m).terms == _fraction_image(gamma_ring(ctx, m), words)
@@ -646,9 +700,7 @@ def test_stored_coefficients_are_ints_or_proper_fractions(suite, params, algebra
     assert checks and all(c.status == "pass" for c in checks)
     for ctx in algebras:
         for signed in (True, False):
-            series = central_series(ctx, signed, 2)
-            for k in (1, 2):
-                series[k].evaluate(uea_ring(ctx))
+            central_series(ctx, signed, 2)
     assert {type(x) for x in built} >= {UEAElement, WeylOperator, FExpr}
     for x in built:
         for c in x.terms.values():
@@ -656,10 +708,12 @@ def test_stored_coefficients_are_ints_or_proper_fractions(suite, params, algebra
 
 
 def test_images_are_memoized_until_cleared():
-    expr = central_series(SP2, False, 2)[2]
+    x = central_series(SP2, False, 2)[2]
     ring = dual_ring(SP2, 3)
-    first = expr.evaluate(ring)
-    assert FExpr(dict(expr.terms)).evaluate(ring) is first
+    first = x.evaluate(ring)
+    assert UEAElement(SP2, dict(x.terms)).evaluate(ring) is first
+    block = block_expr(SP2, (-1, -1, 1, 1))
+    assert FExpr(dict(block.terms)).evaluate(ring) is block.evaluate(ring)
     vector = singular_vector((1,), 1, 1, "so", 3)
     vectors = gamma_ring(SO3, 1)
     assert singular_vector((1,), 1, 1, "so", 3) is vector
@@ -670,7 +724,7 @@ def test_images_are_memoized_until_cleared():
                    for ctx in LieContext._cache.values())
     fresh = dual_ring(SP2, 3)
     assert fresh is not ring
-    again = expr.evaluate(fresh)
+    again = x.evaluate(fresh)
     assert again is not first and again == first
 
 
@@ -699,7 +753,7 @@ def test_memoized_formulas_equal_fresh_builds():
 
 def test_hc_polynomial_builds_its_image_and_each_vector_once(monkeypatch):
     uea.clear_caches()
-    c1, c2 = (family_expr(SO4, k).evaluate(uea_ring(SO4)) for k in (1, 2))
+    c1, c2 = (family_element(SO4, k) for k in (1, 2))
     calls = {"gamma": 0, "minors": 0}
 
     def counted(name, original):
@@ -731,9 +785,9 @@ def test_a_vector_that_fails_its_checks_is_rejected_and_not_kept(minor, message,
 
 
 def test_canonical_word_counts():
-    assert len(central_series(SO4, True, 2)[2].terms) == 36
-    assert len(central_series(SP4, False, 2)[2].terms) == 334
-    assert len(central_series(SP4, True, 2)[2].terms) == 408
+    assert len(expanded_element(SO4, True, 2).terms) == 36
+    assert len(expanded_element(SP4, False, 2).terms) == 334
+    assert len(expanded_element(SP4, True, 2).terms) == 408
 
 
 def test_canonical_symbol():
@@ -779,19 +833,19 @@ def test_ring_breaking_symbol_symmetry_is_rejected(monkeypatch):
 
 def test_c1_so2_frozen():
     f = F(SO2, -1, -1)
-    assert family_expr(SO2, 1).evaluate(uea_ring(SO2)) == -(f * f)
-    assert family_expr(SO2, 2).evaluate(uea_ring(SO2)).is_zero()  # k > n
+    assert family_element(SO2, 1) == -(f * f)
+    assert family_element(SO2, 2).is_zero()  # k > n
 
 
 def test_c1_so3_eigenvalues():
-    C1 = family_expr(SO3, 1).evaluate(uea_ring(SO3))
+    C1 = family_element(SO3, 1)
     for lam in range(5):
         assert eigenvalue_on_hwv(C1, (lam,)) == -lam * (lam + 1)
 
 
 def test_eigenvalue_rejects_a_weight_that_is_not_integral():
     # truncated to (2,), the weight would give the eigenvalue -6 of (2,)
-    C1 = family_expr(SO3, 1).evaluate(uea_ring(SO3))
+    C1 = family_element(SO3, 1)
     with pytest.raises(TypeError):
         eigenvalue_on_hwv(C1, (2.9,))
 
@@ -800,13 +854,13 @@ def test_pfaffian_and_hafnian_builders_need_so_or_sp():
     with pytest.raises(DimensionError, match="live in so_N or sp_N"):
         block_expr(GL2, (-1, 1))
     with pytest.raises(DimensionError, match="live in so_N or sp_N"):
-        family_expr(GL2, 1)
+        family_element(GL2, 1)
     with pytest.raises(DimensionError, match="live in so_N or sp_N"):
         central_series(GL2, True, 1)
 
 
 def test_d1_sp2_eigenvalue():
-    D1 = family_expr(SP2, 1).evaluate(uea_ring(SP2))
+    D1 = family_element(SP2, 1)
     assert eigenvalue_on_hwv(D1, (1,)) == 3  # (1+1)^2 - 1
 
 
@@ -822,16 +876,16 @@ def test_eigenvalue_rejects_noncentral():
 
 @pytest.mark.parametrize("ctx,k", [(SO3, 1), (SO4, 1), (SO4, 2)])
 def test_hc_of_c_family(ctx, k):
-    hc = hc_polynomial(family_expr(ctx, k).evaluate(uea_ring(ctx)), k, in_l_squared=True)
-    target = e_factorial(k, ctx.n, ctx.shift_sequence) * Fraction((-1) ** k)
-    assert hc == SymPoly(hc.vars, target.terms)
+    target = lam_form(ctx, e_factorial(k, ctx.n, ctx.shift_sequence) * Fraction((-1) ** k))
+    hc = hc_polynomial(family_element(ctx, k), k)
+    assert hc == target == lam_form(ctx, hc_target(ctx, True, k))
 
 
 @pytest.mark.parametrize("ctx,k", [(SP2, 1), (SP4, 1), (SP4, 2)])
 def test_hc_of_d_family(ctx, k):
-    hc = hc_polynomial(family_expr(ctx, k).evaluate(uea_ring(ctx)), k, in_l_squared=True)
-    target = h_factorial(k, ctx.n, ctx.shift_sequence)
-    assert hc == SymPoly(hc.vars, target.terms)
+    target = lam_form(ctx, h_factorial(k, ctx.n, ctx.shift_sequence))
+    hc = hc_polynomial(family_element(ctx, k), k)
+    assert hc == target == lam_form(ctx, hc_target(ctx, False, k))
 
 
 def test_hc_of_identity():
@@ -841,7 +895,7 @@ def test_hc_of_identity():
 
 def test_hc_in_lambda_variables():
     # so_3: hc(C_1) = -(lam+1/2)^2 + 1/4 = -lam^2 - lam
-    hc = hc_polynomial(family_expr(SO3, 1).evaluate(uea_ring(SO3)), 1)
+    hc = hc_polynomial(family_element(SO3, 1), 1)
     lam = SymPoly.variable(("lam1",), "lam1")
     assert hc == -(lam * lam) - lam
 
@@ -849,11 +903,10 @@ def test_hc_in_lambda_variables():
 def test_complementary_family_so():
     series = central_series(SO3, False, 3)
     for k in (1, 2, 3):
-        dk = series[k].evaluate(uea_ring(SO3))
+        dk = series[k]
         assert is_central(dk)
-        hc = hc_polynomial(dk, k, in_l_squared=True)
-        target = h_factorial(k, 1, SO3.shift_sequence)
-        assert hc == SymPoly(hc.vars, target.terms)
+        target = lam_form(SO3, h_factorial(k, 1, SO3.shift_sequence))
+        assert hc_polynomial(dk, k) == target == lam_form(SO3, hc_target(SO3, False, k))
 
 
 def test_complementary_family_needs_only_the_generators_up_to_K():
@@ -866,16 +919,15 @@ def test_complementary_family_needs_only_the_generators_up_to_K():
 
 
 def test_complementary_family_sp():
-    c1, c2, c3 = (x.evaluate(uea_ring(SP2)) for x in central_series(SP2, True, 3)[1:])
-    assert c1 == -family_expr(SP2, 1).evaluate(uea_ring(SP2))
+    c1, c2, c3 = central_series(SP2, True, 3)[1:]
+    assert c1 == -family_element(SP2, 1)
     assert c2.is_zero() and c3.is_zero()
     series4 = central_series(SP4, True, 2)
     for k in (1, 2):
-        ck = series4[k].evaluate(uea_ring(SP4))
+        ck = series4[k]
         assert is_central(ck)
-        hc = hc_polynomial(ck, k, in_l_squared=True)
-        target = e_factorial(k, 2, SP4.shift_sequence) * Fraction((-1) ** k)
-        assert hc == SymPoly(hc.vars, target.terms)
+        target = lam_form(SP4, e_factorial(k, 2, SP4.shift_sequence) * Fraction((-1) ** k))
+        assert hc_polynomial(ck, k) == target == lam_form(SP4, hc_target(SP4, True, k))
 
 
 def _hc_cases():
@@ -900,7 +952,7 @@ def _hc_params(cases):
 def test_hc_image_equals_the_grid_oracle(ctx, signed, k):
     # the projection of the normal form against the interpolation over
     # highest-weight vectors
-    z = central_series(ctx, signed, k)[k].evaluate(uea_ring(ctx))
+    z = central_series(ctx, signed, k)[k]
     got, oracle = hc_image(z), hc_polynomial(z, k)
     assert got == oracle and repr(got) == repr(oracle), (got, oracle)
 
@@ -908,7 +960,7 @@ def test_hc_image_equals_the_grid_oracle(ctx, signed, k):
 def test_hc_image_of_identity_and_of_so3_c1():
     assert hc_image(UEAElement.one(SO3)) == SymPoly.scalar(("lam1",), 1)
     lam = SymPoly.variable(("lam1",), "lam1")
-    assert hc_image(family_expr(SO3, 1).evaluate(uea_ring(SO3))) == -(lam * lam) - lam
+    assert hc_image(family_element(SO3, 1)) == -(lam * lam) - lam
 
 
 @pytest.mark.parametrize("ctx, signed, k", _hc_params(
@@ -917,7 +969,7 @@ def test_hc_image_of_identity_and_of_so3_c1():
     for signed in (True, False) for k in range(1, top + 1)))
 def test_hc_image_past_the_suite_domains(ctx, signed, k):
     # ranks where the grid route is too slow to run
-    got = hc_image(central_series(ctx, signed, k)[k].evaluate(uea_ring(ctx)))
+    got = hc_image(central_series(ctx, signed, k)[k])
     assert got == lam_form(ctx, hc_target(ctx, signed, k))
 
 
@@ -1070,18 +1122,20 @@ def test_integral_eps_and_rho_are_ints(ctx):
 
 def test_central_series_has_no_index_past_its_order():
     series = central_series(SO4, True, 2)
-    assert len(series) == 3 and series[0] == FExpr.one()
-    assert series[2].evaluate(uea_ring(SO4)) == family_expr(SO4, 2).evaluate(uea_ring(SO4))
+    assert len(series) == 3 and series[0] == UEAElement.one(SO4)
+    assert series[2] == family_element(SO4, 2)
     with pytest.raises(IndexError):
         series[3]
 
 
 def test_central_element_gamma_routes_agree():
-    # the formula read in the ring, its normal form read by `gamma`, and
-    # the oracle: the formula's own words read in the ring
-    elt = central_series(SO3, True, 1)[1]
+    # the element read in the ring, the element read by `gamma`, the
+    # expanded formula read through its normal form, and the oracle: the
+    # expanded formula's own words read in the ring
+    elt, expr = central_series(SO3, True, 1)[1], expanded_element(SO3, True, 1)
     ring = gamma_ring(SO3, 2)
-    assert elt.evaluate(ring) == gamma(elt.evaluate(uea_ring(SO3)), 2) == ring.image(elt.terms)
+    assert elt.evaluate(uea_ring(SO3)) is elt
+    assert elt.evaluate(ring) == gamma(elt, 2) == expr.evaluate(ring) == ring.image(expr.terms)
 
 
 # -- transfer coefficients ---------------------------------------------------
@@ -1119,6 +1173,9 @@ def test_elements_of_different_algebras_do_not_mix():
         E(GL2, 1, 1) + E(GL3, 1, 1)
     with pytest.raises(DimensionError, match=message):
         E(GL2, 1, 1).first_difference(E(GL3, 1, 1))
+    for ring in (uea_ring(GL3), gamma_ring(SO4, 1)):  # a ring reads its own context only
+        with pytest.raises(DimensionError, match=message):
+            F(SO3, -1, -1).evaluate(ring)
 
 
 def test_fexpr_linear_structure_and_witness():
