@@ -9,7 +9,9 @@ combination of elements is one `combine`: elements in, an element out,
 over one common denominator, so a `Fraction` appears only where a true
 division happens.  Polynomials are stored sparsely as a map from dense
 exponent vectors to nonzero coefficients, over a fixed ordered variable
-tuple.
+tuple; their products and exact quotients run the same way, over the
+integer numerators of each operand's common denominator, with one
+division per result term at the end.
 
 The module also holds the shared building blocks of the other layers:
 `add_into`, the one in-place accumulation for sparse maps; `Sparse`, the
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 
@@ -230,7 +233,8 @@ class Sparse:
         return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return self._like(add_into(dict(self.terms), other.terms, -1))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -285,6 +289,11 @@ class SymPoly(Sparse):
     when it is integral, otherwise a `Fraction`.  Instances are
     immutable; all operations return new objects.  `==` against a
     polynomial over another variable tuple is False, not an error.
+
+    The constructor checks each exponent vector's length and coerces
+    each coefficient by `scal`; the results of the operations skip those
+    checks (`_like` keeps only `exact_terms`, `_over` divides int
+    numerators once).
     """
 
     __slots__ = ("vars", "terms")
@@ -322,27 +331,58 @@ class SymPoly(Sparse):
         return self.vars
 
     def _like(self, terms):
-        return SymPoly(self.vars, terms)
+        """A polynomial over the same variables from well-formed terms
+        (tuple keys of the right length, exact scalar values): the
+        internal results skip the checks of the public constructor."""
+        out = object.__new__(SymPoly)
+        out.vars = self.vars
+        out.terms = exact_terms(terms)
+        return out
 
     @property
     def _unit(self):
         return (0,) * len(self.vars)
 
+    def _numerators(self):
+        """(den, terms): the lcm `den` of the coefficients' denominators
+        and the terms scaled by it, all ints; (1, self.terms) when every
+        coefficient is an int."""
+        den = common_denominator(self.terms.values())
+        if den == 1:
+            return 1, self.terms
+        return den, {ev: c.numerator * (den // c.denominator) for ev, c in self.terms.items()}
+
+    def _over(self, terms, den):
+        """The polynomial of the int `terms` divided by the int `den`, one
+        division per nonzero term: an int where it is exact, otherwise a
+        `Fraction`, so the terms are exact as they stand."""
+        out = object.__new__(SymPoly)
+        out.vars = self.vars
+        if den == 1:
+            out.terms = {ev: v for ev, v in terms.items() if v}
+        else:
+            out.terms = {ev: v // den if v % den == 0 else Fraction(v, den)
+                         for ev, v in terms.items() if v}
+        return out
+
     def __mul__(self, other):
+        """The product over integer numerators: each operand is scaled by
+        its common denominator, the int products are summed, and the sum
+        is divided once by the product of the two denominators."""
         if not isinstance(other, SymPoly):
             return self._scaled(other)
         if other.vars != self.vars:
             raise DimensionError(self._mismatch)
+        d1, left = self._numerators()
+        d2, right = other._numerators()
+        right = list(right.items())
+        add = operator.add
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                ev = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(ev, 0) + c1 * c2
-                if s:
-                    out[ev] = s
-                else:
-                    out.pop(ev, None)
-        return SymPoly(self.vars, out)
+        for e1, c1 in left.items():
+            for e2, c2 in right:
+                ev = tuple(map(add, e1, e2))
+                out[ev] = out.get(ev, 0) + c1 * c2
+        return self._over(out, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -378,7 +418,7 @@ class SymPoly(Sparse):
     def top_component(self):
         """Sum of the terms of maximal total degree."""
         d = self.total_degree()
-        return SymPoly(self.vars, {ev: c for ev, c in self.terms.items() if sum(ev) == d})
+        return self._like({ev: c for ev, c in self.terms.items() if sum(ev) == d})
 
     def coefficient(self, ev):
         return self.terms.get(tuple(ev), 0)
@@ -398,18 +438,20 @@ class SymPoly(Sparse):
                    if v not in values and any(ev[i] for ev in self.terms)]
         if missing:
             raise ValueError(f"no value supplied for {missing}")
+        powers = {}  # powers[i][e - 1] = values[vars[i]] ** e, each made once
         acc = None
         for ev, c in self.terms.items():
             term = c
             for i, e in enumerate(ev):
-                for _ in range(e):
-                    term = term * values[self.vars[i]]
+                if e:
+                    row = powers.get(i)
+                    if row is None:
+                        row = powers[i] = [values[self.vars[i]]]
+                    while len(row) < e:
+                        row.append(row[-1] * row[0])
+                    term = term * row[e - 1]
             acc = term if acc is None else acc + term
         return 0 if acc is None else acc
-
-    def _lead(self):
-        ev = max(self.terms)  # lex order on exponent tuples
-        return ev, self.terms[ev]
 
     def exact_div(self, divisor):
         """Exact quotient by `divisor`; raises ExactDivisionError if the
@@ -423,20 +465,43 @@ class SymPoly(Sparse):
             raise DimensionError(self._mismatch)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = dict(self.terms)  # divided in place
+        # Over integer numerators: with self = P / dp and divisor = Q / dq,
+        # P, Q integral, the loop keeps s * P = Q * q + rem with q and rem
+        # integral, scaling q and rem (and s) by the least factor that
+        # makes the next quotient coefficient an int, so the quotient is
+        # q * dq / (s * dp), divided once at the end.
+        dp, rem = self._numerators()
+        dq, div = divisor._numerators()
+        rem = dict(rem)  # divided in place
+        dev, dc = max(div.items())  # lex order on exponent tuples
+        div = list(div.items())
         q = {}
-        dev, dc = divisor._lead()
+        s = 1
         while rem:
             rev = max(rem)
             rc = rem[rev]
             qev = tuple(a - b for a, b in zip(rev, dev))
             if any(e < 0 for e in qev):
                 raise ExactDivisionError("inexact polynomial division")
-            qc = rc * dc if dc in (1, -1) else Fraction(rc, dc)
+            f = dc // math.gcd(rc, dc)
+            if f not in (1, -1):
+                f = abs(f)
+                rem = {ev: f * c for ev, c in rem.items()}
+                q = {ev: f * c for ev, c in q.items()}
+                s *= f
+                rc *= f
+            qc = rc // dc
             q[qev] = qc  # the leading exponent strictly drops, so qev is new
-            add_into(rem, {tuple(a + b for a, b in zip(qev, ev)): c
-                           for ev, c in divisor.terms.items()}, -qc)
-        return SymPoly(self.vars, q)
+            for ev, c in div:
+                key = tuple(map(operator.add, qev, ev))
+                v = rem.get(key, 0) - qc * c
+                if v:
+                    rem[key] = v
+                else:
+                    del rem[key]
+        if dq != 1:
+            q = {ev: dq * c for ev, c in q.items()}
+        return self._over(q, s * dp)
 
     # -- display ---------------------------------------------------------
 

@@ -9,6 +9,7 @@ the e- and h-families.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -159,7 +160,10 @@ def factorial_power(z, a: ShiftSequence, k: int):
     return result
 
 
+@functools.cache
 def vandermonde(n):
+    """prod_{p<q} (z_p - z_q) over z1..zn, built once per n: a `SymPoly`
+    is immutable, so every caller can share it."""
     vs = zvars(n)
     gens = SymPoly.gens(vs)
     prod = SymPoly.scalar(vs, 1)

@@ -262,10 +262,16 @@ def ent_mul(ctx, a, b, *, order=None):
 
 
 def ent_scalar_poly_mul(e, p: SymPoly):
+    """The entry e times the scalar polynomial p, summed in one map."""
     out = {}
     for pe, pc in p.terms.items():
-        add_into(out, {(tuple(x + y for x, y in zip(ev, pe)), w): c
-                       for (ev, w), c in e.items()}, pc)
+        for (ev, w), c in e.items():
+            k = (tuple(map(operator.add, ev, pe)), w)
+            s = out.get(k, 0) + pc * c
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
     return out
 
 

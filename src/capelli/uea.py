@@ -594,8 +594,14 @@ def capelli_element(k: int, N: int, signed: bool) -> UEAElement:
     """Row-ordered symmetrized sum with +(s-1) diagonal shifts (signed)
     whose image under the natural action is the k-th antisymmetric Cayley
     operator, or its permanental counterpart with -(s-1) shifts and no
-    signs."""
+    signs.  It is built once per gl_N context and kept in its formula
+    memo under ("capelli", signed, k), a key no (signed, k) of the
+    central families can equal."""
     ctx = LieContext("gl", N)
+    key = ("capelli", signed, k)
+    cached = ctx._formulas.get(key)
+    if cached is not None:
+        return cached
 
     def factor(s, i, j):
         return UEAElement.E(ctx, i, j) + UEAElement.scalar(ctx, (s if signed else -s) * (i == j))
@@ -605,7 +611,8 @@ def capelli_element(k: int, N: int, signed: bool) -> UEAElement:
                         start=UEAElement.one(ctx)))
              for sigma in itertools.permutations(range(k))
              for ivec in itertools.product(ctx.indices, repeat=k))
-    return combine(pairs, UEAElement.zero(ctx)) * Fraction(1, math.factorial(k))
+    ctx._formulas[key] = out = combine(pairs, UEAElement.zero(ctx)) * Fraction(1, math.factorial(k))
+    return out
 
 
 # -- Pfaffians, Hafnians and the central families -----------------------------

@@ -26,7 +26,6 @@ from .core import (
     DimensionError,
     Sparse,
     SymPoly,
-    add_into,
     combine,
     det,
     exact_terms,
@@ -268,32 +267,52 @@ def dual_gamma_gen(dual_family: str, A: int, B: int, m: int, N: int) -> WeylOper
 
 def cayley(k: int, m: int, N: int, signed: bool) -> WeylOperator:
     """k-th antisymmetric (signed, Omega_k) or symmetric (Theta_k) Cayley
-    operator: the symmetrized sum over permutations, cross-checked before
-    returning against the sum of block[x]*block[d] over the chosen rows
-    and columns, where the block is det over strictly increasing choices
-    or per over weakly increasing ones, weighted by the inverse
-    multiplicity factorials (1 on strictly increasing choices)."""
+    operator, built twice and cross-checked before returning.
+
+    The symmetrized sum: over the row and column vectors a, i of length
+    k and the permutations sigma, sign(sigma) (signed) or 1 times
+    x_{a_1 i_1} ... x_{a_k i_k} d_{a_1 i_sigma(1)} ... d_{a_k i_sigma(k)},
+    divided by k!.  The variable slots of the grid are read from one
+    table, the x-part is built once per (a, i), and the terms are summed
+    as ints into one map.
+
+    The block sum: over the rows and columns chosen strictly (signed) or
+    weakly increasing, block[x] * block[d] weighted by the inverse
+    multiplicity factorials (1 on strictly increasing choices), where the
+    block is det or per.  The x's commute with each other and so do the
+    d's, so each block is built once, as the `SymPoly` det or per of the
+    grid variables, and the product is the outer product of its terms,
+    x^e1 d^e2, which is already in normal order."""
     ctx = WeylContext(m, N)
-    terms = {}
-    for sigma in itertools.permutations(range(k)):
-        c0 = perm_sign(sigma) if signed else 1
-        for avec in itertools.product(range(1, m + 1), repeat=k):
-            for ivec in itertools.product(ctx.indices, repeat=k):
-                alpha = [0] * ctx.nvars
-                beta = [0] * ctx.nvars
-                for t in range(k):
-                    alpha[ctx.slot(avec[t], ivec[t])] += 1
-                    beta[ctx.slot(avec[t], ivec[sigma[t]])] += 1
-                add_into(terms, {(tuple(alpha), tuple(beta)): c0})
-    op = WeylOperator(ctx, terms) * Fraction(1, math.factorial(k))
+    table = [[ctx.slot(a, i) for i in ctx.indices] for a in range(1, m + 1)]
+    perms = [(perm_sign(sigma) if signed else 1, sigma)
+             for sigma in itertools.permutations(range(k))]
+    sums = {}  # (x slots, d slots), each sorted, to the int sum
+    for rows in itertools.product(table, repeat=k):
+        for ivec in itertools.product(range(N), repeat=k):
+            grid = [[row[p] for p in ivec] for row in rows]  # slots of x_{a_s i_t}
+            alpha = tuple(sorted(map(operator.getitem, grid, range(k))))
+            for c0, sigma in perms:
+                key = (alpha, tuple(sorted(map(operator.getitem, grid, sigma))))
+                sums[key] = sums.get(key, 0) + c0
+
+    def ev(slots):
+        return tuple(map(slots.count, range(ctx.nvars)))
+
+    op = WeylOperator(ctx, {(ev(xs), ev(ds)): Fraction(c, math.factorial(k))
+                            for (xs, ds), c in sums.items()})
     block = det if signed else per
+    x = {(a, i): ctx.poly_x(a, i) for a in range(1, m + 1) for i in ctx.indices}
+    zero = SymPoly.zero(ctx.var_names)
     pairs = []
     for avec in increasing(range(1, m + 1), k, signed):
         for ivec in increasing(ctx.indices, k, signed):
-            xblock = block([[WeylOperator.x(ctx, a, i) for i in ivec] for a in avec])
-            dblock = block([[WeylOperator.d(ctx, a, i) for i in ivec] for a in avec])
+            # k = 0 gives the empty block, the scalar 1
+            poly = zero._coerce(block([[x[a, i] for i in ivec] for a in avec]))
             weight = Fraction(1, multiplicity_factorial(avec) * multiplicity_factorial(ivec))
-            pairs.append((weight, xblock * dblock))
+            pairs.append((weight, WeylOperator(ctx, {(e1, e2): c1 * c2
+                                                     for e1, c1 in poly.terms.items()
+                                                     for e2, c2 in poly.terms.items()})))
     if not op == combine(pairs, WeylOperator.zero(ctx)):
         form = "determinantal" if signed else "permanental"
         raise ConsistencyError(f"symmetrized and {form} forms disagree")

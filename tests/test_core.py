@@ -344,6 +344,108 @@ def test_inexact_division_raises(case):
         dividend.exact_div(divisor)
 
 
+# Oracles in plain Fraction arithmetic, one term at a time.
+
+
+def fraction_product(p, q):
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            ev = tuple(a + b for a, b in zip(e1, e2))
+            out[ev] = out.get(ev, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return {ev: c for ev, c in out.items() if c}
+
+
+def fraction_quotient(p, divisor):
+    rem = {ev: Fraction(c) for ev, c in p.terms.items()}
+    dev = max(divisor.terms)
+    q = {}
+    while rem:
+        rev = max(rem)
+        qev = tuple(a - b for a, b in zip(rev, dev))
+        assert min(qev) >= 0
+        q[qev] = rem[rev] / divisor.terms[dev]
+        for ev, c in divisor.terms.items():
+            key = tuple(a + b for a, b in zip(qev, ev))
+            rem[key] = rem.get(key, Fraction(0)) - q[qev] * c
+            if not rem[key]:
+                del rem[key]
+    return q
+
+
+def fraction_value(p, values):
+    total = Fraction(0)
+    for ev, c in p.terms.items():
+        term = Fraction(c)
+        for v, e in zip(p.vars, ev):
+            term *= Fraction(values[v]) ** e
+        total += term
+    return total
+
+
+def assert_exact_coefficients(p):
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (p, c)
+
+
+def small_denominator_poly(rng, vars):
+    return SymPoly(vars, {tuple(rng.randint(0, 2) for _ in vars):
+                          Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                          for _ in range(rng.randint(1, 5))})
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_sympoly_product_quotient_and_value_match_fraction_loops(seed):
+    rng = random.Random(seed)
+    vars = ("x", "y", "z")
+    p, q = small_denominator_poly(rng, vars), small_denominator_poly(rng, vars)
+    product = p * q
+    assert product.terms == fraction_product(p, q)
+    assert_exact_coefficients(product)
+    if q:
+        quotient = product.exact_div(q)
+        assert quotient.terms == fraction_quotient(product, q)
+        assert quotient == p
+        assert_exact_coefficients(quotient)
+    values = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for v in vars}
+    assert p.evaluate(values) == fraction_value(p, values)
+    assert (p * p * q).evaluate(values) == fraction_value(p, values) ** 2 * fraction_value(q, values)
+
+
+def test_sympoly_products_that_cancel_and_divisors_with_non_unit_leading_coefficients():
+    x, y = poly_vars("x", "y")
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    square_difference = (half * x + third * y) * (half * x - third * y)
+    assert square_difference.terms == {(2, 0): Fraction(1, 4), (0, 2): Fraction(-1, 9)}
+    integral = (half * x + half) * (2 * x - 2)  # the denominators cancel
+    assert integral.terms == {(2, 0): 1, (0, 0): -1}
+    assert all(type(c) is int for c in integral.terms.values())
+    assert ((x + y) * (x - y) - x * x + y * y).is_zero()
+    for divisor in (3 * x + 2 * y, Fraction(3, 2) * x - 5, 4 * x * y + Fraction(2, 3) * y):
+        for quotient in (x - y, Fraction(5, 6) * y * y + 7, half * x + third):
+            dividend = quotient * divisor
+            q = dividend.exact_div(divisor)
+            assert q.terms == fraction_quotient(dividend, divisor)
+            assert q == quotient
+            assert_exact_coefficients(q)
+
+
+def test_inexact_division_by_a_non_unit_leading_coefficient_raises():
+    from capelli.core import ExactDivisionError
+
+    x, y = poly_vars("x", "y")
+    for dividend, divisor in ((x * y + 1, 2 * x + 1), (Fraction(1, 2) * x * x, 3 * x + 1)):
+        with pytest.raises(ExactDivisionError):
+            dividend.exact_div(divisor)
+
+
+def test_sympoly_rejects_an_exponent_vector_of_the_wrong_length():
+    with pytest.raises(DimensionError, match="^exponent vector length mismatch$"):
+        SymPoly(("x", "y"), {(1,): 1})
+    with pytest.raises(DimensionError):
+        SymPoly(("x",), {(1, 0): 1, (0,): 2})
+
+
 # -- generating series in one variable ------------------------------------
 
 

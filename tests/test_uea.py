@@ -740,15 +740,31 @@ def test_central_series_hands_out_the_same_formulas(ctx):
 def test_memoized_formulas_equal_fresh_builds():
     # the suites read the memoized formulas; none of them may change one
     for suite, params in (("thm-3.2", {"N": 2}), ("thm-3.3", {"N": 2}), ("thm-4.4", {"N": 2}),
-                          ("thm-5.3", {"N": 2}), ("thm-6.2", {}), ("series-inversion", {})):
+                          ("thm-5.3", {"N": 2}), ("thm-6.2", {}), ("series-inversion", {}),
+                          ("capelli-gl", {}), ("capelli-gl-perm", {})):
         assert all(c.status == "pass" for c in run_suite(suite, params))
     memos = {ctx: dict(ctx._formulas) for ctx in LieContext._cache.values() if ctx._formulas}
-    assert {SO2, SO3, SO4, SP2, SP4} <= set(memos)
+    assert {SO2, SO3, SO4, SP2, SP4, LieContext("gl", 2), LieContext("gl", 3)} <= set(memos)
     uea.clear_caches()
     for ctx, memo in memos.items():
-        for (signed, k), x in memo.items():
-            fresh = central_series(ctx, signed, k)[k]
-            assert fresh is not x and fresh == x, (ctx, signed, k)
+        for key, x in memo.items():
+            if ctx.family == "gl":  # the Capelli elements, under ("capelli", signed, k)
+                _, signed, k = key
+                fresh = capelli_element(k, ctx.N, signed)
+            else:
+                signed, k = key
+                fresh = central_series(ctx, signed, k)[k]
+            assert fresh is not x and fresh == x, (ctx, key)
+
+
+def test_capelli_elements_are_built_once_until_cleared():
+    first = capelli_element(2, 2, True)
+    assert capelli_element(2, 2, True) is first
+    assert capelli_element(2, 2, False) is not first
+    assert LieContext("gl", 2)._formulas[("capelli", True, 2)] is first
+    uea.clear_caches()
+    fresh = capelli_element(2, 2, True)
+    assert fresh is not first and fresh == first
 
 
 def test_hc_polynomial_builds_its_image_and_each_vector_once(monkeypatch):

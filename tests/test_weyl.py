@@ -1,10 +1,12 @@
 from fractions import Fraction
 import itertools
+import math
 import random
 
 import pytest
 
-from capelli.core import DimensionError, SymPoly
+from capelli import core, weyl
+from capelli.core import ConsistencyError, DimensionError, SymPoly, add_into, perm_sign
 from capelli.symfun import Partition
 from capelli.uea import singular_vector
 from capelli.weyl import (
@@ -128,6 +130,41 @@ def test_cayley_omega_2x2_single_block():
     xdet = det([[WeylOperator.x(ctx, a, i) for i in (i1, i2)] for a in (1, 2)])
     ddet = det([[WeylOperator.d(ctx, a, i) for i in (i1, i2)] for a in (1, 2)])
     assert cayley(2, 2, 2, True) == xdet * ddet
+
+
+def symmetrized_cayley(k, m, N, signed):
+    """Oracle: the symmetrized sum term by term, each exponent vector
+    spelled through `WeylContext.slot` and added on its own."""
+    ctx = WeylContext(m, N)
+    terms = {}
+    for sigma in itertools.permutations(range(k)):
+        c0 = perm_sign(sigma) if signed else 1
+        for avec in itertools.product(range(1, m + 1), repeat=k):
+            for ivec in itertools.product(ctx.indices, repeat=k):
+                alpha = [0] * ctx.nvars
+                beta = [0] * ctx.nvars
+                for t in range(k):
+                    alpha[ctx.slot(avec[t], ivec[t])] += 1
+                    beta[ctx.slot(avec[t], ivec[sigma[t]])] += 1
+                add_into(terms, {(tuple(alpha), tuple(beta)): c0})
+    return WeylOperator(ctx, terms) * Fraction(1, math.factorial(k))
+
+
+CAPELLI_POINTS = [(k, m, N) for N in (2, 3) for m in (2, 3) for k in (1, 2, 3) if k <= min(m, N)]
+
+
+@pytest.mark.parametrize("signed", [True, False])
+@pytest.mark.parametrize("k,m,N", CAPELLI_POINTS + [(4, 3, 3)])
+def test_cayley_equals_the_term_by_term_symmetrized_sum(k, m, N, signed):
+    assert cayley(k, m, N, signed) == symmetrized_cayley(k, m, N, signed)
+
+
+@pytest.mark.parametrize("signed,form", [(True, "determinantal"), (False, "permanental")])
+def test_cayley_raises_when_the_block_route_is_wrong(monkeypatch, signed, form):
+    monkeypatch.setattr(weyl, "det", lambda rows: 2 * core.det(rows))
+    monkeypatch.setattr(weyl, "per", lambda rows: 2 * core.per(rows))
+    with pytest.raises(ConsistencyError, match=f"^symmetrized and {form} forms disagree$"):
+        cayley(2, 2, 2, signed)
 
 
 @pytest.mark.parametrize("k,m,N", [(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 3, 3)])
